@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -32,14 +32,22 @@ from .solver import Labeling
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One explicit matroid of a catalog file."""
+    """One explicit matroid of a catalog file.
+
+    Entries from the parsers carry the matroid the parser already built and
+    validated; `matroid()` hands that one back instead of validating again.
+    It takes no part in equality or hashing.
+    """
 
     id: str
     n: int
     r: int
     bases: tuple[BaseSet, ...]
+    validated: Optional[ExplicitMatroid] = field(default=None, compare=False, repr=False)
 
     def matroid(self, trust: bool = False) -> ExplicitMatroid:
+        if self.validated is not None:
+            return self.validated
         return make_explicit(self.n, self.bases, trust=trust)
 
 
@@ -93,7 +101,7 @@ def _parse_entry(line: str, lineno: int) -> CatalogEntry:
         raise ParseError(f"entry {entry_id!r}: {exc}", lineno) from None
     if matroid.full_rank != r:
         raise ParseError(f"entry {entry_id!r}: rank mismatch", lineno)
-    return CatalogEntry(entry_id, n, r, tuple(sorted(bases)))
+    return CatalogEntry(entry_id, n, r, tuple(sorted(bases)), matroid)
 
 
 def load_catalog(
@@ -213,7 +221,7 @@ def parse_indicator_file(
                     problems.append((lineno, f"entry {entry_id!r}: {exc}"))
                 continue
             raise ParseError(f"entry {entry_id!r}: {exc}", lineno) from None
-        yield CatalogEntry(entry_id, n, r, bases)
+        yield CatalogEntry(entry_id, n, r, bases, matroid)
 
 
 def import_indicator_file(

@@ -10,11 +10,17 @@ is encoded as an integer in [0, q^n) in mixed radix, element i carrying digit
 element order.  Adding a constant to every label permutes labelings within
 translation orbits; each orbit has exactly one member whose element-0 digit
 is zero (the representatives used by the translation reduction).
+
+Indices are exact at any size, also where q^n passes 2^63: the scan kernel
+takes each chunk's start as a Python int and only in-chunk offsets as int64.
+Scans refuse groups of order above SCAN_GROUP_LIMIT with a CapacityError,
+since the kernel counts bases per group value.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +43,7 @@ from .solver import Labeling, label_sum
 
 LAB_ENUM_LIMIT = 10**6
 SCAN_RANGE_LIMIT = 1 << 26
+SCAN_GROUP_LIMIT = 4096
 
 
 def _guarded_bases(m: Matroid) -> list[BaseSet]:
@@ -360,50 +367,81 @@ def labeling_to_index(labeling: Labeling) -> int:
     )
 
 
+def _element_digits(order: int, n: int, start: int, offsets: np.ndarray) -> np.ndarray:
+    """Digits of the labelings start + offsets, one row per element.
+
+    `start` is a Python int of any size.  With q^L the first power of q above
+    the largest offset, (start mod q^L) + offset is below 2 q^L, so the low L
+    digits come from int64 arithmetic and the carry out of them picks one of
+    two high-digit tuples computed from start // q^L in Python ints.
+    """
+    low = 1
+    while low < n and order**low <= int(offsets[-1]):
+        low += 1
+    modulus = order**low
+    local = start % modulus + offsets
+    carry = local >= modulus
+    local -= carry * modulus
+    digits = np.empty((n, offsets.size), dtype=np.min_scalar_type(order))
+    for i in range(low):
+        digits[i] = local // order**i % order
+    high = start // modulus
+    for i in range(low, n):
+        place = order ** (i - low)
+        digits[i] = np.where(carry, (high + 1) // place % order, high // place % order)
+    return digits
+
+
 def _scan_chunk(
-    table: np.ndarray,
-    order: int,
+    factors: Sequence[int],
+    start: int,
     n: int,
     bases: Sequence[BaseSet],
-    block_positions: Sequence[int],
-    indices: np.ndarray,
+    block_count: int,
+    offsets: np.ndarray,
 ) -> tuple[int, Optional[int]]:
-    """Scan one array of labeling indices; returns (checked, first isolating)."""
-    if indices.size == 0:
-        return 0, None
-    powers = order ** np.arange(n, dtype=np.int64)
-    digits = (indices[:, None] // powers[None, :]) % order
-    digits = digits.astype(np.intp)
-    labels = np.empty((indices.size, len(bases)), dtype=np.intp)
-    for j, base in enumerate(bases):
-        acc = np.zeros(indices.size, dtype=np.intp)
-        for e in base:
-            acc = table[acc, digits[:, e]]
-        labels[:, j] = acc
-    counts = np.zeros((indices.size, order), dtype=np.int32)
-    rows = np.arange(indices.size)
-    for j in range(len(bases)):
-        counts[rows, labels[:, j]] += 1  # rows are distinct: no collision
-    block_labels = labels[:, block_positions]
-    multiplicity = np.take_along_axis(counts, block_labels, axis=1)
-    hits = (multiplicity == 1).any(axis=1)
+    """Scan the labelings start + offsets; returns (checked, first isolating).
+
+    The first `block_count` bases are the blocks.  For each invariant factor
+    m, label sums are the integer product incidence @ residues mod m, folded
+    into the canonical element index (first factor most significant).  A
+    labeling is isolating when some group value is the label of exactly one
+    base and that base is a block.
+    """
+    if offsets.size == 0 or block_count == 0:
+        return int(offsets.size), None
+    order = math.prod(factors)
+    digits = _element_digits(order, n, start, offsets)
+    rank = len(bases[0])
+    incidence = np.zeros((len(bases), n), dtype=np.uint8)
+    incidence[np.repeat(np.arange(len(bases)), rank), np.ravel(bases)] = 1
+    labels = np.zeros((len(bases), offsets.size), dtype=digits.dtype)
+    place = order
+    for m in factors:
+        place //= m
+        residues = (digits // place % m).astype(np.min_scalar_type(rank * m))
+        sums = np.einsum("be,ec->bc", incidence.astype(residues.dtype), residues)
+        labels += (sums % m).astype(labels.dtype) * place
+    tally = np.min_scalar_type(len(bases))
+    hits = np.zeros(offsets.size, dtype=bool)
+    for value in range(order):
+        has = labels == value
+        once = np.add.reduce(has[:block_count], axis=0, dtype=tally) == 1
+        hits |= once & ~np.logical_or.reduce(has[block_count:], axis=0)
     if not hits.any():
-        return int(indices.size), None
-    return int(indices.size), int(indices[hits.argmax()])
+        return int(offsets.size), None
+    return int(offsets.size), start + int(offsets[hits.argmax()])
 
 
 def _scan_task(args) -> tuple[str, int, int, int, Optional[int]]:
-    (matroid_id, factors, n, bases, block_positions, start, stop, step, chunk) = args
-    group = GroupSpec(tuple(factors))
-    table = group.add_table().astype(np.intp)
-    order = group.order
+    (matroid_id, factors, n, bases, block_count, start, stop, step, chunk) = args
     checked = 0
     first: Optional[int] = None
     lo = start
     while lo < stop:
         hi = min(stop, lo + chunk * step)
-        indices = np.arange(lo, hi, step, dtype=np.int64)
-        done, hit = _scan_chunk(table, order, n, bases, block_positions, indices)
+        offsets = np.arange(0, hi - lo, step, dtype=np.int64)
+        done, hit = _scan_chunk(factors, lo, n, bases, block_count, offsets)
         checked += done
         if hit is not None and first is None:
             first = hit  # chunks ascend, so the first hit is the minimum
@@ -434,6 +472,11 @@ def isolation_scan(
     if reduction not in ("none", "translation"):
         raise UsageError(f"unknown reduction {reduction!r}")
     order = group.order
+    if order > SCAN_GROUP_LIMIT:
+        raise CapacityError(
+            f"scans count bases per group value and are capped at "
+            f"|G| <= {SCAN_GROUP_LIMIT}; {group} has order {order}"
+        )
     tasks = []
     prepared = []
     for matroid_id, m in matroids:
@@ -449,36 +492,36 @@ def isolation_scan(
                 f"range of {stop - start} labelings exceeds {SCAN_RANGE_LIMIT}; "
                 f"shard the scan with index ranges"
             )
-        if predicate == "strong_block":
-            bases = blocks
-            block_positions = list(range(len(blocks)))
-        else:
-            bases = all_bases
-            block_positions = [all_bases.index(b) for b in blocks]
+        bases = list(blocks)  # blocks first: the kernel takes a block count
+        if predicate == "block":
+            block_set = set(blocks)
+            bases += [b for b in all_bases if b not in block_set]
         step = order if reduction == "translation" else 1
         lo = start if reduction == "none" else ((start + order - 1) // order) * order
-        prepared.append((matroid_id, m.n, bases, block_positions, lo, stop, step))
+        prepared.append((matroid_id, m.n, bases, len(blocks), lo, stop, step))
 
     factors = group.invariant_factors
-    for matroid_id, n, bases, block_positions, lo, stop, step in prepared:
+    workers = max(1, min(jobs, os.cpu_count() or 1))
+    for matroid_id, n, bases, block_count, lo, stop, step in prepared:
         span = max(0, stop - lo)
-        parts = max(1, min(jobs, (span + step - 1) // step if span else 1))
+        parts = max(1, min(workers, (span + step - 1) // step if span else 1))
         width = (span + parts - 1) // parts
         width = ((width + step - 1) // step) * step  # align shards to the step
         cursor = lo
         while cursor < stop:
             upper = min(stop, cursor + width)
             tasks.append(
-                (matroid_id, factors, n, bases, block_positions, cursor, upper, step, chunk)
+                (matroid_id, factors, n, bases, block_count, cursor, upper, step, chunk)
             )
             cursor = upper
         if span == 0:
             tasks.append(
-                (matroid_id, factors, n, bases, block_positions, lo, stop, step, chunk)
+                (matroid_id, factors, n, bases, block_count, lo, stop, step, chunk)
             )
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_scan_task, tasks))
     else:
         raw = [_scan_task(t) for t in tasks]

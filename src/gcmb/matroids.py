@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, InternalError, ParseError, UsageError
 
 BaseSet = tuple[int, ...]
@@ -229,17 +231,35 @@ class ExplicitMatroid(Matroid):
             self._validate_exchange()
 
     def _validate_exchange(self) -> None:
-        for a_set in self._base_frozen:
-            for b_set in self._base_frozen:
-                for a in a_set - b_set:
-                    if not any(
-                        (a_set - {a}) | {b} in self._base_frozen
-                        for b in b_set - a_set
-                    ):
-                        raise UsageError(
-                            f"base exchange axiom fails: no swap for element {a} of "
-                            f"{tuple(sorted(a_set))} toward {tuple(sorted(b_set))}"
-                        )
+        """For bases A, B and a in A - B, some b in B - A makes A - a + b a base.
+
+        Bases are bitmasks.  need[A, a] holds a and every b outside A with
+        A - a + b a base, so (A, B, a) fails exactly when B misses all of
+        need[A, a].  The reported violation is the first (A, B, a) in the
+        order of the plain loop over A, then B, then the set A - B.
+        """
+        masks = [sum(1 << e for e in b) for b in self.base_list]
+        known = set(masks)
+        need = np.zeros((len(masks), self.r), dtype=np.min_scalar_type((1 << self.n) - 1))
+        for i, (base, mask) in enumerate(zip(self.base_list, masks)):
+            outside = [b for b in range(self.n) if not mask >> b & 1]
+            for k, a in enumerate(base):
+                rest = mask ^ 1 << a
+                need[i, k] = sum(1 << b for b in outside if rest | 1 << b in known) | 1 << a
+        other = np.array(masks, dtype=need.dtype)
+        missed = ((need[:, :, None] & other[None, None, :]) == 0).any(axis=1)
+        if not missed.any():
+            return
+        i, j = (int(x) for x in np.argwhere(missed)[0])
+        a_set, b_set = self._base_frozen[i], self._base_frozen[j]
+        a = next(
+            a for a in a_set - b_set
+            if not need[i, self.base_list[i].index(a)] & masks[j]
+        )
+        raise UsageError(
+            f"base exchange axiom fails: no swap for element {a} of "
+            f"{tuple(sorted(a_set))} toward {tuple(sorted(b_set))}"
+        )
 
     def _indep(self, subset: frozenset[int]) -> bool:
         return any(subset <= b for b in self._base_frozen)

@@ -1,0 +1,78 @@
+"""Base-exchange validation of explicit base lists against the plain triple
+loop, and validation done once per parsed catalog entry."""
+
+import itertools
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from gcmb.catalog import CatalogEntry, parse_catalog, parse_indicator_file
+from gcmb.errors import UsageError
+from gcmb.matroids import ExplicitMatroid
+
+
+def plain_validate(base_frozen):
+    """The exchange check as a triple loop over frozensets (test oracle)."""
+    for a_set in base_frozen:
+        for b_set in base_frozen:
+            for a in a_set - b_set:
+                if not any((a_set - {a}) | {b} in base_frozen for b in b_set - a_set):
+                    raise UsageError(
+                        f"base exchange axiom fails: no swap for element {a} of "
+                        f"{tuple(sorted(a_set))} toward {tuple(sorted(b_set))}"
+                    )
+
+
+def outcome(check):
+    try:
+        check()
+    except UsageError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def base_families(draw):
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(1, n))
+    subsets = list(itertools.combinations(range(n), r))
+    if draw(st.booleans()):
+        # all r-subsets but a few: uniform matroids and near misses
+        dropped = draw(st.sets(st.sampled_from(subsets), max_size=3))
+        family = [s for s in subsets if s not in dropped]
+    else:
+        family = draw(st.lists(st.sampled_from(subsets), min_size=1, unique=True))
+    return n, family
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_families())
+def test_validator_matches_plain_loop(family):
+    n, bases = family
+    try:
+        m = ExplicitMatroid(n, bases, trust=True)  # structural checks only
+    except UsageError:
+        assume(False)
+    assert outcome(m._validate_exchange) == outcome(lambda: plain_validate(m._base_frozen))
+
+
+def test_parsed_entry_is_not_validated_again(monkeypatch):
+    calls = []
+    original = ExplicitMatroid._validate_exchange
+
+    def counting(self):
+        calls.append(self.n)
+        original(self)
+
+    monkeypatch.setattr(ExplicitMatroid, "_validate_exchange", counting)
+    (entry,) = parse_catalog("u24 4 2 0,1;0,2;0,3;1,2;1,3;2,3\n")
+    (imported,) = parse_indicator_file("n 4\nr 2\nu24 111111\n")
+    assert len(calls) == 2
+    assert entry.matroid() is entry.matroid()
+    assert imported.matroid() is imported.matroid()
+    assert len(calls) == 2
+    assert entry == imported and hash(entry) == hash(imported)
+    by_hand = CatalogEntry(entry.id, entry.n, entry.r, entry.bases)
+    assert by_hand == entry
+    by_hand.matroid()
+    assert len(calls) == 3
