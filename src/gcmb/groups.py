@@ -22,6 +22,10 @@ _SPEC_TOKEN = re.compile(r"^[zZ](\d+)$")
 #: Hard cap for exhaustive searches over sequences of group elements.
 DAVENPORT_BRUTE_MAX_ORDER = 16
 
+#: Largest group order for tables indexed by group value: the add table here
+#: and the per-value base counts of the isolation scan in `lab`.
+GROUP_TABLE_LIMIT = 4096
+
 
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}."""
@@ -183,8 +187,8 @@ def _elements(spec: GroupSpec) -> tuple["GroupElement", ...]:
 @lru_cache(maxsize=None)
 def _add_table(spec: GroupSpec) -> np.ndarray:
     n = spec.order
-    if n > 4096:
-        raise CapacityError(f"add table requested for |G|={n} > 4096")
+    if n > GROUP_TABLE_LIMIT:
+        raise CapacityError(f"add table requested for |G|={n} > {GROUP_TABLE_LIMIT}")
     elems = _elements(spec)
     table = np.zeros((n, n), dtype=np.uint16)
     for i, a in enumerate(elems):

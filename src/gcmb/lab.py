@@ -13,8 +13,8 @@ is zero (the representatives used by the translation reduction).
 
 Indices are exact at any size, also where q^n passes 2^63: the scan kernel
 takes each chunk's start as a Python int and only in-chunk offsets as int64.
-Scans refuse groups of order above SCAN_GROUP_LIMIT with a CapacityError,
-since the kernel counts bases per group value.
+Scans refuse groups of order above groups.GROUP_TABLE_LIMIT with a
+CapacityError, since the kernel counts bases per group value.
 """
 
 from __future__ import annotations
@@ -29,7 +29,15 @@ from typing import Iterable, Literal, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, InternalError, ParseError, UsageError
-from .groups import GroupElement, GroupSpec, Subgroup, cosets, davenport, stabilizer
+from .groups import (
+    GROUP_TABLE_LIMIT,
+    GroupElement,
+    GroupSpec,
+    Subgroup,
+    cosets,
+    davenport,
+    stabilizer,
+)
 from .intersection import Weight
 from .matroids import (
     BaseSet,
@@ -43,7 +51,7 @@ from .solver import Labeling, label_sum
 
 LAB_ENUM_LIMIT = 10**6
 SCAN_RANGE_LIMIT = 1 << 26
-SCAN_GROUP_LIMIT = 4096
+_COUNT_CELLS = 1 << 16  # bincount keys and counts per slice of a scan chunk
 
 
 def _guarded_bases(m: Matroid) -> list[BaseSet]:
@@ -422,12 +430,20 @@ def _scan_chunk(
         residues = (digits // place % m).astype(np.min_scalar_type(rank * m))
         sums = np.einsum("be,ec->bc", incidence.astype(residues.dtype), residues)
         labels += (sums % m).astype(labels.dtype) * place
-    tally = np.min_scalar_type(len(bases))
-    hits = np.zeros(offsets.size, dtype=bool)
-    for value in range(order):
-        has = labels == value
-        once = np.add.reduce(has[:block_count], axis=0, dtype=tally) == 1
-        hits |= once & ~np.logical_or.reduce(has[block_count:], axis=0)
+    # bincount over (labeling, value) cells: a labeling hits when some cell
+    # holds exactly one block and no other base.  Labelings go a slice at a
+    # time so that keys and counts stay near _COUNT_CELLS entries; no step
+    # loops over the group's values.
+    width = max(1, _COUNT_CELLS // max(order, len(bases)))
+    hits = np.empty(offsets.size, dtype=bool)
+    for lo in range(0, offsets.size, width):
+        part = labels[:, lo : lo + width]
+        cells = part.shape[1] * order
+        keys = part + np.arange(0, cells, order)
+        once = np.bincount(keys[:block_count].ravel(), minlength=cells) == 1
+        if block_count < len(bases):
+            once &= np.bincount(keys[block_count:].ravel(), minlength=cells) == 0
+        hits[lo : lo + part.shape[1]] = once.reshape(-1, order).any(axis=1)
     if not hits.any():
         return int(offsets.size), None
     return int(offsets.size), start + int(offsets[hits.argmax()])
@@ -472,10 +488,10 @@ def isolation_scan(
     if reduction not in ("none", "translation"):
         raise UsageError(f"unknown reduction {reduction!r}")
     order = group.order
-    if order > SCAN_GROUP_LIMIT:
+    if order > GROUP_TABLE_LIMIT:
         raise CapacityError(
             f"scans count bases per group value and are capped at "
-            f"|G| <= {SCAN_GROUP_LIMIT}; {group} has order {order}"
+            f"|G| <= {GROUP_TABLE_LIMIT}; {group} has order {order}"
         )
     tasks = []
     prepared = []

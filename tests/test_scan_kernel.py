@@ -2,6 +2,7 @@
 of the labeling index space, and the bound on scan worker processes."""
 
 import warnings
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,6 @@ from gcmb.lab import (
 )
 from gcmb.matroids import make_uniform
 
-KERNEL_GROUPS = [GroupSpec.of(q) for q in range(2, 7)] + [
-    GroupSpec.of(2, 2),
-    GroupSpec.of(2, 4),
-]
 BLOCK_CANDIDATES = [(name, m) for name, m in bundled_matroids() if m.n == 2 * m.full_rank]
 DIRECT = {"block": is_block_isolating, "strong_block": is_strong_block_isolating}
 
@@ -40,7 +37,14 @@ def brute_scan(m, group, predicate, reduction, start, stop):
     return len(indices), next(hits, None)
 
 
-@settings(max_examples=60, deadline=None)
+KERNEL_GROUPS = [GroupSpec.of(q) for q in (2, 3, 4, 5, 6, 16, 64, 256, 1024)] + [
+    GroupSpec.of(2, 2),
+    GroupSpec.of(2, 4),
+    GroupSpec.of(2, 32),
+]
+
+
+@settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_per_labeling_predicates(data):
     name, m = data.draw(st.sampled_from(BLOCK_CANDIDATES))
@@ -49,11 +53,16 @@ def test_kernel_matches_per_labeling_predicates(data):
     reduction = data.draw(st.sampled_from(["none", "translation"]))
     total = group.order**m.n
     width = data.draw(st.integers(0, min(total, 48)))
-    start = data.draw(st.integers(0, total - width))
+    # index 0 labels every element with the identity: never isolating when
+    # there are two blocks, so a hit from 0 on lies past the first labeling
+    start = data.draw(st.one_of(st.just(0), st.integers(0, total - width)))
     chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
-    report = isolation_scan(
-        [(name, m)], group, predicate, reduction, (start, start + width), chunk=chunk
-    )
+    # counts go a few labelings, down to one, at a time below the default
+    cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
+    with patch.object(lab_mod, "_COUNT_CELLS", cells):
+        report = isolation_scan(
+            [(name, m)], group, predicate, reduction, (start, start + width), chunk=chunk
+        )
     line = report.lines[0]
     checked, first = brute_scan(m, group, predicate, reduction, start, start + width)
     assert (line.checked, line.isolating_index) == (checked, first)
