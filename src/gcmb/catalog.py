@@ -21,8 +21,7 @@ from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
     Matroid,
-    UniformMatroid,
-    find_blocks,
+    block_bases,
     make_explicit,
     make_graphic,
     make_uniform,
@@ -119,18 +118,10 @@ def format_entry(entry: CatalogEntry) -> str:
     return f"{entry.id} {entry.n} {entry.r} {bases}"
 
 
-def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(format_entry(entry) + "\n")
-
-
 def filter_blocks(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:
     """Keep entries whose ground set splits into two disjoint bases."""
     for entry in entries:
-        if entry.n != 2 * entry.r:
-            continue
-        if find_blocks(entry.matroid()) is not None:
+        if entry.n == 2 * entry.r > 0 and block_bases(entry.n, entry.bases):
             yield entry
 
 

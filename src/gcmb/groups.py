@@ -254,16 +254,6 @@ class GroupElement:
         return self.residues
 
 
-def add(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Componentwise sum modulo the invariant factors."""
-    return a + b
-
-
-def scalar_mul(n: int, g: GroupElement) -> GroupElement:
-    """n-fold sum of g, computed componentwise."""
-    return g.times(n)
-
-
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its element set; construction does not validate."""
@@ -303,12 +293,6 @@ class CosetPartition:
     subgroup: Subgroup
     cosets: tuple[frozenset[GroupElement], ...]
     representatives: tuple[GroupElement, ...]
-
-    def coset_of(self, g: GroupElement) -> int:
-        for i, coset in enumerate(self.cosets):
-            if g in coset:
-                return i
-        raise InternalError(f"{g} not covered by the coset partition")
 
 
 def stabilizer(spec: GroupSpec, f: Iterable[GroupElement]) -> Subgroup:

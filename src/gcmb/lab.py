@@ -23,7 +23,7 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
@@ -42,12 +42,13 @@ from .intersection import Weight
 from .matroids import (
     BaseSet,
     Matroid,
+    block_bases,
     contract,
     delete,
     find_blocks,
     is_strongly_base_orderable,
 )
-from .solver import Labeling, label_sum
+from .solver import Labeling
 
 LAB_ENUM_LIMIT = 10**6
 SCAN_RANGE_LIMIT = 1 << 26
@@ -268,7 +269,7 @@ def reduce_witness(w: Witness) -> Witness:
     new_weights = (
         tuple(w.weights[e] for e in final_map) if w.weights is not None else None
     )
-    shift = label_sum(w.labeling, shared)
+    shift = w.labeling.sum_over(shared)
     return Witness(
         matroid=minor,
         labeling=new_labels,
@@ -285,14 +286,6 @@ def reduce_witness(w: Witness) -> Witness:
 # -- isolation predicates ------------------------------------------------------
 
 
-def _blocks_of(m: Matroid, all_bases: Sequence[BaseSet]) -> list[BaseSet]:
-    base_set = set(all_bases)
-    full = set(range(m.n))
-    return [
-        b for b in all_bases if tuple(sorted(full - set(b))) in base_set
-    ]
-
-
 def _isolation_pools(m: Matroid) -> tuple[list[BaseSet], list[BaseSet]]:
     if m.n != 2 * m.full_rank or m.n == 0:
         raise UsageError(
@@ -300,7 +293,7 @@ def _isolation_pools(m: Matroid) -> tuple[list[BaseSet], list[BaseSet]]:
             f"got n={m.n}, r={m.full_rank}"
         )
     all_bases = _guarded_bases(m)
-    return all_bases, _blocks_of(m, all_bases)
+    return all_bases, block_bases(m.n, all_bases)
 
 
 def is_block_isolating(m: Matroid, labeling: Labeling) -> Optional[BaseSet]:
@@ -449,11 +442,11 @@ def _scan_chunk(
     return int(offsets.size), start + int(offsets[hits.argmax()])
 
 
-def _scan_task(args) -> tuple[str, int, int, int, Optional[int]]:
+def _scan_task(args) -> ScanLine:
     (matroid_id, factors, n, bases, block_count, start, stop, step, chunk) = args
     checked = 0
     first: Optional[int] = None
-    lo = start
+    lo = -(-start // step) * step  # the first scanned index: a multiple of the step
     while lo < stop:
         hi = min(stop, lo + chunk * step)
         offsets = np.arange(0, hi - lo, step, dtype=np.int64)
@@ -462,7 +455,11 @@ def _scan_task(args) -> tuple[str, int, int, int, Optional[int]]:
         if hit is not None and first is None:
             first = hit  # chunks ascend, so the first hit is the minimum
         lo = hi
-    return matroid_id, start, stop, checked, first
+    if first is None:
+        return ScanLine(matroid_id, start, stop, checked)
+    order = math.prod(factors)
+    labels = tuple(first // order**i % order for i in range(n))
+    return ScanLine(matroid_id, start, stop, checked, first, labels)
 
 
 def isolation_scan(
@@ -481,7 +478,8 @@ def isolation_scan(
     orbit is scanned (element 0 labeled identity), cutting work by |G|; both
     predicates are invariant under translation.  `index_range` restricts the
     scan to labeling indices [a, b) for sharding; results merge with
-    `merge_scan_reports`.
+    `merge_scan_reports`.  Report lines are keyed by matroid id, so ids must
+    be distinct.
     """
     if predicate not in ("block", "strong_block"):
         raise UsageError(f"unknown predicate {predicate!r}")
@@ -493,9 +491,15 @@ def isolation_scan(
             f"scans count bases per group value and are capped at "
             f"|G| <= {GROUP_TABLE_LIMIT}; {group} has order {order}"
         )
+    factors = group.invariant_factors
+    step = order if reduction == "translation" else 1
+    workers = max(1, min(jobs, os.cpu_count() or 1))
     tasks = []
-    prepared = []
+    seen: set[str] = set()
     for matroid_id, m in matroids:
+        if matroid_id in seen:
+            raise UsageError(f"matroid id {matroid_id!r} appears twice in the scan")
+        seen.add(matroid_id)
         all_bases, blocks = _isolation_pools(m)
         total = order**m.n
         start, stop = index_range if index_range is not None else (0, total)
@@ -512,63 +516,55 @@ def isolation_scan(
         if predicate == "block":
             block_set = set(blocks)
             bases += [b for b in all_bases if b not in block_set]
-        step = order if reduction == "translation" else 1
-        lo = start if reduction == "none" else ((start + order - 1) // order) * order
-        prepared.append((matroid_id, m.n, bases, len(blocks), lo, stop, step))
-
-    factors = group.invariant_factors
-    workers = max(1, min(jobs, os.cpu_count() or 1))
-    for matroid_id, n, bases, block_count, lo, stop, step in prepared:
+        # Shards tile [start, stop); inner cuts sit on multiples of the step.
+        lo = -(-start // step) * step
         span = max(0, stop - lo)
-        parts = max(1, min(workers, (span + step - 1) // step if span else 1))
-        width = (span + parts - 1) // parts
-        width = ((width + step - 1) // step) * step  # align shards to the step
-        cursor = lo
-        while cursor < stop:
-            upper = min(stop, cursor + width)
-            tasks.append(
-                (matroid_id, factors, n, bases, block_count, cursor, upper, step, chunk)
-            )
-            cursor = upper
-        if span == 0:
-            tasks.append(
-                (matroid_id, factors, n, bases, block_count, lo, stop, step, chunk)
-            )
+        parts = max(1, min(workers, -(-span // step)))
+        width = max(step, -(-span // (parts * step)) * step)
+        edges = [start, *range(lo + width, stop, width), stop]
+        for a, b in zip(edges, edges[1:]):
+            tasks.append((matroid_id, factors, m.n, bases, len(blocks), a, b, step, chunk))
 
     workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_scan_task, tasks))
+            shards = list(pool.map(_scan_task, tasks))
     else:
-        raw = [_scan_task(t) for t in tasks]
+        shards = [_scan_task(t) for t in tasks]
+    return ScanReport(group, predicate, reduction, seed, merge_scan_lines(shards))
 
-    merged: dict[str, tuple[int, int, int, Optional[int]]] = {}
-    id_order: list[str] = []
-    for matroid_id, start, stop, checked, first in raw:
-        if matroid_id not in merged:
-            merged[matroid_id] = (start, stop, checked, first)
-            id_order.append(matroid_id)
-        else:
-            s0, e0, c0, f0 = merged[matroid_id]
-            best = min(x for x in (f0, first) if x is not None) if (
-                f0 is not None or first is not None
-            ) else None
-            merged[matroid_id] = (min(s0, start), max(e0, stop), c0 + checked, best)
 
-    lines = []
-    base_range = index_range
-    for matroid_id in id_order:
-        start, stop, checked, first = merged[matroid_id]
-        if base_range is not None:
-            start, stop = base_range
-        labels = None
-        if first is not None:
-            labels = tuple(
-                (first // order**i) % order
-                for i in range(next(n for mid, n, *_ in prepared if mid == matroid_id))
+def merge_scan_lines(shards: Iterable[ScanLine]) -> tuple[ScanLine, ...]:
+    """One line per matroid id, in first-seen order, from shards that tile a range.
+
+    The shards of an id are sorted by start and must neither overlap nor leave
+    a gap; their checked counts add up and the least example is kept.
+    """
+    by_id: dict[str, list[ScanLine]] = {}
+    for line in shards:
+        by_id.setdefault(line.matroid_id, []).append(line)
+    merged = []
+    for matroid_id, lines in by_id.items():
+        lines.sort(key=lambda line: line.start)
+        for prev, cur in zip(lines, lines[1:]):
+            if cur.start < prev.stop:
+                raise UsageError(
+                    f"overlapping shards for {matroid_id}: "
+                    f"{prev.start}..{prev.stop} and {cur.start}..{cur.stop}"
+                )
+            if cur.start != prev.stop:
+                raise UsageError(f"shards for {matroid_id} leave a gap at {prev.stop}")
+        hits = [line for line in lines if line.isolating_index is not None]
+        least = min(hits, key=lambda line: line.isolating_index, default=lines[0])
+        merged.append(
+            replace(
+                least,
+                start=lines[0].start,
+                stop=lines[-1].stop,
+                checked=sum(line.checked for line in lines),
             )
-        lines.append(ScanLine(matroid_id, start, stop, checked, first, labels))
-    return ScanReport(group, predicate, reduction, seed, tuple(lines))
+        )
+    return tuple(merged)
 
 
 PREDICATE_NAMES = {"block": "block", "strong_block": "strong-block"}
@@ -603,82 +599,65 @@ def render_scan_report(report: ScanReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_scan_report(text: str) -> tuple[str, list[dict]]:
-    """Header line and per-matroid dicts of a rendered scan report."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# gcmb scan"):
+def _report_fields(text: str) -> dict[str, str]:
+    fields = {}
+    for token in text.split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"token {token!r} is not key=value")
+        fields[key] = value
+    return fields
+
+
+def parse_scan_report(text: str) -> ScanReport:
+    """Parse a rendered scan report.  The summary line is skipped: it is
+    recomputed from the matroid lines when the report is rendered again."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("# gcmb scan"):
         raise ParseError("not a scan report (missing header)")
-    header = lines[0]
-    rows = []
-    for ln in lines[1:]:
-        if ln.startswith("summary "):
-            continue
-        fields = dict(part.split("=", 1) for part in ln.split())
-        if "matroid" not in fields or "range" not in fields:
-            raise ParseError(f"bad scan report line: {ln!r}")
-        start, stop = fields["range"].split("..")
-        rows.append(
-            {
-                "matroid": fields["matroid"],
-                "start": int(start),
-                "stop": int(stop),
-                "checked": int(fields["checked"]),
-                "example": None if fields["example"] == "-" else int(fields["example"]),
-                "labels": None if fields["labels"] == "-" else fields["labels"],
-            }
-        )
-    return header, rows
+    lineno, ln = lines[0]
+    try:
+        fields = _report_fields(ln[len("# gcmb scan") :])
+        group = GroupSpec.parse(fields["group"])
+        if fields["predicate"] not in _PREDICATE_FROM_NAME:
+            raise ValueError(f"unknown predicate {fields['predicate']!r}")
+        if fields["reduction"] not in ("none", "translation"):
+            raise ValueError(f"unknown reduction {fields['reduction']!r}")
+        predicate = _PREDICATE_FROM_NAME[fields["predicate"]]
+        reduction, seed = fields["reduction"], int(fields["seed"])
+        rows = []
+        for lineno, ln in lines[1:]:
+            if ln.startswith("summary "):
+                continue
+            fields = _report_fields(ln)
+            start, sep, stop = fields["range"].partition("..")
+            if not sep:
+                raise ValueError(f"range {fields['range']!r} is not a..b")
+            line = ScanLine(fields["matroid"], int(start), int(stop), int(fields["checked"]))
+            if fields["example"] != "-":
+                labels = [group.parse_element(x) for x in fields["labels"].split(";")]
+                line = replace(
+                    line,
+                    isolating_index=int(fields["example"]),
+                    isolating_labels=tuple(map(group.index_of, labels)),
+                )
+            rows.append(line)
+    except KeyError as exc:
+        raise ParseError(f"scan report line {ln!r} has no {exc.args[0]}= field", lineno) from None
+    except (ValueError, UsageError) as exc:
+        raise ParseError(f"bad scan report line {ln!r}: {exc}", lineno) from None
+    return ScanReport(group, predicate, reduction, seed, tuple(rows))
 
 
 def merge_scan_reports(texts: Sequence[str]) -> str:
     """Merge shard reports over disjoint, tiling index ranges."""
     if not texts:
         raise UsageError("nothing to merge")
-    headers = []
-    by_matroid: dict[str, list[dict]] = {}
-    order_seen: list[str] = []
-    for text in texts:
-        header, rows = parse_scan_report(text)
-        headers.append(header)
-        for row in rows:
-            if row["matroid"] not in by_matroid:
-                order_seen.append(row["matroid"])
-            by_matroid.setdefault(row["matroid"], []).append(row)
-    if len(set(headers)) != 1:
+    reports = [parse_scan_report(text) for text in texts]
+    if len({(r.group, r.predicate, r.reduction, r.seed) for r in reports}) != 1:
         raise UsageError("cannot merge scan reports with different parameters")
-    out = [headers[0]]
-    total_checked = 0
-    isolating = 0
-    for matroid_id in order_seen:
-        rows = sorted(by_matroid[matroid_id], key=lambda r: r["start"])
-        for prev, cur in zip(rows, rows[1:]):
-            if cur["start"] < prev["stop"]:
-                raise UsageError(
-                    f"overlapping shards for {matroid_id}: "
-                    f"{prev['start']}..{prev['stop']} and {cur['start']}..{cur['stop']}"
-                )
-            if cur["start"] != prev["stop"]:
-                raise UsageError(
-                    f"shards for {matroid_id} leave a gap at {prev['stop']}"
-                )
-        checked = sum(r["checked"] for r in rows)
-        hits = [(r["example"], r["labels"]) for r in rows if r["example"] is not None]
-        example, labels = min(hits) if hits else (None, None)
-        verdict = "isolating" if example is not None else "none"
-        total_checked += checked
-        if example is not None:
-            isolating += 1
-        out.append(
-            f"matroid={matroid_id} range={rows[0]['start']}..{rows[-1]['stop']} "
-            f"checked={checked} verdict={verdict} "
-            f"example={'-' if example is None else example} "
-            f"labels={'-' if labels is None else labels}"
-        )
-    out.append(
-        f"summary matroids={len(order_seen)} checked={total_checked} "
-        f"isolating={isolating}"
-    )
-    return "\n".join(out) + "\n"
+    lines = merge_scan_lines(line for r in reports for line in r.lines)
+    return render_scan_report(replace(reports[0], lines=lines))
 
 
 # -- additive-combinatorics inequality ----------------------------------------

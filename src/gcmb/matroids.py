@@ -436,45 +436,29 @@ class ExchangeBijection:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def apply(self, x: int) -> int:
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        raise UsageError(f"{x} is not in the bijection's domain")
+
+def block_bases(n: int, bases: Sequence[BaseSet]) -> list[BaseSet]:
+    """The bases, in the given order, whose complement in 0..n-1 is also a base."""
+    known = {frozenset(b) for b in bases}
+    ground = frozenset(range(n))
+    return [b for b in bases if ground.difference(b) in known]
 
 
 def find_blocks(m: Matroid) -> Optional[tuple[BaseSet, BaseSet]]:
-    """Two disjoint bases covering the ground set, if the matroid has them.
+    """The lexicographically least base whose complement is also a base,
+    with that complement; None if the matroid has no such pair.
 
-    Found via matroid intersection with the dual: a common independent set of
-    size r is a base whose complement is also a base.
+    Enumerates the bases, so it shares the `Matroid.bases` guard
+    C(n, r) <= ENUMERATION_LIMIT.
     """
-    from .intersection import max_common_independent
-
     r = m.full_rank
     if m.n != 2 * r or m.n == 0:
         return None
-    common = max_common_independent(m, dual(m))
-    if len(common) != r:
+    blocks = block_bases(m.n, m.bases())
+    if not blocks:
         return None
-    first = tuple(sorted(common))
-    second = tuple(e for e in range(m.n) if e not in common)
-    return first, second
-
-
-def find_blocks_brute(m: Matroid) -> Optional[tuple[BaseSet, BaseSet]]:
-    """Brute-force cross-check for find_blocks (n <= 12)."""
-    if m.n > 12:
-        raise CapacityError("brute-force block search capped at n <= 12")
-    r = m.full_rank
-    if m.n != 2 * r or m.n == 0:
-        return None
-    all_bases = set(m.bases())
-    for b in sorted(all_bases):
-        complement = tuple(e for e in range(m.n) if e not in b)
-        if complement in all_bases:
-            return b, complement
-    return None
+    first = blocks[0]
+    return first, tuple(e for e in range(m.n) if e not in first)
 
 
 def _max_bipartite_matching(

@@ -51,9 +51,6 @@ class Labeling:
         g = value if value is not None else group.identity()
         return cls(group, (g,) * n)
 
-    def label_indices(self) -> tuple[int, ...]:
-        return tuple(self.group.index_of(g) for g in self.labels)
-
     def fibers(self) -> dict[GroupElement, tuple[int, ...]]:
         """E(g): ground elements carrying each label, in index order."""
         out: dict[GroupElement, list[int]] = {g: [] for g in self.group.elements()}
@@ -69,11 +66,6 @@ class Labeling:
 
     def translate(self, shift: GroupElement) -> "Labeling":
         return Labeling(self.group, tuple(g + shift for g in self.labels))
-
-
-def label_sum(labeling: Labeling, subset: Iterable[int]) -> GroupElement:
-    """Group sum of the labels over a set of elements."""
-    return labeling.sum_over(subset)
 
 
 @dataclass(frozen=True)
@@ -110,37 +102,11 @@ class Signature:
         return total
 
 
-@dataclass(frozen=True)
-class SignatureDelta:
-    """A move between signatures: `plus` gains and `minus` losses (nonpositive),
-    with disjoint supports and balancing totals."""
-
-    group: GroupSpec
-    plus: tuple[int, ...]
-    minus: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(p < 0 for p in self.plus) or any(m > 0 for m in self.minus):
-            raise UsageError("plus must be nonnegative, minus nonpositive")
-        if sum(self.plus) != -sum(self.minus):
-            raise UsageError("plus and minus totals must balance")
-        if any(p and m for p, m in zip(self.plus, self.minus)):
-            raise UsageError("plus and minus supports must be disjoint")
-
-    @property
-    def move_size(self) -> int:
-        return sum(self.plus)
-
-
 def signature_of(labeling: Labeling, base: Iterable[int]) -> Signature:
     counts = [0] * labeling.group.order
     for e in base:
         counts[labeling.group.index_of(labeling.labels[e])] += 1
     return Signature(labeling.group, tuple(counts))
-
-
-def signature_label(sig: Signature) -> GroupElement:
-    return sig.label()
 
 
 def _compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -41,7 +41,7 @@ from gcmb.matroids import (
     exchange_surplus,
     make_uniform,
 )
-from gcmb.solver import Labeling, label_sum, solve_enum, solve_proximity
+from gcmb.solver import Labeling, solve_enum, solve_proximity
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)
@@ -81,19 +81,19 @@ def test_criterion_01_solver_oracle_equivalence():
         for labeling in labelings:
             by_label = {}
             for base in m.bases():
-                by_label.setdefault(label_sum(labeling, base), []).append(base)
+                by_label.setdefault(labeling.sum_over(base), []).append(base)
             for target in group.elements():
                 result = solve_enum(m, labeling, target)
                 assert result.feasible == (target in by_label), (name, group)
                 if result.feasible:
                     assert m.is_base(result.base)
-                    assert label_sum(labeling, result.base) == target
+                    assert labeling.sum_over(result.base) == target
         for i in range(WEIGHT_VECTORS_PER_CELL):
             labeling = labelings[i % LABELINGS_PER_CELL]
             weights = random_weights(wrng, m.n)
             by_label = {}
             for base in m.bases():
-                g = label_sum(labeling, base)
+                g = labeling.sum_over(base)
                 w = sum(weights[e] for e in base)
                 if g not in by_label or w < by_label[g]:
                     by_label[g] = w

@@ -170,6 +170,48 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--merge", str(a), str(b))
         assert code == 1 and "overlap" in err
 
+    def test_repeated_catalog_id_is_error(self, capsys, tmp_path):
+        u24 = "0,1;0,2;0,3;1,2;1,3;2,3"
+        cat = tmp_path / "dup.cat"
+        cat.write_text(f"x 4 2 {u24}\nx 4 2 {u24}\n")
+        code, out, err = run(
+            capsys, "scan", "--catalog", str(cat), "--group", "Z3"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "'x'" in err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "matroid=mk4 range=0..9 verdict=none example=- labels=-",
+            "matroid=mk4 range=0..9 checked=9 verdict=none stray example=- labels=-",
+            "matroid=mk4 range=0-9 checked=9 verdict=none example=- labels=-",
+        ],
+        ids=["no-checked", "no-equals", "bad-range"],
+    )
+    def test_malformed_shard_line_is_error(self, capsys, tmp_path, line):
+        shard = tmp_path / "shard.txt"
+        header = "# gcmb scan group=Z3 predicate=strong-block reduction=none seed=0"
+        shard.write_text(f"{header}\n{line}\nsummary matroids=1 checked=9 isolating=0\n")
+        code, out, err = run(capsys, "scan", "--merge", str(shard))
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 2:") and line in err
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "# gcmb scan group=Z3 predicate=weak-block reduction=none seed=0",
+            "# gcmb scan group=Q8 predicate=block reduction=none seed=0",
+        ],
+        ids=["predicate", "group"],
+    )
+    def test_unknown_shard_header_is_error(self, capsys, tmp_path, header):
+        shard = tmp_path / "shard.txt"
+        shard.write_text(f"{header}\nmatroid=mk4 range=0..9 checked=9 verdict=none example=- labels=-\n")
+        code, out, err = run(capsys, "scan", "--merge", str(shard))
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 1:") and header in err
+
     def test_catalog_scan_filters_blocks(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--catalog", str(bundled_path("rank3_size6.cat")),

@@ -10,7 +10,7 @@ from gcmb.lab import (
     random_labeling,
 )
 from gcmb.matroids import make_uniform
-from gcmb.solver import Labeling, label_sum, solve_enum, solve_proximity
+from gcmb.solver import Labeling, solve_enum, solve_proximity
 
 Z1 = GroupSpec.parse("Z1")
 Z4 = GroupSpec.of(4)
@@ -71,7 +71,7 @@ class TestWitnessDeterminism:
             # maximal violation: no (A, g) pair sits strictly farther
             by_label = {}
             for b in matroid.bases():
-                by_label.setdefault(label_sum(lab, b), []).append(b)
+                by_label.setdefault(lab.sum_over(b), []).append(b)
             worst = max(
                 min(len(set(a) - set(d)) for d in by_label[g])
                 for a in matroid.bases()
@@ -103,7 +103,7 @@ class TestTranslationInvariance:
         shift = Z4.element((3,))
         shifted = lab.translate(shift)
         for b in matroid.bases():
-            assert label_sum(shifted, b) == label_sum(lab, b) + shift.times(2)
+            assert shifted.sum_over(b) == lab.sum_over(b) + shift.times(2)
 
 
 class TestStatsSanity:

@@ -24,7 +24,7 @@ from gcmb.lab import (
     verify_witness,
 )
 from gcmb.matroids import make_explicit, make_uniform, oracles_equal
-from gcmb.solver import Labeling, label_sum
+from gcmb.solver import Labeling
 
 from conftest import k4_edges
 
@@ -60,7 +60,7 @@ class TestLabelImage:
         # independent recomputation: reversed enumeration order
         seen = {}
         for base in reversed(k4.bases()):
-            g = label_sum(lab, base)
+            g = lab.sum_over(base)
             seen[g] = seen.get(g, 0) + 1
         assert seen == img.multiplicity
 
@@ -213,8 +213,8 @@ class TestIsolationPredicates:
         isolated = is_block_isolating(matroid, lab)
         assert isolated == (0, 1, 2)
         img = label_image(matroid, lab)
-        assert img.multiplicity[label_sum(lab, (3, 4, 5))] == 1
-        assert img.multiplicity[label_sum(lab, (0, 1, 2))] == 1
+        assert img.multiplicity[lab.sum_over((3, 4, 5))] == 1
+        assert img.multiplicity[lab.sum_over((0, 1, 2))] == 1
         strong = is_strong_block_isolating(matroid, lab)
         assert strong is not None
 
@@ -233,7 +233,7 @@ class TestIsolationPredicates:
                 for b in matroid.bases()
                 if tuple(sorted(set(range(6)) - set(b))) in set(matroid.bases())
             ]
-            same = [b for b in blocks if label_sum(lab, b) == label_sum(lab, weak)]
+            same = [b for b in blocks if lab.sum_over(b) == lab.sum_over(weak)]
             assert same == [weak]
             assert is_strong_block_isolating(matroid, lab) is not None
         assert hits > 0
@@ -355,6 +355,21 @@ class TestIsolationScan:
             merge_scan_reports([a, b])
         with pytest.raises(UsageError, match="gap"):
             merge_scan_reports([a, c])
+
+    def test_merge_keeps_least_example(self):
+        pool = [("u24", make_uniform(4, 2))]
+        full = render_scan_report(isolation_scan(pool, Z3, "strong_block"))
+        shards = [
+            render_scan_report(isolation_scan(pool, Z3, "strong_block", index_range=r))
+            for r in ((40, 81), (0, 40))
+        ]
+        assert all("verdict=isolating" in s for s in shards)
+        assert merge_scan_reports(shards) == full
+
+    def test_repeated_id_rejected(self, k4):
+        pool = [("x", k4), ("x", make_uniform(4, 2))]
+        with pytest.raises(UsageError, match="'x'"):
+            isolation_scan(pool, Z3, "strong_block")
 
     def test_jobs_give_identical_reports(self, k4):
         one = render_scan_report(isolation_scan([("mk4", k4)], Z3, "strong_block", jobs=1))

@@ -3,9 +3,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcmb import matroids
+from gcmb.catalog import CatalogEntry, filter_blocks, load_bundled_catalog
 from gcmb.errors import CapacityError, InternalError, ParseError, UsageError
+from gcmb.intersection import max_common_independent
 from gcmb.matroids import (
     brualdi_bijection,
     contract,
@@ -13,7 +17,6 @@ from gcmb.matroids import (
     dual,
     enumerate_bases,
     find_blocks,
-    find_blocks_brute,
     find_exchange,
     is_k_replaceable,
     is_strongly_base_orderable,
@@ -162,6 +165,34 @@ class TestMinors:
                 assert m.is_independent(combo) == k4.is_independent(combo)
 
 
+def has_block_by_intersection(m) -> bool:
+    """Block verdict by matroid intersection with the dual: a common
+    independent set of size r is a base whose complement is also a base."""
+    r = m.full_rank
+    return m.n == 2 * r > 0 and len(max_common_independent(m, dual(m))) == r
+
+
+@st.composite
+def half_rank_families(draw):
+    """(n, bases) of a random matroid on n <= 8 elements with r = n/2 or less:
+    a loopless linear matroid over GF(2) or GF(3), possibly of lower rank, or,
+    for r >= 2, a sparse paving matroid (r-sets that pairwise share at most
+    r - 2 elements removed from U_{r,n})."""
+    r = draw(st.integers(1, 4))
+    n = 2 * r
+    subsets = list(itertools.combinations(range(n), r))
+    if r == 1 or draw(st.booleans()):
+        p = draw(st.sampled_from([2, 3]))
+        codes = draw(st.lists(st.integers(1, p**r - 1), min_size=n, max_size=n))
+        rows = [[code // p**i % p for code in codes] for i in range(r)]
+        return n, make_linear(rows, p).bases()
+    removed: list[tuple[int, ...]] = []
+    for s in draw(st.lists(st.sampled_from(subsets), max_size=8)):
+        if all(len(set(s) & set(t)) <= r - 2 for t in removed):
+            removed.append(s)
+    return n, [b for b in subsets if b not in removed]
+
+
 class TestBlocks:
     def test_uniform_blocks(self):
         blocks = find_blocks(make_uniform(4, 2))
@@ -184,10 +215,30 @@ class TestBlocks:
         cases = [k4, whirl3, make_uniform(6, 3), make_uniform(4, 2)]
         for _ in range(20):
             cases.append(random_small_matroid(rng))
+        for name in ("rank3_size6.cat", "rank4_size8_blocks.cat"):
+            cases.extend(e.matroid() for e in load_bundled_catalog(name))
         for m in cases:
-            via_intersection = find_blocks(m)
-            via_brute = find_blocks_brute(m)
-            assert (via_intersection is None) == (via_brute is None)
+            found = find_blocks(m)
+            assert (found is not None) == has_block_by_intersection(m)
+            if found is None:
+                continue
+            ground = set(range(m.n))
+            least = next(
+                b
+                for b in itertools.combinations(range(m.n), m.full_rank)
+                if m.is_base(b) and m.is_base(ground - set(b))
+            )
+            assert found == (least, tuple(sorted(ground - set(least))))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(half_rank_families(), min_size=1, max_size=4))
+    def test_filter_blocks_matches_intersection(self, families):
+        entries = []
+        for i, (n, bases) in enumerate(families):
+            m = make_explicit(n, bases)
+            entries.append(CatalogEntry(f"m{i}", n, m.full_rank, tuple(bases), m))
+        kept = [e.id for e in filter_blocks(entries)]
+        assert kept == [e.id for e in entries if has_block_by_intersection(e.matroid())]
 
 
 class TestBrualdi:

@@ -23,7 +23,6 @@ from gcmb.matroids import (
 from gcmb.solver import (
     Labeling,
     enumerate_signatures,
-    label_sum,
     signature_of,
     solve_enum,
     solve_proximity,
@@ -78,13 +77,13 @@ def labeled_instances(draw):
 def test_solve_enum_feasible_answers_are_genuine(inst):
     m, labeling = inst
     group = labeling.group
-    attained = {label_sum(labeling, b) for b in m.bases()}
+    attained = {labeling.sum_over(b) for b in m.bases()}
     for target in group.elements():
         result = solve_enum(m, labeling, target)
         assert result.feasible == (target in attained)
         if result.feasible:
             assert m.is_base(result.base)
-            assert label_sum(labeling, result.base) == target
+            assert labeling.sum_over(result.base) == target
             assert result.stats.signatures <= math.comb(
                 m.full_rank + group.order - 1, group.order - 1
             )
@@ -101,7 +100,7 @@ def test_proximity_heuristic_feasible_answers_are_genuine(inst, data):
     result = solve_proximity(m, labeling, target, k, mode="heuristic")
     if result.feasible:
         assert m.is_base(result.base)
-        assert label_sum(labeling, result.base) == target
+        assert labeling.sum_over(result.base) == target
 
 
 @settings(max_examples=50, deadline=None)
@@ -121,7 +120,7 @@ def test_signatures_partition_the_bases(inst):
     assert set(reachable) <= set(enumerated)
     for sig in enumerate_signatures(group, m.full_rank, caps):
         for b in reachable.get(sig.counts, []):
-            assert sig.label() == label_sum(labeling, b)
+            assert sig.label() == labeling.sum_over(b)
 
 
 @settings(max_examples=40, deadline=None)
