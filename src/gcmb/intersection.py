@@ -163,13 +163,11 @@ def min_weight_common_base(
     m1: Matroid,
     m2: Matroid,
     weights: Sequence[Weight],
-    debug: bool = False,
 ) -> Optional[tuple[BaseSet, Weight]]:
     """A minimum-weight common base, or None when no common base exists.
 
     Rank mismatch between the two matroids is an infeasible instance, not an
-    error.  With debug=True, extremality of every intermediate set is checked
-    against brute force (slow; tests only).
+    error.
     """
     if m1.n != m2.n:
         raise UsageError(f"ground sets differ: {m1.n} vs {m2.n} elements")
@@ -187,44 +185,6 @@ def min_weight_common_base(
         if path is None:
             return None
         current = current.symmetric_difference(path)
-        if debug:
-            _assert_extreme(m1, m2, current, weights)
     base = tuple(sorted(current))
     total: Weight = sum(weights[e] for e in base)
     return base, total
-
-
-def _assert_extreme(
-    m1: Matroid, m2: Matroid, current: frozenset[int], weights: Sequence[Weight]
-) -> None:
-    import itertools
-
-    k = len(current)
-    best = None
-    for combo in itertools.combinations(range(m1.n), k):
-        if m1.is_independent(combo) and m2.is_independent(combo):
-            w = sum(weights[e] for e in combo)
-            if best is None or w < best:
-                best = w
-    mine = sum(weights[e] for e in current)
-    if best is None or mine != best:
-        raise InternalError(
-            f"intermediate set of size {k} is not extreme: {mine} vs optimum {best}"
-        )
-
-
-def min_max_cardinality_bound(m1: Matroid, m2: Matroid) -> int:
-    """min over X of r1(X) + r2(E\\X); exhaustive, for tests (n <= 16)."""
-    import itertools
-
-    if m1.n > 16:
-        raise UsageError("exhaustive min-max bound capped at n <= 16")
-    best = None
-    ground = range(m1.n)
-    for k in range(m1.n + 1):
-        for combo in itertools.combinations(ground, k):
-            inside = set(combo)
-            value = m1.rank(inside) + m2.rank(set(ground) - inside)
-            if best is None or value < best:
-                best = value
-    return best if best is not None else 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, Optional, Sequence
@@ -52,7 +53,7 @@ from .solver import Labeling
 
 LAB_ENUM_LIMIT = 10**6
 SCAN_RANGE_LIMIT = 1 << 26
-_COUNT_CELLS = 1 << 16  # bincount keys and counts per slice of a scan chunk
+_COUNT_CELLS = 1 << 16  # cells per slice: scan bincount keys, closeness base pairs
 
 
 def _guarded_bases(m: Matroid) -> list[BaseSet]:
@@ -90,11 +91,37 @@ class LabelImage:
 def label_image(m: Matroid, labeling: Labeling) -> LabelImage:
     if labeling.n != m.n:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
-    counts: dict[GroupElement, int] = {}
-    for base in _guarded_bases(m):
-        g = labeling.sum_over(base)
-        counts[g] = counts.get(g, 0) + 1
-    return LabelImage(frozenset(counts), counts)
+    group = labeling.group
+    digits = np.array([group.index_of(g) for g in labeling.labels], dtype=np.intp)[:, None]
+    _, labels = _label_sums(group.invariant_factors, m.n, _guarded_bases(m), digits)
+    multiplicity = {group.element_at(v): c for v, c in Counter(labels[:, 0].tolist()).items()}
+    return LabelImage(frozenset(multiplicity), multiplicity)
+
+
+def _label_sums(
+    factors: Sequence[int], n: int, bases: Sequence[BaseSet], digits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 0/1 incidence matrix of the bases (uint8, bases x elements) and
+    the label index of every base (rows) under every labeling (columns).
+
+    `digits` holds the labelings' element indices, one row per element.  For
+    each invariant factor m, label sums are the integer product incidence @
+    residues mod m, folded into the canonical element index (first factor
+    most significant).  Residue dtypes are sized from the rank, so the
+    products cannot wrap.
+    """
+    order = math.prod(factors)
+    rank = len(bases[0])
+    incidence = np.zeros((len(bases), n), dtype=np.uint8)
+    np.put_along_axis(incidence, np.array(bases, dtype=np.intp), 1, axis=1)
+    labels = np.zeros((len(bases), digits.shape[1]), dtype=digits.dtype)
+    place = order
+    for m in factors:
+        place //= m
+        residues = (digits // place % m).astype(np.min_scalar_type(rank * m))
+        sums = np.einsum("be,ec->bc", incidence.astype(residues.dtype), residues)
+        labels += (sums % m).astype(labels.dtype) * place
+    return incidence, labels
 
 
 # -- closeness checks and witnesses ------------------------------------------
@@ -132,65 +159,10 @@ class Witness:
         return " ".join(parts)
 
 
-def _mask(base: BaseSet) -> int:
-    out = 0
-    for e in base:
-        out |= 1 << e
-    return out
-
-
-def _violations(
-    m: Matroid,
-    labeling: Labeling,
-    k: int,
-    base_pool: Sequence[BaseSet],
-    target_pool: dict[GroupElement, list[BaseSet]],
-) -> Optional[tuple[BaseSet, BaseSet, GroupElement, int]]:
-    """Worst (A, B, g, distance) with min-distance > k, or None.
-
-    Violations are ranked by distance (largest first), then lexicographically
-    least (A, B, g).
-    """
-    masks = {b: _mask(b) for b in base_pool}
-    for bs in target_pool.values():
-        for b in bs:
-            masks.setdefault(b, _mask(b))
-    worst: Optional[tuple[BaseSet, BaseSet, GroupElement, int]] = None
-    for a in base_pool:
-        mask_a = masks[a]
-        for g in sorted(target_pool, key=lambda e: e.sort_key()):
-            best_d = None
-            best_b = None
-            for b in target_pool[g]:
-                d = (mask_a & ~masks[b]).bit_count()
-                if best_d is None or d < best_d or (d == best_d and b < best_b):
-                    best_d, best_b = d, b
-            if best_d is None or best_d <= k:
-                continue
-            candidate = (a, best_b, g, best_d)
-            if (
-                worst is None
-                or best_d > worst[3]
-                or (best_d == worst[3] and (a, best_b, g.sort_key()) < (worst[0], worst[1], worst[2].sort_key()))
-            ):
-                worst = candidate
-    return worst
-
-
 def check_k_close(m: Matroid, labeling: Labeling, k: int) -> Optional[Witness]:
     """None when every base is within k exchanges of a g-base for every
     attainable g; otherwise a maximal-violation witness."""
-    if labeling.n != m.n:
-        raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
-    all_bases = _guarded_bases(m)
-    by_label: dict[GroupElement, list[BaseSet]] = {}
-    for b in all_bases:
-        by_label.setdefault(labeling.sum_over(b), []).append(b)
-    worst = _violations(m, labeling, k, all_bases, by_label)
-    if worst is None:
-        return None
-    a, b, g, d = worst
-    return Witness(m, labeling, g, a, b, d, k)
+    return _closeness_witness(m, labeling, k, None)
 
 
 def check_strongly_k_close(
@@ -201,51 +173,62 @@ def check_strongly_k_close(
 ) -> Optional[Witness]:
     """Strong variant: only optimum bases matter, and the g-base must be a
     minimum-weight g-base.  A single weight vector is tested per call."""
+    return _closeness_witness(m, labeling, k, tuple(weights))
+
+
+def _closeness_witness(
+    m: Matroid, labeling: Labeling, k: int, weights: Optional[tuple[Weight, ...]]
+) -> Optional[Witness]:
+    """The worst violation of strong k-closeness, or None; no weights means
+    zero weights, which is plain k-closeness.
+
+    Each minimum-weight base A is matched in every label class to its nearest
+    minimum-weight base of that class, ties going to the least.  The witness
+    has the largest such distance above k, then the least (A, B).  Distances
+    r - |A & B| come from the incidence matrix, a slice of A rows at a time
+    so that about _COUNT_CELLS pairs are held at once.
+    """
     if labeling.n != m.n:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
-    if len(weights) != m.n:
+    if weights is not None and len(weights) != m.n:
         raise UsageError(f"need {m.n} weights, got {len(weights)}")
-    all_bases = _guarded_bases(m)
-    totals = {b: sum(weights[e] for e in b) for b in all_bases}
-    best_total = min(totals.values())
-    optimum = [b for b in all_bases if totals[b] == best_total]
-    by_label: dict[GroupElement, list[BaseSet]] = {}
-    for b in all_bases:
-        by_label.setdefault(labeling.sum_over(b), []).append(b)
-    optimum_by_label = {}
-    for g, bs in by_label.items():
-        cheapest = min(totals[b] for b in bs)
-        optimum_by_label[g] = [b for b in bs if totals[b] == cheapest]
-    worst = _violations(m, labeling, k, optimum, optimum_by_label)
-    if worst is None:
+    group = labeling.group
+    digits = np.array([group.index_of(g) for g in labeling.labels], dtype=np.intp)[:, None]
+    bases = _guarded_bases(m)
+    incidence, labels = _label_sums(group.invariant_factors, m.n, bases, digits)
+    labels = labels[:, 0]
+    totals = [0 if weights is None else sum(weights[e] for e in b) for b in bases]
+    cheapest: dict[int, Weight] = {}
+    for g, t in zip(labels.tolist(), totals):
+        cheapest[g] = min(t, cheapest.get(g, t))
+    best = min(totals)
+    pool = np.flatnonzero([t == best for t in totals])
+    targets = np.flatnonzero([t == cheapest[g] for g, t in zip(labels.tolist(), totals)])
+    # Targets grouped by label in ascending base order, so the least column
+    # of a class at its minimum distance is the least nearest target.
+    targets = targets[np.argsort(labels[targets], kind="stable")]
+    classes = np.flatnonzero(np.diff(labels[targets], prepend=-1))
+    rank, width = m.full_rank, len(targets)
+    dtype = np.min_scalar_type((rank + 1) * width)
+    inside = incidence[targets].T.astype(np.min_scalar_type(rank))
+    worst = (k, 0, 0)  # (distance, A, B), A and B as base indices
+    rows = max(1, _COUNT_CELLS // width)
+    for lo in range(0, len(pool), rows):
+        part = pool[lo : lo + rows]
+        shared = np.einsum("an,nb->ab", incidence[part].astype(inside.dtype), inside)
+        keys = (rank - shared).astype(dtype) * width + np.arange(width, dtype=dtype)
+        nearest = np.minimum.reduceat(keys, classes, axis=1)
+        distance = nearest // width
+        top = int(distance.max())
+        if top > worst[0]:  # pool rows ascend, so ties keep the earlier A
+            row = int(np.argmax(distance.max(axis=1) == top))
+            b = min(int(targets[c]) for c in nearest[row][distance[row] == top] % width)
+            worst = (top, int(part[row]), b)
+    d, a, b = worst
+    if d <= k:
         return None
-    a, b, g, d = worst
-    return Witness(m, labeling, g, a, b, d, k, weights=tuple(weights))
-
-
-def verify_witness(w: Witness) -> bool:
-    """Recompute the witness conditions from scratch (test oracle)."""
-    m, labeling = w.matroid, w.labeling
-    all_bases = m.bases()
-    if w.base_a not in all_bases or w.base_b not in all_bases:
-        return False
-    if labeling.sum_over(w.base_b) != w.target:
-        return False
-    if len(set(w.base_a) - set(w.base_b)) != w.distance or w.distance <= w.k:
-        return False
-    if w.weights is not None:
-        totals = {b: sum(w.weights[e] for e in b) for b in all_bases}
-        if totals[w.base_a] != min(totals.values()):
-            return False
-        same_label = [b for b in all_bases if labeling.sum_over(b) == w.target]
-        cheapest = min(totals[b] for b in same_label)
-        if totals[w.base_b] != cheapest:
-            return False
-        pool = [b for b in same_label if totals[b] == cheapest]
-    else:
-        pool = [b for b in all_bases if labeling.sum_over(b) == w.target]
-    nearest = min(len(set(w.base_a) - set(b)) for b in pool)
-    return nearest == w.distance
+    target = group.element_at(int(labels[b]))
+    return Witness(m, labeling, target, bases[a], bases[b], d, k, weights=weights)
 
 
 def reduce_witness(w: Witness) -> Witness:
@@ -403,26 +386,15 @@ def _scan_chunk(
 ) -> tuple[int, Optional[int]]:
     """Scan the labelings start + offsets; returns (checked, first isolating).
 
-    The first `block_count` bases are the blocks.  For each invariant factor
-    m, label sums are the integer product incidence @ residues mod m, folded
-    into the canonical element index (first factor most significant).  A
-    labeling is isolating when some group value is the label of exactly one
-    base and that base is a block.
+    The first `block_count` bases are the blocks.  A labeling is isolating
+    when some group value is the label of exactly one base and that base is
+    a block.
     """
     if offsets.size == 0 or block_count == 0:
         return int(offsets.size), None
     order = math.prod(factors)
     digits = _element_digits(order, n, start, offsets)
-    rank = len(bases[0])
-    incidence = np.zeros((len(bases), n), dtype=np.uint8)
-    incidence[np.repeat(np.arange(len(bases)), rank), np.ravel(bases)] = 1
-    labels = np.zeros((len(bases), offsets.size), dtype=digits.dtype)
-    place = order
-    for m in factors:
-        place //= m
-        residues = (digits // place % m).astype(np.min_scalar_type(rank * m))
-        sums = np.einsum("be,ec->bc", incidence.astype(residues.dtype), residues)
-        labels += (sums % m).astype(labels.dtype) * place
+    _, labels = _label_sums(factors, n, bases, digits)
     # bincount over (labeling, value) cells: a labeling hits when some cell
     # holds exactly one block and no other base.  Labelings go a slice at a
     # time so that keys and counts stay near _COUNT_CELLS entries; no step
@@ -609,6 +581,26 @@ def _report_fields(text: str) -> dict[str, str]:
     return fields
 
 
+def _with_example(group: GroupSpec, line: ScanLine, fields: dict[str, str]) -> ScanLine:
+    """`line` with its example, which must lie in the line's range and whose
+    labels must be its reduced digits."""
+    example = int(fields["example"])
+    labels = []
+    for text in fields["labels"].split(";"):
+        g = group.parse_element(text)
+        if str(g) != text:
+            raise ValueError(f"label {text!r} is not a reduced element of {group}")
+        labels.append(group.index_of(g))
+    q = group.order
+    if not line.start <= example < line.stop:
+        raise ValueError(f"example {example} lies outside {line.start}..{line.stop}")
+    if example >= q ** len(labels):
+        raise ValueError(f"example {example} is not below {q}^{len(labels)}")
+    if labels != [example // q**i % q for i in range(len(labels))]:
+        raise ValueError(f"labels are not the digits of example {example}")
+    return replace(line, isolating_index=example, isolating_labels=tuple(labels))
+
+
 def parse_scan_report(text: str) -> ScanReport:
     """Parse a rendered scan report.  The summary line is skipped: it is
     recomputed from the matroid lines when the report is rendered again."""
@@ -635,12 +627,7 @@ def parse_scan_report(text: str) -> ScanReport:
                 raise ValueError(f"range {fields['range']!r} is not a..b")
             line = ScanLine(fields["matroid"], int(start), int(stop), int(fields["checked"]))
             if fields["example"] != "-":
-                labels = [group.parse_element(x) for x in fields["labels"].split(";")]
-                line = replace(
-                    line,
-                    isolating_index=int(fields["example"]),
-                    isolating_labels=tuple(map(group.index_of, labels)),
-                )
+                line = _with_example(group, line, fields)
             rows.append(line)
     except KeyError as exc:
         raise ParseError(f"scan report line {ln!r} has no {exc.args[0]}= field", lineno) from None

@@ -220,6 +220,7 @@ class ExplicitMatroid(Matroid):
             )
         self.base_list = tuple(base_sets)
         self._base_frozen = tuple(frozenset(b) for b in base_sets)
+        self._base_lookup = frozenset(self._base_frozen)
         self.r = r
         self._full_rank = r
         if n > EXPLICIT_VALIDATE_MAX and not trust:
@@ -262,6 +263,8 @@ class ExplicitMatroid(Matroid):
         )
 
     def _indep(self, subset: frozenset[int]) -> bool:
+        if len(subset) >= self.r:
+            return subset in self._base_lookup
         return any(subset <= b for b in self._base_frozen)
 
 
@@ -383,48 +386,6 @@ def dual(m: Matroid) -> Matroid:
 
 def enumerate_bases(m: Matroid) -> list[BaseSet]:
     return m.bases()
-
-
-def oracles_equal(m1: Matroid, m2: Matroid, limit: int = 4096) -> bool:
-    """Exhaustive oracle comparison (test helper; 2^n capped by `limit`)."""
-    if m1.n != m2.n:
-        return False
-    if 2**m1.n > limit:
-        raise CapacityError(f"oracle comparison over 2^{m1.n} subsets exceeds {limit}")
-    for k in range(m1.n + 1):
-        for combo in itertools.combinations(range(m1.n), k):
-            if m1.is_independent(combo) != m2.is_independent(combo):
-                return False
-    return True
-
-
-def verify_axioms(m: Matroid, check_loopless: bool = True) -> None:
-    """Exhaustively check hereditariness and the exchange axiom (n <= 10)."""
-    if m.n > 10:
-        raise CapacityError("axiom verification is exhaustive; capped at n <= 10")
-    if not m.is_independent(()):
-        raise InternalError("empty set must be independent")
-    if check_loopless:
-        for e in range(m.n):
-            if not m.is_independent({e}):
-                raise InternalError(f"element {e} is a loop")
-    independents: list[frozenset[int]] = []
-    for k in range(m.n + 1):
-        for combo in itertools.combinations(range(m.n), k):
-            if m.is_independent(combo):
-                independents.append(frozenset(combo))
-    indep_set = set(independents)
-    for s in independents:
-        for e in s:
-            if s - {e} not in indep_set:
-                raise InternalError(f"hereditariness fails at {sorted(s)} minus {e}")
-    for small in independents:
-        for big in independents:
-            if len(small) < len(big):
-                if not any(small | {e} in indep_set for e in big - small):
-                    raise InternalError(
-                        f"exchange fails between {sorted(small)} and {sorted(big)}"
-                    )
 
 
 # -- exchange machinery ------------------------------------------------------

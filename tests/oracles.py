@@ -1,0 +1,198 @@
+"""Brute-force reference oracles that the tests compare the package against.
+
+They recompute from scratch, with plain loops over subsets and bases, what
+the package computes faster; none of them is shipped in `gcmb`.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Optional, Sequence
+
+from gcmb.errors import CapacityError, InternalError, UsageError
+from gcmb.groups import GroupElement
+from gcmb.intersection import Weight
+from gcmb.lab import Witness
+from gcmb.matroids import BaseSet, Matroid
+from gcmb.solver import Labeling
+
+# -- matroids -----------------------------------------------------------------
+
+
+def oracles_equal(m1: Matroid, m2: Matroid, limit: int = 4096) -> bool:
+    """Exhaustive oracle comparison (2^n capped by `limit`)."""
+    if m1.n != m2.n:
+        return False
+    if 2**m1.n > limit:
+        raise CapacityError(f"oracle comparison over 2^{m1.n} subsets exceeds {limit}")
+    for k in range(m1.n + 1):
+        for combo in itertools.combinations(range(m1.n), k):
+            if m1.is_independent(combo) != m2.is_independent(combo):
+                return False
+    return True
+
+
+def verify_axioms(m: Matroid, check_loopless: bool = True) -> None:
+    """Exhaustively check hereditariness and the exchange axiom (n <= 10)."""
+    if m.n > 10:
+        raise CapacityError("axiom verification is exhaustive; capped at n <= 10")
+    if not m.is_independent(()):
+        raise InternalError("empty set must be independent")
+    if check_loopless:
+        for e in range(m.n):
+            if not m.is_independent({e}):
+                raise InternalError(f"element {e} is a loop")
+    independents: list[frozenset[int]] = []
+    for k in range(m.n + 1):
+        for combo in itertools.combinations(range(m.n), k):
+            if m.is_independent(combo):
+                independents.append(frozenset(combo))
+    indep_set = set(independents)
+    for s in independents:
+        for e in s:
+            if s - {e} not in indep_set:
+                raise InternalError(f"hereditariness fails at {sorted(s)} minus {e}")
+    for small in independents:
+        for big in independents:
+            if len(small) < len(big):
+                if not any(small | {e} in indep_set for e in big - small):
+                    raise InternalError(
+                        f"exchange fails between {sorted(small)} and {sorted(big)}"
+                    )
+
+
+# -- intersection --------------------------------------------------------------
+
+
+def assert_extreme(
+    m1: Matroid, m2: Matroid, current: frozenset[int], weights: Sequence[Weight]
+) -> None:
+    """`current` has minimum weight among common independent sets of its size."""
+    k = len(current)
+    best = None
+    for combo in itertools.combinations(range(m1.n), k):
+        if m1.is_independent(combo) and m2.is_independent(combo):
+            w = sum(weights[e] for e in combo)
+            if best is None or w < best:
+                best = w
+    mine = sum(weights[e] for e in current)
+    if best is None or mine != best:
+        raise InternalError(
+            f"intermediate set of size {k} is not extreme: {mine} vs optimum {best}"
+        )
+
+
+def min_max_cardinality_bound(m1: Matroid, m2: Matroid) -> int:
+    """min over X of r1(X) + r2(E\\X); exhaustive (n <= 16)."""
+    if m1.n > 16:
+        raise UsageError("exhaustive min-max bound capped at n <= 16")
+    best = None
+    ground = range(m1.n)
+    for k in range(m1.n + 1):
+        for combo in itertools.combinations(ground, k):
+            inside = set(combo)
+            value = m1.rank(inside) + m2.rank(set(ground) - inside)
+            if best is None or value < best:
+                best = value
+    return best if best is not None else 0
+
+
+# -- closeness -------------------------------------------------------------------
+
+
+def verify_witness(w: Witness) -> bool:
+    """Recompute the witness conditions from scratch."""
+    m, labeling = w.matroid, w.labeling
+    all_bases = m.bases()
+    if w.base_a not in all_bases or w.base_b not in all_bases:
+        return False
+    if labeling.sum_over(w.base_b) != w.target:
+        return False
+    if len(set(w.base_a) - set(w.base_b)) != w.distance or w.distance <= w.k:
+        return False
+    if w.weights is not None:
+        totals = {b: sum(w.weights[e] for e in b) for b in all_bases}
+        if totals[w.base_a] != min(totals.values()):
+            return False
+        same_label = [b for b in all_bases if labeling.sum_over(b) == w.target]
+        cheapest = min(totals[b] for b in same_label)
+        if totals[w.base_b] != cheapest:
+            return False
+        pool = [b for b in same_label if totals[b] == cheapest]
+    else:
+        pool = [b for b in all_bases if labeling.sum_over(b) == w.target]
+    nearest = min(len(set(w.base_a) - set(b)) for b in pool)
+    return nearest == w.distance
+
+
+def _mask(base: BaseSet) -> int:
+    out = 0
+    for e in base:
+        out |= 1 << e
+    return out
+
+
+def _violations(
+    k: int,
+    base_pool: Sequence[BaseSet],
+    target_pool: dict[GroupElement, list[BaseSet]],
+) -> Optional[tuple[BaseSet, BaseSet, GroupElement, int]]:
+    """Worst (A, B, g, distance) with min-distance > k, or None.
+
+    Violations are ranked by distance (largest first), then lexicographically
+    least (A, B, g).
+    """
+    masks = {b: _mask(b) for b in base_pool}
+    for bs in target_pool.values():
+        for b in bs:
+            masks.setdefault(b, _mask(b))
+    worst: Optional[tuple[BaseSet, BaseSet, GroupElement, int]] = None
+    for a in base_pool:
+        mask_a = masks[a]
+        for g in sorted(target_pool, key=lambda e: e.sort_key()):
+            best_d = None
+            best_b = None
+            for b in target_pool[g]:
+                d = (mask_a & ~masks[b]).bit_count()
+                if best_d is None or d < best_d or (d == best_d and b < best_b):
+                    best_d, best_b = d, b
+            if best_d is None or best_d <= k:
+                continue
+            candidate = (a, best_b, g, best_d)
+            if (
+                worst is None
+                or best_d > worst[3]
+                or (best_d == worst[3] and (a, best_b, g.sort_key()) < (worst[0], worst[1], worst[2].sort_key()))
+            ):
+                worst = candidate
+    return worst
+
+
+def closeness_reference(
+    m: Matroid,
+    labeling: Labeling,
+    k: int,
+    weights: Optional[Sequence[Weight]] = None,
+) -> Optional[Witness]:
+    """`check_k_close` (no weights) or `check_strongly_k_close` by adding
+    `GroupElement` labels per base and comparing every pair of bases."""
+    all_bases = m.bases()
+    by_label: dict[GroupElement, list[BaseSet]] = {}
+    for b in all_bases:
+        by_label.setdefault(labeling.sum_over(b), []).append(b)
+    if weights is None:
+        worst = _violations(k, all_bases, by_label)
+    else:
+        totals = {b: sum(weights[e] for e in b) for b in all_bases}
+        best_total = min(totals.values())
+        optimum = [b for b in all_bases if totals[b] == best_total]
+        optimum_by_label = {}
+        for g, bs in by_label.items():
+            cheapest = min(totals[b] for b in bs)
+            optimum_by_label[g] = [b for b in bs if totals[b] == cheapest]
+        worst = _violations(k, optimum, optimum_by_label)
+        weights = tuple(weights)
+    if worst is None:
+        return None
+    a, b, g, d = worst
+    return Witness(m, labeling, g, a, b, d, k, weights=weights)

@@ -31,7 +31,6 @@ from gcmb.lab import (
     random_labeling,
     random_weights,
     sbo_strong_closeness_suite,
-    verify_witness,
 )
 from gcmb.matroids import (
     brualdi_bijection,
@@ -42,6 +41,8 @@ from gcmb.matroids import (
     make_uniform,
 )
 from gcmb.solver import Labeling, solve_enum, solve_proximity
+
+from oracles import verify_witness
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)

@@ -1,9 +1,11 @@
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from gcmb.catalog import bundled_path
-from gcmb.cli import main
+from gcmb.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -186,8 +188,15 @@ class TestScan:
             "matroid=mk4 range=0..9 verdict=none example=- labels=-",
             "matroid=mk4 range=0..9 checked=9 verdict=none stray example=- labels=-",
             "matroid=mk4 range=0-9 checked=9 verdict=none example=- labels=-",
+            "matroid=u24 range=0..9 checked=9 verdict=isolating example=3 labels=0;4",
+            "matroid=u24 range=0..9 checked=9 verdict=isolating example=3 labels=1;2",
+            "matroid=u24 range=0..3 checked=3 verdict=isolating example=3 labels=0;1",
+            "matroid=u24 range=0..20 checked=20 verdict=isolating example=9 labels=0;0",
         ],
-        ids=["no-checked", "no-equals", "bad-range"],
+        ids=[
+            "no-checked", "no-equals", "bad-range", "unreduced-label",
+            "labels-not-digits", "example-outside-range", "example-past-index-space",
+        ],
     )
     def test_malformed_shard_line_is_error(self, capsys, tmp_path, line):
         shard = tmp_path / "shard.txt"
@@ -306,3 +315,14 @@ class TestBases:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bases", "--matroid", "/nonexistent", "--group", "Z2")
         assert code == 1
+
+
+def test_readme_commands_parse(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [ln for ln in readme.read_text(encoding="utf-8").splitlines() if ln.startswith("gcmb ")]
+    assert lines
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")

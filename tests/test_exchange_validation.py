@@ -1,5 +1,6 @@
 """Base-exchange validation of explicit base lists against the plain triple
-loop, and validation done once per parsed catalog entry."""
+loop, independence against "is a subset of some base", and validation done
+once per parsed catalog entry."""
 
 import itertools
 
@@ -54,6 +55,10 @@ def test_validator_matches_plain_loop(family):
     except UsageError:
         assume(False)
     assert outcome(m._validate_exchange) == outcome(lambda: plain_validate(m._base_frozen))
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            expected = any(set(subset) <= set(b) for b in bases)
+            assert m.is_independent(subset) == expected
 
 
 def test_parsed_entry_is_not_validated_again(monkeypatch):

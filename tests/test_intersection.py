@@ -5,14 +5,12 @@ from fractions import Fraction
 import pytest
 
 from gcmb.errors import UsageError
-from gcmb.intersection import (
-    max_common_independent,
-    min_max_cardinality_bound,
-    min_weight_common_base,
-)
+from gcmb import intersection
+from gcmb.intersection import max_common_independent, min_weight_common_base
 from gcmb.matroids import make_graphic, make_partition, make_uniform
 
 from conftest import random_small_matroid
+from oracles import assert_extreme, min_max_cardinality_bound
 
 
 def brute_max_common(m1, m2):
@@ -143,14 +141,27 @@ class TestMinWeightBase:
         got = min_weight_common_base(u, u, [Fraction(1, 2), 2, Fraction(1, 3), 5])
         assert got == ((0, 2), Fraction(5, 6))
 
-    def test_random_against_brute_force(self):
+    def test_random_against_brute_force(self, monkeypatch):
+        original = intersection._augmenting_path
+        checked = []
+
+        def extreme_after_each_path(m1, m2, current, weights):
+            path = original(m1, m2, current, weights)
+            if path is not None:
+                assert_extreme(m1, m2, current.symmetric_difference(path), weights)
+                checked.append(path)
+            return path
+
         rng = random.Random(31)
         for trial in range(200):
             m1, m2 = random_pair(rng)
             if m1.n > 8:
                 continue
             weights = [rng.randrange(-5, 6) for _ in range(m1.n)]
-            got = min_weight_common_base(m1, m2, weights, debug=(trial % 17 == 0))
+            with monkeypatch.context() as patch:
+                if trial % 17 == 0:
+                    patch.setattr(intersection, "_augmenting_path", extreme_after_each_path)
+                got = min_weight_common_base(m1, m2, weights)
             expected = brute_min_weight_base(m1, m2, weights)
             if expected is None:
                 assert got is None
@@ -159,6 +170,7 @@ class TestMinWeightBase:
                 base, weight = got
                 assert weight == expected
                 assert m1.is_base(base) and m2.is_base(base)
+        assert checked  # some augmentation was checked for extremality
 
     def test_deterministic(self):
         m1 = make_uniform(6, 3)

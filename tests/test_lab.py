@@ -21,12 +21,12 @@ from gcmb.lab import (
     reduce_witness,
     render_scan_report,
     sbo_strong_closeness_suite,
-    verify_witness,
 )
-from gcmb.matroids import make_explicit, make_uniform, oracles_equal
+from gcmb.matroids import make_explicit, make_uniform
 from gcmb.solver import Labeling
 
 from conftest import k4_edges
+from oracles import oracles_equal, verify_witness
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)

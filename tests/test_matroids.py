@@ -26,12 +26,11 @@ from gcmb.matroids import (
     make_linear,
     make_partition,
     make_uniform,
-    oracles_equal,
     parse_matroid,
-    verify_axioms,
 )
 
 from conftest import k4_edges, random_small_matroid
+from oracles import oracles_equal, verify_axioms
 
 
 class TestFamilies:
