@@ -37,21 +37,27 @@ class ExchangeGraph:
 
 
 def build_exchange_graph(m1: Matroid, m2: Matroid, current: frozenset[int]) -> ExchangeGraph:
+    """The exchange graph of I = `current`, read off one fundamental circuit
+    C(I, y) per outside y and matroid: I - x + y is independent exactly when
+    I + y is, or when x lies on that circuit."""
     outside = [e for e in range(m1.n) if e not in current]
     inside = tuple(sorted(current))
-    sources = tuple(y for y in outside if m1.is_independent(current | {y}))
-    sinks = tuple(y for y in outside if m2.is_independent(current | {y}))
-    repair_first = {}
-    repair_second = {}
-    for x in inside:
-        dropped = current - {x}
-        repair_first[x] = tuple(
-            y for y in outside if m1.is_independent(dropped | {y})
-        )
-        repair_second[x] = tuple(
-            y for y in outside if m2.is_independent(dropped | {y})
-        )
+    first = m1.circuits(current, outside)
+    second = m2.circuits(current, outside)
+    sources = tuple(y for y in outside if first[y] is None)
+    sinks = tuple(y for y in outside if second[y] is None)
+    repair_first = _repairs(inside, outside, first)
+    repair_second = _repairs(inside, outside, second)
     return ExchangeGraph(inside, sources, sinks, repair_first, repair_second)
+
+
+def _repairs(
+    inside: tuple[int, ...], outside: list[int], circuits: dict[int, Optional[frozenset[int]]]
+) -> dict[int, tuple[int, ...]]:
+    """x -> the outside y, ascending, with I - x + y independent."""
+    return {
+        x: tuple(y for y in outside if circuits[y] is None or x in circuits[y]) for x in inside
+    }
 
 
 def _augmenting_path(
@@ -153,10 +159,18 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> BaseSet:
         path = _augmenting_path(m1, m2, current, zero)
         if path is None:
             break
-        current = current.symmetric_difference(path)
-        if not (m1.is_independent(current) and m2.is_independent(current)):
-            raise InternalError("augmentation produced a dependent set")
+        current = _augment(m1, m2, current, path)
     return tuple(sorted(current))
+
+
+def _augment(
+    m1: Matroid, m2: Matroid, current: frozenset[int], path: tuple[int, ...]
+) -> frozenset[int]:
+    """I symmetric-difference the path, checked to be common independent."""
+    current = current.symmetric_difference(path)
+    if not (m1.is_independent(current) and m2.is_independent(current)):
+        raise InternalError("augmentation produced a dependent set")
+    return current
 
 
 def min_weight_common_base(
@@ -184,7 +198,7 @@ def min_weight_common_base(
         path = _augmenting_path(m1, m2, current, weights)
         if path is None:
             return None
-        current = current.symmetric_difference(path)
+        current = _augment(m1, m2, current, path)
     base = tuple(sorted(current))
     total: Weight = sum(weights[e] for e in base)
     return base, total

@@ -581,9 +581,11 @@ def _report_fields(text: str) -> dict[str, str]:
     return fields
 
 
-def _with_example(group: GroupSpec, line: ScanLine, fields: dict[str, str]) -> ScanLine:
-    """`line` with its example, which must lie in the line's range and whose
-    labels must be its reduced digits."""
+def _with_example(
+    group: GroupSpec, line: ScanLine, fields: dict[str, str], step: int
+) -> ScanLine:
+    """`line` with its example, which must be a scanned index (a multiple of
+    `step`) in the line's range and whose labels must be its reduced digits."""
     example = int(fields["example"])
     labels = []
     for text in fields["labels"].split(";"):
@@ -594,6 +596,8 @@ def _with_example(group: GroupSpec, line: ScanLine, fields: dict[str, str]) -> S
     q = group.order
     if not line.start <= example < line.stop:
         raise ValueError(f"example {example} lies outside {line.start}..{line.stop}")
+    if example % step:
+        raise ValueError(f"example {example} is not a multiple of the scan step {step}")
     if example >= q ** len(labels):
         raise ValueError(f"example {example} is not below {q}^{len(labels)}")
     if labels != [example // q**i % q for i in range(len(labels))]:
@@ -617,6 +621,7 @@ def parse_scan_report(text: str) -> ScanReport:
             raise ValueError(f"unknown reduction {fields['reduction']!r}")
         predicate = _PREDICATE_FROM_NAME[fields["predicate"]]
         reduction, seed = fields["reduction"], int(fields["seed"])
+        step = group.order if reduction == "translation" else 1
         rows = []
         for lineno, ln in lines[1:]:
             if ln.startswith("summary "):
@@ -626,8 +631,15 @@ def parse_scan_report(text: str) -> ScanReport:
             if not sep:
                 raise ValueError(f"range {fields['range']!r} is not a..b")
             line = ScanLine(fields["matroid"], int(start), int(stop), int(fields["checked"]))
+            if not 0 <= line.start <= line.stop:
+                raise ValueError(f"range {line.start}..{line.stop} is not 0 <= start <= stop")
+            scanned = -(-line.stop // step) - -(-line.start // step)  # multiples of step
+            if line.checked != scanned:
+                raise ValueError(
+                    f"checked={line.checked}, but the range holds {scanned} scanned indices"
+                )
             if fields["example"] != "-":
-                line = _with_example(group, line, fields)
+                line = _with_example(group, line, fields, step)
             rows.append(line)
     except KeyError as exc:
         raise ParseError(f"scan report line {ln!r} has no {exc.args[0]}= field", lineno) from None

@@ -81,6 +81,23 @@ class Matroid:
         fs = frozenset(subset)
         return len(fs) == self.full_rank and self.is_independent(fs)
 
+    def circuits(
+        self, current: frozenset[int], outside: Iterable[int]
+    ) -> dict[int, Optional[frozenset[int]]]:
+        """Fundamental circuits of an independent set `current`.
+
+        For each y in `outside`: None when current + y is independent, else
+        the x in `current` with current - x + y independent, which is
+        C(current, y) - y.  This body asks the oracle about every single
+        swap, so families without a structural override keep their counts.
+        """
+        out: dict[int, Optional[frozenset[int]]] = {}
+        for y in outside:
+            free = self.is_independent(current | {y})
+            swaps = frozenset(x for x in current if self.is_independent((current - {x}) | {y}))
+            out[y] = None if free else swaps
+        return out
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} n={self.n} r={self.full_rank}>"
 
@@ -144,6 +161,47 @@ class GraphicMatroid(Matroid):
                 return False
             parent[ru] = rv
         return True
+
+    def circuits(
+        self, current: frozenset[int], outside: Iterable[int]
+    ) -> dict[int, Optional[frozenset[int]]]:
+        """C(current, y) - y is the forest path between y's endpoints."""
+        adjacent: dict[int, list[tuple[int, int]]] = {}
+        for e in current:
+            u, v = self.edge_pairs[e]
+            adjacent.setdefault(u, []).append((v, e))
+            adjacent.setdefault(v, []).append((u, e))
+        # Root each tree of the forest: up[w] = (parent vertex, edge, depth, root).
+        up: dict[int, tuple[int, int, int, int]] = {}
+        trees = 0
+        for root in adjacent:
+            if root in up:
+                continue
+            trees += 1
+            up[root] = (root, -1, 0, root)
+            stack = [root]
+            while stack:
+                w = stack.pop()
+                for z, e in adjacent[w]:
+                    if z not in up:
+                        up[z] = (w, e, up[w][2] + 1, root)
+                        stack.append(z)
+        if len(current) != len(up) - trees:  # a forest has |V| - #trees edges
+            raise UsageError("fundamental circuits need an independent set")
+        out: dict[int, Optional[frozenset[int]]] = {}
+        for y in outside:
+            u, v = self.edge_pairs[y]
+            if u not in up or v not in up or up[u][3] != up[v][3]:
+                out[y] = None
+                continue
+            path = set()
+            while u != v:
+                if up[u][2] < up[v][2]:
+                    u, v = v, u
+                path.add(up[u][1])
+                u = up[u][0]
+            out[y] = frozenset(path)
+        return out
 
 
 class LinearMatroid(Matroid):
@@ -300,6 +358,17 @@ class PartitionMatroid(Matroid):
             len(subset & c) <= cap for c, cap in zip(self.classes, self.capacities)
         )
 
+    def circuits(
+        self, current: frozenset[int], outside: Iterable[int]
+    ) -> dict[int, Optional[frozenset[int]]]:
+        """C(current, y) - y is current's share of y's class when that class is full."""
+        full = {}
+        for c, cap in zip(self.classes, self.capacities):
+            share = current & c
+            if len(share) >= cap:
+                full.update(dict.fromkeys(c, share))
+        return {y: full.get(y) for y in outside}
+
 
 # -- minors and duality ------------------------------------------------------
 
@@ -316,9 +385,22 @@ class DeleteMatroid(Matroid):
         super().__init__(len(kept))
         self.parent = parent
         self.parent_map = kept  # new index -> parent index
+        self.child_map = {e: i for i, e in enumerate(kept)}  # parent index -> new index
 
     def _indep(self, subset: frozenset[int]) -> bool:
         return self.parent.is_independent(self.parent_map[e] for e in subset)
+
+    def circuits(
+        self, current: frozenset[int], outside: Iterable[int]
+    ) -> dict[int, Optional[frozenset[int]]]:
+        to_parent, to_child = self.parent_map, self.child_map
+        found = self.parent.circuits(
+            frozenset(to_parent[e] for e in current), [to_parent[y] for y in outside]
+        )
+        return {
+            to_child[y]: None if c is None else frozenset(to_child[x] for x in c)
+            for y, c in found.items()
+        }
 
 
 class ContractMatroid(Matroid):

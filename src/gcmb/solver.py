@@ -96,10 +96,12 @@ class Signature:
     def label(self) -> GroupElement:
         """Sum over group elements of count-fold copies: the label every base
         with this signature attains."""
-        total = self.group.identity()
+        sums = [0] * self.group.rank
         for g, c in zip(self.group.elements(), self.counts):
-            total = total + g.times(c)
-        return total
+            if c:
+                for i, r in enumerate(g.residues):
+                    sums[i] += c * r
+        return self.group.element(sums)
 
 
 def signature_of(labeling: Labeling, base: Iterable[int]) -> Signature:
@@ -201,8 +203,7 @@ def base_with_signature(
     minor = delete(m, removed)
     if minor.full_rank < r:
         return None
-    to_new = {orig: new for new, orig in enumerate(minor.parent_map)}
-    classes_new = [tuple(sorted(to_new[e] for e in c)) for c in keep_classes]
+    classes_new = [tuple(sorted(minor.child_map[e] for e in c)) for c in keep_classes]
     partition = make_partition(classes_new, keep_caps)
     if weights is None:
         common = max_common_independent(minor, partition)

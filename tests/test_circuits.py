@@ -1,0 +1,223 @@
+"""Fundamental-circuit overrides against the oracle loop they replace.
+
+`Matroid.circuits` asks the independence oracle about every swap; the
+graphic, partition and deletion overrides answer from structure.  Each
+override must return exactly what the oracle loop returns, and solves must
+come out the same with the overrides switched off.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gcmb.errors import InternalError, UsageError
+from gcmb.groups import GroupSpec
+from gcmb.intersection import build_exchange_graph, max_common_independent, min_weight_common_base
+from gcmb.matroids import (
+    DeleteMatroid,
+    GraphicMatroid,
+    Matroid,
+    PartitionMatroid,
+    delete,
+    make_graphic,
+    make_linear,
+    make_partition,
+)
+from gcmb.solver import Labeling, solve_enum, solve_proximity
+
+OVERRIDES = (GraphicMatroid, PartitionMatroid, DeleteMatroid)
+
+
+@st.composite
+def multigraphs(draw):
+    """Connected-ish multigraphs: a spanning path plus random edges, parallel
+    edges drawn on purpose."""
+    v = draw(st.integers(2, 6))
+    spine = [(i, i + 1) for i in range(v - 1)]
+    extra = draw(st.lists(st.sampled_from(list(itertools.combinations(range(v), 2))), max_size=8))
+    repeats = draw(st.lists(st.sampled_from(spine + extra), max_size=3))
+    edges = draw(st.permutations(spine + extra + repeats))
+    return make_graphic(edges)
+
+
+@st.composite
+def partitions(draw, n=None):
+    """Partition matroids whose caps may be zero (then every class member is a loop)."""
+    n = draw(st.integers(1, 9)) if n is None else n
+    owner = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    classes = [[e for e in range(n) if owner[e] == c] for c in sorted(set(owner))]
+    caps = [draw(st.integers(0, len(c))) for c in classes]
+    return make_partition(classes, caps)
+
+
+@st.composite
+def linears(draw, p=None, min_n=1):
+    p = draw(st.sampled_from([2, 3])) if p is None else p
+    rows = draw(st.integers(1, 3))
+    n = draw(st.integers(min_n, 7))
+    columns = draw(
+        st.lists(
+            st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows).filter(any),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    return make_linear([[col[i] for col in columns] for i in range(rows)], p)
+
+
+@st.composite
+def minors(draw):
+    parent = draw(st.one_of(multigraphs(), partitions(), linears()))
+    removed = draw(st.sets(st.integers(0, parent.n - 1), max_size=parent.n - 1))
+    return delete(parent, removed)
+
+
+@st.composite
+def partition_minors(draw, n):
+    """A deletion of a partition matroid, with `n` elements left."""
+    extra = draw(st.integers(0, 3))
+    removed = draw(st.sets(st.integers(0, n + extra - 1), min_size=extra, max_size=extra))
+    return delete(draw(partitions(n + extra)), removed)
+
+
+@st.composite
+def independent_sets(draw, *ms):
+    """A random set independent in every matroid of `ms`, of any size from
+    empty up to a base, built greedily along a random element order."""
+    n = ms[0].n
+    size = draw(st.integers(0, n))
+    chosen: set[int] = set()
+    for e in draw(st.permutations(range(n))):
+        if len(chosen) < size and all(m.is_independent(chosen | {e}) for m in ms):
+            chosen.add(e)
+    return frozenset(chosen)
+
+
+def assert_matches_oracle_loop(m, current):
+    outside = [e for e in range(m.n) if e not in current]
+    assert m.circuits(current, outside) == Matroid.circuits(m, current, outside)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("family", [multigraphs, partitions, minors], ids=["graphic", "partition", "minor"])
+def test_override_matches_oracle_loop(family, data):
+    m = data.draw(family())
+    assert_matches_oracle_loop(m, data.draw(independent_sets(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exchange_graph_matches_pairwise_oracle(data):
+    m1 = data.draw(st.one_of(multigraphs(), minors()))
+    m2 = data.draw(st.one_of(partitions(m1.n), partition_minors(m1.n)))
+    current = data.draw(independent_sets(m1, m2))
+    graph = build_exchange_graph(m1, m2, current)
+    outside = [e for e in range(m1.n) if e not in current]
+    assert graph.sources == tuple(y for y in outside if m1.is_independent(current | {y}))
+    assert graph.sinks == tuple(y for y in outside if m2.is_independent(current | {y}))
+    for x in graph.inside:
+        rest = current - {x}
+        assert graph.repair_first[x] == tuple(y for y in outside if m1.is_independent(rest | {y}))
+        assert graph.repair_second[x] == tuple(y for y in outside if m2.is_independent(rest | {y}))
+
+
+def test_graphic_parallel_edges_and_other_components():
+    m = make_graphic([(0, 1), (0, 1), (1, 2), (0, 2), (3, 4), (3, 4)])
+    assert m.circuits(frozenset({0, 2}), [1, 3, 4, 5]) == {
+        1: frozenset({0}),
+        3: frozenset({0, 2}),
+        4: None,
+        5: None,
+    }
+    assert m.circuits(frozenset({0, 2, 4}), [5]) == {5: frozenset({4})}
+
+
+def test_graphic_refuses_a_cycle():
+    triangle = make_graphic([(0, 1), (1, 2), (0, 2), (0, 3)])
+    with pytest.raises(UsageError, match="independent"):
+        triangle.circuits(frozenset({0, 1, 2}), [3])
+
+
+def test_partition_zero_cap_is_a_loop():
+    m = make_partition([[0, 1], [2, 3, 4]], [0, 2])
+    assert m.circuits(frozenset({2}), [0, 1, 3, 4]) == {
+        0: frozenset(),
+        1: frozenset(),
+        3: None,
+        4: None,
+    }
+    assert m.circuits(frozenset({2, 4}), [3]) == {3: frozenset({2, 4})}
+
+
+def test_wrong_circuit_is_caught_on_both_intersection_paths(monkeypatch):
+    """A circuit override that claims every element is free would augment
+    into a dependent set; both intersection paths must refuse it."""
+    parallel = make_graphic([(0, 1), (0, 1), (1, 2)])
+    pairs = make_partition([[0, 1, 2]], [2])
+    monkeypatch.setattr(
+        GraphicMatroid, "circuits", lambda self, current, outside: dict.fromkeys(outside)
+    )
+    with pytest.raises(InternalError, match="dependent"):
+        max_common_independent(parallel, pairs)
+    with pytest.raises(InternalError, match="dependent"):
+        min_weight_common_base(parallel, pairs, [0, 0, 5])
+
+
+# -- solves with and without the overrides ------------------------------------
+
+GROUPS = [GroupSpec.of(2), GroupSpec.of(3), GroupSpec.of(4), GroupSpec.of(2, 2), GroupSpec.of(5)]
+
+
+def complete_graph(v):
+    return make_graphic(list(itertools.combinations(range(v), 2)))
+
+
+@st.composite
+def solve_instances(draw):
+    """Uniformly random labels, weights and targets from a drawn seed (plain
+    Hypothesis draws favour constant labels, which make solves trivial)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = rng.choice(["K4", "K5", "K6", "GF2", "GF3"])
+    if kind.startswith("K"):
+        m = complete_graph(int(kind[1]))
+    else:
+        p, rows, n = int(kind[2]), rng.randrange(2, 5), rng.randrange(5, 9)
+        columns = []
+        while len(columns) < n:
+            col = [rng.randrange(p) for _ in range(rows)]
+            if any(col):
+                columns.append(col)
+        m = make_linear([[col[i] for col in columns] for i in range(rows)], p)
+    group = rng.choice(GROUPS)
+    labeling = Labeling.from_indices(group, [rng.randrange(group.order) for _ in range(m.n)])
+    target = group.element_at(rng.randrange(group.order))
+    weights = None if rng.random() < 0.5 else [rng.randint(-5, 5) for _ in range(m.n)]
+    return m, labeling, target, weights, rng.randrange(group.order)
+
+
+def solve_fields(result):
+    s = result.stats
+    return (result.status, result.base, result.weight, s.signatures, s.candidates, s.intersections)
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=solve_instances())
+def test_solves_match_with_overrides_switched_off(inst):
+    m, labeling, target, weights, k = inst
+
+    def both():
+        return (
+            solve_fields(solve_enum(m, labeling, target, weights)),
+            solve_fields(solve_proximity(m, labeling, target, k, weights, mode="heuristic")),
+        )
+
+    fast = both()
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in OVERRIDES:
+            patch.setattr(cls, "circuits", Matroid.circuits)
+        slow = both()
+    assert fast == slow

@@ -183,28 +183,47 @@ class TestScan:
         assert err.startswith("error:") and "'x'" in err
 
     @pytest.mark.parametrize(
-        "line",
+        "reduction,line",
         [
-            "matroid=mk4 range=0..9 verdict=none example=- labels=-",
-            "matroid=mk4 range=0..9 checked=9 verdict=none stray example=- labels=-",
-            "matroid=mk4 range=0-9 checked=9 verdict=none example=- labels=-",
-            "matroid=u24 range=0..9 checked=9 verdict=isolating example=3 labels=0;4",
-            "matroid=u24 range=0..9 checked=9 verdict=isolating example=3 labels=1;2",
-            "matroid=u24 range=0..3 checked=3 verdict=isolating example=3 labels=0;1",
-            "matroid=u24 range=0..20 checked=20 verdict=isolating example=9 labels=0;0",
+            ("none", "matroid=mk4 range=0..9 verdict=none example=- labels=-"),
+            ("none", "matroid=mk4 range=0..9 checked=9 verdict=none stray example=- labels=-"),
+            ("none", "matroid=mk4 range=0-9 checked=9 verdict=none example=- labels=-"),
+            ("none", "matroid=u24 range=0..9 checked=9 verdict=isolating example=3 labels=0;4"),
+            ("none", "matroid=u24 range=0..9 checked=9 verdict=isolating example=3 labels=1;2"),
+            ("none", "matroid=u24 range=0..3 checked=3 verdict=isolating example=3 labels=0;1"),
+            ("none", "matroid=u24 range=0..20 checked=20 verdict=isolating example=9 labels=0;0"),
+            ("none", "matroid=u24 range=-5..9 checked=14 verdict=none example=- labels=-"),
+            ("none", "matroid=u24 range=9..5 checked=0 verdict=none example=- labels=-"),
+            ("none", "matroid=u24 range=0..9 checked=8 verdict=none example=- labels=-"),
+            ("translation", "matroid=u24 range=0..9 checked=9 verdict=none example=- labels=-"),
+            ("translation", "matroid=u24 range=1..7 checked=3 verdict=none example=- labels=-"),
+            ("translation", "matroid=u24 range=0..81 checked=27 verdict=isolating example=5 labels=2;1;0;0"),
         ],
         ids=[
             "no-checked", "no-equals", "bad-range", "unreduced-label",
             "labels-not-digits", "example-outside-range", "example-past-index-space",
+            "negative-start", "stop-before-start", "checked-not-range-size",
+            "checked-not-translation-count", "checked-counts-unscanned",
+            "example-not-translation-step",
         ],
     )
-    def test_malformed_shard_line_is_error(self, capsys, tmp_path, line):
+    def test_malformed_shard_line_is_error(self, capsys, tmp_path, reduction, line):
         shard = tmp_path / "shard.txt"
-        header = "# gcmb scan group=Z3 predicate=strong-block reduction=none seed=0"
+        header = f"# gcmb scan group=Z3 predicate=strong-block reduction={reduction} seed=0"
         shard.write_text(f"{header}\n{line}\nsummary matroids=1 checked=9 isolating=0\n")
         code, out, err = run(capsys, "scan", "--merge", str(shard))
         assert code == 1 and out == ""
         assert err.startswith("error: line 2:") and line in err
+
+    def test_translation_shard_counts_multiples_of_the_order(self, capsys, tmp_path):
+        """Under translation only multiples of |G| are scanned: 1..7 over Z3
+        holds 3 and 6, and an example must be one of them."""
+        shard = tmp_path / "shard.txt"
+        header = "# gcmb scan group=Z3 predicate=strong-block reduction=translation seed=0"
+        line = "matroid=u24 range=1..7 checked=2 verdict=isolating example=3 labels=0;1"
+        shard.write_text(f"{header}\n{line}\n")
+        code, out, _ = run(capsys, "scan", "--merge", str(shard))
+        assert code == 2 and line in out
 
     @pytest.mark.parametrize(
         "header",
