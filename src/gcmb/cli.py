@@ -9,6 +9,7 @@ recorded in report headers; --jobs never changes output bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Optional, Sequence
@@ -259,6 +260,7 @@ def _add_instance_flags(parser, with_labels=True) -> None:
     parser.add_argument("--trust", action="store_true", help="skip validation of large explicit matroids")
 
 
+@functools.cache  # parsing leaves the tree unchanged, so one build serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcmb",

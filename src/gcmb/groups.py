@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
-import numpy as np
-
 from .errors import CapacityError, InternalError, UsageError
 
 _SPEC_TOKEN = re.compile(r"^[zZ](\d+)$")
@@ -22,8 +20,8 @@ _SPEC_TOKEN = re.compile(r"^[zZ](\d+)$")
 #: Hard cap for exhaustive searches over sequences of group elements.
 DAVENPORT_BRUTE_MAX_ORDER = 16
 
-#: Largest group order for tables indexed by group value: the add table here
-#: and the per-value base counts of the isolation scan in `lab`.
+#: Largest group order for tables indexed by group value: the per-value base
+#: counts of the isolation scan in `lab`.
 GROUP_TABLE_LIMIT = 4096
 
 
@@ -173,29 +171,11 @@ class GroupSpec:
             )
         return self.element(values)
 
-    def add_table(self) -> np.ndarray:
-        """Cayley table over element indices, shape (|G|, |G|), dtype uint16."""
-        return _add_table(self)
-
 
 @lru_cache(maxsize=None)
 def _elements(spec: GroupSpec) -> tuple["GroupElement", ...]:
     ranges = [range(m) for m in spec.invariant_factors]
     return tuple(GroupElement(spec, res) for res in itertools.product(*ranges))
-
-
-@lru_cache(maxsize=None)
-def _add_table(spec: GroupSpec) -> np.ndarray:
-    n = spec.order
-    if n > GROUP_TABLE_LIMIT:
-        raise CapacityError(f"add table requested for |G|={n} > {GROUP_TABLE_LIMIT}")
-    elems = _elements(spec)
-    table = np.zeros((n, n), dtype=np.uint16)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            table[i, j] = spec.index_of(a + b)
-    table.setflags(write=False)
-    return table
 
 
 @dataclass(frozen=True)

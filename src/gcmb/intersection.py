@@ -91,11 +91,6 @@ def _augmenting_path(
 
     # arcs: outside y -> inside x  when I - x + y independent in m2
     #       inside x -> outside y  when I - x + y independent in m1
-    into_inside: dict[int, list[int]] = {x: [] for x in graph.inside}
-    for x in graph.inside:
-        for y in graph.repair_second[x]:
-            into_inside[x].append(y)
-
     changed = True
     rounds = 0
     limit = m1.n + 2
@@ -108,7 +103,7 @@ def _augmenting_path(
             )
         updates: dict[int, Label] = {}
         for x in graph.inside:
-            for y in into_inside[x]:
+            for y in graph.repair_second[x]:
                 src = label.get(y)
                 if src is None or x in src[2]:
                     continue

@@ -92,7 +92,7 @@ def label_image(m: Matroid, labeling: Labeling) -> LabelImage:
     if labeling.n != m.n:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
     group = labeling.group
-    digits = np.array([group.index_of(g) for g in labeling.labels], dtype=np.intp)[:, None]
+    digits = np.array(labeling.indices, dtype=np.intp)[:, None]
     _, labels = _label_sums(group.invariant_factors, m.n, _guarded_bases(m), digits)
     multiplicity = {group.element_at(v): c for v, c in Counter(labels[:, 0].tolist()).items()}
     return LabelImage(frozenset(multiplicity), multiplicity)
@@ -193,7 +193,7 @@ def _closeness_witness(
     if weights is not None and len(weights) != m.n:
         raise UsageError(f"need {m.n} weights, got {len(weights)}")
     group = labeling.group
-    digits = np.array([group.index_of(g) for g in labeling.labels], dtype=np.intp)[:, None]
+    digits = np.array(labeling.indices, dtype=np.intp)[:, None]
     bases = _guarded_bases(m)
     incidence, labels = _label_sums(group.invariant_factors, m.n, bases, digits)
     labels = labels[:, 0]
@@ -248,7 +248,7 @@ def reduce_witness(w: Witness) -> Witness:
     minor = delete(inner, [inner_positions[e] for e in outside])
     final_map = tuple(inner.parent_map[e] for e in minor.parent_map)
     positions = {orig: i for i, orig in enumerate(final_map)}
-    new_labels = Labeling(w.labeling.group, tuple(w.labeling.labels[e] for e in final_map))
+    new_labels = Labeling(w.labeling.group, tuple(w.labeling.indices[e] for e in final_map))
     new_weights = (
         tuple(w.weights[e] for e in final_map) if w.weights is not None else None
     )
@@ -282,23 +282,20 @@ def _isolation_pools(m: Matroid) -> tuple[list[BaseSet], list[BaseSet]]:
 def is_block_isolating(m: Matroid, labeling: Labeling) -> Optional[BaseSet]:
     """A block that is the unique base (among all bases) with its label, if any."""
     all_bases, blocks = _isolation_pools(m)
-    counts: dict[GroupElement, int] = {}
-    for b in all_bases:
-        g = labeling.sum_over(b)
-        counts[g] = counts.get(g, 0) + 1
-    for b in blocks:
-        if counts[labeling.sum_over(b)] == 1:
-            return b
-    return None
+    return _isolated_block(labeling, all_bases, blocks)
 
 
 def is_strong_block_isolating(m: Matroid, labeling: Labeling) -> Optional[BaseSet]:
     """A block that is the unique block with its label, if any."""
     _, blocks = _isolation_pools(m)
-    counts: dict[GroupElement, int] = {}
-    for b in blocks:
-        g = labeling.sum_over(b)
-        counts[g] = counts.get(g, 0) + 1
+    return _isolated_block(labeling, blocks, blocks)
+
+
+def _isolated_block(
+    labeling: Labeling, pool: Sequence[BaseSet], blocks: Sequence[BaseSet]
+) -> Optional[BaseSet]:
+    """The first block whose label no other base of `pool` attains."""
+    counts = Counter(labeling.sum_over(b) for b in pool)
     for b in blocks:
         if counts[labeling.sum_over(b)] == 1:
             return b
@@ -346,9 +343,7 @@ def labeling_from_index(group: GroupSpec, n: int, index: int) -> Labeling:
 
 def labeling_to_index(labeling: Labeling) -> int:
     q = labeling.group.order
-    return sum(
-        labeling.group.index_of(g) * q**i for i, g in enumerate(labeling.labels)
-    )
+    return sum(d * q**i for i, d in enumerate(labeling.indices))
 
 
 def _element_digits(order: int, n: int, start: int, offsets: np.ndarray) -> np.ndarray:
@@ -698,10 +693,7 @@ def check_schrijver_seymour(m: Matroid, labeling: Labeling) -> ImageBoundReport:
     if len(group.invariant_factors) == 1 and n >= 2 and all(
         n % d for d in range(2, int(n**0.5) + 1)
     ):
-        per_element = sum(
-            m.rank([e for e, g in enumerate(labeling.labels) if g == value])
-            for value in group.elements()
-        )
+        per_element = sum(m.rank(fiber) for fiber in labeling.fibers)
         prime_bound = min(n, per_element - r + 1)
         prime_holds = img.size >= prime_bound
         if prime_holds != holds:

@@ -466,10 +466,6 @@ def dual(m: Matroid) -> Matroid:
     return DualMatroid(m)
 
 
-def enumerate_bases(m: Matroid) -> list[BaseSet]:
-    return m.bases()
-
-
 # -- exchange machinery ------------------------------------------------------
 
 
@@ -594,13 +590,6 @@ def find_exchange(
             raise InternalError("exchange bookkeeping mismatch")
         return a2, tuple(b2)
     return None
-
-
-def exchange_surplus(m: Matroid, a1: Iterable[int], b1: Iterable[int]) -> int:
-    """|A1| + |B1| - r(A1 u B1): the guaranteed exchange size."""
-    a1_set = frozenset(a1)
-    b1_set = frozenset(b1)
-    return len(a1_set) + len(b1_set) - m.rank(a1_set | b1_set)
 
 
 @dataclass(frozen=True)

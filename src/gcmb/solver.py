@@ -10,7 +10,9 @@ is exact exactly when the group's closeness guarantees apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .errors import ParseError, UsageError
@@ -28,35 +30,42 @@ class CertificationError(UsageError):
 
 @dataclass(frozen=True)
 class Labeling:
-    """A map from ground-set elements to group elements."""
+    """A map from ground-set elements to group elements, stored as the
+    elements' canonical indices."""
 
     group: GroupSpec
-    labels: tuple[GroupElement, ...]
+    indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for g in self.labels:
-            if g.spec != self.group:
-                raise UsageError(f"label {g} does not belong to {self.group}")
+        for i in self.indices:
+            if not 0 <= i < self.group.order:
+                raise UsageError(f"element index {i} out of range for {self.group}")
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.indices)
+
+    @cached_property
+    def labels(self) -> tuple[GroupElement, ...]:
+        elements = self.group.elements()
+        return tuple(elements[i] for i in self.indices)
+
+    @cached_property
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """E(g): ground elements carrying each label, in index order, one
+        tuple per group element in canonical order."""
+        out: list[list[int]] = [[] for _ in range(self.group.order)]
+        for e, i in enumerate(self.indices):
+            out[i].append(e)
+        return tuple(map(tuple, out))
 
     @classmethod
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "Labeling":
-        return cls(group, tuple(group.element_at(i) for i in indices))
+        return cls(group, tuple(indices))
 
     @classmethod
     def constant(cls, group: GroupSpec, n: int, value: Optional[GroupElement] = None) -> "Labeling":
-        g = value if value is not None else group.identity()
-        return cls(group, (g,) * n)
-
-    def fibers(self) -> dict[GroupElement, tuple[int, ...]]:
-        """E(g): ground elements carrying each label, in index order."""
-        out: dict[GroupElement, list[int]] = {g: [] for g in self.group.elements()}
-        for e, g in enumerate(self.labels):
-            out[g].append(e)
-        return {g: tuple(v) for g, v in out.items()}
+        return cls(group, (0 if value is None else group.index_of(value),) * n)
 
     def sum_over(self, subset: Iterable[int]) -> GroupElement:
         total = self.group.identity()
@@ -65,7 +74,8 @@ class Labeling:
         return total
 
     def translate(self, shift: GroupElement) -> "Labeling":
-        return Labeling(self.group, tuple(g + shift for g in self.labels))
+        moved = [self.group.index_of(g + shift) for g in self.group.elements()]
+        return Labeling(self.group, tuple(moved[i] for i in self.indices))
 
 
 @dataclass(frozen=True)
@@ -85,14 +95,6 @@ class Signature:
     def total(self) -> int:
         return sum(self.counts)
 
-    def count_of(self, g: GroupElement) -> int:
-        return self.counts[self.group.index_of(g)]
-
-    def as_dict(self) -> dict[GroupElement, int]:
-        return {
-            g: c for g, c in zip(self.group.elements(), self.counts) if c
-        }
-
     def label(self) -> GroupElement:
         """Sum over group elements of count-fold copies: the label every base
         with this signature attains."""
@@ -107,23 +109,40 @@ class Signature:
 def signature_of(labeling: Labeling, base: Iterable[int]) -> Signature:
     counts = [0] * labeling.group.order
     for e in base:
-        counts[labeling.group.index_of(labeling.labels[e])] += 1
+        counts[labeling.indices[e]] += 1
     return Signature(labeling.group, tuple(counts))
 
 
 def _compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All tuples with given total and per-coordinate bounds, ascending lex order."""
-    if not bounds:
-        if total == 0:
-            yield ()
+    """All tuples with given total and per-coordinate bounds, ascending lex order.
+
+    Each tuple is the lexicographic successor of the one before: the rightmost
+    coordinate that can take one unit from the coordinates after it grows by
+    one, and those coordinates are refilled with the least tuple for their sum.
+    """
+    n = len(bounds)
+    room = list(accumulate(reversed(bounds), initial=0))[::-1]  # room[i] = sum(bounds[i:])
+    if not 0 <= total <= room[0]:
         return
-    head_max = min(bounds[0], total)
-    rest = bounds[1:]
-    for head in range(0, head_max + 1):
-        if total - head > sum(rest):
-            continue
-        for tail in _compositions(total - head, rest):
-            yield (head,) + tail
+    counts = [0] * n
+
+    def refill(first: int, left: int) -> None:
+        for j in range(first, n):
+            counts[j] = max(0, left - room[j + 1])
+            left -= counts[j]
+
+    refill(0, total)
+    while True:
+        yield tuple(counts)
+        tail = 0
+        for i in reversed(range(n)):
+            if tail and counts[i] < bounds[i]:
+                break
+            tail += counts[i]
+        else:
+            return
+        counts[i] += 1
+        refill(i + 1, tail - 1)
 
 
 def enumerate_signatures(
@@ -183,16 +202,13 @@ def base_with_signature(
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
     if sig.group != labeling.group:
         raise UsageError("signature and labeling use different groups")
-    fibers = labeling.fibers()
-    elements = labeling.group.elements()
     r = m.full_rank
     if sig.total != r:
         return None
     keep_classes: list[tuple[int, ...]] = []
     keep_caps: list[int] = []
     removed: list[int] = []
-    for g, count in zip(elements, sig.counts):
-        fiber = fibers[g]
+    for fiber, count in zip(labeling.fibers, sig.counts):
         if count > len(fiber):
             return None
         if count == 0:
@@ -231,6 +247,53 @@ def find_optimum_base(m: Matroid, weights: Sequence[Weight]) -> BaseSet:
     return tuple(sorted(chosen))
 
 
+def _check_instance(m: Matroid, labeling: Labeling, target: GroupElement) -> None:
+    if target.spec != labeling.group:
+        raise UsageError("target element does not belong to the labeling's group")
+    if labeling.n != m.n:
+        raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
+
+
+def _search(
+    m: Matroid,
+    labeling: Labeling,
+    target: GroupElement,
+    weights: Optional[Sequence[Weight]],
+    candidates: Iterable[Signature],
+    certified: bool,
+    counter: Literal["signatures", "candidates"],
+    calls_before: int,
+) -> SolveResult:
+    """One intersection per candidate signature with the target label.
+
+    Feasibility keeps the first hit, optimization the first strict minimum.
+    `counter` names the stats field that counts walked candidates, and
+    oracle calls are counted from `calls_before`.
+    """
+    m.full_rank  # part of every solve's oracle calls, also when nothing is intersected
+    walked = tried = 0
+    best: Optional[tuple[BaseSet, Optional[Weight]]] = None
+    for sig in candidates:
+        walked += 1
+        if sig.label() != target:
+            continue
+        tried += 1
+        found = base_with_signature(m, labeling, sig, weights)
+        if found is None:
+            continue
+        if weights is None:
+            best = found
+            break
+        if best is None or found[1] < best[1]:
+            best = found
+    stats = SolveStats(
+        intersections=tried, oracle_calls=m.oracle_calls - calls_before, **{counter: walked}
+    )
+    if best is None:
+        return SolveResult("infeasible", None, None, certified, target, stats)
+    return SolveResult("feasible", best[0], best[1], certified, target, stats)
+
+
 def solve_enum(
     m: Matroid,
     labeling: Labeling,
@@ -238,34 +301,11 @@ def solve_enum(
     weights: Optional[Sequence[Weight]] = None,
 ) -> SolveResult:
     """Exact solve by enumerating every signature with the target label."""
-    if target.spec != labeling.group:
-        raise UsageError("target element does not belong to the labeling's group")
-    if labeling.n != m.n:
-        raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
-    stats = SolveStats()
+    _check_instance(m, labeling, target)
     calls_before = m.oracle_calls
-    fibers = labeling.fibers()
-    caps = [len(fibers[g]) for g in labeling.group.elements()]
-    r = m.full_rank
-    best: Optional[tuple[BaseSet, Optional[Weight]]] = None
-    for counts in _compositions(r, caps):
-        stats.signatures += 1
-        sig = Signature(labeling.group, counts)
-        if sig.label() != target:
-            continue
-        stats.intersections += 1
-        found = base_with_signature(m, labeling, sig, weights)
-        if found is None:
-            continue
-        if weights is None:
-            stats.oracle_calls = m.oracle_calls - calls_before
-            return SolveResult("feasible", found[0], None, True, target, stats)
-        if best is None or found[1] < best[1]:
-            best = found
-    stats.oracle_calls = m.oracle_calls - calls_before
-    if best is None:
-        return SolveResult("infeasible", None, None, True, target, stats)
-    return SolveResult("feasible", best[0], best[1], True, target, stats)
+    caps = [len(fiber) for fiber in labeling.fibers]
+    signatures = enumerate_signatures(labeling.group, m.full_rank, caps)
+    return _search(m, labeling, target, weights, signatures, True, "signatures", calls_before)
 
 
 def proximity_certified(
@@ -315,10 +355,7 @@ def solve_proximity(
     """
     if k < 0:
         raise UsageError(f"move bound k must be nonnegative, got {k}")
-    if target.spec != labeling.group:
-        raise UsageError("target element does not belong to the labeling's group")
-    if labeling.n != m.n:
-        raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
+    _check_instance(m, labeling, target)
     group = labeling.group
     certified, reason = proximity_certified(group, k, weights is not None)
     if mode == "certified_only" and not certified:
@@ -326,44 +363,29 @@ def solve_proximity(
             f"proximity answers are not certified here: {reason}; "
             f"pass heuristic mode to run anyway"
         )
-    stats = SolveStats()
     calls_before = m.oracle_calls
     start = find_optimum_base(m, weights if weights is not None else [0] * m.n)
-    base_sig = signature_of(labeling, start).counts
-    fibers = labeling.fibers()
-    caps = [len(fibers[g]) for g in group.elements()]
-    order = group.order
-    r = m.full_rank
-    best: Optional[tuple[BaseSet, Optional[Weight]]] = None
+    moves = _balanced_moves(labeling, signature_of(labeling, start).counts, k)
+    return _search(m, labeling, target, weights, moves, certified, "candidates", calls_before)
 
+
+def _balanced_moves(
+    labeling: Labeling, base_sig: tuple[int, ...], k: int
+) -> Iterator[Signature]:
+    """The signatures base_sig + plus - minus with |plus| = |minus| <= k, within
+    the fiber sizes, with plus and minus on disjoint group elements; by move
+    size, then lexicographic (plus, minus)."""
+    group = labeling.group
+    order = group.order
+    caps = [len(fiber) for fiber in labeling.fibers]
     for move in range(0, k + 1):
         plus_bounds = [min(move, caps[i] - base_sig[i]) for i in range(order)]
         minus_bounds = [min(move, base_sig[i]) for i in range(order)]
         for plus in _compositions(move, plus_bounds):
             masked = [0 if plus[i] else minus_bounds[i] for i in range(order)]
             for minus in _compositions(move, masked):
-                stats.candidates += 1
-                counts = tuple(
-                    base_sig[i] + plus[i] - minus[i] for i in range(order)
-                )
-                sig = Signature(group, counts)
-                if sig.label() != target:
-                    continue
-                stats.intersections += 1
-                found = base_with_signature(m, labeling, sig, weights)
-                if found is None:
-                    continue
-                if weights is None:
-                    stats.oracle_calls = m.oracle_calls - calls_before
-                    return SolveResult(
-                        "feasible", found[0], None, certified, target, stats
-                    )
-                if best is None or found[1] < best[1]:
-                    best = found
-    stats.oracle_calls = m.oracle_calls - calls_before
-    if best is None:
-        return SolveResult("infeasible", None, None, certified, target, stats)
-    return SolveResult("feasible", best[0], best[1], certified, target, stats)
+                counts = tuple(base_sig[i] + plus[i] - minus[i] for i in range(order))
+                yield Signature(group, counts)
 
 
 # -- labeling and weight files ----------------------------------------------
@@ -387,14 +409,14 @@ def _indexed_lines(text: str) -> Iterator[tuple[int, int, str]]:
 def parse_labeling(text: str, group: GroupSpec, n: int) -> Labeling:
     """Parse labeling lines `<element-index> <group-element>`; every element
     0..n-1 must be labeled exactly once."""
-    seen: dict[int, GroupElement] = {}
+    seen: dict[int, int] = {}
     for lineno, index, value in _indexed_lines(text):
         if not 0 <= index < n:
             raise ParseError(f"element index {index} outside 0..{n - 1}", lineno)
         if index in seen:
             raise ParseError(f"element {index} labeled twice", lineno)
         try:
-            seen[index] = group.parse_element(value)
+            seen[index] = group.index_of(group.parse_element(value))
         except UsageError as exc:
             raise ParseError(str(exc), lineno) from None
     missing = [e for e in range(n) if e not in seen]

@@ -7,14 +7,23 @@ the package computes faster; none of them is shipped in `gcmb`.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from gcmb.errors import CapacityError, InternalError, UsageError
 from gcmb.groups import GroupElement
 from gcmb.intersection import Weight
 from gcmb.lab import Witness
 from gcmb.matroids import BaseSet, Matroid
-from gcmb.solver import Labeling
+from gcmb.solver import (
+    Labeling,
+    Signature,
+    SolveResult,
+    SolveStats,
+    base_with_signature,
+    find_optimum_base,
+    proximity_certified,
+    signature_of,
+)
 
 # -- matroids -----------------------------------------------------------------
 
@@ -61,6 +70,13 @@ def verify_axioms(m: Matroid, check_loopless: bool = True) -> None:
                     )
 
 
+def exchange_surplus(m: Matroid, a1: Iterable[int], b1: Iterable[int]) -> int:
+    """|A1| + |B1| - r(A1 u B1): the guaranteed exchange size."""
+    a1_set = frozenset(a1)
+    b1_set = frozenset(b1)
+    return len(a1_set) + len(b1_set) - m.rank(a1_set | b1_set)
+
+
 # -- intersection --------------------------------------------------------------
 
 
@@ -95,6 +111,101 @@ def min_max_cardinality_bound(m1: Matroid, m2: Matroid) -> int:
             if best is None or value < best:
                 best = value
     return best if best is not None else 0
+
+
+# -- solvers --------------------------------------------------------------------
+
+
+def compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All tuples with given total and per-coordinate bounds, ascending lex
+    order, by recursion on the first coordinate."""
+    if not bounds:
+        if total == 0:
+            yield ()
+        return
+    rest = bounds[1:]
+    for head in range(0, min(bounds[0], total) + 1):
+        if total - head > sum(rest):
+            continue
+        for tail in compositions(total - head, rest):
+            yield (head,) + tail
+
+
+def solve_enum_reference(
+    m: Matroid,
+    labeling: Labeling,
+    target: GroupElement,
+    weights: Optional[Sequence[Weight]] = None,
+) -> SolveResult:
+    """`solve_enum` as its own loop over every signature of the fiber caps."""
+    stats = SolveStats()
+    calls_before = m.oracle_calls
+    caps = [len(fiber) for fiber in labeling.fibers]
+    r = m.full_rank
+    best = None
+    for counts in compositions(r, caps):
+        stats.signatures += 1
+        sig = Signature(labeling.group, counts)
+        if sig.label() != target:
+            continue
+        stats.intersections += 1
+        found = base_with_signature(m, labeling, sig, weights)
+        if found is None:
+            continue
+        if weights is None:
+            stats.oracle_calls = m.oracle_calls - calls_before
+            return SolveResult("feasible", found[0], None, True, target, stats)
+        if best is None or found[1] < best[1]:
+            best = found
+    stats.oracle_calls = m.oracle_calls - calls_before
+    if best is None:
+        return SolveResult("infeasible", None, None, True, target, stats)
+    return SolveResult("feasible", best[0], best[1], True, target, stats)
+
+
+def solve_proximity_reference(
+    m: Matroid,
+    labeling: Labeling,
+    target: GroupElement,
+    k: int,
+    weights: Optional[Sequence[Weight]] = None,
+) -> SolveResult:
+    """Heuristic-mode `solve_proximity` as its own loop over the balanced
+    moves around a greedy base's signature."""
+    group = labeling.group
+    certified, _ = proximity_certified(group, k, weights is not None)
+    stats = SolveStats()
+    calls_before = m.oracle_calls
+    start = find_optimum_base(m, weights if weights is not None else [0] * m.n)
+    base_sig = signature_of(labeling, start).counts
+    caps = [len(fiber) for fiber in labeling.fibers]
+    order = group.order
+    m.full_rank  # counted in oracle calls, also when no intersection runs
+    best = None
+    for move in range(0, k + 1):
+        plus_bounds = [min(move, caps[i] - base_sig[i]) for i in range(order)]
+        minus_bounds = [min(move, base_sig[i]) for i in range(order)]
+        for plus in compositions(move, plus_bounds):
+            masked = [0 if plus[i] else minus_bounds[i] for i in range(order)]
+            for minus in compositions(move, masked):
+                stats.candidates += 1
+                counts = tuple(base_sig[i] + plus[i] - minus[i] for i in range(order))
+                sig = Signature(group, counts)
+                if sig.label() != target:
+                    continue
+                stats.intersections += 1
+                found = base_with_signature(m, labeling, sig, weights)
+                if found is None:
+                    continue
+                if weights is None:
+                    stats.oracle_calls = m.oracle_calls - calls_before
+                    return SolveResult("feasible", found[0], None, certified, target, stats)
+                if best is None or found[1] < best[1]:
+                    best = found
+    stats.oracle_calls = m.oracle_calls - calls_before
+    if best is None:
+        return SolveResult("infeasible", None, None, certified, target, stats)
+    return SolveResult("feasible", best[0], best[1], certified, target, stats)
 
 
 # -- closeness -------------------------------------------------------------------

@@ -37,12 +37,11 @@ from gcmb.matroids import (
     delete,
     find_exchange,
     is_strongly_base_orderable,
-    exchange_surplus,
     make_uniform,
 )
 from gcmb.solver import Labeling, solve_enum, solve_proximity
 
-from oracles import verify_witness
+from oracles import exchange_surplus, verify_witness
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)

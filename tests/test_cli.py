@@ -116,6 +116,30 @@ class TestSolve:
         assert code == 0 and "status=feasible" in out
 
 
+    @pytest.mark.parametrize(
+        "mode, counts",
+        [
+            ((), "certified=yes signatures=20 candidates=0 intersections=1 oracle-calls=12"),
+            (
+                ("--mode", "proximity", "--heuristic"),
+                "certified=no signatures=0 candidates=1 intersections=1 oracle-calls=18",
+            ),
+        ],
+        ids=["enum", "proximity"],
+    )
+    def test_group_of_order_1000(self, capsys, tmp_path, mode, counts):
+        # One fiber cap per group element: the signature walk must not
+        # recurse per element.  The counts are those of the same solve over Z900.
+        labels = tmp_path / "l.txt"
+        labels.write_text("".join(f"{e} {e + 1}\n" for e in range(6)))
+        code, out, err = run(
+            capsys, "solve", "--builtin", "k4", "--group", "Z1000", "--labels", str(labels),
+            "--target", "6", *mode,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == f"status=feasible base=0,1,2 label=6 weight=- {counts}"
+
+
 class TestVerify:
     def test_tight4_witness_at_k2(self, capsys):
         code, out, _ = run(capsys, "verify", "--builtin", "tight4", "--k", "2")
@@ -334,6 +358,25 @@ class TestBases:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "bases", "--matroid", "/nonexistent", "--group", "Z2")
         assert code == 1
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_in_one_process_repeat_the_first(capsys):
+    argvs = [
+        ["solve", "--builtin", "tight4", "--target", "0", "--mode", "proximity", "--k", "1",
+         "--heuristic"],
+        ["solve", "--builtin", "tight4", "--target", "0", "--mode", "proximity", "--k", "1"],
+        ["--seed", "2", "verify", "--builtin", "tight4", "--k", "2"],
+        ["scan", "--builtin", "tight3", "--group", "Z3", "--range", "0..81"],
+        ["check-ss", "--builtin", "k4", "--random", "2"],
+    ]
+    first = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [2, 1, 2, 2, 0]
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in argvs] == first
 
 
 def test_readme_commands_parse(capsys):

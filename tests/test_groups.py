@@ -118,13 +118,6 @@ class TestArithmetic:
                 assert spec.index_of(g) == i
                 assert spec.element_at(i) == g
 
-    def test_add_table_matches_elementwise(self):
-        table = Z2xZ4.add_table()
-        elems = Z2xZ4.elements()
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                assert table[i, j] == Z2xZ4.index_of(a + b)
-
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), spec=spec_strategy())

@@ -150,7 +150,7 @@ class TestReduceWitness:
         # add two coloops present in every base
         padded_bases = [b + (6, 7) for b in matroid.bases()]
         padded = make_explicit(8, padded_bases)
-        padded_lab = Labeling(Z4, lab.labels + (Z4.identity(), Z4.identity()))
+        padded_lab = Labeling(Z4, lab.indices + (0, 0))
         witness = check_k_close(padded, padded_lab, 2)
         assert witness is not None
         assert set(witness.base_a) & set(witness.base_b) == {6, 7}
