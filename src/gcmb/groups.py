@@ -8,6 +8,7 @@ are residue vectors added componentwise.  Specs parsed from strings such as
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,9 +21,19 @@ _SPEC_TOKEN = re.compile(r"^[zZ](\d+)$")
 #: Hard cap for exhaustive searches over sequences of group elements.
 DAVENPORT_BRUTE_MAX_ORDER = 16
 
-#: Largest group order for tables indexed by group value: the per-value base
-#: counts of the isolation scan in `lab`.
+#: Largest group order gcmb builds.  Isolation scans count bases per group
+#: value and solves walk |G|-long signatures, so both grow with |G|; groups
+#: past the limit are refused when they are built, before any factoring.
 GROUP_TABLE_LIMIT = 4096
+
+
+def _check_order(factors: Sequence[int]) -> None:
+    order = math.prod(factors)
+    if order > GROUP_TABLE_LIMIT:
+        raise CapacityError(
+            f"group order {order} exceeds the limit |G| <= {GROUP_TABLE_LIMIT} "
+            f"(GROUP_TABLE_LIMIT)"
+        )
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -46,10 +57,12 @@ def _invariant_factors(factors: Sequence[int]) -> tuple[int, ...]:
     that each invariant factor divides the next (fundamental theorem of
     finite abelian groups).
     """
-    by_prime: dict[int, list[int]] = {}
     for m in factors:
         if m < 2:
             raise UsageError(f"cyclic factor must be >= 2, got {m}")
+    _check_order(factors)
+    by_prime: dict[int, list[int]] = {}
+    for m in factors:
         for p, e in _factorize(m).items():
             by_prime.setdefault(p, []).append(p**e)
     if not by_prime:
@@ -83,6 +96,7 @@ class GroupSpec:
                     f"invariant factors must form a divisibility chain, got "
                     f"{self.invariant_factors}"
                 )
+        _check_order(self.invariant_factors)
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":

@@ -77,69 +77,37 @@ def _augmenting_path(
     graph = build_exchange_graph(m1, m2, current)
     if not graph.sources or not graph.sinks:
         return None
-    sink_set = set(graph.sinks)
+    # (u, v, cost of v): y -> x when I - x + y is independent in m2, then
+    # x -> y when it is independent in m1.
+    arcs = [(y, x, -weights[x]) for x in graph.inside for y in graph.repair_second[x]]
+    arcs += [(x, y, weights[y]) for x in graph.inside for y in graph.repair_first[x]]
 
-    # label[v]: best (cost, arcs, path) of a walk from some source to v where
-    # arriving at an outside element v means the first-matroid conditions up
-    # to v hold.  Relax alternately over inside/outside until stable.
-    Label = tuple  # (cost, arc count, path tuple)
-    label: dict[int, Label] = {}
-    for y in graph.sources:
-        candidate = (weights[y], 0, (y,))
-        if y not in label or candidate < label[y]:
-            label[y] = candidate
-
-    # arcs: outside y -> inside x  when I - x + y independent in m2
-    #       inside x -> outside y  when I - x + y independent in m1
+    # label[v]: least (cost, arc count, path) of a simple path from a source
+    # to v.  I is extreme, so the graph has no negative cycle (Frank 1981):
+    # the least label of every node is a simple path whose prefixes are least
+    # too, and as the order is total any relaxation order ends at the same
+    # labels.
+    label = {y: (weights[y], 0, (y,)) for y in graph.sources}
     changed = True
-    rounds = 0
-    limit = m1.n + 2
+    sweeps = 0
     while changed:
         changed = False
-        rounds += 1
-        if rounds > limit:
+        sweeps += 1
+        if sweeps > m1.n + 2:
             raise InternalError(
                 "augmenting-path relaxation failed to converge (negative cycle?)"
             )
-        updates: dict[int, Label] = {}
-        for x in graph.inside:
-            for y in graph.repair_second[x]:
-                src = label.get(y)
-                if src is None or x in src[2]:
-                    continue
-                cand = (src[0] - weights[x], src[1] + 1, src[2] + (x,))
-                best = updates.get(x, label.get(x))
-                if best is None or cand < best:
-                    updates[x] = cand
-        for x, cand in updates.items():
-            if label.get(x) is None or cand < label[x]:
-                label[x] = cand
-                changed = True
-        updates = {}
-        for x in graph.inside:
-            src = label.get(x)
-            if src is None:
+        for u, v, cost in arcs:
+            src = label.get(u)
+            if src is None or v in src[2]:
                 continue
-            for y in graph.repair_first[x]:
-                if y in src[2]:
-                    continue
-                cand = (src[0] + weights[y], src[1] + 1, src[2] + (y,))
-                best = updates.get(y, label.get(y))
-                if best is None or cand < best:
-                    updates[y] = cand
-        for y, cand in updates.items():
-            if label.get(y) is None or cand < label[y]:
-                label[y] = cand
+            cand = (src[0] + cost, src[1] + 1, src[2] + (v,))
+            best = label.get(v)
+            if best is None or cand < best:
+                label[v] = cand
                 changed = True
-
-    best_path: Optional[Label] = None
-    for y in graph.sinks:
-        lab = label.get(y)
-        if lab is not None and (best_path is None or lab < best_path):
-            best_path = lab
-    if best_path is None:
-        return None
-    return best_path[2]
+    ends = [label[y] for y in graph.sinks if y in label]
+    return min(ends)[2] if ends else None
 
 
 def max_common_independent(m1: Matroid, m2: Matroid) -> BaseSet:

@@ -13,8 +13,8 @@ is zero (the representatives used by the translation reduction).
 
 Indices are exact at any size, also where q^n passes 2^63: the scan kernel
 takes each chunk's start as a Python int and only in-chunk offsets as int64.
-Scans refuse groups of order above groups.GROUP_TABLE_LIMIT with a
-CapacityError, since the kernel counts bases per group value.
+The kernel counts bases per group value; groups.GROUP_TABLE_LIMIT bounds
+the order of every group, so the counts stay small.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import CapacityError, InternalError, ParseError, UsageError
 from .groups import (
-    GROUP_TABLE_LIMIT,
     GroupElement,
     GroupSpec,
     Subgroup,
@@ -54,6 +53,7 @@ from .solver import Labeling
 LAB_ENUM_LIMIT = 10**6
 SCAN_RANGE_LIMIT = 1 << 26
 _COUNT_CELLS = 1 << 16  # cells per slice: scan bincount keys, closeness base pairs
+_SCAN_CHUNK = 1 << 15  # labelings per scan kernel call
 
 
 def _guarded_bases(m: Matroid) -> list[BaseSet]:
@@ -437,7 +437,6 @@ def isolation_scan(
     index_range: Optional[tuple[int, int]] = None,
     jobs: int = 1,
     seed: int = 0,
-    chunk: int = 1 << 15,
 ) -> ScanReport:
     """Exhaustively test labelings of block matroids for isolation.
 
@@ -453,11 +452,6 @@ def isolation_scan(
     if reduction not in ("none", "translation"):
         raise UsageError(f"unknown reduction {reduction!r}")
     order = group.order
-    if order > GROUP_TABLE_LIMIT:
-        raise CapacityError(
-            f"scans count bases per group value and are capped at "
-            f"|G| <= {GROUP_TABLE_LIMIT}; {group} has order {order}"
-        )
     factors = group.invariant_factors
     step = order if reduction == "translation" else 1
     workers = max(1, min(jobs, os.cpu_count() or 1))
@@ -490,7 +484,7 @@ def isolation_scan(
         width = max(step, -(-span // (parts * step)) * step)
         edges = [start, *range(lo + width, stop, width), stop]
         for a, b in zip(edges, edges[1:]):
-            tasks.append((matroid_id, factors, m.n, bases, len(blocks), a, b, step, chunk))
+            tasks.append((matroid_id, factors, m.n, bases, len(blocks), a, b, step, _SCAN_CHUNK))
 
     workers = min(workers, len(tasks))
     if workers > 1:

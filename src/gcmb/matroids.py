@@ -327,8 +327,9 @@ class ExplicitMatroid(Matroid):
 
 
 class PartitionMatroid(Matroid):
-    """Per-class cardinality caps.  Zero caps are allowed (the solver's
-    signature reduction needs them), so this family may carry loops."""
+    """Per-class cardinality caps.  Zero caps are allowed, making every
+    member of that class a loop; the solvers delete count-zero fibers before
+    they build a partition matroid, so only direct callers pass them."""
 
     kind = "partition"
 
@@ -370,7 +371,7 @@ class PartitionMatroid(Matroid):
         return {y: full.get(y) for y in outside}
 
 
-# -- minors and duality ------------------------------------------------------
+# -- minors ------------------------------------------------------------------
 
 
 class DeleteMatroid(Matroid):
@@ -421,19 +422,6 @@ class ContractMatroid(Matroid):
         return self.parent.is_independent(mapped | self.contracted)
 
 
-class DualMatroid(Matroid):
-    kind = "dual"
-
-    def __init__(self, parent: Matroid):
-        super().__init__(parent.n)
-        self.parent = parent
-
-    def _indep(self, subset: frozenset[int]) -> bool:
-        # X independent in the dual iff E \ X still spans the parent.
-        rest = [e for e in range(self.n) if e not in subset]
-        return self.parent.rank(rest) == self.parent.full_rank
-
-
 def make_uniform(n: int, r: int) -> UniformMatroid:
     return UniformMatroid(n, r)
 
@@ -460,10 +448,6 @@ def delete(m: Matroid, removed: Iterable[int]) -> Matroid:
 
 def contract(m: Matroid, contracted: Iterable[int]) -> Matroid:
     return ContractMatroid(m, contracted)
-
-
-def dual(m: Matroid) -> Matroid:
-    return DualMatroid(m)
 
 
 # -- exchange machinery ------------------------------------------------------

@@ -11,7 +11,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from gcmb.errors import CapacityError, InternalError, UsageError
 from gcmb.groups import GroupElement
-from gcmb.intersection import Weight
+from gcmb.intersection import Weight, build_exchange_graph
 from gcmb.lab import Witness
 from gcmb.matroids import BaseSet, Matroid
 from gcmb.solver import (
@@ -70,6 +70,25 @@ def verify_axioms(m: Matroid, check_loopless: bool = True) -> None:
                     )
 
 
+class DualMatroid(Matroid):
+    """The dual matroid: X is independent iff E \\ X still spans the parent,
+    one parent rank per oracle call."""
+
+    kind = "dual"
+
+    def __init__(self, parent: Matroid):
+        super().__init__(parent.n)
+        self.parent = parent
+
+    def _indep(self, subset: frozenset[int]) -> bool:
+        rest = [e for e in range(self.n) if e not in subset]
+        return self.parent.rank(rest) == self.parent.full_rank
+
+
+def dual(m: Matroid) -> Matroid:
+    return DualMatroid(m)
+
+
 def exchange_surplus(m: Matroid, a1: Iterable[int], b1: Iterable[int]) -> int:
     """|A1| + |B1| - r(A1 u B1): the guaranteed exchange size."""
     a1_set = frozenset(a1)
@@ -111,6 +130,91 @@ def min_max_cardinality_bound(m1: Matroid, m2: Matroid) -> int:
             if best is None or value < best:
                 best = value
     return best if best is not None else 0
+
+
+def augmenting_path_two_phase(
+    m1: Matroid,
+    m2: Matroid,
+    current: frozenset[int],
+    weights: Sequence[Weight],
+) -> Optional[tuple[int, ...]]:
+    """The cheapest augmenting path by a two-phase relaxation: each round
+    relaxes every second-matroid arc, then every first-matroid arc, and each
+    half-round collects its updates before applying them.
+    `intersection._augmenting_path` must return the same path.
+
+    Path nodes alternate outside/inside elements starting and ending outside:
+    y0 x1 y1 ... xm ym, where y0 is addable in the first matroid, ym in the
+    second, each (xi, yi) is a first-matroid repair and each (y(i-1), xi) a
+    second-matroid repair.  The symmetric difference with I is the augmented
+    common independent set.
+    """
+    graph = build_exchange_graph(m1, m2, current)
+    if not graph.sources or not graph.sinks:
+        return None
+    sink_set = set(graph.sinks)
+
+    # label[v]: best (cost, arcs, path) of a walk from some source to v where
+    # arriving at an outside element v means the first-matroid conditions up
+    # to v hold.  Relax alternately over inside/outside until stable.
+    Label = tuple  # (cost, arc count, path tuple)
+    label: dict[int, Label] = {}
+    for y in graph.sources:
+        candidate = (weights[y], 0, (y,))
+        if y not in label or candidate < label[y]:
+            label[y] = candidate
+
+    # arcs: outside y -> inside x  when I - x + y independent in m2
+    #       inside x -> outside y  when I - x + y independent in m1
+    changed = True
+    rounds = 0
+    limit = m1.n + 2
+    while changed:
+        changed = False
+        rounds += 1
+        if rounds > limit:
+            raise InternalError(
+                "augmenting-path relaxation failed to converge (negative cycle?)"
+            )
+        updates: dict[int, Label] = {}
+        for x in graph.inside:
+            for y in graph.repair_second[x]:
+                src = label.get(y)
+                if src is None or x in src[2]:
+                    continue
+                cand = (src[0] - weights[x], src[1] + 1, src[2] + (x,))
+                best = updates.get(x, label.get(x))
+                if best is None or cand < best:
+                    updates[x] = cand
+        for x, cand in updates.items():
+            if label.get(x) is None or cand < label[x]:
+                label[x] = cand
+                changed = True
+        updates = {}
+        for x in graph.inside:
+            src = label.get(x)
+            if src is None:
+                continue
+            for y in graph.repair_first[x]:
+                if y in src[2]:
+                    continue
+                cand = (src[0] + weights[y], src[1] + 1, src[2] + (y,))
+                best = updates.get(y, label.get(y))
+                if best is None or cand < best:
+                    updates[y] = cand
+        for y, cand in updates.items():
+            if label.get(y) is None or cand < label[y]:
+                label[y] = cand
+                changed = True
+
+    best_path: Optional[Label] = None
+    for y in graph.sinks:
+        lab = label.get(y)
+        if lab is not None and (best_path is None or lab < best_path):
+            best_path = lab
+    if best_path is None:
+        return None
+    return best_path[2]
 
 
 # -- solvers --------------------------------------------------------------------

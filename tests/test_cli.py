@@ -1,5 +1,6 @@
 import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,19 @@ class TestSolve:
         )
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == f"status=feasible base=0,1,2 label=6 weight=- {counts}"
+
+    @pytest.mark.parametrize("order", [100003, 10**18 + 3])
+    def test_oversized_group_is_refused_at_once(self, capsys, tmp_path, order):
+        labels = tmp_path / "l.txt"
+        labels.write_text("".join(f"{e} {e + 1}\n" for e in range(6)))
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "solve", "--builtin", "k4", "--group", f"Z{order}", "--labels", str(labels),
+            "--target", "0",
+        )
+        assert time.monotonic() - start < 2
+        assert (code, out) == (1, "")
+        assert err == f"error: group order {order} exceeds the limit |G| <= 4096 (GROUP_TABLE_LIMIT)\n"
 
 
 class TestVerify:

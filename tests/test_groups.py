@@ -69,6 +69,21 @@ class TestParsing:
         with pytest.raises(UsageError):
             GroupSpec((3, 2))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GroupSpec.parse("Z1000000000000000003"),  # refused before factoring
+            lambda: GroupSpec.parse("Z2xZ4096"),
+            lambda: GroupSpec.of(4097),
+            lambda: GroupSpec((2, 4096)),
+        ],
+        ids=["huge-prime", "parse", "of", "constructor"],
+    )
+    def test_order_limit(self, build):
+        with pytest.raises(CapacityError, match=r"exceeds the limit \|G\| <= 4096"):
+            build()
+        assert GroupSpec.parse("Z64xZ64").order == GroupSpec.of(4096).order == 4096
+
     def test_element_serialization(self):
         g = Z2xZ4.element((1, 3))
         assert str(g) == "1,3"

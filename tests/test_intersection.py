@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcmb.errors import UsageError
 from gcmb import intersection
@@ -10,7 +12,8 @@ from gcmb.intersection import max_common_independent, min_weight_common_base
 from gcmb.matroids import make_graphic, make_partition, make_uniform
 
 from conftest import random_small_matroid
-from oracles import assert_extreme, min_max_cardinality_bound
+from oracles import assert_extreme, augmenting_path_two_phase, min_max_cardinality_bound
+from test_circuits import linears, minors, multigraphs, partition_minors
 
 
 def brute_max_common(m1, m2):
@@ -179,3 +182,50 @@ class TestMinWeightBase:
         first = min_weight_common_base(m1, m2, w)
         for _ in range(3):
             assert min_weight_common_base(m1, m2, w) == first
+
+
+@st.composite
+def alternating_chains(draw):
+    """A bipartite path as a graphic matroid of parallel pairs against a
+    partition matroid, elements shuffled.  Position i is in pair (i+1)//2 of
+    the first and class i//2 of the second; the odd positions are cheaper,
+    so the last augmentation swaps them all for the even ones along one path
+    through every element."""
+    k = draw(st.integers(2, 5))
+    at = draw(st.permutations(range(2 * k - 1)))  # the element at each position
+    edges = [None] * len(at)
+    weights = [None] * len(at)
+    for i, e in enumerate(at):
+        pair = (i + 1) // 2
+        edges[e] = (2 * pair, 2 * pair + 1)
+        low, high = (-4, -1) if i % 2 else (0, 4)
+        weights[e] = draw(st.one_of(st.integers(low, high), st.fractions(low, high, max_denominator=3)))
+    classes = [at[2 * j : 2 * j + 2] for j in range(k)]
+    return make_graphic(edges), make_partition(classes, [1] * k), weights
+
+
+@st.composite
+def weighted_pairs(draw):
+    """Graphic, linear and minor matroids against partition minors, either
+    way round, with integer and rational weights."""
+    m1 = draw(st.one_of(multigraphs(), linears(), minors()))
+    m2 = draw(partition_minors(m1.n))
+    if draw(st.booleans()):
+        m1, m2 = m2, m1
+    weight = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=3))
+    return m1, m2, draw(st.lists(weight, min_size=m1.n, max_size=m1.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=st.one_of(weighted_pairs(), alternating_chains()))
+def test_augmenting_path_matches_two_phase_reference(pair):
+    """Grow a common independent set from empty by the package's own
+    augmentations; every step must pick the reference's path, None included."""
+    m1, m2, weights = pair
+    current: frozenset[int] = frozenset()
+    while True:
+        path = intersection._augmenting_path(m1, m2, current, weights)
+        assert path == augmenting_path_two_phase(m1, m2, current, weights)
+        if path is None:
+            break
+        current = intersection._augment(m1, m2, current, path)

@@ -14,7 +14,6 @@ from gcmb.matroids import (
     brualdi_bijection,
     contract,
     delete,
-    dual,
     find_blocks,
     find_exchange,
     is_k_replaceable,
@@ -28,7 +27,7 @@ from gcmb.matroids import (
 )
 
 from conftest import k4_edges, random_small_matroid
-from oracles import exchange_surplus, oracles_equal, verify_axioms
+from oracles import dual, exchange_surplus, oracles_equal, verify_axioms
 
 
 class TestFamilies:

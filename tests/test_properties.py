@@ -15,7 +15,6 @@ from gcmb.lab import (
 )
 from gcmb.matroids import (
     brualdi_bijection,
-    dual,
     make_explicit,
     make_graphic,
     make_uniform,
@@ -27,6 +26,8 @@ from gcmb.solver import (
     solve_enum,
     solve_proximity,
 )
+
+from oracles import dual
 
 GROUPS = [GroupSpec.of(2), GroupSpec.of(3), GroupSpec.of(4), GroupSpec.of(2, 2)]
 

@@ -59,10 +59,8 @@ def test_kernel_matches_per_labeling_predicates(data):
     chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
     # counts go a few labelings, down to one, at a time below the default
     cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
-    with patch.object(lab_mod, "_COUNT_CELLS", cells):
-        report = isolation_scan(
-            [(name, m)], group, predicate, reduction, (start, start + width), chunk=chunk
-        )
+    with patch.object(lab_mod, "_COUNT_CELLS", cells), patch.object(lab_mod, "_SCAN_CHUNK", chunk):
+        report = isolation_scan([(name, m)], group, predicate, reduction, (start, start + width))
     line = report.lines[0]
     checked, first = brute_scan(m, group, predicate, reduction, start, start + width)
     assert (line.checked, line.isolating_index) == (checked, first)
