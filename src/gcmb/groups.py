@@ -113,7 +113,17 @@ class GroupSpec:
             m = _SPEC_TOKEN.match(part.strip())
             if not m:
                 raise UsageError(f"bad group spec token {part!r} in {text!r}")
-            value = int(m.group(1))
+            digits = m.group(1).lstrip("0")
+            if len(digits) > len(str(GROUP_TABLE_LIMIT)):
+                # Over the limit on its own.  Refused before int(), which
+                # raises ValueError on strings of more than 4300 digits.
+                what = "group order" if len(parts) == 1 else "group factor"
+                value = digits if len(digits) <= 30 else f"of {len(digits)} digits"
+                raise CapacityError(
+                    f"{what} {value} exceeds the limit |G| <= {GROUP_TABLE_LIMIT} "
+                    f"(GROUP_TABLE_LIMIT)"
+                )
+            value = int(digits or "0")
             if value == 1:
                 continue  # trivial factor contributes nothing
             factors.append(value)

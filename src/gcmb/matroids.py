@@ -25,6 +25,9 @@ EXPLICIT_VALIDATE_MAX = 12
 #: Guards for the strongly-base-orderable / replaceability search.
 SBO_MAX_RANK = 5
 SBO_MAX_BASES = 120
+#: Largest field order of a linear matroid; primality is checked by trial
+#: division up to its square root, which takes milliseconds at this size.
+FIELD_ORDER_LIMIT = 2**31
 
 
 class Matroid:
@@ -210,7 +213,13 @@ class LinearMatroid(Matroid):
     kind = "linear"
 
     def __init__(self, rows: Sequence[Sequence[int]], p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p > FIELD_ORDER_LIMIT:
+            value = p if p < 10**30 else f"of {p.bit_length()} bits"
+            raise CapacityError(
+                f"field order {value} exceeds the limit p <= {FIELD_ORDER_LIMIT} "
+                f"(FIELD_ORDER_LIMIT)"
+            )
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise UsageError(f"field order must be prime, got {p}")
         if not rows:
             raise UsageError("linear matroid needs at least one matrix row")

@@ -264,28 +264,51 @@ def _search(
     counter: Literal["signatures", "candidates"],
     calls_before: int,
 ) -> SolveResult:
-    """One intersection per candidate signature with the target label.
+    """Intersections over the candidate signatures with the target label.
 
-    Feasibility keeps the first hit, optimization the first strict minimum.
-    `counter` names the stats field that counts walked candidates, and
-    oracle calls are counted from `calls_before`.
+    Feasibility intersects them in stream order and keeps the first hit.
+    Optimization walks the whole stream first and bounds each target-label
+    candidate c from below by lb(c), the sum over g of the c_g smallest
+    weights in E(g): no base with signature c weighs less.  It intersects
+    them in (lb, stream rank) order, stops once lb exceeds the best weight
+    found, and returns the least (weight, rank), which is the first strict
+    minimum of the stream.  `counter` names the stats field that counts
+    walked candidates, and oracle calls are counted from `calls_before`.
     """
     m.full_rank  # part of every solve's oracle calls, also when nothing is intersected
     walked = tried = 0
     best: Optional[tuple[BaseSet, Optional[Weight]]] = None
-    for sig in candidates:
-        walked += 1
-        if sig.label() != target:
-            continue
-        tried += 1
-        found = base_with_signature(m, labeling, sig, weights)
-        if found is None:
-            continue
-        if weights is None:
-            best = found
-            break
-        if best is None or found[1] < best[1]:
-            best = found
+    if weights is None:
+        for sig in candidates:
+            walked += 1
+            if sig.label() != target:
+                continue
+            tried += 1
+            best = base_with_signature(m, labeling, sig)
+            if best is not None:
+                break
+    else:
+        # prefix[g][c] is the sum of the c smallest weights in E(g); both
+        # candidate streams keep every count within its fiber.
+        prefix = [
+            list(accumulate(sorted(weights[e] for e in fiber), initial=0))
+            for fiber in labeling.fibers
+        ]
+        queue = []
+        for sig in candidates:
+            if sig.label() == target:
+                lb = sum(prefix[g][c] for g, c in enumerate(sig.counts) if c)
+                queue.append((lb, walked, sig))
+            walked += 1
+        queue.sort(key=lambda item: item[:2])
+        best_rank = walked
+        for lb, rank, sig in queue:
+            if best is not None and lb > best[1]:
+                break
+            tried += 1
+            found = base_with_signature(m, labeling, sig, weights)
+            if found is not None and (best is None or (found[1], rank) < (best[1], best_rank)):
+                best, best_rank = found, rank
     stats = SolveStats(
         intersections=tried, oracle_calls=m.oracle_calls - calls_before, **{counter: walked}
     )

@@ -241,7 +241,8 @@ def solve_enum_reference(
     target: GroupElement,
     weights: Optional[Sequence[Weight]] = None,
 ) -> SolveResult:
-    """`solve_enum` as its own loop over every signature of the fiber caps."""
+    """`solve_enum` as its own loop over every signature of the fiber caps,
+    intersecting every one with the target label (no lower-bound pruning)."""
     stats = SolveStats()
     calls_before = m.oracle_calls
     caps = [len(fiber) for fiber in labeling.fibers]
@@ -275,7 +276,8 @@ def solve_proximity_reference(
     weights: Optional[Sequence[Weight]] = None,
 ) -> SolveResult:
     """Heuristic-mode `solve_proximity` as its own loop over the balanced
-    moves around a greedy base's signature."""
+    moves around a greedy base's signature, intersecting every one with the
+    target label (no lower-bound pruning)."""
     group = labeling.group
     certified, _ = proximity_certified(group, k, weights is not None)
     stats = SolveStats()

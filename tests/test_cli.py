@@ -153,6 +153,26 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err == f"error: group order {order} exceeds the limit |G| <= 4096 (GROUP_TABLE_LIMIT)\n"
 
+    @pytest.mark.parametrize(
+        "p, shown",
+        [(10**18 + 3, str(10**18 + 3)), (10**399 + 1, "of 1326 bits")],
+        ids=["19-digit", "400-digit"],
+    )
+    def test_oversized_field_order_is_refused_at_once(self, capsys, tmp_path, p, shown):
+        matroid, labels = tmp_path / "m.mat", tmp_path / "l.txt"
+        matroid.write_text(f"matroid linear\nfield {p}\nrows 2\n1 0 1\n0 1 1\n")
+        labels.write_text("0 0\n1 1\n2 1\n")
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "solve", "--matroid", str(matroid), "--group", "Z2", "--labels", str(labels),
+            "--target", "1",
+        )
+        assert time.monotonic() - start < 2
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: field order {shown} exceeds the limit p <= 2147483648 (FIELD_ORDER_LIMIT)\n"
+        )
+
 
 class TestVerify:
     def test_tight4_witness_at_k2(self, capsys):
@@ -177,6 +197,15 @@ class TestVerify:
 
 
 class TestScan:
+    def test_group_factor_past_the_integer_string_limit(self, capsys):
+        """5000 digits is past the 4300 that int() converts; the factor is
+        refused by its length first."""
+        code, out, err = run(capsys, "scan", "--builtin", "k4", "--group", "Z" + "9" * 5000)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: group order of 5000 digits exceeds the limit |G| <= 4096 (GROUP_TABLE_LIMIT)\n"
+        )
+
     def test_k4_z3_strong_block(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--builtin", "k4", "--group", "Z3",

@@ -84,6 +84,25 @@ class TestParsing:
             build()
         assert GroupSpec.parse("Z64xZ64").order == GroupSpec.of(4096).order == 4096
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Z" + "9" * 5000, "group order of 5000 digits"),
+            ("Z2xZ" + "9" * 5000, "group factor of 5000 digits"),
+            ("Z0000" + "9" * 31, "group order of 31 digits"),
+            ("Z2x Z100003", "group factor 100003"),
+        ],
+        ids=["5000-digits", "5000-digit-factor", "leading-zeros", "factor"],
+    )
+    def test_factor_digits_are_refused_before_conversion(self, text, message):
+        with pytest.raises(CapacityError) as info:
+            GroupSpec.parse(text)
+        assert str(info.value) == f"{message} exceeds the limit |G| <= 4096 (GROUP_TABLE_LIMIT)"
+
+    def test_leading_zeros_do_not_count(self):
+        assert GroupSpec.parse("Z" + "0" * 5000 + "4096").order == 4096
+        assert GroupSpec.parse("Z" + "0" * 5000 + "6") == GroupSpec.of(6)
+
     def test_element_serialization(self):
         g = Z2xZ4.element((1, 3))
         assert str(g) == "1,3"

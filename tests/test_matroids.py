@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -383,6 +384,31 @@ class TestEnumerationGuard:
         m = make_uniform(40, 20)
         with pytest.raises(CapacityError):
             m.bases()
+
+    def test_largest_field_order_is_accepted(self):
+        assert make_linear([[1, 1]], 2**31 - 1).p == 2**31 - 1
+        with pytest.raises(UsageError, match="must be prime"):
+            make_linear([[1, 1]], 2**31)
+
+    @pytest.mark.parametrize(
+        "p, shown",
+        [(2**31 + 11, str(2**31 + 11)), (10**18 + 3, str(10**18 + 3)),
+         (10**399 + 1, "of 1326 bits"), (10**5000, "of 16610 bits")],
+        ids=["past-limit", "19-digit", "400-digit", "5001-digit"],
+    )
+    def test_field_order_limit(self, p, shown):
+        start = time.monotonic()
+        with pytest.raises(CapacityError) as info:
+            make_linear([[1, 1]], p)
+        assert time.monotonic() - start < 1
+        assert str(info.value) == (
+            f"field order {shown} exceeds the limit p <= 2147483648 (FIELD_ORDER_LIMIT)"
+        )
+
+    @pytest.mark.parametrize("p", [10**18 + 3, 10**399 + 1], ids=["19-digit", "400-digit"])
+    def test_field_order_limit_in_a_matroid_file(self, p):
+        with pytest.raises(CapacityError, match=r"exceeds the limit p <= 2147483648"):
+            parse_matroid(f"matroid linear\nfield {p}\nrows 1\n1 1\n")
 
 
 class TestParsing:

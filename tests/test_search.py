@@ -3,11 +3,16 @@
 `solve_enum` and `solve_proximity` feed one search body with their candidate
 signatures; `oracles.solve_enum_reference` and
 `oracles.solve_proximity_reference` keep each solver's loop written out on
-its own.  Every field of the results must agree, including all four counters.
+its own, and intersect every target-label signature.  Feasibility results
+must agree in every field.  Optimization prunes signatures by a fiber-weight
+lower bound, so there every field but `intersections` and `oracle_calls`
+must agree, and those two may only be lower.
 """
 
+import dataclasses
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -102,4 +107,59 @@ def test_shared_search_matches_separate_loops(inst):
         mode = "certified_only" if mode == "certified" else "heuristic"
         got = solve_proximity(build(), labeling, target, k, weights, mode)
         want = solve_proximity_reference(build(), labeling, target, k, weights)
-    assert got == want
+    if weights is None:
+        assert got == want
+    else:
+        assert_pruned_matches(got, want)
+
+
+def assert_pruned_matches(got, want):
+    """Equal results and walk counts; intersections and oracle calls no higher."""
+    assert dataclasses.replace(got, stats=None) == dataclasses.replace(want, stats=None)
+    assert got.stats.signatures == want.stats.signatures
+    assert got.stats.candidates == want.stats.candidates
+    assert got.stats.intersections <= want.stats.intersections
+    assert got.stats.oracle_calls <= want.stats.oracle_calls
+
+
+#: Weight families where many signatures reach the optimum, so the
+#: (weight, stream rank) tie-break decides which base is returned.
+TIE_WEIGHTS = {
+    "equal": lambda rng, n: [rng.randint(-2, 2)] * n,
+    "binary": lambda rng, n: [rng.randint(0, 1) for _ in range(n)],
+    "fraction": lambda rng, n: [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inst=instances(),
+    kind=st.sampled_from(sorted(TIE_WEIGHTS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_optimization_matches_unpruned_on_ties(inst, kind, seed):
+    build, labeling, target, _, _, k = inst
+    weights = TIE_WEIGHTS[kind](random.Random(seed), labeling.n)
+    assert_pruned_matches(
+        solve_enum(build(), labeling, target, weights),
+        solve_enum_reference(build(), labeling, target, weights),
+    )
+    assert_pruned_matches(
+        solve_proximity(build(), labeling, target, k, weights, "heuristic"),
+        solve_proximity_reference(build(), labeling, target, k, weights),
+    )
+
+
+def test_weight_tie_returns_the_first_minimum_of_the_stream():
+    """A K7 solve over Z3 where two target-label signatures both reach weight
+    -45.  The lower bound visits the later one first; the answer is still the
+    base of the one that comes first in the signature stream."""
+    group = GroupSpec.parse("Z3")
+    labels = [1, 1, 0, 1, 0, 0, 0, 1, 2, 1, 0, 1, 2, 1, 2, 2, 0, 0, 2, 2, 2]
+    weights = [-8, 9, 9, -6, -9, -1, -9, 6, 2, 6, -8, 9, 3, -5, -7, -9, 3, -1, -2, 1, 9]
+    labeling = Labeling.from_indices(group, labels)
+    target = group.parse_element("2")
+    k7 = list(itertools.combinations(range(7), 2))
+    got = solve_enum(make_graphic(k7), labeling, target, weights)
+    assert (got.base, got.weight) == ((0, 3, 6, 10, 13, 15), -45)
+    assert_pruned_matches(got, solve_enum_reference(make_graphic(k7), labeling, target, weights))

@@ -1,0 +1,83 @@
+"""The names that `bench/tracer.py` patches still exist in the package.
+
+The tracer wraps module attributes and class methods by name and counts
+per-layer work through them; a rename or a changed lookup in `src/` would
+silently zero those counts.  The tracer's name tables are read from its
+source with `ast`, so nothing under `bench/` is imported or written.
+"""
+
+import ast
+import importlib
+import itertools
+from pathlib import Path
+
+import pytest
+
+import gcmb.solver as solver_mod
+from gcmb.groups import GroupSpec
+from gcmb.matroids import make_graphic
+from gcmb.solver import Labeling, solve_enum, solve_proximity
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+TABLES = ("SPANS", "GENERATOR_SPANS", "METHOD_SPANS", "HOT")
+
+
+def tracer_tables() -> dict[str, list[tuple]]:
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in TABLES:
+                found[name] = ast.literal_eval(node.value)
+    return found
+
+
+def test_tracer_tables_are_found():
+    tables = tracer_tables()
+    assert sorted(tables) == sorted(TABLES)
+    assert all(tables.values())
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        (table, *entry)
+        for table, entries in tracer_tables().items()
+        for entry in entries
+    ],
+    ids=lambda e: ".".join(e[:-1]),
+)
+def test_traced_name_resolves(entry):
+    table, module, *path, _span = entry
+    owner = importlib.import_module(module)
+    for attr in path:
+        assert hasattr(owner, attr), f"{table}: {module}.{'.'.join(path)} is gone"
+        owner = getattr(owner, attr)
+    assert callable(owner)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("mode", ["enum", "proximity"])
+def test_search_calls_base_with_signature_by_its_module_name(monkeypatch, mode, weighted):
+    """The tracer counts `solver.base_with_signature` spans at the module
+    global; one call per counted intersection must go through it."""
+    calls = []
+    inner = solver_mod.base_with_signature
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "base_with_signature", counting)
+    group = GroupSpec.parse("Z3")
+    m = make_graphic(list(itertools.combinations(range(5), 2)))
+    labeling = Labeling.from_indices(group, [e % 3 for e in range(m.n)])
+    weights = [(7 * e) % 5 - 2 for e in range(m.n)] if weighted else None
+    target = group.parse_element("1")
+    if mode == "enum":
+        result = solve_enum(m, labeling, target, weights)
+    else:
+        result = solve_proximity(m, labeling, target, 2, weights, "heuristic")
+    assert result.feasible
+    assert len(calls) == result.stats.intersections >= 1
