@@ -8,11 +8,12 @@ all C(n,r) subsets in colexicographic order) into this format.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ParseError, UsageError
 from .groups import GroupSpec
@@ -300,36 +301,41 @@ def _mod_labeling(group: GroupSpec, n: int) -> Labeling:
     return Labeling.from_indices(group, [e % group.order for e in range(n)])
 
 
+def _instance(name: str, matroid: Matroid, order: int, note: str) -> BuiltinInstance:
+    """An instance labeled e mod |G| over Z_order."""
+    group = GroupSpec.of(order)
+    return BuiltinInstance(name, matroid, group, _mod_labeling(group, matroid.n), note)
+
+
+def _uniform_instance(n: int, r: int) -> BuiltinInstance:
+    return _instance(f"u{r}{n}", make_uniform(n, r), 2, f"uniform U_{{{r},{n}}}")
+
+
+#: The named instances the CLI and the acceptance suite refer to, as
+#: factories, so that a caller builds only the one it names.
+BUILTINS: dict[str, Callable[[], BuiltinInstance]] = {
+    **{f"tight{m}": functools.partial(tight_example, m) for m in range(2, 7)},
+    "k4": lambda: _instance("k4", k4_graphic(), 3, "graphic wheel on 4 vertices"),
+    "w3": lambda: _instance("w3", whirl3(), 3, "rank-3 whirl (relaxed wheel)"),
+    **{
+        f"u{r}{n}": functools.partial(_uniform_instance, n, r)
+        for n, r in [(2, 1), (3, 2), (4, 2), (6, 3), (8, 4)]
+    },
+    "s222": lambda: _instance(
+        "s222", direct_sum([make_uniform(2, 1)] * 3), 2, "three parallel pairs"
+    ),
+    "s233": lambda: _instance(
+        "s233",
+        direct_sum([make_uniform(3, 2), make_uniform(3, 1)]),
+        3,
+        "U_{2,3} plus U_{1,3} (not a block matroid)",
+    ),
+}
+
+
 def builtin_instances() -> dict[str, BuiltinInstance]:
-    """The named instances the CLI and the acceptance suite refer to."""
-    z2, z3 = GroupSpec.of(2), GroupSpec.of(3)
-    out: dict[str, BuiltinInstance] = {}
-    for m in range(2, 7):
-        inst = tight_example(m)
-        out[inst.name] = inst
-    k4 = k4_graphic()
-    out["k4"] = BuiltinInstance(
-        "k4", k4, z3, _mod_labeling(z3, 6), "graphic wheel on 4 vertices"
-    )
-    w3 = whirl3()
-    out["w3"] = BuiltinInstance(
-        "w3", w3, z3, _mod_labeling(z3, 6), "rank-3 whirl (relaxed wheel)"
-    )
-    for n, r in [(2, 1), (3, 2), (4, 2), (6, 3), (8, 4)]:
-        name = f"u{r}{n}"
-        out[name] = BuiltinInstance(
-            name, make_uniform(n, r), z2, _mod_labeling(z2, n), f"uniform U_{{{r},{n}}}"
-        )
-    u12 = make_uniform(2, 1)
-    s222 = direct_sum([u12, u12, u12])
-    out["s222"] = BuiltinInstance(
-        "s222", s222, z2, _mod_labeling(z2, 6), "three parallel pairs"
-    )
-    s233 = direct_sum([make_uniform(3, 2), make_uniform(3, 1)])
-    out["s233"] = BuiltinInstance(
-        "s233", s233, z3, _mod_labeling(z3, 6), "U_{2,3} plus U_{1,3} (not a block matroid)"
-    )
-    return out
+    """Every named instance of `BUILTINS`, freshly built."""
+    return {name: make() for name, make in BUILTINS.items()}
 
 
 def bundled_matroids(max_n: int = 8, max_r: int = 4) -> list[tuple[str, Matroid]]:
@@ -338,10 +344,9 @@ def bundled_matroids(max_n: int = 8, max_r: int = 4) -> list[tuple[str, Matroid]
     Tight-example matroids are uniform and already covered by the u-entries.
     """
     ordered = ["u12", "u23", "u24", "k4", "w3", "u36", "s222", "s233", "u48"]
-    instances = builtin_instances()
     out = []
     for name in ordered:
-        m = instances[name].matroid
+        m = BUILTINS[name]().matroid
         if m.n <= max_n and m.full_rank <= max_r:
             out.append((name, m))
     return out

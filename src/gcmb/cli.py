@@ -45,11 +45,10 @@ def _load_instance(args) -> tuple[str, Matroid, GroupSpec, Optional[Labeling]]:
     if args.builtin and args.matroid:
         raise UsageError("pass either --builtin or --matroid, not both")
     if args.builtin:
-        instances = catalog_mod.builtin_instances()
-        if args.builtin not in instances:
-            known = ", ".join(sorted(instances))
+        if args.builtin not in catalog_mod.BUILTINS:
+            known = ", ".join(sorted(catalog_mod.BUILTINS))
             raise UsageError(f"unknown builtin {args.builtin!r}; known: {known}")
-        inst = instances[args.builtin]
+        inst = catalog_mod.BUILTINS[args.builtin]()
         group = GroupSpec.parse(args.group) if args.group else inst.group
         if getattr(args, "labels", None):
             labeling = load_labeling(args.labels, group, inst.matroid.n)
@@ -175,10 +174,9 @@ def cmd_scan(args) -> int:
         if not pool:
             raise UsageError("no block matroids in the catalog")
     elif args.builtin:
-        instances = catalog_mod.builtin_instances()
-        if args.builtin not in instances:
+        if args.builtin not in catalog_mod.BUILTINS:
             raise UsageError(f"unknown builtin {args.builtin!r}")
-        pool = [(args.builtin, instances[args.builtin].matroid)]
+        pool = [(args.builtin, catalog_mod.BUILTINS[args.builtin]().matroid)]
     else:
         raise UsageError("scan needs --catalog PATH or --builtin NAME")
     report = lab_mod.isolation_scan(

@@ -185,8 +185,10 @@ def _closeness_witness(
     Each minimum-weight base A is matched in every label class to its nearest
     minimum-weight base of that class, ties going to the least.  The witness
     has the largest such distance above k, then the least (A, B).  Distances
-    r - |A & B| come from the incidence matrix, a slice of A rows at a time
-    so that about _COUNT_CELLS pairs are held at once.
+    r - |A & B| count shared elements by popcount: each base is a bitmask
+    packed little-endian into uint64 words, and |A & B| is the bit count of
+    the words' ANDs, a slice of A rows at a time so that about _COUNT_CELLS
+    pairs are held at once.
     """
     if labeling.n != m.n:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
@@ -210,12 +212,18 @@ def _closeness_witness(
     classes = np.flatnonzero(np.diff(labels[targets], prepend=-1))
     rank, width = m.full_rank, len(targets)
     dtype = np.min_scalar_type((rank + 1) * width)
-    inside = incidence[targets].T.astype(np.min_scalar_type(rank))
+    packed = np.packbits(incidence, axis=1, bitorder="little")
+    masks = np.zeros((len(bases), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    masks[:, : packed.shape[1]] = packed
+    masks = masks.view(np.uint64)
+    inside = np.ascontiguousarray(masks[targets].T)  # words x targets
     worst = (k, 0, 0)  # (distance, A, B), A and B as base indices
     rows = max(1, _COUNT_CELLS // width)
     for lo in range(0, len(pool), rows):
         part = pool[lo : lo + rows]
-        shared = np.einsum("an,nb->ab", incidence[part].astype(inside.dtype), inside)
+        shared = np.zeros((len(part), width), dtype=np.min_scalar_type(rank))
+        for w, word in enumerate(inside):
+            shared += np.bitwise_count(masks[part, w, None] & word)
         keys = (rank - shared).astype(dtype) * width + np.arange(width, dtype=dtype)
         nearest = np.minimum.reduceat(keys, classes, axis=1)
         distance = nearest // width

@@ -20,6 +20,9 @@ BaseSet = tuple[int, ...]
 
 #: Guard for exhaustive base enumeration.
 ENUMERATION_LIMIT = 10**7
+#: Candidate subsets tested per slice by the graphic base kernel, which
+#: bounds its working memory below ENUMERATION_LIMIT.
+_BASES_SLICE = 1 << 16
 #: Explicit base lists larger than this require trust=True instead of validation.
 EXPLICIT_VALIDATE_MAX = 12
 #: Guards for the strongly-base-orderable / replaceability search.
@@ -28,6 +31,8 @@ SBO_MAX_BASES = 120
 #: Largest field order of a linear matroid; primality is checked by trial
 #: division up to its square root, which takes milliseconds at this size.
 FIELD_ORDER_LIMIT = 2**31
+#: Longest integer a matroid file may give; int() refuses longer strings.
+INTEGER_DIGITS_LIMIT = 4300
 
 
 class Matroid:
@@ -68,12 +73,23 @@ class Matroid:
         return self._full_rank
 
     def bases(self) -> list[BaseSet]:
-        """All bases in lexicographic order (brute-force oracle for the lab)."""
+        """All bases in lexicographic order, for the lab.
+
+        The guard C(n, r) <= ENUMERATION_LIMIT is checked here; the listing
+        comes from `_bases`.  Its default asks the oracle about every
+        r-subset.  Graphic, uniform and explicit matroids override the hook
+        with kernels that make no oracle calls, so `oracle_calls` does not
+        count them (no lab or `bases` report prints that count).  Subclasses
+        override `_bases`, never this method.
+        """
         r = self.full_rank
         if math.comb(self.n, r) > ENUMERATION_LIMIT:
             raise CapacityError(
                 f"C({self.n},{r}) exceeds the enumeration guard {ENUMERATION_LIMIT}"
             )
+        return self._bases(r)
+
+    def _bases(self, r: int) -> list[BaseSet]:
         return [
             combo
             for combo in itertools.combinations(range(self.n), r)
@@ -122,6 +138,9 @@ class UniformMatroid(Matroid):
     def _indep(self, subset: frozenset[int]) -> bool:
         return len(subset) <= self.r
 
+    def _bases(self, r: int) -> list[BaseSet]:
+        return list(itertools.combinations(range(self.n), r))
+
 
 class GraphicMatroid(Matroid):
     """Cycle matroid of a multigraph; elements are edges in input order."""
@@ -164,6 +183,35 @@ class GraphicMatroid(Matroid):
                 return False
             parent[ru] = rv
         return True
+
+    def _bases(self, r: int) -> list[BaseSet]:
+        """The r-subsets that are spanning forests, by a vectorised test.
+
+        Each slice of at most _BASES_SLICE subsets keeps one row of vertex
+        component labels per subset.  Edges are added position by position:
+        an edge whose ends share a component rejects its subset, and the
+        component of one end is relabelled to that of the other.
+        """
+        ends = np.array(self.edge_pairs, dtype=np.intp).reshape(self.n, 2)
+        vertices = len(self.vertex_names)
+        labels = np.arange(vertices, dtype=np.min_scalar_type(vertices))
+        combos = itertools.combinations(range(self.n), r)
+        total = math.comb(self.n, r)
+        out: list[BaseSet] = []
+        for lo in range(0, total, _BASES_SLICE):
+            count = min(_BASES_SLICE, total - lo)
+            flat = itertools.chain.from_iterable(itertools.islice(combos, count))
+            subsets = np.fromiter(flat, dtype=np.intp, count=count * r).reshape(count, r)
+            comp = np.tile(labels, (count, 1))
+            rows = np.arange(count)
+            forest = np.ones(count, dtype=bool)
+            for j in range(r):
+                cu = comp[rows, ends[subsets[:, j], 0]]
+                cv = comp[rows, ends[subsets[:, j], 1]]
+                forest &= cu != cv
+                np.copyto(comp, cv[:, None], where=comp == cu[:, None])
+            out.extend(map(tuple, subsets[forest].tolist()))
+        return out
 
     def circuits(
         self, current: frozenset[int], outside: Iterable[int]
@@ -328,6 +376,9 @@ class ExplicitMatroid(Matroid):
             f"base exchange axiom fails: no swap for element {a} of "
             f"{tuple(sorted(a_set))} toward {tuple(sorted(b_set))}"
         )
+
+    def _bases(self, r: int) -> list[BaseSet]:
+        return list(self.base_list)
 
     def _indep(self, subset: frozenset[int]) -> bool:
         if len(subset) >= self.r:
@@ -706,8 +757,22 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
     def intfield(name: str) -> int:
         if name not in fields:
             raise ParseError(f"matroid {kind} requires a '{name}' line")
+        value = fields[name]
+        sign = value[: len(value) - len(value.lstrip("+-"))]
+        digits = value[len(sign) :].lstrip("0")
+        if digits.isdecimal() and len(digits) > INTEGER_DIGITS_LIMIT:
+            if name == "field":
+                raise CapacityError(
+                    f"field order of {len(digits)} digits exceeds the limit "
+                    f"p <= {FIELD_ORDER_LIMIT} (FIELD_ORDER_LIMIT)"
+                )
+            raise CapacityError(
+                f"'{name}' of {len(digits)} digits exceeds the limit of "
+                f"{INTEGER_DIGITS_LIMIT} digits (INTEGER_DIGITS_LIMIT)"
+            )
         try:
-            return int(fields[name])
+            # Leading zeros count toward int()'s digit limit, so they go first.
+            return int(sign + digits) if digits.isdecimal() else int(value)
         except ValueError:
             raise ParseError(f"'{name}' must be an integer") from None
 

@@ -9,6 +9,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
+from gcmb import lab as lab_mod
 from gcmb.errors import CapacityError, InternalError, UsageError
 from gcmb.groups import GroupElement
 from gcmb.intersection import Weight, build_exchange_graph
@@ -413,3 +416,47 @@ def closeness_reference(
         return None
     a, b, g, d = worst
     return Witness(m, labeling, g, a, b, d, k, weights=weights)
+
+
+def closeness_witness_einsum(
+    m: Matroid, labeling: Labeling, k: int, weights: Optional[Sequence[Weight]] = None
+) -> Optional[Witness]:
+    """`lab._closeness_witness` with shared elements counted as the integer
+    product of the 0/1 incidence matrix with its transpose (`np.einsum`)
+    instead of by popcount; keys, reductions and tie-breaks are the same."""
+    weights = None if weights is None else tuple(weights)
+    group = labeling.group
+    digits = np.array(labeling.indices, dtype=np.intp)[:, None]
+    bases = m.bases()
+    incidence, labels = lab_mod._label_sums(group.invariant_factors, m.n, bases, digits)
+    labels = labels[:, 0]
+    totals = [0 if weights is None else sum(weights[e] for e in b) for b in bases]
+    cheapest: dict[int, Weight] = {}
+    for g, t in zip(labels.tolist(), totals):
+        cheapest[g] = min(t, cheapest.get(g, t))
+    best = min(totals)
+    pool = np.flatnonzero([t == best for t in totals])
+    targets = np.flatnonzero([t == cheapest[g] for g, t in zip(labels.tolist(), totals)])
+    targets = targets[np.argsort(labels[targets], kind="stable")]
+    classes = np.flatnonzero(np.diff(labels[targets], prepend=-1))
+    rank, width = m.full_rank, len(targets)
+    dtype = np.min_scalar_type((rank + 1) * width)
+    inside = incidence[targets].T.astype(np.min_scalar_type(rank))
+    worst = (k, 0, 0)
+    rows = max(1, lab_mod._COUNT_CELLS // width)
+    for lo in range(0, len(pool), rows):
+        part = pool[lo : lo + rows]
+        shared = np.einsum("an,nb->ab", incidence[part].astype(inside.dtype), inside)
+        keys = (rank - shared).astype(dtype) * width + np.arange(width, dtype=dtype)
+        nearest = np.minimum.reduceat(keys, classes, axis=1)
+        distance = nearest // width
+        top = int(distance.max())
+        if top > worst[0]:
+            row = int(np.argmax(distance.max(axis=1) == top))
+            b = min(int(targets[c]) for c in nearest[row][distance[row] == top] % width)
+            worst = (top, int(part[row]), b)
+    d, a, b = worst
+    if d <= k:
+        return None
+    target = group.element_at(int(labels[b]))
+    return Witness(m, labeling, target, bases[a], bases[b], d, k, weights=weights)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from gcmb.catalog import (
+    BUILTINS,
     BuiltinInstance,
     CatalogEntry,
     builtin_instances,
@@ -162,6 +163,22 @@ class TestBuiltins:
                 if inst.labeling.sum_over(b) == zero
             ]
             assert zero_bases == [tuple(range(m - 1, 2 * (m - 1)))]
+
+    def test_builtin_instances_come_from_the_table(self):
+        instances = builtin_instances()
+        assert list(instances) == list(BUILTINS) == [
+            "tight2", "tight3", "tight4", "tight5", "tight6", "k4", "w3",
+            "u12", "u23", "u24", "u36", "u48", "s222", "s233",
+        ]
+        for name, inst in instances.items():
+            assert inst.name == name
+            assert inst.labeling.n == inst.matroid.n
+            again = BUILTINS[name]()
+            assert again.matroid is not inst.matroid  # built fresh each call
+            assert again.matroid.bases() == inst.matroid.bases()
+            assert (again.group, again.labeling.indices, again.note) == (
+                inst.group, inst.labeling.indices, inst.note
+            )
 
     def test_bundled_matroids_shapes(self):
         for name, m in bundled_matroids():

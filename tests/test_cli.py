@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from gcmb import catalog as catalog_mod
 from gcmb.catalog import bundled_path
 from gcmb.cli import build_parser, main
 
@@ -57,8 +58,47 @@ class TestSolve:
         assert code == 1 and "target" in err
 
     def test_unknown_builtin(self, capsys):
-        code, _, err = run(capsys, "solve", "--builtin", "nope", "--target", "0")
-        assert code == 1 and "unknown builtin" in err
+        code, out, err = run(capsys, "solve", "--builtin", "nope", "--target", "0")
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: unknown builtin 'nope'; known: k4, s222, s233, tight2, tight3, "
+            "tight4, tight5, tight6, u12, u23, u24, u36, u48, w3\n"
+        )
+        code, out, err = run(capsys, "scan", "--builtin", "nope", "--group", "Z2")
+        assert (code, out, err) == (1, "", "error: unknown builtin 'nope'\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--builtin", "tight4", "--k", "3"],
+         ["scan", "--builtin", "tight4", "--group", "Z2", "--range", "0..8"]],
+        ids=["verify", "scan"],
+    )
+    def test_only_the_named_builtin_is_built(self, capsys, monkeypatch, argv):
+        built = []
+        for name, make in list(catalog_mod.BUILTINS.items()):
+            monkeypatch.setitem(
+                catalog_mod.BUILTINS, name, lambda name=name, make=make: built.append(name) or make()
+            )
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert built == ["tight4"]
+
+    @pytest.mark.parametrize("field", ["n", "r"])
+    def test_integer_past_the_string_limit(self, capsys, tmp_path, field):
+        """4401 digits is past the 4300 that int() converts."""
+        values = {"n": "4", "r": "2", field: "1" + "0" * 4400}
+        matroid, labels = tmp_path / "m.mat", tmp_path / "l.txt"
+        matroid.write_text(f"matroid uniform\nn {values['n']}\nr {values['r']}\n")
+        labels.write_text("0 0\n1 1\n2 1\n3 0\n")
+        code, out, err = run(
+            capsys, "solve", "--matroid", str(matroid), "--group", "Z2", "--labels", str(labels),
+            "--target", "1",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: '{field}' of 4401 digits exceeds the limit of 4300 digits "
+            "(INTEGER_DIGITS_LIMIT)\n"
+        )
 
     def test_weighted_solve(self, capsys, tmp_path):
         weights = tmp_path / "w.txt"
@@ -155,8 +195,9 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "p, shown",
-        [(10**18 + 3, str(10**18 + 3)), (10**399 + 1, "of 1326 bits")],
-        ids=["19-digit", "400-digit"],
+        [(10**18 + 3, str(10**18 + 3)), (10**399 + 1, "of 1326 bits"),
+         ("1" + "0" * 4400, "of 4401 digits")],
+        ids=["19-digit", "400-digit", "4401-digit"],
     )
     def test_oversized_field_order_is_refused_at_once(self, capsys, tmp_path, p, shown):
         matroid, labels = tmp_path / "m.mat", tmp_path / "l.txt"

@@ -411,6 +411,45 @@ class TestEnumerationGuard:
             parse_matroid(f"matroid linear\nfield {p}\nrows 1\n1 1\n")
 
 
+class TestOversizedIntegers:
+    """Integers past the 4300 digits that int() converts end in a
+    CapacityError naming the line, not in "must be an integer"."""
+
+    HUGE = "1" + "0" * 4400
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            (f"matroid uniform\nn {HUGE}\nr 2\n", "n"),
+            (f"matroid uniform\nn 4\nr {HUGE}\n", "r"),
+            (f"matroid graphic\nvertices {HUGE}\nedge a b\n", "vertices"),
+            (f"matroid linear\nfield 3\nrows {HUGE}\n1 1\n", "rows"),
+            (f"matroid explicit\nn -{HUGE}\nbase 0\n", "n"),
+        ],
+        ids=["n", "r", "vertices", "rows", "negative-n"],
+    )
+    def test_count_fields(self, text, field):
+        with pytest.raises(CapacityError) as info:
+            parse_matroid(text)
+        assert str(info.value) == (
+            f"'{field}' of 4401 digits exceeds the limit of 4300 digits (INTEGER_DIGITS_LIMIT)"
+        )
+
+    def test_field(self):
+        with pytest.raises(CapacityError) as info:
+            parse_matroid(f"matroid linear\nfield {self.HUGE}\nrows 1\n1 1\n")
+        assert str(info.value) == (
+            "field order of 4401 digits exceeds the limit p <= 2147483648 (FIELD_ORDER_LIMIT)"
+        )
+
+    def test_limit_and_leading_zeros(self):
+        assert parse_matroid("matroid uniform\nn " + "0" * 5000 + "4\nr +2\n").n == 4
+        with pytest.raises(UsageError, match="0 <= r <= n"):
+            parse_matroid("matroid uniform\nn 4\nr " + "9" * 4300 + "\n")
+        with pytest.raises(ParseError, match="'n' must be an integer"):
+            parse_matroid("matroid uniform\nn --4\nr 2\n")
+
+
 class TestParsing:
     def test_uniform(self):
         m = parse_matroid("matroid uniform\nn 4\nr 2\n")

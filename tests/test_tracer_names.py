@@ -1,18 +1,21 @@
-"""The names that `bench/tracer.py` patches still exist in the package.
+"""The names that `bench/tracer.py` patches still exist in the package, and
+no subclass hides a patched method.
 
 The tracer wraps module attributes and class methods by name and counts
-per-layer work through them; a rename or a changed lookup in `src/` would
-silently zero those counts.  The tracer's name tables are read from its
-source with `ast`, so nothing under `bench/` is imported or written.
+per-layer work through them; a rename, a changed lookup or an override in
+`src/` would silently zero those counts.  The tracer's name tables are read
+from its source with `ast`, so nothing under `bench/` is imported or written.
 """
 
 import ast
 import importlib
 import itertools
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import gcmb
 import gcmb.solver as solver_mod
 from gcmb.groups import GroupSpec
 from gcmb.matroids import make_graphic
@@ -55,6 +58,29 @@ def test_traced_name_resolves(entry):
         assert hasattr(owner, attr), f"{table}: {module}.{'.'.join(path)} is gone"
         owner = getattr(owner, attr)
     assert callable(owner)
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [(table, *entry) for table in ("METHOD_SPANS", "HOT") for entry in tracer_tables()[table]],
+    ids=lambda e: ".".join(e[1:-1]),
+)
+def test_traced_method_is_not_overridden(entry):
+    """The tracer wraps these methods on the base class only; an override in
+    a subclass would bypass the wrapper and drop its calls from the counts."""
+    for info in pkgutil.iter_modules(gcmb.__path__):
+        importlib.import_module(f"gcmb.{info.name}")
+    table, module, cls, attr, _span = entry
+    owner = getattr(importlib.import_module(module), cls)
+    for sub in subclasses(owner):
+        if sub.__module__.split(".")[0] == "gcmb":
+            assert attr not in vars(sub), f"{table}: {sub.__qualname__} redefines {cls}.{attr}"
 
 
 @pytest.mark.parametrize("weighted", [False, True])
