@@ -12,9 +12,10 @@ translation orbits; each orbit has exactly one member whose element-0 digit
 is zero (the representatives used by the translation reduction).
 
 Indices are exact at any size, also where q^n passes 2^63: the scan kernel
-takes each chunk's start as a Python int and only in-chunk offsets as int64.
-The kernel counts bases per group value; groups.GROUP_TABLE_LIMIT bounds
-the order of every group, so the counts stay small.
+splits an index into its L low digits, below q^L <= 2^62 and held in int64,
+and a high block, index // q^L, which stays a Python int.  The kernel counts
+bases per group value; groups.GROUP_TABLE_LIMIT bounds the order of every
+group, so the counts stay small.
 """
 
 from __future__ import annotations
@@ -54,6 +55,9 @@ LAB_ENUM_LIMIT = 10**6
 SCAN_RANGE_LIMIT = 1 << 26
 _COUNT_CELLS = 1 << 16  # cells per slice: scan bincount keys, closeness base pairs
 _SCAN_CHUNK = 1 << 15  # labelings per scan kernel call
+_LOW_PLACE_LIMIT = 1 << 62  # the scan kernel's low parts, below q^L, stay in int64
+_COUNT_WEIGHT = 8  # cost of a sparse count cell in shifted-sum cells (measured)
+_LABEL_CELLS = 1 << 18  # base labels the scan kernel holds at once
 
 
 def _guarded_bases(m: Matroid) -> list[BaseSet]:
@@ -93,35 +97,47 @@ def label_image(m: Matroid, labeling: Labeling) -> LabelImage:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
     group = labeling.group
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
-    _, labels = _label_sums(group.invariant_factors, m.n, _guarded_bases(m), digits)
+    labels = _label_sums(group.invariant_factors, _incidence(m.n, _guarded_bases(m)), digits)
     multiplicity = {group.element_at(v): c for v, c in Counter(labels[:, 0].tolist()).items()}
     return LabelImage(frozenset(multiplicity), multiplicity)
 
 
-def _label_sums(
-    factors: Sequence[int], n: int, bases: Sequence[BaseSet], digits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The 0/1 incidence matrix of the bases (uint8, bases x elements) and
-    the label index of every base (rows) under every labeling (columns).
-
-    `digits` holds the labelings' element indices, one row per element.  For
-    each invariant factor m, label sums are the integer product incidence @
-    residues mod m, folded into the canonical element index (first factor
-    most significant).  Residue dtypes are sized from the rank, so the
-    products cannot wrap.
-    """
-    order = math.prod(factors)
-    rank = len(bases[0])
+def _incidence(n: int, bases: Sequence[BaseSet]) -> np.ndarray:
+    """The 0/1 incidence matrix of the bases, uint8, bases x elements."""
     incidence = np.zeros((len(bases), n), dtype=np.uint8)
     np.put_along_axis(incidence, np.array(bases, dtype=np.intp), 1, axis=1)
-    labels = np.zeros((len(bases), digits.shape[1]), dtype=digits.dtype)
+    return incidence
+
+
+def _label_sums(
+    factors: Sequence[int],
+    incidence: np.ndarray,
+    digits: np.ndarray,
+    shift: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The label index of every incidence row (rows) under every labeling
+    (columns), summed over the elements that are the incidence's columns.
+
+    `digits` holds the labelings' element indices, one row per element;
+    `shift`, one label index per row, is added to each row's sum.  For each
+    invariant factor m, label sums are the integer product incidence @
+    residues mod m, folded into the canonical element index (first factor
+    most significant).  Residue dtypes are sized from the largest row sum, so
+    the products cannot wrap.
+    """
+    order = math.prod(factors)
+    terms = int(incidence.sum(axis=1).max(initial=0)) + (shift is not None)
+    labels = np.zeros((incidence.shape[0], digits.shape[1]), dtype=digits.dtype)
     place = order
     for m in factors:
         place //= m
-        residues = (digits // place % m).astype(np.min_scalar_type(rank * m))
-        sums = np.einsum("be,ec->bc", incidence.astype(residues.dtype), residues)
+        dtype = np.min_scalar_type(max(terms, 1) * m)
+        residues = (digits // place % m).astype(dtype)
+        sums = np.einsum("be,ec->bc", incidence.astype(dtype), residues)
+        if shift is not None:
+            sums += (shift // place % m).astype(dtype)[:, None]
         labels += (sums % m).astype(labels.dtype) * place
-    return incidence, labels
+    return labels
 
 
 # -- closeness checks and witnesses ------------------------------------------
@@ -197,8 +213,8 @@ def _closeness_witness(
     group = labeling.group
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
     bases = _guarded_bases(m)
-    incidence, labels = _label_sums(group.invariant_factors, m.n, bases, digits)
-    labels = labels[:, 0]
+    incidence = _incidence(m.n, bases)
+    labels = _label_sums(group.invariant_factors, incidence, digits)[:, 0]
     totals = [0 if weights is None else sum(weights[e] for e in b) for b in bases]
     cheapest: dict[int, Weight] = {}
     for g, t in zip(labels.tolist(), totals):
@@ -354,29 +370,57 @@ def labeling_to_index(labeling: Labeling) -> int:
     return sum(d * q**i for i, d in enumerate(labeling.indices))
 
 
-def _element_digits(order: int, n: int, start: int, offsets: np.ndarray) -> np.ndarray:
-    """Digits of the labelings start + offsets, one row per element.
+def _low_ranges(start: int, end: int, place: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """Split the labelings start..end (both included) at place = q^L.
 
-    `start` is a Python int of any size.  With q^L the first power of q above
-    the largest offset, (start mod q^L) + offset is below 2 q^L, so the low L
-    digits come from int64 arithmetic and the carry out of them picks one of
-    two high-digit tuples computed from start // q^L in Python ints.
+    Returns the first and last high block and the low values they scan, as
+    half-open ranges: one range inside a single block, else the union of the
+    first block's tail [start % place, place) and the last block's head
+    [0, end % place], which is all of [0, place) once a block lies between.
     """
+    first, u_first = divmod(start, place)
+    last, u_last = divmod(end, place)
+    if first == last:
+        return first, last, [(u_first, u_last + 1)]
+    if last == first + 1:
+        return first, last, [(0, min(u_last + 1, u_first)), (u_first, place)]
+    return first, last, [(0, place)]
+
+
+def _split(order: int, n: int, masks: Sequence[int], start: int, end: int, step: int) -> int:
+    """The number of low digits L with the least estimated work for the
+    labelings start..end, step apart.
+
+    Sparse counts cost _COUNT_WEIGHT per (base, low labeling).  When the
+    labelings span more than one high block, the shifted sums add one per
+    (high block, low labeling, class, group value).  L ranges from 1 to the
+    largest value with q^L <= _LOW_PLACE_LIMIT; ties go to the least L.
+    """
+    costs = []
     low = 1
-    while low < n and order**low <= int(offsets[-1]):
+    while low <= n and order**low <= _LOW_PLACE_LIMIT:
+        first, last, ranges = _low_ranges(start, end, order**low)
+        count = sum(-(-(b - a) // step) for a, b in ranges)
+        cost = _COUNT_WEIGHT * len(masks) * count
+        if last > first:
+            classes = len({m >> low for m in masks})
+            cost += (last - first + 1) * count * classes * order
+        costs.append((cost, low))
         low += 1
-    modulus = order**low
-    local = start % modulus + offsets
-    carry = local >= modulus
-    local -= carry * modulus
-    digits = np.empty((n, offsets.size), dtype=np.min_scalar_type(order))
-    for i in range(low):
-        digits[i] = local // order**i % order
-    high = start // modulus
-    for i in range(low, n):
-        place = order ** (i - low)
-        digits[i] = np.where(carry, (high + 1) // place % order, high // place % order)
-    return digits
+    return min(costs)[1]
+
+
+def _differences(factors: Sequence[int], subtrahends: np.ndarray) -> np.ndarray:
+    """The index of v - h for every index h in `subtrahends` and every group
+    value v, which indexes a new last axis of length |G|."""
+    order = math.prod(factors)
+    values = np.arange(order, dtype=np.int64)
+    rows = np.zeros((*subtrahends.shape, order), dtype=np.int64)
+    place = order
+    for m in factors:
+        place //= m
+        rows += (values // place % m - subtrahends[..., None] // place % m) % m * place
+    return rows
 
 
 def _scan_chunk(
@@ -391,30 +435,110 @@ def _scan_chunk(
 
     The first `block_count` bases are the blocks.  A labeling is isolating
     when some group value is the label of exactly one base and that base is
-    a block.
+    a block.  `offsets` step evenly from 0, and `start` is a multiple of
+    the step.
+
+    Meet in the middle: an index is a low part (the digits of elements
+    0..L-1, below q^L, in int64) and a high block (index // q^L, a Python
+    int), with L from `_split`.  A base's label is its low-part sum plus the
+    high sum of B & High, which depends only on the class B & High.  Per
+    class, a bincount histograms the low-part labels over the chunk's low
+    parts, non-blocks counting twice; each high block then sums the class
+    histograms, each shifted by its class's high sum, and a value hits when
+    its total is 1.  Inside a single high block each base's high sum folds
+    into its labels, there is one class, and the count is the plain sparse
+    one.
     """
-    if offsets.size == 0 or block_count == 0:
-        return int(offsets.size), None
+    size = int(offsets.size)
+    if size == 0 or block_count == 0:
+        return size, None
     order = math.prod(factors)
-    digits = _element_digits(order, n, start, offsets)
-    _, labels = _label_sums(factors, n, bases, digits)
-    # bincount over (labeling, value) cells: a labeling hits when some cell
-    # holds exactly one block and no other base.  Labelings go a slice at a
-    # time so that keys and counts stay near _COUNT_CELLS entries; no step
-    # loops over the group's values.
-    width = max(1, _COUNT_CELLS // max(order, len(bases)))
-    hits = np.empty(offsets.size, dtype=bool)
-    for lo in range(0, offsets.size, width):
-        part = labels[:, lo : lo + width]
-        cells = part.shape[1] * order
-        keys = part + np.arange(0, cells, order)
-        once = np.bincount(keys[:block_count].ravel(), minlength=cells) == 1
-        if block_count < len(bases):
-            once &= np.bincount(keys[block_count:].ravel(), minlength=cells) == 0
-        hits[lo : lo + part.shape[1]] = once.reshape(-1, order).any(axis=1)
-    if not hits.any():
-        return int(offsets.size), None
-    return int(offsets.size), start + int(offsets[hits.argmax()])
+    end = start + int(offsets[-1])
+    step = int(offsets[1]) if size > 1 else 1
+    masks = [sum(1 << e for e in b) for b in bases]
+    low = _split(order, n, masks, start, end, step)
+    place = order**low
+    first, last, ranges = _low_ranges(start, end, place)
+    lows = np.concatenate([np.arange(a, b, step, dtype=np.int64) for a, b in ranges])
+    incidence = _incidence(n, bases)
+    # the high digits of every high block, one column per block
+    high = np.array(
+        [[y // order**j % order for y in range(first, last + 1)] for j in range(n - low)],
+        dtype=np.int64,
+    ).reshape(n - low, last - first + 1)
+    if first == last:
+        class_count, shift = 1, _label_sums(factors, incidence[:, low:], high)[:, 0]
+    else:
+        ids: dict[int, int] = {}
+        classes = np.array([ids.setdefault(m >> low, len(ids)) for m in masks], dtype=np.int64)
+        members = np.unique(classes, return_index=True)[1]
+        # rows[c, y, v]: the value of class c's histogram that its high sum
+        # in block first + y moves onto v
+        rows = _differences(factors, _label_sums(factors, incidence[members, low:], high))
+        class_count, shift = len(ids), None
+    cells = class_count * order
+    width = max(1, _COUNT_CELLS // max(cells, len(bases)))
+    count_type = np.min_scalar_type(2 * len(bases))
+    head = int(np.searchsorted(lows, start % place))  # the first block starts here
+    tail = int(np.searchsorted(lows, end % place, side="right"))  # the last ends here
+
+    def slices():
+        """(position, labels) of count slices of the low parts.  They run from
+        the first block's start to the end, then over the low parts before
+        it, which the first block does not scan: a hit in the first block is
+        the least as soon as it is found.  Labels, offset by class * |G|
+        across blocks, come one slice first and then twice as many slices
+        each time, up to about _LABEL_CELLS at once, so that an early hit
+        costs few labels and a long scan few calls."""
+        most = width * max(1, _LABEL_CELLS // (width * len(bases)))
+        span = width
+        for at, stop in ((head, lows.size), (0, head)):
+            while at < stop:
+                part = lows[at : min(at + span, stop)]
+                digits = np.array(
+                    [part // order**i % order for i in range(low)], dtype=np.min_scalar_type(order)
+                )
+                labels = _label_sums(factors, incidence[:, :low], digits, shift)
+                if shift is None:
+                    labels = labels + classes[:, None] * order
+                for lo in range(0, part.size, width):
+                    yield at + lo, labels[:, lo : lo + width]
+                at += part.size
+                span = min(2 * span, most)
+
+    best: Optional[tuple[int, int]] = None  # (block - first, position in lows)
+    for lo, labels in slices():
+        w = labels.shape[1]
+        if shift is None:
+            keys = labels * w + np.arange(w)  # by class, value, position
+            counts = np.bincount(keys[:block_count].ravel(), minlength=cells * w)
+            if block_count < len(bases):
+                counts += 2 * np.bincount(keys[block_count:].ravel(), minlength=cells * w)
+            hist = counts.astype(count_type).reshape(class_count, order, w)
+            blocks = last - first + 1 if best is None else best[0] + 1
+            which = np.arange(class_count)[:, None, None]
+            once = hist[which, rows[:, :blocks]].sum(axis=0, dtype=count_type) == 1
+        else:
+            keys = labels + np.arange(0, w * order, order)  # by position, then value
+            once = np.bincount(keys[:block_count].ravel(), minlength=order * w) == 1
+            if block_count < len(bases):
+                once &= np.bincount(keys[block_count:].ravel(), minlength=order * w) == 0
+        if not once.any():
+            continue
+        if shift is not None:
+            once = once.reshape(w, order).T[None]
+        # once is blocks x values x positions: take the least valid (block, position)
+        found = np.flatnonzero(once)
+        y, at = found // (order * w), lo + found % w
+        valid = ((y > 0) | (at >= head)) & ((y < last - first) | (at < tail))
+        if valid.any():
+            hit = min(zip(y[valid].tolist(), at[valid].tolist()))
+            best = min(best or hit, hit)
+            if best[0] == 0:
+                break
+    if best is None:
+        return size, None
+    return size, (first + best[0]) * place + int(lows[best[1]])
 
 
 def _scan_task(args) -> ScanLine:

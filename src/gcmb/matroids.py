@@ -33,6 +33,9 @@ SBO_MAX_BASES = 120
 FIELD_ORDER_LIMIT = 2**31
 #: Longest integer a matroid file may give; int() refuses longer strings.
 INTEGER_DIGITS_LIMIT = 4300
+#: Largest ground size `n` a uniform or explicit matroid file may declare;
+#: the full rank alone asks the oracle once per element.
+GROUND_SIZE_LIMIT = 10**5
 
 
 class Matroid:
@@ -349,20 +352,24 @@ class ExplicitMatroid(Matroid):
     def _validate_exchange(self) -> None:
         """For bases A, B and a in A - B, some b in B - A makes A - a + b a base.
 
-        Bases are bitmasks.  need[A, a] holds a and every b outside A with
-        A - a + b a base, so (A, B, a) fails exactly when B misses all of
-        need[A, a].  The reported violation is the first (A, B, a) in the
-        order of the plain loop over A, then B, then the set A - B.
+        Bases are bitmasks, looked up in a table of all 2^n subsets.
+        need[A, a] holds a and every b outside A with A - a + b a base, so
+        (A, B, a) fails exactly when B misses all of need[A, a].  The
+        reported violation is the first (A, B, a) in the order of the plain
+        loop over A, then B, then the set A - B.
         """
-        masks = [sum(1 << e for e in b) for b in self.base_list]
-        known = set(masks)
-        need = np.zeros((len(masks), self.r), dtype=np.min_scalar_type((1 << self.n) - 1))
-        for i, (base, mask) in enumerate(zip(self.base_list, masks)):
-            outside = [b for b in range(self.n) if not mask >> b & 1]
-            for k, a in enumerate(base):
-                rest = mask ^ 1 << a
-                need[i, k] = sum(1 << b for b in outside if rest | 1 << b in known) | 1 << a
-        other = np.array(masks, dtype=need.dtype)
+        bits = 1 << np.arange(self.n, dtype=np.int64)
+        elements = np.array(self.base_list, dtype=np.int64)  # bases x r, also for r = 0
+        masks = bits[elements].sum(axis=1)
+        is_base = np.zeros(1 << self.n, dtype=bool)
+        is_base[masks] = True
+        rest = masks[:, None] ^ bits[elements]  # A - a, bases x positions of a
+        outside = (masks[:, None] & bits) == 0  # bases x elements
+        swaps = is_base[rest[:, :, None] | bits] & outside[:, None, :]
+        need = ((swaps * bits).sum(axis=2) | bits[elements]).astype(
+            np.min_scalar_type((1 << self.n) - 1)
+        )
+        other = masks.astype(need.dtype)
         missed = ((need[:, :, None] & other[None, None, :]) == 0).any(axis=1)
         if not missed.any():
             return
@@ -370,7 +377,7 @@ class ExplicitMatroid(Matroid):
         a_set, b_set = self._base_frozen[i], self._base_frozen[j]
         a = next(
             a for a in a_set - b_set
-            if not need[i, self.base_list[i].index(a)] & masks[j]
+            if not need[i, self.base_list[i].index(a)] & other[j]
         )
         raise UsageError(
             f"base exchange axiom fails: no swap for element {a} of "
@@ -776,8 +783,17 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
         except ValueError:
             raise ParseError(f"'{name}' must be an integer") from None
 
+    def ground_size() -> int:
+        n = intfield("n")
+        if n > GROUND_SIZE_LIMIT:
+            raise CapacityError(
+                f"ground size n = {n} exceeds the limit n <= {GROUND_SIZE_LIMIT} "
+                f"(GROUND_SIZE_LIMIT)"
+            )
+        return n
+
     if kind == "uniform":
-        return make_uniform(intfield("n"), intfield("r"))
+        return make_uniform(ground_size(), intfield("r"))
     if kind == "graphic":
         return make_graphic(edges, intfield("vertices"))
     if kind == "linear":
@@ -787,7 +803,7 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
             raise ParseError(f"expected {expected} matrix rows, got {len(rows)}")
         return make_linear(rows, p)
     if kind == "explicit":
-        return make_explicit(intfield("n"), base_rows, trust=trust)
+        return make_explicit(ground_size(), base_rows, trust=trust)
     raise ParseError(f"unknown matroid kind {kind!r}", header_no)
 
 

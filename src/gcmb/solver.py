@@ -22,6 +22,8 @@ from .matroids import BaseSet, Matroid, delete, make_partition
 
 Weight = Union[int, Fraction]
 
+_SHOWN_MISSING = 8  # missing elements a labeling or weight file error names
+
 
 class CertificationError(UsageError):
     """Proximity mode was asked for a certified answer outside the regimes
@@ -429,6 +431,16 @@ def _indexed_lines(text: str) -> Iterator[tuple[int, int, str]]:
         yield lineno, index, parts[1].strip()
 
 
+def _check_covered(seen: dict[int, object], n: int, what: str) -> None:
+    """Every element 0..n-1 is in `seen`; the error names how many are not
+    and the first _SHOWN_MISSING of them, so it stays short at any n."""
+    missing = [e for e in range(n) if e not in seen]
+    if missing:
+        shown = ", ".join(map(str, missing[:_SHOWN_MISSING]))
+        more = ", ..." if len(missing) > _SHOWN_MISSING else ""
+        raise ParseError(f"elements without {what} ({len(missing)} of {n}): [{shown}{more}]")
+
+
 def parse_labeling(text: str, group: GroupSpec, n: int) -> Labeling:
     """Parse labeling lines `<element-index> <group-element>`; every element
     0..n-1 must be labeled exactly once."""
@@ -442,9 +454,7 @@ def parse_labeling(text: str, group: GroupSpec, n: int) -> Labeling:
             seen[index] = group.index_of(group.parse_element(value))
         except UsageError as exc:
             raise ParseError(str(exc), lineno) from None
-    missing = [e for e in range(n) if e not in seen]
-    if missing:
-        raise ParseError(f"elements without labels: {missing}")
+    _check_covered(seen, n, "labels")
     return Labeling(group, tuple(seen[e] for e in range(n)))
 
 
@@ -461,9 +471,7 @@ def parse_weights(text: str, n: int) -> tuple[Weight, ...]:
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"bad weight {value!r}", lineno) from None
         seen[index] = int(frac) if frac.denominator == 1 else frac
-    missing = [e for e in range(n) if e not in seen]
-    if missing:
-        raise ParseError(f"elements without weights: {missing}")
+    _check_covered(seen, n, "weights")
     return tuple(seen[e] for e in range(n))
 
 

@@ -99,6 +99,30 @@ def exchange_surplus(m: Matroid, a1: Iterable[int], b1: Iterable[int]) -> int:
     return len(a1_set) + len(b1_set) - m.rank(a1_set | b1_set)
 
 
+def validate_exchange_loop(m) -> None:
+    """`ExplicitMatroid._validate_exchange` with need[A, a] built element by
+    element over Python sets instead of from a table of all 2^n subsets."""
+    masks = [sum(1 << e for e in b) for b in m.base_list]
+    known = set(masks)
+    need = np.zeros((len(masks), m.r), dtype=np.min_scalar_type((1 << m.n) - 1))
+    for i, (base, mask) in enumerate(zip(m.base_list, masks)):
+        outside = [b for b in range(m.n) if not mask >> b & 1]
+        for k, a in enumerate(base):
+            rest = mask ^ 1 << a
+            need[i, k] = sum(1 << b for b in outside if rest | 1 << b in known) | 1 << a
+    other = np.array(masks, dtype=need.dtype)
+    missed = ((need[:, :, None] & other[None, None, :]) == 0).any(axis=1)
+    if not missed.any():
+        return
+    i, j = (int(x) for x in np.argwhere(missed)[0])
+    a_set, b_set = m._base_frozen[i], m._base_frozen[j]
+    a = next(a for a in a_set - b_set if not need[i, m.base_list[i].index(a)] & masks[j])
+    raise UsageError(
+        f"base exchange axiom fails: no swap for element {a} of "
+        f"{tuple(sorted(a_set))} toward {tuple(sorted(b_set))}"
+    )
+
+
 # -- intersection --------------------------------------------------------------
 
 
@@ -428,8 +452,8 @@ def closeness_witness_einsum(
     group = labeling.group
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
     bases = m.bases()
-    incidence, labels = lab_mod._label_sums(group.invariant_factors, m.n, bases, digits)
-    labels = labels[:, 0]
+    incidence = lab_mod._incidence(m.n, bases)
+    labels = lab_mod._label_sums(group.invariant_factors, incidence, digits)[:, 0]
     totals = [0 if weights is None else sum(weights[e] for e in b) for b in bases]
     cheapest: dict[int, Weight] = {}
     for g, t in zip(labels.tolist(), totals):
@@ -460,3 +484,4 @@ def closeness_witness_einsum(
         return None
     target = group.element_at(int(labels[b]))
     return Witness(m, labeling, target, bases[a], bases[b], d, k, weights=weights)
+

@@ -100,6 +100,21 @@ class TestSolve:
             "(INTEGER_DIGITS_LIMIT)\n"
         )
 
+    @pytest.mark.parametrize("command", ["bases", "solve"])
+    def test_ground_size_past_the_limit(self, capsys, tmp_path, command):
+        matroid, labels = tmp_path / "m.mat", tmp_path / "l.txt"
+        matroid.write_text("matroid uniform\nn 4000000000\nr 2\n")
+        labels.write_text("0 0\n1 1\n")
+        extra = ["--group", "Z2", "--labels", str(labels), "--target", "1"]
+        code, out, err = run(
+            capsys, command, "--matroid", str(matroid), *(extra if command == "solve" else [])
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: ground size n = 4000000000 exceeds the limit n <= 100000 "
+            "(GROUND_SIZE_LIMIT)\n"
+        )
+
     def test_weighted_solve(self, capsys, tmp_path):
         weights = tmp_path / "w.txt"
         weights.write_text("".join(f"{e} {w}\n" for e, w in enumerate([5, 1, 1, 1, 2, 2])))

@@ -1,6 +1,6 @@
 """Base-exchange validation of explicit base lists against the plain triple
-loop, independence against "is a subset of some base", and validation done
-once per parsed catalog entry."""
+loop and the element-by-element loop, independence against "is a subset of
+some base", and validation done once per parsed catalog entry."""
 
 import itertools
 
@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from gcmb.catalog import CatalogEntry, parse_catalog, parse_indicator_file
 from gcmb.errors import UsageError
-from gcmb.matroids import ExplicitMatroid
+from gcmb.matroids import EXPLICIT_VALIDATE_MAX, ExplicitMatroid
+
+from oracles import validate_exchange_loop
 
 
 def plain_validate(base_frozen):
@@ -59,6 +61,41 @@ def test_validator_matches_plain_loop(family):
         for subset in itertools.combinations(range(n), size):
             expected = any(set(subset) <= set(b) for b in bases)
             assert m.is_independent(subset) == expected
+
+
+@st.composite
+def base_lists(draw):
+    """Random base lists up to the validation limit, n = 0 and r = 0 included;
+    about a third of them fail the exchange axiom."""
+    n = draw(st.integers(0, EXPLICIT_VALIDATE_MAX))
+    r = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        subsets = list(itertools.combinations(range(n), r))
+        family = draw(st.lists(st.sampled_from(subsets), min_size=1, max_size=40, unique=True))
+    else:
+        base = st.lists(st.integers(0, n - 1), min_size=r, max_size=r, unique=True) if n else st.just([])
+        family = draw(st.lists(base, min_size=1, max_size=40))
+    # cover every element, so that the list has no loops
+    others = [[e, *[x for x in range(n) if x != e][: r - 1]] for e in range(n)]
+    family += [b for b in others if r and not any(b[0] in c for c in family)]
+    return n, family
+
+
+@settings(max_examples=300, deadline=None)
+@given(base_lists())
+def test_table_validator_matches_element_loop(family):
+    n, bases = family
+    try:
+        m = ExplicitMatroid(n, bases, trust=True)  # structural checks only
+    except UsageError:
+        assume(False)
+    assert outcome(m._validate_exchange) == outcome(lambda: validate_exchange_loop(m))
+
+
+def test_empty_ground_set_validates():
+    m = ExplicitMatroid(0, [()])
+    assert (m.base_list, m.full_rank) == (((),), 0)
+    assert outcome(lambda: validate_exchange_loop(m)) is None
 
 
 def test_parsed_entry_is_not_validated_again(monkeypatch):

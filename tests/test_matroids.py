@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcmb import matroids
-from gcmb.catalog import CatalogEntry, filter_blocks, load_bundled_catalog
+from gcmb.catalog import CatalogEntry, builtin_instances, filter_blocks, load_bundled_catalog
 from gcmb.errors import CapacityError, InternalError, ParseError, UsageError
 from gcmb.intersection import max_common_independent
 from gcmb.matroids import (
@@ -448,6 +448,36 @@ class TestOversizedIntegers:
             parse_matroid("matroid uniform\nn 4\nr " + "9" * 4300 + "\n")
         with pytest.raises(ParseError, match="'n' must be an integer"):
             parse_matroid("matroid uniform\nn --4\nr 2\n")
+
+
+class TestGroundSize:
+    """A uniform or explicit matroid file may declare at most
+    GROUND_SIZE_LIMIT elements; a larger n ends before any per-element work."""
+
+    @pytest.mark.parametrize("kind, body", [("uniform", "r 2\n"), ("explicit", "base 0 1\n")])
+    def test_ten_digit_n_fails_at_once(self, kind, body):
+        t0 = time.perf_counter()
+        with pytest.raises(CapacityError) as info:
+            parse_matroid(f"matroid {kind}\nn 4000000000\n{body}", trust=True)
+        assert time.perf_counter() - t0 < 0.5
+        assert str(info.value) == (
+            "ground size n = 4000000000 exceeds the limit n <= 100000 (GROUND_SIZE_LIMIT)"
+        )
+
+    def test_limit_itself_loads(self):
+        limit = matroids.GROUND_SIZE_LIMIT
+        assert parse_matroid(f"matroid uniform\nn {limit}\nr 1\n").n == limit
+        with pytest.raises(CapacityError, match="GROUND_SIZE_LIMIT"):
+            parse_matroid(f"matroid uniform\nn {limit + 1}\nr 1\n")
+
+    def test_every_bundled_instance_loads_from_a_file(self):
+        instances = [b.matroid for b in builtin_instances().values()]
+        instances += [e.matroid() for name in ("rank3_size6.cat", "rank4_size8_blocks.cat")
+                      for e in load_bundled_catalog(name)]
+        for m in instances:
+            lines = [f"n {m.n}"] + [f"base {' '.join(map(str, b))}" for b in m.bases()]
+            parsed = parse_matroid("matroid explicit\n" + "\n".join(lines) + "\n", trust=True)
+            assert parsed.bases() == m.bases()
 
 
 class TestParsing:

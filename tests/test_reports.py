@@ -68,6 +68,9 @@ SCENARIOS = [
     "verify --matroid k6.mat --group Z3 --labels k6-z3.lab --k 1 --weights k6.w",
     "--seed 5 check-ss --matroid k6.mat --group Z4 --random 2",
     "scan --builtin k4 --group Z3 --predicate block",
+    # ranges that cross several high blocks of the scan kernel's split, each with a hit
+    "scan --builtin u48 --group Z5 --predicate strong-block --range 9973..14973",
+    "scan --builtin u48 --group Z3xZ3 --predicate block --reduction translation --range 2000000..2030000",
 ]
 
 

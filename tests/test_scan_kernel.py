@@ -1,5 +1,6 @@
-"""The isolation-scan kernel against per-labeling brute force, at both ends
-of the labeling index space, and the bound on scan worker processes."""
+"""The isolation-scan kernel against per-labeling brute force, at every split
+of a labeling index into low digits and a high block, at both ends of the
+labeling index space, and the bound on scan worker processes."""
 
 import warnings
 from unittest.mock import patch
@@ -67,6 +68,76 @@ def test_kernel_matches_per_labeling_predicates(data):
     if first is not None:
         digits = labeling_from_index(group, m.n, first).labels
         assert tuple(group.index_of(g) for g in digits) == line.isolating_labels
+
+
+SPLIT_GROUPS = [GroupSpec.of(*f) for f in [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]]
+U48 = make_uniform(8, 4)
+Z256 = GroupSpec.of(256)
+
+
+def max_low(order, n):
+    """The most low digits the kernel may take: q^L must stay in int64."""
+    return max(low for low in range(1, n + 1) if order**low <= lab_mod._LOW_PLACE_LIMIT)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_split_matches_per_labeling_predicates(data):
+    """Forces each number L of low digits, from 1 to its maximum, on a range
+    that crosses at least one high-block boundary (q^L divides it) with
+    partial blocks at both ends.  U_{4,8} over Z256 has 2^64 labelings, more
+    than q^L <= 2^62 can split into int64 low parts: there the high block
+    numbers and most indices lie past 2^63."""
+    if data.draw(st.booleans()):
+        _, m = data.draw(st.sampled_from(BLOCK_CANDIDATES))
+        group = data.draw(st.sampled_from(SPLIT_GROUPS))
+    else:
+        m, group = U48, Z256
+    predicate = data.draw(st.sampled_from(["block", "strong_block"]))
+    reduction = data.draw(st.sampled_from(["none", "translation"]))
+    low = data.draw(st.integers(1, max_low(group.order, m.n)))
+    place, total = group.order**low, group.order**m.n
+    width = data.draw(st.integers(2, min(total, 40)))
+    if place < total:
+        boundary = data.draw(st.integers(1, (total - 1) // place)) * place
+        start = min(boundary - data.draw(st.integers(1, min(width - 1, boundary))), total - width)
+    else:  # L = n: one high block holds every labeling
+        start = data.draw(st.integers(0, total - width))
+    chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
+    cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
+    check_split(m, group, predicate, reduction, low, start, width, chunk, cells)
+
+
+def check_split(m, group, predicate, reduction, low, start, width, chunk, cells):
+    with (
+        patch.object(lab_mod, "_split", lambda *args: low),
+        patch.object(lab_mod, "_COUNT_CELLS", cells),
+        patch.object(lab_mod, "_SCAN_CHUNK", chunk),
+    ):
+        report = isolation_scan([("m", m)], group, predicate, reduction, (start, start + width))
+    line = report.lines[0]
+    assert (line.checked, line.isolating_index) == brute_scan(
+        m, group, predicate, reduction, start, start + width
+    )
+
+
+def test_least_hit_of_a_block_may_come_from_a_later_slice(k4):
+    """Slices start where the first block starts and wrap around to the low
+    parts before it: there the second block has a hit (46376) below the one
+    (46381) that an earlier slice found."""
+    check_split(k4, GroupSpec.of(6), "block", "none", 1, 46375, 33, 1 << 15, 100)
+
+
+def test_split_follows_the_cost_estimate():
+    """Over a large group the kernel keeps a chunk inside one high block and
+    folds; over a small group the estimate prefers shifted class histograms
+    across blocks, since 70 bases outweigh 4 values times a few classes."""
+    masks = [sum(1 << e for e in b) for b in U48.bases()]
+    for order, folds in [(64, True), (4, False)]:
+        start = 3 * order**5 + 12
+        end = start + (1 << 15) - 1
+        place = order ** lab_mod._split(order, 8, masks, start, end, 1)
+        assert (start // place == end // place) == folds
 
 
 U612 = make_uniform(12, 6)

@@ -323,6 +323,20 @@ class TestFiles:
         with pytest.raises(ParseError, match="without labels"):
             parse_labeling("0 1\n2 0\n", Z2, 3)
 
+    @pytest.mark.parametrize("what", ["labels", "weights"])
+    def test_missing_entries_message_stays_short(self, what):
+        def parse(text, n):
+            return parse_labeling(text, Z2, n) if what == "labels" else parse_weights(text, n)
+
+        with pytest.raises(ParseError) as few:
+            parse("0 1\n2 0\n", 3)
+        assert str(few.value) == f"elements without {what} (1 of 3): [1]"
+        with pytest.raises(ParseError) as many:
+            parse("0 1\n1 0\n", 300000)
+        assert str(many.value) == (
+            f"elements without {what} (299998 of 300000): [2, 3, 4, 5, 6, 7, 8, 9, ...]"
+        )
+
     def test_labeling_duplicate(self):
         with pytest.raises(ParseError, match="twice"):
             parse_labeling("0 1\n0 0\n", Z2, 2)
