@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import ParseError, UsageError
+from .errors import CapacityError, ParseError, UsageError, content_lines, quote, read_text
 from .groups import GroupSpec
 from .matroids import (
+    EXPLICIT_VALIDATE_MAX,
     BaseSet,
     ExplicitMatroid,
     GraphicMatroid,
@@ -45,73 +46,74 @@ class CatalogEntry:
     bases: tuple[BaseSet, ...]
     validated: Optional[ExplicitMatroid] = field(default=None, compare=False, repr=False)
 
-    def matroid(self, trust: bool = False) -> ExplicitMatroid:
+    def matroid(self) -> ExplicitMatroid:
         if self.validated is not None:
             return self.validated
-        return make_explicit(self.n, self.bases, trust=trust)
+        return make_explicit(self.n, self.bases)
+
+
+#: Lines a lenient parse skipped, as (line number, "entry 'id': reason").
+Problems = Optional[list[tuple[int, str]]]
+
+
+def _entries(
+    lines: Iterable[tuple[int, str]],
+    fields: Callable[[str], tuple[int, int, Sequence[BaseSet]]],
+    lenient: bool,
+    problems: Problems,
+) -> Iterator[CatalogEntry]:
+    """Validated entries of both catalog formats from `<id> <rest>` lines.
+
+    `fields` turns the rest into (n, r, bases).  A bad line (a syntax error,
+    a failing exchange axiom, a wrong rank or a size over a limit) raises a
+    ParseError naming the line, or when lenient is skipped and appended to
+    `problems`.
+    """
+    for lineno, line in lines:
+        entry_id, *rest = line.split(None, 1)
+        try:
+            n, r, bases = fields("".join(rest))
+            matroid = make_explicit(n, bases)
+            if matroid.full_rank != r:
+                raise UsageError("rank mismatch")
+        except (ParseError, UsageError, CapacityError) as exc:
+            reason = f"entry {quote(entry_id)}: {exc}"
+            if not lenient:
+                raise ParseError(reason, lineno) from None
+            if problems is not None:
+                problems.append((lineno, reason))
+            continue
+        yield CatalogEntry(entry_id, n, r, matroid.base_list, matroid)
+
+
+def _catalog_fields(rest: str) -> tuple[int, int, list[tuple[int, ...]]]:
+    parts = rest.split(None, 2)
+    if len(parts) != 3:
+        raise ParseError("expected '<id> <n> <r> <bases>'")
+    try:
+        n, r = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("bad n/r") from None
+    bases = []
+    for chunk in filter(str.strip, parts[2].split(";")):
+        try:
+            bases.append(tuple(map(int, chunk.split(","))))
+        except ValueError:
+            raise ParseError(f"bad base {quote(chunk.strip())}") from None
+    return n, r, bases
 
 
 def parse_catalog(
-    text: str,
-    lenient: bool = False,
-    problems: Optional[list[tuple[int, str]]] = None,
+    text: str, lenient: bool = False, problems: Problems = None
 ) -> Iterator[CatalogEntry]:
-    """Stream validated entries; bad entries raise, or are collected into
-    `problems` and skipped when lenient."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        try:
-            yield _parse_entry(stripped, lineno)
-        except ParseError as exc:
-            if not lenient:
-                raise
-            if problems is not None:
-                problems.append((lineno, str(exc)))
-
-
-def _parse_entry(line: str, lineno: int) -> CatalogEntry:
-    parts = line.split(None, 3)
-    if len(parts) != 4:
-        raise ParseError("expected '<id> <n> <r> <bases>'", lineno)
-    entry_id, n_text, r_text, bases_text = parts
-    try:
-        n, r = int(n_text), int(r_text)
-    except ValueError:
-        raise ParseError(f"bad n/r in entry {entry_id!r}", lineno) from None
-    bases = []
-    for chunk in bases_text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            base = tuple(sorted(int(tok) for tok in chunk.split(",")))
-        except ValueError:
-            raise ParseError(f"bad base {chunk!r} in entry {entry_id!r}", lineno) from None
-        if len(base) != r:
-            raise ParseError(
-                f"entry {entry_id!r}: base {chunk!r} has size {len(base)}, expected {r}",
-                lineno,
-            )
-        bases.append(base)
-    try:
-        matroid = make_explicit(n, bases)
-    except UsageError as exc:
-        raise ParseError(f"entry {entry_id!r}: {exc}", lineno) from None
-    if matroid.full_rank != r:
-        raise ParseError(f"entry {entry_id!r}: rank mismatch", lineno)
-    return CatalogEntry(entry_id, n, r, tuple(sorted(bases)), matroid)
+    """Stream validated entries of `<id> <n> <r> <bases>` lines (see `_entries`)."""
+    return _entries(content_lines(text), _catalog_fields, lenient, problems)
 
 
 def load_catalog(
-    path,
-    lenient: bool = False,
-    problems: Optional[list[tuple[int, str]]] = None,
+    path, lenient: bool = False, problems: Problems = None
 ) -> Iterator[CatalogEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    yield from parse_catalog(text, lenient=lenient, problems=problems)
+    yield from parse_catalog(read_text(path), lenient=lenient, problems=problems)
 
 
 def format_entry(entry: CatalogEntry) -> str:
@@ -154,76 +156,50 @@ def entry_to_indicator(entry: CatalogEntry) -> str:
 
 
 def parse_indicator_file(
-    text: str,
-    lenient: bool = False,
-    problems: Optional[list[tuple[int, str]]] = None,
+    text: str, lenient: bool = False, problems: Problems = None
 ) -> Iterator[CatalogEntry]:
-    """Convert an indicator dataset to catalog entries.
+    """Convert an indicator dataset to catalog entries (see `_entries`).
 
     Expected layout: `n <n>` and `r <r>` header lines, then one entry per
     line, either `<id> <indicator>` or a bare indicator string (ids are then
-    numbered from the line position)."""
-    n: Optional[int] = None
-    r: Optional[int] = None
-    counter = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        if tokens[0] in ("n", "r") and len(tokens) == 2:
-            try:
-                value = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad header value {tokens[1]!r}", lineno) from None
-            if tokens[0] == "n":
-                n = value
+    numbered from the line position).  Every entry is validated, so an entry
+    under a header outside 0 <= r <= n <= EXPLICIT_VALIDATE_MAX is a bad line."""
+    header: dict[str, int] = {}
+    positions = itertools.count(1)
+
+    def data_lines() -> Iterator[tuple[int, str]]:
+        for lineno, line in content_lines(text):
+            tokens = line.split()
+            if tokens[0] in ("n", "r") and len(tokens) == 2:
+                try:
+                    header[tokens[0]] = int(tokens[1])
+                except ValueError:
+                    raise ParseError(f"bad header value {quote(tokens[1])}", lineno) from None
+            elif len(header) < 2:
+                raise ParseError("indicator data before n/r header", lineno)
             else:
-                r = value
-            continue
-        if n is None or r is None:
-            raise ParseError("indicator data before n/r header", lineno)
-        if len(tokens) == 1:
-            counter += 1
-            entry_id, indicator = f"m{counter:04d}", tokens[0]
-        elif len(tokens) == 2:
-            counter += 1
-            entry_id, indicator = tokens
-        else:
-            raise ParseError("expected '<id> <indicator>' or '<indicator>'", lineno)
+                position = next(positions)
+                yield lineno, line if len(tokens) > 1 else f"m{position:04d} {line}"
+
+    def fields(indicator: str) -> tuple[int, int, list[BaseSet]]:
+        n, r = header["n"], header["r"]
+        if not 0 <= r <= n <= EXPLICIT_VALIDATE_MAX:  # before C(n, r) is computed
+            raise ParseError(
+                f"header n {quote(str(n))} and r {quote(str(r))} are outside 0 <= r <= n <= "
+                f"{EXPLICIT_VALIDATE_MAX} (EXPLICIT_VALIDATE_MAX; every import is validated)"
+            )
         expected = math.comb(n, r)
         if len(indicator) != expected or set(indicator) - {"0", "1"}:
-            raise ParseError(
-                f"indicator for {entry_id!r} must be {expected} chars of 0/1", lineno
-            )
-        bases = tuple(
-            sorted(
-                subset_colex_unrank(pos, r)
-                for pos, char in enumerate(indicator)
-                if char == "1"
-            )
-        )
-        try:
-            matroid = make_explicit(n, bases)
-            if matroid.full_rank != r:
-                raise UsageError("rank mismatch")
-        except UsageError as exc:
-            if lenient:
-                if problems is not None:
-                    problems.append((lineno, f"entry {entry_id!r}: {exc}"))
-                continue
-            raise ParseError(f"entry {entry_id!r}: {exc}", lineno) from None
-        yield CatalogEntry(entry_id, n, r, bases, matroid)
+            raise ParseError(f"indicator must be {expected} chars of 0/1")
+        return n, r, [subset_colex_unrank(pos, r) for pos, c in enumerate(indicator) if c == "1"]
+
+    return _entries(data_lines(), fields, lenient, problems)
 
 
 def import_indicator_file(
-    path,
-    lenient: bool = False,
-    problems: Optional[list[tuple[int, str]]] = None,
+    path, lenient: bool = False, problems: Problems = None
 ) -> Iterator[CatalogEntry]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    yield from parse_indicator_file(text, lenient=lenient, problems=problems)
+    yield from parse_indicator_file(read_text(path), lenient=lenient, problems=problems)
 
 
 def bundled_path(name: str):

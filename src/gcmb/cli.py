@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import catalog as catalog_mod
 from . import lab as lab_mod
-from .errors import GcmbError, UsageError
+from .errors import GcmbError, UsageError, quote, read_text
 from .groups import GroupSpec
 from .matroids import Matroid, load_matroid
 from .solver import (
@@ -47,7 +47,7 @@ def _load_instance(args) -> tuple[str, Matroid, GroupSpec, Optional[Labeling]]:
     if args.builtin:
         if args.builtin not in catalog_mod.BUILTINS:
             known = ", ".join(sorted(catalog_mod.BUILTINS))
-            raise UsageError(f"unknown builtin {args.builtin!r}; known: {known}")
+            raise UsageError(f"unknown builtin {quote(args.builtin)}; known: {known}")
         inst = catalog_mod.BUILTINS[args.builtin]()
         group = GroupSpec.parse(args.group) if args.group else inst.group
         if getattr(args, "labels", None):
@@ -150,16 +150,12 @@ def _parse_range(text: Optional[str]) -> Optional[tuple[int, int]]:
         lo, hi = text.split("..")
         return int(lo), int(hi)
     except ValueError:
-        raise UsageError(f"bad range {text!r}; expected 'a..b'") from None
+        raise UsageError(f"bad range {quote(text)}; expected 'a..b'") from None
 
 
 def cmd_scan(args) -> int:
     if args.merge:
-        texts = []
-        for path in args.merge:
-            with open(path, "r", encoding="utf-8") as fh:
-                texts.append(fh.read())
-        merged = lab_mod.merge_scan_reports(texts)
+        merged = lab_mod.merge_scan_reports([read_text(path) for path in args.merge])
         _emit(merged, args.out)
         return EXIT_NEGATIVE if "verdict=isolating" in merged else EXIT_OK
     predicate = {"block": "block", "strong-block": "strong_block"}[args.predicate]
@@ -168,14 +164,13 @@ def cmd_scan(args) -> int:
     group = GroupSpec.parse(args.group)
     pool: list[tuple[str, Matroid]] = []
     if args.catalog:
-        entries = list(catalog_mod.load_catalog(args.catalog, lenient=args.lenient))
-        kept = list(catalog_mod.filter_blocks(entries))
-        pool = [(e.id, e.matroid()) for e in kept]
+        entries = _catalog_entries(catalog_mod.load_catalog, args.catalog, args.lenient)
+        pool = [(e.id, e.matroid()) for e in catalog_mod.filter_blocks(entries)]
         if not pool:
             raise UsageError("no block matroids in the catalog")
     elif args.builtin:
         if args.builtin not in catalog_mod.BUILTINS:
-            raise UsageError(f"unknown builtin {args.builtin!r}")
+            raise UsageError(f"unknown builtin {quote(args.builtin)}")
         pool = [(args.builtin, catalog_mod.BUILTINS[args.builtin]().matroid)]
     else:
         raise UsageError("scan needs --catalog PATH or --builtin NAME")
@@ -219,23 +214,22 @@ def cmd_check_ss(args) -> int:
     return EXIT_SS_VIOLATION if violations else EXIT_OK
 
 
-def cmd_catalog(args) -> int:
+def _catalog_entries(read, path, lenient: bool) -> list[catalog_mod.CatalogEntry]:
+    """The entries `read` takes from a file; `lenient` skips and reports bad lines."""
     problems: list[tuple[int, str]] = []
+    entries = list(read(path, lenient=lenient, problems=problems))
+    for lineno, reason in problems:
+        sys.stderr.write(f"skipped line {lineno}: {reason}\n")
+    return entries
+
+
+def cmd_catalog(args) -> int:
     if args.catalog_command == "import":
-        entries = list(
-            catalog_mod.import_indicator_file(
-                args.input, lenient=args.lenient, problems=problems
-            )
-        )
+        entries = _catalog_entries(catalog_mod.import_indicator_file, args.input, args.lenient)
     else:  # filter-blocks
-        entries = list(
-            catalog_mod.load_catalog(args.input, lenient=args.lenient, problems=problems)
-        )
+        entries = _catalog_entries(catalog_mod.load_catalog, args.input, args.lenient)
         entries = list(catalog_mod.filter_blocks(entries))
-    body = "".join(catalog_mod.format_entry(e) + "\n" for e in entries)
-    _emit(body, args.out)
-    for lineno, message in problems:
-        sys.stderr.write(f"skipped line {lineno}: {message}\n")
+    _emit("".join(catalog_mod.format_entry(e) + "\n" for e in entries), args.out)
     return EXIT_OK
 
 

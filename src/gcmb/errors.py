@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all gcmb modules."""
+"""Exception hierarchy shared by all gcmb modules, and the line reader that
+every input parser uses."""
+
+from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 
 class GcmbError(Exception):
@@ -25,3 +30,30 @@ class ParseError(GcmbError):
 
 class InternalError(GcmbError):
     """An invariant that should be unbreakable was broken (bug signal)."""
+
+
+def read_text(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of `text` that is not blank once its
+    `#` comment and surrounding whitespace are stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            yield lineno, stripped
+
+
+def quote(token: str, limit: int = 100) -> str:
+    """repr(token), cut after `limit` characters to keep a message short."""
+    if len(token) <= limit:
+        return repr(token)
+    return f"{token[:limit]!r}... ({len(token)} characters)"
+
+
+def element_list(elements: Sequence[int], limit: int = 8) -> str:
+    """'[a, b, ...]' naming at most the first `limit` elements."""
+    more = ", ..." if len(elements) > limit else ""
+    return f"[{', '.join(map(str, elements[:limit]))}{more}]"

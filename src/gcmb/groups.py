@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
-from .errors import CapacityError, InternalError, UsageError
+from .errors import CapacityError, InternalError, UsageError, quote
 
 _SPEC_TOKEN = re.compile(r"^[zZ](\d+)$")
 
@@ -107,12 +107,12 @@ class GroupSpec:
         """
         parts = [p for p in text.strip().replace("X", "x").split("x") if p]
         if not parts:
-            raise UsageError(f"empty group spec {text!r}")
+            raise UsageError(f"empty group spec {quote(text)}")
         factors = []
         for part in parts:
             m = _SPEC_TOKEN.match(part.strip())
             if not m:
-                raise UsageError(f"bad group spec token {part!r} in {text!r}")
+                raise UsageError(f"bad group spec token {quote(part)} in {quote(text)}")
             digits = m.group(1).lstrip("0")
             if len(digits) > len(str(GROUP_TABLE_LIMIT)):
                 # Over the limit on its own.  Refused before int(), which
@@ -183,14 +183,14 @@ class GroupSpec:
         try:
             values = [int(p) for p in parts]
         except ValueError:
-            raise UsageError(f"bad group element {text!r} for {self}") from None
+            raise UsageError(f"bad group element {quote(text)} for {self}") from None
         if not self.invariant_factors:
             if values not in ([0], []):
-                raise UsageError(f"bad element {text!r} for the trivial group")
+                raise UsageError(f"bad element {quote(text)} for the trivial group")
             return self.identity()
         if len(values) != len(self.invariant_factors):
             raise UsageError(
-                f"element {text!r} has {len(values)} residues, {self} needs "
+                f"element {quote(text)} has {len(values)} residues, {self} needs "
                 f"{len(self.invariant_factors)}"
             )
         return self.element(values)

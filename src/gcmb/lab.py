@@ -30,7 +30,7 @@ from typing import Iterable, Literal, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InternalError, ParseError, UsageError
+from .errors import CapacityError, InternalError, ParseError, UsageError, quote
 from .groups import (
     GroupElement,
     GroupSpec,
@@ -580,9 +580,9 @@ def isolation_scan(
     be distinct.
     """
     if predicate not in ("block", "strong_block"):
-        raise UsageError(f"unknown predicate {predicate!r}")
+        raise UsageError(f"unknown predicate {quote(predicate)}")
     if reduction not in ("none", "translation"):
-        raise UsageError(f"unknown reduction {reduction!r}")
+        raise UsageError(f"unknown reduction {quote(reduction)}")
     order = group.order
     factors = group.invariant_factors
     step = order if reduction == "translation" else 1
@@ -591,7 +591,7 @@ def isolation_scan(
     seen: set[str] = set()
     for matroid_id, m in matroids:
         if matroid_id in seen:
-            raise UsageError(f"matroid id {matroid_id!r} appears twice in the scan")
+            raise UsageError(f"matroid id {quote(matroid_id)} appears twice in the scan")
         seen.add(matroid_id)
         all_bases, blocks = _isolation_pools(m)
         total = order**m.n
@@ -697,7 +697,7 @@ def _report_fields(text: str) -> dict[str, str]:
     for token in text.split():
         key, sep, value = token.partition("=")
         if not sep:
-            raise ValueError(f"token {token!r} is not key=value")
+            raise ValueError(f"token {quote(token)} is not key=value")
         fields[key] = value
     return fields
 
@@ -712,7 +712,7 @@ def _with_example(
     for text in fields["labels"].split(";"):
         g = group.parse_element(text)
         if str(g) != text:
-            raise ValueError(f"label {text!r} is not a reduced element of {group}")
+            raise ValueError(f"label {quote(text)} is not a reduced element of {group}")
         labels.append(group.index_of(g))
     q = group.order
     if not line.start <= example < line.stop:
@@ -737,9 +737,9 @@ def parse_scan_report(text: str) -> ScanReport:
         fields = _report_fields(ln[len("# gcmb scan") :])
         group = GroupSpec.parse(fields["group"])
         if fields["predicate"] not in _PREDICATE_FROM_NAME:
-            raise ValueError(f"unknown predicate {fields['predicate']!r}")
+            raise ValueError(f"unknown predicate {quote(fields['predicate'])}")
         if fields["reduction"] not in ("none", "translation"):
-            raise ValueError(f"unknown reduction {fields['reduction']!r}")
+            raise ValueError(f"unknown reduction {quote(fields['reduction'])}")
         predicate = _PREDICATE_FROM_NAME[fields["predicate"]]
         reduction, seed = fields["reduction"], int(fields["seed"])
         step = group.order if reduction == "translation" else 1
@@ -750,7 +750,7 @@ def parse_scan_report(text: str) -> ScanReport:
             fields = _report_fields(ln)
             start, sep, stop = fields["range"].partition("..")
             if not sep:
-                raise ValueError(f"range {fields['range']!r} is not a..b")
+                raise ValueError(f"range {quote(fields['range'])} is not a..b")
             line = ScanLine(fields["matroid"], int(start), int(stop), int(fields["checked"]))
             if not 0 <= line.start <= line.stop:
                 raise ValueError(f"range {line.start}..{line.stop} is not 0 <= start <= stop")
@@ -763,9 +763,9 @@ def parse_scan_report(text: str) -> ScanReport:
                 line = _with_example(group, line, fields, step)
             rows.append(line)
     except KeyError as exc:
-        raise ParseError(f"scan report line {ln!r} has no {exc.args[0]}= field", lineno) from None
+        raise ParseError(f"scan report line {quote(ln)} has no {exc.args[0]}= field", lineno) from None
     except (ValueError, UsageError) as exc:
-        raise ParseError(f"bad scan report line {ln!r}: {exc}", lineno) from None
+        raise ParseError(f"bad scan report line {quote(ln)}: {exc}", lineno) from None
     return ScanReport(group, predicate, reduction, seed, tuple(rows))
 
 

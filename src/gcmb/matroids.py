@@ -15,6 +15,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, InternalError, ParseError, UsageError
+from .errors import content_lines, element_list, quote, read_text
 
 BaseSet = tuple[int, ...]
 
@@ -33,8 +34,8 @@ SBO_MAX_BASES = 120
 FIELD_ORDER_LIMIT = 2**31
 #: Longest integer a matroid file may give; int() refuses longer strings.
 INTEGER_DIGITS_LIMIT = 4300
-#: Largest ground size `n` a uniform or explicit matroid file may declare;
-#: the full rank alone asks the oracle once per element.
+#: Largest ground size of any matroid, checked when it is built; the full
+#: rank alone asks the oracle once per element.
 GROUND_SIZE_LIMIT = 10**5
 
 
@@ -46,6 +47,12 @@ class Matroid:
     def __init__(self, n: int):
         if n < 0:
             raise UsageError(f"ground size must be nonnegative, got {n}")
+        if n > GROUND_SIZE_LIMIT:
+            size = f"n = {n}" if n < 10**30 else f"n of {n.bit_length()} bits"
+            raise CapacityError(
+                f"ground size {size} exceeds the limit n <= {GROUND_SIZE_LIMIT} "
+                f"(GROUND_SIZE_LIMIT)"
+            )
         self.n = n
         self.oracle_calls = 0
         self._full_rank: Optional[int] = None
@@ -157,7 +164,9 @@ class GraphicMatroid(Matroid):
         pairs = []
         for u, v in edges:
             if u == v:
-                raise UsageError(f"self-loop edge ({u},{v}) is a loop; matroids here are loopless")
+                raise UsageError(
+                    f"self-loop edge at vertex {quote(str(u))}; matroids here are loopless"
+                )
             for w in (u, v):
                 if w not in index:
                     index[w] = len(names)
@@ -318,6 +327,11 @@ class ExplicitMatroid(Matroid):
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]], trust: bool = False):
         super().__init__(n)
+        if n > EXPLICIT_VALIDATE_MAX and not trust:
+            raise UsageError(
+                f"explicit base lists with n > {EXPLICIT_VALIDATE_MAX} are only "
+                f"accepted with trust enabled (exchange validation is quadratic)"
+            )
         base_sets = sorted({tuple(sorted(set(b))) for b in bases})
         if not base_sets:
             raise UsageError("explicit matroid needs a nonempty base list")
@@ -330,22 +344,17 @@ class ExplicitMatroid(Matroid):
             for e in b:
                 if not 0 <= e < n:
                     raise UsageError(f"base element {e} outside ground set 0..{n - 1}")
-        covered = set().union(*map(set, base_sets)) if base_sets else set()
-        if covered != set(range(n)) and n > 0:
-            missing = sorted(set(range(n)) - covered)
+        missing = sorted(set(range(n)).difference(*base_sets))
+        if missing:
             raise UsageError(
-                f"elements {missing} appear in no base (loops); matroids here are loopless"
+                f"elements {element_list(missing)} appear in no base (loops); "
+                f"matroids here are loopless"
             )
         self.base_list = tuple(base_sets)
         self._base_frozen = tuple(frozenset(b) for b in base_sets)
         self._base_lookup = frozenset(self._base_frozen)
         self.r = r
         self._full_rank = r
-        if n > EXPLICIT_VALIDATE_MAX and not trust:
-            raise UsageError(
-                f"explicit base lists with n > {EXPLICIT_VALIDATE_MAX} are only "
-                f"accepted with trust enabled (exchange validation is quadratic)"
-            )
         if not trust:
             self._validate_exchange()
 
@@ -723,17 +732,13 @@ def is_k_replaceable(m: Matroid, base_a: Iterable[int], base_b: Iterable[int], k
 
 def parse_matroid(text: str, trust: bool = False) -> Matroid:
     """Parse the line-oriented matroid format (see README for the grammar)."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError("empty matroid description")
     header_no, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "matroid":
-        raise ParseError(f"expected 'matroid <kind>', got {header!r}", header_no)
+        raise ParseError(f"expected 'matroid <kind>', got {quote(header)}", header_no)
     kind = parts[1]
     fields: dict[str, str] = {}
     edges: list[tuple[str, str]] = []
@@ -759,7 +764,7 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
             try:
                 rows.append([int(t) for t in tokens])
             except ValueError:
-                raise ParseError(f"unrecognized line {line!r}", lineno) from None
+                raise ParseError(f"unrecognized line {quote(line)}", lineno) from None
 
     def intfield(name: str) -> int:
         if name not in fields:
@@ -783,17 +788,8 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
         except ValueError:
             raise ParseError(f"'{name}' must be an integer") from None
 
-    def ground_size() -> int:
-        n = intfield("n")
-        if n > GROUND_SIZE_LIMIT:
-            raise CapacityError(
-                f"ground size n = {n} exceeds the limit n <= {GROUND_SIZE_LIMIT} "
-                f"(GROUND_SIZE_LIMIT)"
-            )
-        return n
-
     if kind == "uniform":
-        return make_uniform(ground_size(), intfield("r"))
+        return make_uniform(intfield("n"), intfield("r"))
     if kind == "graphic":
         return make_graphic(edges, intfield("vertices"))
     if kind == "linear":
@@ -803,10 +799,9 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
             raise ParseError(f"expected {expected} matrix rows, got {len(rows)}")
         return make_linear(rows, p)
     if kind == "explicit":
-        return make_explicit(ground_size(), base_rows, trust=trust)
-    raise ParseError(f"unknown matroid kind {kind!r}", header_no)
+        return make_explicit(intfield("n"), base_rows, trust=trust)
+    raise ParseError(f"unknown matroid kind {quote(kind)}", header_no)
 
 
 def load_matroid(path, trust: bool = False) -> Matroid:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matroid(fh.read(), trust=trust)
+    return parse_matroid(read_text(path), trust=trust)

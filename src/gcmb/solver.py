@@ -13,16 +13,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Literal, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, Union
 
-from .errors import ParseError, UsageError
+from .errors import ParseError, UsageError, content_lines, element_list, quote, read_text
 from .groups import GroupElement, GroupSpec, closeness_class, davenport
 from .intersection import max_common_independent, min_weight_common_base
-from .matroids import BaseSet, Matroid, delete, make_partition
+from .matroids import INTEGER_DIGITS_LIMIT, BaseSet, Matroid, delete, make_partition
 
 Weight = Union[int, Fraction]
-
-_SHOWN_MISSING = 8  # missing elements a labeling or weight file error names
 
 
 class CertificationError(UsageError):
@@ -399,11 +397,14 @@ def _balanced_moves(
 ) -> Iterator[Signature]:
     """The signatures base_sig + plus - minus with |plus| = |minus| <= k, within
     the fiber sizes, with plus and minus on disjoint group elements; by move
-    size, then lexicographic (plus, minus)."""
+    size, then lexicographic (plus, minus).  A move takes at most the r
+    counts of base_sig and adds at most the n - r outside it, so sizes past
+    min(r, n - r) yield nothing and are not walked."""
     group = labeling.group
     order = group.order
     caps = [len(fiber) for fiber in labeling.fibers]
-    for move in range(0, k + 1):
+    r = sum(base_sig)
+    for move in range(0, min(k, r, labeling.n - r) + 1):
         plus_bounds = [min(move, caps[i] - base_sig[i]) for i in range(order)]
         minus_bounds = [min(move, base_sig[i]) for i in range(order)]
         for plus in _compositions(move, plus_bounds):
@@ -416,70 +417,70 @@ def _balanced_moves(
 # -- labeling and weight files ----------------------------------------------
 
 
-def _indexed_lines(text: str) -> Iterator[tuple[int, int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split(None, 1)
+def _indexed_values(
+    text: str, n: int, what: str, convert: Callable[[str], object]
+) -> list:
+    """The values of lines `<element-index> <value>` for elements 0..n-1, in
+    index order, each made by `convert`; every element appears exactly once."""
+    seen: dict[int, object] = {}
+    for lineno, line in content_lines(text):
+        parts = line.split(None, 1)
         if len(parts) != 2:
             raise ParseError("expected '<element-index> <value>'", lineno)
         try:
             index = int(parts[0])
         except ValueError:
-            raise ParseError(f"bad element index {parts[0]!r}", lineno) from None
-        yield lineno, index, parts[1].strip()
-
-
-def _check_covered(seen: dict[int, object], n: int, what: str) -> None:
-    """Every element 0..n-1 is in `seen`; the error names how many are not
-    and the first _SHOWN_MISSING of them, so it stays short at any n."""
+            raise ParseError(f"bad element index {quote(parts[0])}", lineno) from None
+        if not 0 <= index < n:
+            raise ParseError(f"element index {index} outside 0..{n - 1}", lineno)
+        if index in seen:
+            raise ParseError(f"element {index} appears twice", lineno)
+        try:
+            seen[index] = convert(parts[1])
+        except (ParseError, UsageError) as exc:
+            raise ParseError(str(exc), lineno) from None
     missing = [e for e in range(n) if e not in seen]
     if missing:
-        shown = ", ".join(map(str, missing[:_SHOWN_MISSING]))
-        more = ", ..." if len(missing) > _SHOWN_MISSING else ""
-        raise ParseError(f"elements without {what} ({len(missing)} of {n}): [{shown}{more}]")
+        shown = element_list(missing)
+        raise ParseError(f"elements without {what} ({len(missing)} of {n}): {shown}")
+    return [seen[e] for e in range(n)]
 
 
 def parse_labeling(text: str, group: GroupSpec, n: int) -> Labeling:
     """Parse labeling lines `<element-index> <group-element>`; every element
     0..n-1 must be labeled exactly once."""
-    seen: dict[int, int] = {}
-    for lineno, index, value in _indexed_lines(text):
-        if not 0 <= index < n:
-            raise ParseError(f"element index {index} outside 0..{n - 1}", lineno)
-        if index in seen:
-            raise ParseError(f"element {index} labeled twice", lineno)
-        try:
-            seen[index] = group.index_of(group.parse_element(value))
-        except UsageError as exc:
-            raise ParseError(str(exc), lineno) from None
-    _check_covered(seen, n, "labels")
-    return Labeling(group, tuple(seen[e] for e in range(n)))
+    labels = _indexed_values(text, n, "labels", lambda v: group.index_of(group.parse_element(v)))
+    return Labeling(group, tuple(labels))
+
+
+def _weight(value: str) -> Weight:
+    """An exact integer or rational weight.  A value whose digits plus its
+    exponent pass INTEGER_DIGITS_LIMIT is refused before Fraction builds it."""
+    mantissa, _, exponent = value.lower().partition("e")
+    try:
+        scale = abs(int(exponent)) if exponent else 0
+    except ValueError:
+        scale = 0  # Fraction rejects the value itself
+    if sum(c.isdigit() for c in mantissa) + scale > INTEGER_DIGITS_LIMIT:
+        raise ParseError(
+            f"weight {quote(value)} has more than {INTEGER_DIGITS_LIMIT} digits with its "
+            f"exponent (INTEGER_DIGITS_LIMIT)"
+        )
+    try:
+        frac = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad weight {quote(value)}") from None
+    return int(frac) if frac.denominator == 1 else frac
 
 
 def parse_weights(text: str, n: int) -> tuple[Weight, ...]:
     """Parse weight lines `<element-index> <integer-or-rational>` (exact values)."""
-    seen: dict[int, Weight] = {}
-    for lineno, index, value in _indexed_lines(text):
-        if not 0 <= index < n:
-            raise ParseError(f"element index {index} outside 0..{n - 1}", lineno)
-        if index in seen:
-            raise ParseError(f"element {index} weighted twice", lineno)
-        try:
-            frac = Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad weight {value!r}", lineno) from None
-        seen[index] = int(frac) if frac.denominator == 1 else frac
-    _check_covered(seen, n, "weights")
-    return tuple(seen[e] for e in range(n))
+    return tuple(_indexed_values(text, n, "weights", _weight))
 
 
 def load_labeling(path, group: GroupSpec, n: int) -> Labeling:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_labeling(fh.read(), group, n)
+    return parse_labeling(read_text(path), group, n)
 
 
 def load_weights(path, n: int) -> tuple[Weight, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_weights(fh.read(), n)
+    return parse_weights(read_text(path), n)
