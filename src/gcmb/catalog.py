@@ -97,9 +97,12 @@ def _catalog_fields(rest: str) -> tuple[int, int, list[tuple[int, ...]]]:
     bases = []
     for chunk in filter(str.strip, parts[2].split(";")):
         try:
-            bases.append(tuple(map(int, chunk.split(","))))
+            base = tuple(map(int, chunk.split(",")))
         except ValueError:
             raise ParseError(f"bad base {quote(chunk.strip())}") from None
+        if len(set(base)) != len(base):
+            raise ParseError(f"base {quote(chunk.strip())} repeats an element")
+        bases.append(base)
     return n, r, bases
 
 
@@ -110,9 +113,7 @@ def parse_catalog(
     return _entries(content_lines(text), _catalog_fields, lenient, problems)
 
 
-def load_catalog(
-    path, lenient: bool = False, problems: Problems = None
-) -> Iterator[CatalogEntry]:
+def load_catalog(path, lenient: bool = False, problems: Problems = None) -> Iterator[CatalogEntry]:
     yield from parse_catalog(read_text(path), lenient=lenient, problems=problems)
 
 

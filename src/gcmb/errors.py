@@ -1,5 +1,4 @@
-"""Exception hierarchy shared by all gcmb modules, and the line reader that
-every input parser uses."""
+"""Exception hierarchy shared by all gcmb modules, and the input-line helpers."""
 
 from __future__ import annotations
 
@@ -38,22 +37,25 @@ def read_text(path) -> str:
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) for each line of `text` that is not blank once its
-    `#` comment and surrounding whitespace are stripped."""
+    """Numbered lines of `text`, `#` comments and whitespace stripped, blanks skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             yield lineno, stripped
 
 
-def quote(token: str, limit: int = 100) -> str:
-    """repr(token), cut after `limit` characters to keep a message short."""
-    if len(token) <= limit:
+_QUOTE_LIMIT = 100
+_SHOWN_ELEMENTS = 8
+
+
+def quote(token: str) -> str:
+    """repr(token), cut after _QUOTE_LIMIT characters to keep a message short."""
+    if len(token) <= _QUOTE_LIMIT:
         return repr(token)
-    return f"{token[:limit]!r}... ({len(token)} characters)"
+    return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
 
 
-def element_list(elements: Sequence[int], limit: int = 8) -> str:
-    """'[a, b, ...]' naming at most the first `limit` elements."""
-    more = ", ..." if len(elements) > limit else ""
-    return f"[{', '.join(map(str, elements[:limit]))}{more}]"
+def element_list(elements: Sequence[int]) -> str:
+    """'[a, b, ...]' naming at most the first _SHOWN_ELEMENTS elements."""
+    more = ", ..." if len(elements) > _SHOWN_ELEMENTS else ""
+    return f"[{', '.join(map(str, elements[:_SHOWN_ELEMENTS]))}{more}]"

@@ -580,9 +580,9 @@ def isolation_scan(
     be distinct.
     """
     if predicate not in ("block", "strong_block"):
-        raise UsageError(f"unknown predicate {quote(predicate)}")
+        raise UsageError(f"unknown predicate {predicate!r}")
     if reduction not in ("none", "translation"):
-        raise UsageError(f"unknown reduction {quote(reduction)}")
+        raise UsageError(f"unknown reduction {reduction!r}")
     order = group.order
     factors = group.invariant_factors
     step = order if reduction == "translation" else 1

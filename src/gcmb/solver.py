@@ -417,9 +417,7 @@ def _balanced_moves(
 # -- labeling and weight files ----------------------------------------------
 
 
-def _indexed_values(
-    text: str, n: int, what: str, convert: Callable[[str], object]
-) -> list:
+def _indexed_values(text: str, n: int, what: str, convert: Callable[[str], object]) -> list:
     """The values of lines `<element-index> <value>` for elements 0..n-1, in
     index order, each made by `convert`; every element appears exactly once."""
     seen: dict[int, object] = {}
@@ -441,8 +439,7 @@ def _indexed_values(
             raise ParseError(str(exc), lineno) from None
     missing = [e for e in range(n) if e not in seen]
     if missing:
-        shown = element_list(missing)
-        raise ParseError(f"elements without {what} ({len(missing)} of {n}): {shown}")
+        raise ParseError(f"elements without {what} ({len(missing)} of {n}): {element_list(missing)}")
     return [seen[e] for e in range(n)]
 
 

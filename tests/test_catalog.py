@@ -43,6 +43,11 @@ class TestCatalogFormat:
         with pytest.raises(ParseError, match="'bad'"):
             list(parse_catalog(text))
 
+    def test_repeated_element_in_base(self):
+        text = "u24 4 2 0,1,1;0,2;0,3;1,2;1,3;2,3\n"
+        with pytest.raises(ParseError, match="line 1: entry 'u24': base '0,1,1' repeats an element"):
+            list(parse_catalog(text))
+
     def test_exchange_violation_reported(self):
         text = "broken 4 2 0,1;2,3\n"
         with pytest.raises(ParseError, match="exchange"):

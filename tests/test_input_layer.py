@@ -93,6 +93,7 @@ class TestLenient:
         "axiom": ("axiom 4 2 0,1;2,3",
                   "base exchange axiom fails: no swap for element 0 of (0, 1) toward (2, 3)"),
         "over-limit": ("big 13 1 0", "explicit base lists with n > 12 are only accepted"),
+        "repeated": ("rep 4 2 0,1,1;0,2;0,3;1,2;1,3;2,3", "base '0,1,1' repeats an element"),
     }
 
     @pytest.mark.parametrize("case", sorted(BAD_CATALOG))
