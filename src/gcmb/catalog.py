@@ -161,26 +161,44 @@ def parse_indicator_file(
 ) -> Iterator[CatalogEntry]:
     """Convert an indicator dataset to catalog entries (see `_entries`).
 
-    Expected layout: `n <n>` and `r <r>` header lines, then one entry per
-    line, either `<id> <indicator>` or a bare indicator string (ids are then
-    numbered from the line position).  Every entry is validated, so an entry
-    under a header outside 0 <= r <= n <= EXPLICIT_VALIDATE_MAX is a bad line."""
+    Expected layout: a header of two adjacent lines `n <n>` and `r <r>`,
+    then one entry per line, either `<id> <indicator>` or a bare indicator
+    string (ids are then numbered from the line position); a later header
+    applies to the entries after it.  A two-token line starting with `n` or
+    `r` outside such a pair is refused, also when lenient: the ids `n` and `r`
+    would read as headers.  Every entry is validated, so an entry under a
+    header outside 0 <= r <= n <= EXPLICIT_VALIDATE_MAX is a bad line."""
     header: dict[str, int] = {}
     positions = itertools.count(1)
 
     def data_lines() -> Iterator[tuple[int, str]]:
+        pending = None  # (line number, tokens) of a header line awaiting its pair
         for lineno, line in content_lines(text):
             tokens = line.split()
-            if tokens[0] in ("n", "r") and len(tokens) == 2:
-                try:
-                    header[tokens[0]] = int(tokens[1])
-                except ValueError:
-                    raise ParseError(f"bad header value {quote(tokens[1])}", lineno) from None
-            elif len(header) < 2:
+            if len(tokens) == 2 and tokens[0] in ("n", "r"):
+                if pending is None:
+                    pending = (lineno, tokens)
+                    continue
+                if pending[1][0] != tokens[0]:
+                    for at, (name, value) in (pending, (lineno, tokens)):
+                        try:
+                            header[name] = int(value)
+                        except ValueError:
+                            raise ParseError(f"bad header value {quote(value)}", at) from None
+                    pending = None
+                    continue
+            if pending is not None:
+                break
+            if len(header) < 2:
                 raise ParseError("indicator data before n/r header", lineno)
-            else:
-                position = next(positions)
-                yield lineno, line if len(tokens) > 1 else f"m{position:04d} {line}"
+            position = next(positions)
+            yield lineno, line if len(tokens) > 1 else f"m{position:04d} {line}"
+        if pending is not None:
+            raise ParseError(
+                f"{quote(' '.join(pending[1]))} is not in an n/r header pair; the ids 'n' "
+                f"and 'r' are reserved for headers",
+                pending[0],
+            )
 
     def fields(indicator: str) -> tuple[int, int, list[BaseSet]]:
         n, r = header["n"], header["r"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -202,6 +203,93 @@ def _elements(spec: GroupSpec) -> tuple["GroupElement", ...]:
     return tuple(GroupElement(spec, res) for res in itertools.product(*ranges))
 
 
+class IndexArithmetic:
+    """The group law on canonical element indices.
+
+    Index x carries the residue (x // place) % m in each invariant factor m,
+    the first factor most significant.  Sums are taken factor by factor, so
+    no |G| x |G| table is built; cyclic groups add modulo |G|.  Sets of
+    elements are bitmasks over indices.  Get one through `arithmetic(spec)`,
+    which keeps one instance per group.
+    """
+
+    def __init__(self, spec: GroupSpec):
+        self.order = spec.order
+        self.cyclic = spec.rank <= 1
+        factors = spec.invariant_factors
+        places = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
+        # Per factor: the residue of every index, the modulus m and the place p.
+        self._parts = tuple(
+            (tuple(x // p % m for x in range(self.order)), m, p) for m, p in zip(factors, places)
+        )
+        self._low_masks: dict[tuple[int, int], int] = {}
+
+    def add(self, a: int, b: int) -> int:
+        if self.cyclic:
+            return (a + b) % self.order
+        out = 0
+        for col, m, p in self._parts:
+            out += (col[a] + col[b]) % m * p
+        return out
+
+    def neg(self, a: int) -> int:
+        return self.times(a, -1)
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def times(self, a: int, n: int) -> int:
+        """The n-fold sum of element a (n < 0 negates)."""
+        if self.cyclic:
+            return a * n % self.order
+        out = 0
+        for col, m, p in self._parts:
+            out += col[a] * n % m * p
+        return out
+
+    def total(self, indices: Iterable[int]) -> int:
+        """The sum of the listed elements."""
+        if self.cyclic:
+            return sum(indices) % self.order
+        indices = list(indices)
+        out = 0
+        for col, m, p in self._parts:
+            out += sum(map(col.__getitem__, indices)) % m * p
+        return out
+
+    def label(self, counts: Sequence[int]) -> int:
+        """The sum over elements x of counts[x] copies of x."""
+        if self.cyclic:
+            return sum(map(operator.mul, counts, range(self.order))) % self.order
+        out = 0
+        for col, m, p in self._parts:
+            out += sum(map(operator.mul, counts, col)) % m * p
+        return out
+
+    def shift_mask(self, mask: int, a: int) -> int:
+        """The set {x + a : x in mask}, sets as bitmasks over indices."""
+        for f, (col, m, p) in enumerate(self._parts):
+            d = col[a]
+            if d:
+                low = self._low_mask(f, d)  # the bits whose residue stays below m
+                mask = (mask & low) << d * p | (mask & ~low) >> (m - d) * p
+        return mask
+
+    def _low_mask(self, f: int, d: int) -> int:
+        """The indices whose residue in factor f is below m - d."""
+        key = (f, d)
+        if key not in self._low_masks:
+            _, m, p = self._parts[f]
+            repeat = ((1 << self.order) - 1) // ((1 << m * p) - 1)
+            self._low_masks[key] = ((1 << (m - d) * p) - 1) * repeat
+        return self._low_masks[key]
+
+
+@lru_cache(maxsize=None)
+def arithmetic(spec: GroupSpec) -> IndexArithmetic:
+    return IndexArithmetic(spec)
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """An element of a GroupSpec, stored as a reduced residue vector."""
@@ -271,15 +359,15 @@ class Subgroup:
 
     def is_valid(self) -> bool:
         """Closure under addition and negation, identity present."""
-        if self.parent.identity() not in self.elements:
+        if any(g.spec != self.parent for g in self.elements):
             return False
-        for a in self.elements:
-            if -a not in self.elements:
-                return False
-            for b in self.elements:
-                if a + b not in self.elements:
-                    return False
-        return True
+        ar = arithmetic(self.parent)
+        members = {self.parent.index_of(g) for g in self.elements}
+        return (
+            0 in members
+            and all(ar.neg(a) in members for a in members)
+            and all(ar.add(a, b) in members for a in members for b in members)
+        )
 
     @classmethod
     def whole(cls, spec: GroupSpec) -> "Subgroup":
@@ -305,11 +393,10 @@ def stabilizer(spec: GroupSpec, f: Iterable[GroupElement]) -> Subgroup:
     for el in fset:
         if el.spec != spec:
             raise UsageError(f"element of {el.spec} passed with group {spec}")
-    members = []
-    for g in spec.elements():
-        if frozenset(g + x for x in fset) == fset:
-            members.append(g)
-    return Subgroup(spec, frozenset(members))
+    ar = arithmetic(spec)
+    indices = {spec.index_of(x) for x in fset}
+    members = (g for g in range(spec.order) if all(ar.add(x, g) in indices for x in indices))
+    return Subgroup(spec, frozenset(map(spec.element_at, members)))
 
 
 def cosets(spec: GroupSpec, subgroup: Subgroup) -> CosetPartition:
@@ -322,15 +409,17 @@ def cosets(spec: GroupSpec, subgroup: Subgroup) -> CosetPartition:
         raise UsageError(f"subgroup of {subgroup.parent} passed with group {spec}")
     if not subgroup.is_valid():
         raise UsageError("element set is not closed under the group operation")
-    seen: set[GroupElement] = set()
+    ar = arithmetic(spec)
+    members = [spec.index_of(h) for h in subgroup.elements]
+    seen: set[int] = set()
     parts: list[frozenset[GroupElement]] = []
     reps: list[GroupElement] = []
-    for g in spec.elements():  # lexicographic order
+    for g in range(spec.order):  # lexicographic order
         if g in seen:
             continue
-        coset = frozenset(g + h for h in subgroup.elements)
-        parts.append(coset)
-        reps.append(g)
+        coset = {ar.add(g, h) for h in members}
+        parts.append(frozenset(map(spec.element_at, coset)))
+        reps.append(spec.element_at(g))
         seen.update(coset)
     return CosetPartition(subgroup, tuple(parts), tuple(reps))
 
@@ -355,10 +444,8 @@ def _formula_applies(spec: GroupSpec) -> bool:
 
 @lru_cache(maxsize=None)
 def _translation_perms(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    elems = spec.elements()
-    return tuple(
-        tuple(spec.index_of(x + g) for x in elems) for g in elems
-    )
+    ar = arithmetic(spec)
+    return tuple(tuple(ar.add(x, g) for x in range(spec.order)) for g in range(spec.order))
 
 
 def _longest_zero_sum_free(spec: GroupSpec) -> int:

@@ -54,10 +54,15 @@ def build_exchange_graph(m1: Matroid, m2: Matroid, current: frozenset[int]) -> E
 def _repairs(
     inside: tuple[int, ...], outside: list[int], circuits: dict[int, Optional[frozenset[int]]]
 ) -> dict[int, tuple[int, ...]]:
-    """x -> the outside y, ascending, with I - x + y independent."""
-    return {
-        x: tuple(y for y in outside if circuits[y] is None or x in circuits[y]) for x in inside
-    }
+    """x -> the outside y, ascending, with I - x + y independent.  Each y
+    goes to the x on its circuit C(I, y), and a y without one to every x, so
+    the work is the arcs' count, not |I| x |outside|."""
+    repairs: dict[int, list[int]] = {x: [] for x in inside}
+    for y in outside:
+        circuit = circuits[y]
+        for x in inside if circuit is None else circuit:
+            repairs[x].append(y)
+    return {x: tuple(ys) for x, ys in repairs.items()}
 
 
 def _augmenting_path(

@@ -35,6 +35,7 @@ from .groups import (
     GroupElement,
     GroupSpec,
     Subgroup,
+    arithmetic,
     cosets,
     davenport,
     stabilizer,
@@ -276,11 +277,12 @@ def reduce_witness(w: Witness) -> Witness:
     new_weights = (
         tuple(w.weights[e] for e in final_map) if w.weights is not None else None
     )
-    shift = w.labeling.sum_over(shared)
+    group = w.labeling.group
+    target = arithmetic(group).sub(group.index_of(w.target), w.labeling.label_index(shared))
     return Witness(
         matroid=minor,
         labeling=new_labels,
-        target=w.target - shift,
+        target=group.element_at(target),
         base_a=tuple(sorted(positions[e] for e in set(w.base_a) - set(shared))),
         base_b=tuple(sorted(positions[e] for e in set(w.base_b) - set(shared))),
         distance=w.distance,
@@ -319,9 +321,9 @@ def _isolated_block(
     labeling: Labeling, pool: Sequence[BaseSet], blocks: Sequence[BaseSet]
 ) -> Optional[BaseSet]:
     """The first block whose label no other base of `pool` attains."""
-    counts = Counter(labeling.sum_over(b) for b in pool)
+    counts = Counter(map(labeling.label_index, pool))
     for b in blocks:
-        if counts[labeling.sum_over(b)] == 1:
+        if counts[labeling.label_index(b)] == 1:
             return b
     return None
 
@@ -707,7 +709,7 @@ def _with_example(
 ) -> ScanLine:
     """`line` with its example, which must be a scanned index (a multiple of
     `step`) in the line's range and whose labels must be its reduced digits."""
-    example = int(fields["example"])
+    example, shown = int(fields["example"]), quote(fields["example"])
     labels = []
     for text in fields["labels"].split(";"):
         g = group.parse_element(text)
@@ -716,13 +718,13 @@ def _with_example(
         labels.append(group.index_of(g))
     q = group.order
     if not line.start <= example < line.stop:
-        raise ValueError(f"example {example} lies outside {line.start}..{line.stop}")
+        raise ValueError(f"example {shown} lies outside {quote(fields['range'])}")
     if example % step:
-        raise ValueError(f"example {example} is not a multiple of the scan step {step}")
+        raise ValueError(f"example {shown} is not a multiple of the scan step {step}")
     if example >= q ** len(labels):
-        raise ValueError(f"example {example} is not below {q}^{len(labels)}")
+        raise ValueError(f"example {shown} is not below {q}^{len(labels)}")
     if labels != [example // q**i % q for i in range(len(labels))]:
-        raise ValueError(f"labels are not the digits of example {example}")
+        raise ValueError(f"labels are not the digits of example {shown}")
     return replace(line, isolating_index=example, isolating_labels=tuple(labels))
 
 
@@ -753,11 +755,12 @@ def parse_scan_report(text: str) -> ScanReport:
                 raise ValueError(f"range {quote(fields['range'])} is not a..b")
             line = ScanLine(fields["matroid"], int(start), int(stop), int(fields["checked"]))
             if not 0 <= line.start <= line.stop:
-                raise ValueError(f"range {line.start}..{line.stop} is not 0 <= start <= stop")
+                raise ValueError(f"range {quote(fields['range'])} is not 0 <= start <= stop")
             scanned = -(-line.stop // step) - -(-line.start // step)  # multiples of step
             if line.checked != scanned:
                 raise ValueError(
-                    f"checked={line.checked}, but the range holds {scanned} scanned indices"
+                    f"checked={quote(fields['checked'])}, but the range holds "
+                    f"{quote(str(scanned))} scanned indices"
                 )
             if fields["example"] != "-":
                 line = _with_example(group, line, fields, step)

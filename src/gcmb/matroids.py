@@ -64,7 +64,7 @@ class Matroid:
         fs = frozenset(subset)
         for e in fs:
             if not 0 <= e < self.n:
-                raise UsageError(f"element {e} outside ground set 0..{self.n - 1}")
+                raise UsageError(f"element {quote(str(e))} outside ground set 0..{self.n - 1}")
         self.oracle_calls += 1
         return self._indep(fs)
 
@@ -140,7 +140,9 @@ class UniformMatroid(Matroid):
     def __init__(self, n: int, r: int):
         super().__init__(n)
         if not 0 <= r <= n:
-            raise UsageError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
+            raise UsageError(
+                f"uniform matroid needs 0 <= r <= n, got r={quote(str(r))}, n={quote(str(n))}"
+            )
         if r == 0 and n > 0:
             raise UsageError("rank-0 uniform matroid on a nonempty ground set has loops")
         self.r = r
@@ -343,7 +345,7 @@ class ExplicitMatroid(Matroid):
                 )
             for e in b:
                 if not 0 <= e < n:
-                    raise UsageError(f"base element {e} outside ground set 0..{n - 1}")
+                    raise UsageError(f"base element {quote(str(e))} outside ground set 0..{n - 1}")
         missing = sorted(set(range(n)).difference(*base_sets))
         if missing:
             raise UsageError(
@@ -796,7 +798,7 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
         p = intfield("field")
         expected = intfield("rows")
         if len(rows) != expected:
-            raise ParseError(f"expected {expected} matrix rows, got {len(rows)}")
+            raise ParseError(f"expected {quote(str(expected))} matrix rows, got {len(rows)}")
         return make_linear(rows, p)
     if kind == "explicit":
         return make_explicit(intfield("n"), base_rows, trust=trust)

@@ -12,15 +12,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, Union
+from itertools import accumulate, compress
+from typing import Callable, Generator, Iterable, Iterator, Literal, Optional, Sequence, Union
 
-from .errors import ParseError, UsageError, content_lines, element_list, quote, read_text
-from .groups import GroupElement, GroupSpec, closeness_class, davenport
+from .errors import (
+    InternalError,
+    ParseError,
+    UsageError,
+    content_lines,
+    element_list,
+    quote,
+    read_text,
+)
+from .groups import GroupElement, GroupSpec, arithmetic, closeness_class, davenport
 from .intersection import max_common_independent, min_weight_common_base
 from .matroids import INTEGER_DIGITS_LIMIT, BaseSet, Matroid, delete, make_partition
 
 Weight = Union[int, Fraction]
+
+#: Most cells the enumeration walk keeps.  A cell is one (fiber, units left)
+#: pair times one 64-label word of the labels it reaches; past the limit the
+#: walk keeps none and visits every signature.
+WALK_CELL_LIMIT = 1 << 18
 
 
 class CertificationError(UsageError):
@@ -67,15 +80,16 @@ class Labeling:
     def constant(cls, group: GroupSpec, n: int, value: Optional[GroupElement] = None) -> "Labeling":
         return cls(group, (0 if value is None else group.index_of(value),) * n)
 
+    def label_index(self, subset: Iterable[int]) -> int:
+        """The canonical index of the label sum over `subset`."""
+        return arithmetic(self.group).total(self.indices[e] for e in subset)
+
     def sum_over(self, subset: Iterable[int]) -> GroupElement:
-        total = self.group.identity()
-        for e in subset:
-            total = total + self.labels[e]
-        return total
+        return self.group.element_at(self.label_index(subset))
 
     def translate(self, shift: GroupElement) -> "Labeling":
-        moved = [self.group.index_of(g + shift) for g in self.group.elements()]
-        return Labeling(self.group, tuple(moved[i] for i in self.indices))
+        ar, s = arithmetic(self.group), self.group.index_of(shift)
+        return Labeling(self.group, tuple(ar.add(i, s) for i in self.indices))
 
 
 @dataclass(frozen=True)
@@ -98,12 +112,7 @@ class Signature:
     def label(self) -> GroupElement:
         """Sum over group elements of count-fold copies: the label every base
         with this signature attains."""
-        sums = [0] * self.group.rank
-        for g, c in zip(self.group.elements(), self.counts):
-            if c:
-                for i, r in enumerate(g.residues):
-                    sums[i] += c * r
-        return self.group.element(sums)
+        return self.group.element_at(arithmetic(self.group).label(self.counts))
 
 
 def signature_of(labeling: Labeling, base: Iterable[int]) -> Signature:
@@ -145,6 +154,91 @@ def _compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]
         refill(i + 1, tail - 1)
 
 
+def _label_walk(
+    group: GroupSpec, total: int, caps: Sequence[int], target: int
+) -> Generator[tuple[int, tuple[int, ...]], None, int]:
+    """The compositions of `total` within `caps` whose label has index
+    `target`, as (rank, counts) in ascending lex order, where rank is the
+    position in the full stream `_compositions(total, caps)`; returns the
+    size of that stream.
+
+    The walk fixes the coordinates of the non-empty caps one after another
+    and carries `need`, the target minus the label fixed so far.  A cell
+    (i, t) holds the ways to put t units on coordinates i and after; once the
+    walk has been through a cell, it keeps the cell's size and its reach, the
+    bitmask of the labels the cell attains.  A later visit with a need outside
+    the reach skips the cell and adds its size to the rank.  Past
+    WALK_CELL_LIMIT no cell is kept and every composition is visited.
+    """
+    ar = arithmetic(group)
+    coords = [g for g, c in enumerate(caps) if c > 0]
+    bounds = [caps[g] for g in coords]
+    k = len(coords)
+    room = list(accumulate(reversed(bounds), initial=0))[::-1]  # room[i] = sum(bounds[i:])
+    if not 0 <= total <= room[0]:
+        return 0
+    if k == 0:  # the empty composition, label 0
+        if target == 0:
+            yield 0, (0,) * len(caps)
+        return 1
+    keep = k * (total + 1) * -(-ar.order // 64) <= WALK_CELL_LIMIT
+    cells: dict[tuple[int, int], tuple[int, int]] = {}  # (i, t) -> (size, reach)
+    step = [ar.neg(g) for g in coords]  # need moves by step[i] per unit on coordinate i
+    # Per depth i: the value of coordinate i, its largest value, the units
+    # left before it, the need after it, and for a cell being kept its size
+    # and reach so far.
+    value, top, left, need = [0] * k, [0] * k, [0] * k, [0] * k
+    building, size, reach = [False] * k, [0] * k, [0] * k
+
+    def enter(i: int, t: int, before: int, build: bool) -> None:
+        value[i] = low = max(0, t - room[i + 1])
+        top[i], left[i] = min(bounds[i], t), t
+        need[i] = ar.add(before, ar.times(step[i], low))
+        building[i], size[i], reach[i] = build, 0, 0
+
+    rank = 0
+    i = 0
+    enter(0, total, target, keep)
+    while i >= 0:
+        v = value[i]
+        if v > top[i]:  # cell (i, left[i]) is done
+            if building[i]:
+                cells[i, left[i]] = (size[i], reach[i])
+                if i and building[i - 1]:
+                    size[i - 1] += size[i]
+                    reach[i - 1] |= ar.shift_mask(reach[i], ar.times(coords[i - 1], value[i - 1]))
+            i -= 1
+        elif i + 1 == k:  # v takes the last units: one composition
+            if need[i] == 0:
+                counts = [0] * len(caps)
+                for g, c in zip(coords, value):
+                    counts[g] = c
+                yield rank, tuple(counts)
+            rank += 1
+            if building[i]:
+                size[i] += 1
+                reach[i] |= 1 << ar.times(coords[i], v)
+        else:
+            t = left[i] - v
+            cell = cells.get((i + 1, t))
+            if cell is None:
+                enter(i + 1, t, need[i], keep)
+                i += 1
+                continue
+            if building[i]:
+                size[i] += cell[0]
+                reach[i] |= ar.shift_mask(cell[1], ar.times(coords[i], v))
+            if cell[1] >> need[i] & 1:
+                enter(i + 1, t, need[i], False)
+                i += 1
+                continue
+            rank += cell[0]
+        if i >= 0:
+            value[i] += 1
+            need[i] = ar.add(need[i], step[i])
+    return rank
+
+
 def enumerate_signatures(
     group: GroupSpec,
     r: int,
@@ -157,10 +251,14 @@ def enumerate_signatures(
         caps = [r] * group.order
     if len(caps) != group.order:
         raise UsageError("need one cap per group element")
-    for counts in _compositions(r, list(caps)):
-        sig = Signature(group, counts)
-        if target is None or sig.label() == target:
-            yield sig
+    if any(c < 0 for c in caps):
+        raise UsageError("signature caps must be nonnegative")
+    if target is None:
+        stream = _compositions(r, list(caps))
+    else:
+        stream = (counts for _, counts in _label_walk(group, r, caps, group.index_of(target)))
+    for counts in stream:
+        yield Signature(group, counts)
 
 
 @dataclass
@@ -254,39 +352,64 @@ def _check_instance(m: Matroid, labeling: Labeling, target: GroupElement) -> Non
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
 
 
+class _Sized:
+    """Iterates a stream generator and keeps the value it returns, the size
+    of the stream, once it is exhausted."""
+
+    def __init__(self, stream: Generator[tuple[int, tuple[int, ...]], None, int]):
+        self._stream = stream
+        self.size = 0
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        self.size = yield from self._stream
+
+
+def _target_signature(group: GroupSpec, counts: tuple[int, ...], target: GroupElement) -> Signature:
+    """The signature of a stream hit, its label checked against the target."""
+    sig = Signature(group, counts)
+    if sig.label() != target:
+        raise InternalError(f"signature {counts} off the target label {target} in the walk")
+    return sig
+
+
 def _search(
     m: Matroid,
     labeling: Labeling,
     target: GroupElement,
     weights: Optional[Sequence[Weight]],
-    candidates: Iterable[Signature],
+    stream: Generator[tuple[int, tuple[int, ...]], None, int],
     certified: bool,
     counter: Literal["signatures", "candidates"],
     calls_before: int,
 ) -> SolveResult:
     """Intersections over the candidate signatures with the target label.
 
-    Feasibility intersects them in stream order and keeps the first hit.
-    Optimization walks the whole stream first and bounds each target-label
-    candidate c from below by lb(c), the sum over g of the c_g smallest
-    weights in E(g): no base with signature c weighs less.  It intersects
-    them in (lb, stream rank) order, stops once lb exceeds the best weight
-    found, and returns the least (weight, rank), which is the first strict
-    minimum of the stream.  `counter` names the stats field that counts
-    walked candidates, and oracle calls are counted from `calls_before`.
+    `stream` yields (rank, counts) for the target-label candidates, rank
+    being the position in the full candidate stream, and returns that
+    stream's size.  Feasibility intersects them in stream order and keeps
+    the first hit.  Optimization takes the whole stream first and bounds each
+    target-label candidate c from below by lb(c), the sum over g of the c_g
+    smallest weights in E(g): no base with signature c weighs less.  It
+    intersects them in (lb, stream rank) order, stops once lb exceeds the
+    best weight found, and returns the least (weight, rank), which is the
+    first strict minimum of the stream.  `counter` names the stats field
+    that counts the candidates walked, up to the hit or the stream's end, and
+    oracle calls are counted from `calls_before`.
     """
     m.full_rank  # part of every solve's oracle calls, also when nothing is intersected
-    walked = tried = 0
+    group = labeling.group
+    hits = _Sized(stream)
+    tried = 0
     best: Optional[tuple[BaseSet, Optional[Weight]]] = None
     if weights is None:
-        for sig in candidates:
-            walked += 1
-            if sig.label() != target:
-                continue
+        for rank, counts in hits:
             tried += 1
-            best = base_with_signature(m, labeling, sig)
+            best = base_with_signature(m, labeling, _target_signature(group, counts, target))
             if best is not None:
+                walked = rank + 1
                 break
+        else:
+            walked = hits.size
     else:
         # prefix[g][c] is the sum of the c smallest weights in E(g); both
         # candidate streams keep every count within its fiber.
@@ -294,12 +417,15 @@ def _search(
             list(accumulate(sorted(weights[e] for e in fiber), initial=0))
             for fiber in labeling.fibers
         ]
-        queue = []
-        for sig in candidates:
-            if sig.label() == target:
-                lb = sum(prefix[g][c] for g, c in enumerate(sig.counts) if c)
-                queue.append((lb, walked, sig))
-            walked += 1
+        queue = [
+            (
+                sum(prefix[g][c] for g, c in enumerate(counts) if c),
+                rank,
+                _target_signature(group, counts, target),
+            )
+            for rank, counts in hits
+        ]
+        walked = hits.size
         queue.sort(key=lambda item: item[:2])
         best_rank = walked
         for lb, rank, sig in queue:
@@ -327,7 +453,7 @@ def solve_enum(
     _check_instance(m, labeling, target)
     calls_before = m.oracle_calls
     caps = [len(fiber) for fiber in labeling.fibers]
-    signatures = enumerate_signatures(labeling.group, m.full_rank, caps)
+    signatures = _label_walk(labeling.group, m.full_rank, caps, labeling.group.index_of(target))
     return _search(m, labeling, target, weights, signatures, True, "signatures", calls_before)
 
 
@@ -388,30 +514,47 @@ def solve_proximity(
         )
     calls_before = m.oracle_calls
     start = find_optimum_base(m, weights if weights is not None else [0] * m.n)
-    moves = _balanced_moves(labeling, signature_of(labeling, start).counts, k)
+    base_sig = signature_of(labeling, start).counts
+    moves = _balanced_moves(labeling, base_sig, k, labeling.group.index_of(target))
     return _search(m, labeling, target, weights, moves, certified, "candidates", calls_before)
 
 
 def _balanced_moves(
-    labeling: Labeling, base_sig: tuple[int, ...], k: int
-) -> Iterator[Signature]:
-    """The signatures base_sig + plus - minus with |plus| = |minus| <= k, within
-    the fiber sizes, with plus and minus on disjoint group elements; by move
-    size, then lexicographic (plus, minus).  A move takes at most the r
-    counts of base_sig and adds at most the n - r outside it, so sizes past
-    min(r, n - r) yield nothing and are not walked."""
-    group = labeling.group
-    order = group.order
+    labeling: Labeling, base_sig: tuple[int, ...], k: int, target: int
+) -> Generator[tuple[int, tuple[int, ...]], None, int]:
+    """The candidates base_sig + plus - minus with |plus| = |minus| <= k,
+    within the fiber sizes, with plus and minus on disjoint group elements;
+    by move size, then lexicographic (plus, minus).  Yields (rank, counts)
+    for those whose label has index `target`, rank being the position among
+    all candidates, and returns the number of candidates.  A move takes at
+    most the r counts of base_sig and adds at most the n - r outside it, so
+    sizes past min(r, n - r) yield nothing and are not walked."""
+    ar = arithmetic(labeling.group)
+    order = labeling.group.order
     caps = [len(fiber) for fiber in labeling.fibers]
     r = sum(base_sig)
+    # A candidate has the target label exactly when
+    # label(minus) = label(base_sig) - target + label(plus).
+    offset = ar.sub(ar.label(base_sig), target)
+    bits = [1 << g for g in range(order)]  # support of counts c: sum(compress(bits, c))
+    rank = 0
     for move in range(0, min(k, r, labeling.n - r) + 1):
         plus_bounds = [min(move, caps[i] - base_sig[i]) for i in range(order)]
         minus_bounds = [min(move, base_sig[i]) for i in range(order)]
+        # The minus of one plus are those off its support, in this order.
+        minuses = [
+            (minus, ar.label(minus), sum(compress(bits, minus)))
+            for minus in _compositions(move, minus_bounds)
+        ]
         for plus in _compositions(move, plus_bounds):
-            masked = [0 if plus[i] else minus_bounds[i] for i in range(order)]
-            for minus in _compositions(move, masked):
-                counts = tuple(base_sig[i] + plus[i] - minus[i] for i in range(order))
-                yield Signature(group, counts)
+            want, taken = ar.add(offset, ar.label(plus)), sum(compress(bits, plus))
+            for minus, label, support in minuses:
+                if support & taken:
+                    continue
+                if label == want:
+                    yield rank, tuple(b + p - q for b, p, q in zip(base_sig, plus, minus))
+                rank += 1
+    return rank
 
 
 # -- labeling and weight files ----------------------------------------------
@@ -430,7 +573,7 @@ def _indexed_values(text: str, n: int, what: str, convert: Callable[[str], objec
         except ValueError:
             raise ParseError(f"bad element index {quote(parts[0])}", lineno) from None
         if not 0 <= index < n:
-            raise ParseError(f"element index {index} outside 0..{n - 1}", lineno)
+            raise ParseError(f"element index {quote(parts[0])} outside 0..{n - 1}", lineno)
         if index in seen:
             raise ParseError(f"element {index} appears twice", lineno)
         try:

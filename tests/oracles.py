@@ -22,6 +22,7 @@ from gcmb.solver import (
     Signature,
     SolveResult,
     SolveStats,
+    _compositions,
     base_with_signature,
     find_optimum_base,
     proximity_certified,
@@ -295,6 +296,25 @@ def solve_enum_reference(
     return SolveResult("feasible", best[0], best[1], True, target, stats)
 
 
+def balanced_moves(
+    labeling: Labeling, base_sig: Sequence[int], k: int
+) -> Iterator[tuple[int, ...]]:
+    """Every proximity candidate base_sig + plus - minus, |plus| = |minus| =
+    move for move = 0..k, plus and minus on disjoint group elements and
+    within the fiber sizes; by move, then lexicographic (plus, minus).  The
+    package's iterative `_compositions` walks the plus and minus, so that
+    groups of order 1000 stay within the recursion limit."""
+    caps = [len(fiber) for fiber in labeling.fibers]
+    order = labeling.group.order
+    for move in range(0, k + 1):
+        plus_bounds = [min(move, caps[i] - base_sig[i]) for i in range(order)]
+        minus_bounds = [min(move, base_sig[i]) for i in range(order)]
+        for plus in _compositions(move, plus_bounds):
+            masked = [0 if plus[i] else minus_bounds[i] for i in range(order)]
+            for minus in _compositions(move, masked):
+                yield tuple(base_sig[i] + plus[i] - minus[i] for i in range(order))
+
+
 def solve_proximity_reference(
     m: Matroid,
     labeling: Labeling,
@@ -310,31 +330,22 @@ def solve_proximity_reference(
     stats = SolveStats()
     calls_before = m.oracle_calls
     start = find_optimum_base(m, weights if weights is not None else [0] * m.n)
-    base_sig = signature_of(labeling, start).counts
-    caps = [len(fiber) for fiber in labeling.fibers]
-    order = group.order
     m.full_rank  # counted in oracle calls, also when no intersection runs
     best = None
-    for move in range(0, k + 1):
-        plus_bounds = [min(move, caps[i] - base_sig[i]) for i in range(order)]
-        minus_bounds = [min(move, base_sig[i]) for i in range(order)]
-        for plus in compositions(move, plus_bounds):
-            masked = [0 if plus[i] else minus_bounds[i] for i in range(order)]
-            for minus in compositions(move, masked):
-                stats.candidates += 1
-                counts = tuple(base_sig[i] + plus[i] - minus[i] for i in range(order))
-                sig = Signature(group, counts)
-                if sig.label() != target:
-                    continue
-                stats.intersections += 1
-                found = base_with_signature(m, labeling, sig, weights)
-                if found is None:
-                    continue
-                if weights is None:
-                    stats.oracle_calls = m.oracle_calls - calls_before
-                    return SolveResult("feasible", found[0], None, certified, target, stats)
-                if best is None or found[1] < best[1]:
-                    best = found
+    for counts in balanced_moves(labeling, signature_of(labeling, start).counts, k):
+        stats.candidates += 1
+        sig = Signature(group, counts)
+        if sig.label() != target:
+            continue
+        stats.intersections += 1
+        found = base_with_signature(m, labeling, sig, weights)
+        if found is None:
+            continue
+        if weights is None:
+            stats.oracle_calls = m.oracle_calls - calls_before
+            return SolveResult("feasible", found[0], None, certified, target, stats)
+        if best is None or found[1] < best[1]:
+            best = found
     stats.oracle_calls = m.oracle_calls - calls_before
     if best is None:
         return SolveResult("infeasible", None, None, certified, target, stats)

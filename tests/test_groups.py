@@ -9,6 +9,7 @@ from gcmb.groups import (
     CosetPartition,
     GroupSpec,
     Subgroup,
+    arithmetic,
     closeness_class,
     cosets,
     davenport,
@@ -325,3 +326,47 @@ class TestClosenessClass:
     )
     def test_classification(self, text, expected):
         assert closeness_class(GroupSpec.parse(text)) == expected
+
+
+# -- index arithmetic against GroupElement arithmetic -----------------------------
+
+ARITHMETIC_GROUPS = [GroupSpec(())] + [GroupSpec(f) for f in ALL_SMALL] + [
+    GroupSpec.of(1000), GroupSpec.of(2, 2048), GroupSpec.of(4, 4, 16),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.sampled_from(ARITHMETIC_GROUPS),
+    data=st.data(),
+)
+def test_index_arithmetic_matches_group_elements(spec, data):
+    """add, neg, sub, times, total, label and shift_mask on canonical indices
+    agree with the GroupElement operations they replace."""
+    ar = arithmetic(spec)
+    index = st.integers(0, spec.order - 1)
+    a, b = data.draw(index), data.draw(index)
+    ga, gb = spec.element_at(a), spec.element_at(b)
+    assert spec.element_at(ar.add(a, b)) == ga + gb
+    assert spec.element_at(ar.neg(a)) == -ga
+    assert spec.element_at(ar.sub(a, b)) == ga - gb
+    n = data.draw(st.integers(0, 12))
+    assert spec.element_at(ar.times(a, n)) == ga.times(n)
+    assert ar.times(a, -n) == ar.neg(ar.times(a, n))
+    listed = data.draw(st.lists(index, max_size=8))
+    expected = spec.identity()
+    for x in listed:
+        expected = expected + spec.element_at(x)
+    assert spec.element_at(ar.total(listed)) == expected
+    counts = [0] * spec.order
+    for x in listed:
+        counts[x] += 1
+    assert spec.element_at(ar.label(counts)) == expected
+    members = set(data.draw(st.lists(index, max_size=8)))
+    mask = sum(1 << x for x in members)
+    shifted = {spec.index_of(spec.element_at(x) + ga) for x in members}
+    assert ar.shift_mask(mask, a) == sum(1 << x for x in shifted)
+
+
+def test_arithmetic_is_kept_per_group():
+    assert arithmetic(GroupSpec.parse("Z2xZ4")) is arithmetic(GroupSpec.of(4, 2))

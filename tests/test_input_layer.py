@@ -70,6 +70,46 @@ class TestReproductions:
         assert (code, out) == (0, "") and seconds < 1
         one_line(err, "skipped line 3: entry 'x': header n ")
 
+    @pytest.mark.parametrize("text, line", [
+        ("n 4\nr 2\nn 111111\n", "line 3: 'n 111111'"),
+        ("n 4\nr 2\nu24 111111\nr 2\n", "line 4: 'r 2'"),
+        ("n 4\nn 111111\nr 2\nu24 111111\n", "line 1: 'n 4'"),
+    ])
+    def test_indicator_ids_n_and_r_are_refused(self, capsys, tmp_path, text, line):
+        """A line `n X` or `r X` outside an adjacent n/r pair would be an
+        entry with the id n or r; it is refused, also under --lenient."""
+        rlx = tmp_path / "ids.rlx"
+        rlx.write_text(text)
+        reason = f"{line} is not in an n/r header pair; the ids 'n' and 'r' are reserved"
+        for lenient in ([], ["--lenient"]):
+            code, out, err, _ = run(capsys, "catalog", "import", *lenient, str(rlx))
+            assert code == 1 and err.startswith(f"error: {reason}"), err
+            assert err.count("\n") == 1
+        with pytest.raises(ParseError, match="reserved for headers"):
+            list(parse_indicator_file(text, lenient=True))
+
+    def test_indicator_headers_pair_in_either_order(self):
+        text = "r 2\nn 4\nu24 111111\nn 3\nr 1\nu13 111\n"
+        assert [(e.id, e.n, e.r) for e in parse_indicator_file(text)] == [
+            ("u24", 4, 2), ("u13", 3, 1)]
+
+    @pytest.mark.parametrize("parse, start", [
+        (lambda: list(parse_catalog("x 4 2 0,1;0," + "9" * 4000)),
+         "line 1: entry 'x': base element '999"),
+        (lambda: parse_matroid("matroid uniform\nn 4\nr " + "9" * 4000 + "\n"),
+         "uniform matroid needs 0 <= r <= n, got r='999"),
+        (lambda: parse_scan_report(
+            "# gcmb scan group=Z3 predicate=block reduction=none seed=0\n"
+            "matroid=x range=0.." + "9" * 4000 + " checked=9 verdict=none example=- labels=-\n"),
+         "line 2: bad scan report line 'matroid=x range=0..999"),
+    ])
+    def test_huge_integers_are_quoted(self, parse, start):
+        with pytest.raises(GcmbError) as info:
+            parse()
+        message = str(info.value)
+        assert message.startswith(start) and "(4000 characters)" in message
+        assert len(message) <= 400
+
     @pytest.mark.parametrize("trust", [False, True])
     def test_explicit_matroid_with_loops(self, capsys, tmp_path, trust):
         mat = tmp_path / "m.mat"
@@ -183,7 +223,9 @@ class TestWeightValues:
 
 # -- robustness of every parser -------------------------------------------------
 
-EXTREMES = ["-1", "0", "13", str(10**5 + 1), str(10**9), "7" * 5000, "1e999999"]
+#: "9" * 4000 is a value int() still parses (its limit is 4300 digits), "7" * 5000
+#: one it refuses.
+EXTREMES = ["-1", "0", "13", str(10**5 + 1), str(10**9), "9" * 4000, "7" * 5000, "1e999999"]
 
 
 def texts(vocabulary, headers=("",)):

@@ -39,6 +39,8 @@ def input_files() -> dict[str, str]:
         "k6-z4.lab": "".join(f"{e} {(3 * e + 1) % 4}\n" for e in range(15)),
         "k6-even.lab": "".join(f"{e} {2 * (e % 2)}\n" for e in range(15)),
         "k6-z3.lab": "".join(f"{e} {e * e % 3}\n" for e in range(15)),
+        "k6-z2z4.lab": "".join(f"{e} {e % 2},{(3 * e + 1) % 4}\n" for e in range(15)),
+        "k6-z2z4-even.lab": "".join(f"{e} {e % 2},{2 * (e // 2 % 2)}\n" for e in range(15)),
         "k6.w": "".join(f"{e} {5 * e % 7 - 3}\n" for e in range(15)),
         "gf3-z2z2.lab": "".join(f"{e} {e % 2},{e // 2 % 2}\n" for e in range(9)),
         "gf3-z3.lab": "".join(f"{e} {e % 3}\n" for e in range(9)),
@@ -71,6 +73,10 @@ SCENARIOS = [
     # ranges that cross several high blocks of the scan kernel's split, each with a hit
     "scan --builtin u48 --group Z5 --predicate strong-block --range 9973..14973",
     "scan --builtin u48 --group Z3xZ3 --predicate block --reduction translation --range 2000000..2030000",
+    # Z2xZ4: a heuristic proximity optimization, and an enum optimization whose
+    # labels keep the second residue even, so signatures= is the whole stream
+    "solve --matroid k6.mat --group Z2xZ4 --labels k6-z2z4.lab --target 1,2 --mode proximity --heuristic --weights k6.w",
+    "solve --matroid k6.mat --group Z2xZ4 --labels k6-z2z4-even.lab --target 1,1 --mode enum --weights k6.w",
 ]
 
 

@@ -13,23 +13,29 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcmb import solver
 from gcmb.groups import GroupSpec
 from gcmb.matroids import make_graphic, make_linear
 from gcmb.solver import (
     CertificationError,
     Labeling,
+    Signature,
+    _balanced_moves,
     _compositions,
+    _label_walk,
     proximity_certified,
+    signature_of,
     solve_enum,
     solve_proximity,
 )
 
-from oracles import solve_enum_reference, solve_proximity_reference
+from oracles import balanced_moves, solve_enum_reference, solve_proximity_reference
 
 GROUPS = [GroupSpec.parse(s) for s in ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "Z2xZ4")]
 
@@ -52,6 +58,81 @@ def test_compositions_walk_thousands_of_coordinates():
     got = list(_compositions(1, bounds))
     assert [c.index(1) for c in got] == [4999, 10]
     assert all(len(c) == 5000 and sum(c) == 1 for c in got)
+
+
+# -- the target-label streams against filtering every candidate by label ------
+
+WALK_GROUPS = [GroupSpec.parse(s) for s in ("Z1", "Z6", "Z2xZ2", "Z2xZ4", "Z1000")]
+
+
+def drain(stream):
+    """The items of a generator and the value it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(stream))
+        except StopIteration as end:
+            return items, end.value
+
+
+def label_filtered(group, candidates, target):
+    """(rank, counts) of the candidates whose Signature.label is the target,
+    and the number of candidates."""
+    candidates = list(candidates)
+    hits = [(rank, c) for rank, c in enumerate(candidates) if Signature(group, c).label() == target]
+    return hits, len(candidates)
+
+
+@st.composite
+def walk_cases(draw):
+    """A group, caps with zeros among them (a handful of non-zero caps for
+    Z1000), a total, and a target that is often reached by no signature."""
+    group = draw(st.sampled_from(WALK_GROUPS))
+    caps = [0] * group.order
+    for g in draw(st.lists(st.integers(0, group.order - 1), max_size=6)):
+        caps[g] = draw(st.integers(0, 4))
+    total = draw(st.integers(0, sum(caps) + 1))
+    target = group.element_at(draw(st.integers(0, group.order - 1)))
+    return group, caps, total, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=walk_cases(), limit=st.sampled_from([solver.WALK_CELL_LIMIT, 0, 1, 64]))
+@example(case=(GroupSpec.parse("Z2xZ4"), [2, 0, 3, 1, 0, 2, 2, 0], 5,
+               GroupSpec.parse("Z2xZ4").parse_element("1,1")), limit=solver.WALK_CELL_LIMIT)
+@example(case=(GroupSpec.parse("Z6"), [0] * 6, 0, GroupSpec.parse("Z6").identity()), limit=0)
+def test_label_walk_matches_filtered_compositions(case, limit):
+    """Same hits in the same order, the same ranks and the same stream size,
+    with the walk's cells kept (under the limit) and not kept (over it)."""
+    group, caps, total, target = case
+    want = label_filtered(group, _compositions(total, caps), target)
+    with mock.patch.object(solver, "WALK_CELL_LIMIT", limit):
+        got = drain(_label_walk(group, total, caps, group.index_of(target)))
+    assert got == want
+
+
+@st.composite
+def move_cases(draw):
+    """A labeling, a base signature drawn from a subset of its elements, a
+    move bound and a target, over the groups of `walk_cases`."""
+    group = draw(st.sampled_from(WALK_GROUPS))
+    n = draw(st.integers(0, 9))
+    values = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4))
+    labeling = Labeling.from_indices(group, draw(st.lists(st.sampled_from(values), min_size=n,
+                                                          max_size=n)))
+    base = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n)) if n else set()
+    k = draw(st.integers(0, 4))
+    target = group.element_at(draw(st.sampled_from(values + [draw(st.integers(0, group.order - 1))])))
+    return labeling, signature_of(labeling, base).counts, k, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=move_cases())
+def test_balanced_moves_match_filtered_candidates(case):
+    labeling, base_sig, k, target = case
+    want = label_filtered(labeling.group, balanced_moves(labeling, base_sig, k), target)
+    got = drain(_balanced_moves(labeling, base_sig, k, labeling.group.index_of(target)))
+    assert got == want
 
 
 @st.composite
