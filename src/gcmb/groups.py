@@ -168,8 +168,11 @@ class GroupSpec:
     def index_of(self, g: "GroupElement") -> int:
         if g.spec != self:
             raise UsageError(f"element of {g.spec} used with group {self}")
+        return self._index(g.residues)
+
+    def _index(self, residues: Iterable[int]) -> int:
         idx = 0
-        for r, m in zip(g.residues, self.invariant_factors):
+        for r, m in zip(residues, self.invariant_factors):
             idx = idx * m + r
         return idx
 
@@ -180,6 +183,13 @@ class GroupSpec:
 
     def parse_element(self, text: str) -> "GroupElement":
         """Parse "1,3" (comma-joined residues) or a bare integer for rank-1 groups."""
+        return GroupElement(self, self._parse_residues(text))
+
+    def parse_index(self, text: str) -> int:
+        """The canonical index of the element that `parse_element` reads from `text`."""
+        return self._index(self._parse_residues(text))
+
+    def _parse_residues(self, text: str) -> tuple[int, ...]:
         parts = [p.strip() for p in text.strip().split(",")]
         try:
             values = [int(p) for p in parts]
@@ -188,13 +198,13 @@ class GroupSpec:
         if not self.invariant_factors:
             if values not in ([0], []):
                 raise UsageError(f"bad element {quote(text)} for the trivial group")
-            return self.identity()
+            return ()
         if len(values) != len(self.invariant_factors):
             raise UsageError(
                 f"element {quote(text)} has {len(values)} residues, {self} needs "
                 f"{len(self.invariant_factors)}"
             )
-        return self.element(values)
+        return tuple(v % m for v, m in zip(values, self.invariant_factors))
 
 
 @lru_cache(maxsize=None)

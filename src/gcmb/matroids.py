@@ -60,18 +60,31 @@ class Matroid:
     def _indep(self, subset: frozenset[int]) -> bool:
         raise NotImplementedError
 
-    def is_independent(self, subset: Iterable[int]) -> bool:
+    def _ground_subset(self, subset: Iterable[int]) -> frozenset[int]:
+        """`subset` as a frozenset, refused if an element lies outside 0..n-1."""
         fs = frozenset(subset)
         for e in fs:
             if not 0 <= e < self.n:
                 raise UsageError(f"element {quote(str(e))} outside ground set 0..{self.n - 1}")
+        return fs
+
+    def is_independent(self, subset: Iterable[int]) -> bool:
+        fs = self._ground_subset(subset)
         self.oracle_calls += 1
         return self._indep(fs)
 
     def rank(self, subset: Iterable[int]) -> int:
-        """Size of a maximal independent subset, built greedily by ascending index."""
+        """Size of a maximal independent subset of `subset`.
+
+        The element range is checked here; the answer comes from `_rank`.
+        Subclasses override `_rank`, never this method.
+        """
+        return self._rank(self._ground_subset(subset))
+
+    def _rank(self, subset: frozenset[int]) -> int:
+        """The greedy rank: one oracle call per element, by ascending index."""
         chosen: set[int] = set()
-        for e in sorted(set(subset)):
+        for e in sorted(subset):
             if self.is_independent(chosen | {e}):
                 chosen.add(e)
         return len(chosen)
@@ -118,7 +131,8 @@ class Matroid:
         For each y in `outside`: None when current + y is independent, else
         the x in `current` with current - x + y independent, which is
         C(current, y) - y.  This body asks the oracle about every single
-        swap, so families without a structural override keep their counts.
+        swap; graphic, linear, partition and deletion matroids override it
+        and answer from structure without oracle calls.
         """
         out: dict[int, Optional[frozenset[int]]] = {}
         for y in outside:
@@ -291,35 +305,68 @@ class LinearMatroid(Matroid):
                 raise UsageError("matrix rows must all have the same length")
         super().__init__(width)
         self.p = p
-        self.columns = tuple(
-            tuple(row[j] % p for row in rows) for j in range(width)
-        )
-        for j, col in enumerate(self.columns):
-            if all(x == 0 for x in col):
+        self.rows = tuple(tuple(x % p for x in row) for row in rows)
+        for j in range(width):
+            if not any(row[j] for row in self.rows):
                 raise UsageError(f"column {j} is zero (a loop); matroids here are loopless")
 
-    def _indep(self, subset: frozenset[int]) -> bool:
-        cols = [list(self.columns[j]) for j in sorted(subset)]
-        if not cols:
-            return True
+    def _reduce(
+        self, pivoting: Sequence[int], carried: Sequence[int] = ()
+    ) -> tuple[list[int], list[list[int]]]:
+        """Gauss-Jordan elimination over GF(p) of the columns `pivoting`,
+        then `carried`, in that order.
+
+        Pivots are taken in the `pivoting` columns only, left to right,
+        skipping a column with none below the rows already used.  Returns the
+        positions of the pivot columns, pivot row k belonging to the k-th,
+        and the reduced rows: a pivot column is a unit vector, and a carried
+        column is its combination of the pivot columns in the pivot rows plus
+        a remainder, zero exactly when it lies in their span, in the others.
+        """
+        order = [*pivoting, *carried]
+        reduced = [[row[j] for j in order] for row in self.rows]
         p = self.p
-        m = len(cols[0])
-        pivot_row = 0
-        for col_idx in range(len(cols)):
-            col = cols[col_idx]
-            pivot = next((i for i in range(pivot_row, m) if col[i] % p != 0), None)
-            if pivot is None:
-                return False
-            for other in cols[col_idx:]:
-                other[pivot_row], other[pivot] = other[pivot], other[pivot_row]
-            inv = pow(col[pivot_row], -1, p)
-            for i in range(pivot_row + 1, m):
-                factor = (col[i] * inv) % p
-                if factor:
-                    for other in cols[col_idx:]:
-                        other[i] = (other[i] - factor * other[pivot_row]) % p
-            pivot_row += 1
-        return True
+        pivots: list[int] = []
+        for c in range(len(pivoting)):
+            k = len(pivots)
+            hit = next((i for i in range(k, len(reduced)) if reduced[i][c]), None)
+            if hit is None:
+                continue
+            reduced[k], reduced[hit] = reduced[hit], reduced[k]
+            inv = pow(reduced[k][c], -1, p)
+            top = reduced[k] = [x * inv % p for x in reduced[k]]
+            for i, row in enumerate(reduced):
+                f = row[c]
+                if f and i != k:
+                    reduced[i] = [(x - f * t) % p for x, t in zip(row, top)]
+            pivots.append(c)
+        return pivots, reduced
+
+    def _indep(self, subset: frozenset[int]) -> bool:
+        return len(self._reduce(sorted(subset))[0]) == len(subset)
+
+    def _rank(self, subset: frozenset[int]) -> int:
+        return len(self._reduce(sorted(subset))[0])
+
+    def circuits(
+        self, current: frozenset[int], outside: Iterable[int]
+    ) -> dict[int, Optional[frozenset[int]]]:
+        """Row-reduce current's columns carrying the outside ones: y is free
+        when its column keeps a non-zero entry outside the pivot rows, else
+        C(current, y) - y holds the x with a non-zero coefficient."""
+        inside = sorted(current)
+        outside = list(outside)
+        pivots, reduced = self._reduce(inside, outside)
+        r = len(inside)
+        if len(pivots) != r:
+            raise UsageError("fundamental circuits need an independent set")
+        out: dict[int, Optional[frozenset[int]]] = {}
+        for j, y in enumerate(outside, start=r):
+            if any(row[j] for row in reduced[r:]):
+                out[y] = None
+            else:
+                out[y] = frozenset(x for x, row in zip(inside, reduced) if row[j])
+        return out
 
 
 class ExplicitMatroid(Matroid):
@@ -468,6 +515,9 @@ class DeleteMatroid(Matroid):
 
     def _indep(self, subset: frozenset[int]) -> bool:
         return self.parent.is_independent(self.parent_map[e] for e in subset)
+
+    def _rank(self, subset: frozenset[int]) -> int:
+        return self.parent.rank(self.parent_map[e] for e in subset)
 
     def circuits(
         self, current: frozenset[int], outside: Iterable[int]

@@ -589,7 +589,7 @@ def _indexed_values(text: str, n: int, what: str, convert: Callable[[str], objec
 def parse_labeling(text: str, group: GroupSpec, n: int) -> Labeling:
     """Parse labeling lines `<element-index> <group-element>`; every element
     0..n-1 must be labeled exactly once."""
-    labels = _indexed_values(text, n, "labels", lambda v: group.index_of(group.parse_element(v)))
+    labels = _indexed_values(text, n, "labels", group.parse_index)
     return Labeling(group, tuple(labels))
 
 

@@ -16,7 +16,7 @@ from gcmb.errors import CapacityError, InternalError, UsageError
 from gcmb.groups import GroupElement
 from gcmb.intersection import Weight, build_exchange_graph
 from gcmb.lab import Witness
-from gcmb.matroids import BaseSet, Matroid
+from gcmb.matroids import BaseSet, LinearMatroid, Matroid
 from gcmb.solver import (
     Labeling,
     Signature,
@@ -91,6 +91,27 @@ class DualMatroid(Matroid):
 
 def dual(m: Matroid) -> Matroid:
     return DualMatroid(m)
+
+
+def linear_independent(m: LinearMatroid, subset: Iterable[int]) -> bool:
+    """Forward elimination over GF(p), column by column, stopping at the
+    first column without a pivot: the plain test the row reduction replaces."""
+    p = m.p
+    cols = [[row[j] for row in m.rows] for j in sorted(set(subset))]
+    top = 0
+    for c, col in enumerate(cols):
+        pivot = next((i for i in range(top, len(col)) if col[i]), None)
+        if pivot is None:
+            return False
+        for other in cols[c:]:
+            other[top], other[pivot] = other[pivot], other[top]
+        inv = pow(col[top], -1, p)
+        for i in range(top + 1, len(col)):
+            factor = col[i] * inv % p
+            for other in cols[c:]:
+                other[i] = (other[i] - factor * other[top]) % p
+        top += 1
+    return True
 
 
 def exchange_surplus(m: Matroid, a1: Iterable[int], b1: Iterable[int]) -> int:

@@ -1,9 +1,10 @@
 """Fundamental-circuit overrides against the oracle loop they replace.
 
 `Matroid.circuits` asks the independence oracle about every swap; the
-graphic, partition and deletion overrides answer from structure.  Each
-override must return exactly what the oracle loop returns, and solves must
-come out the same with the overrides switched off.
+graphic, linear, partition and deletion overrides answer from structure, and
+linear matroids and deletions answer `rank` without the greedy oracle loop.
+Each override must return exactly what the oracle loop returns, and solves
+must come out the same with the overrides switched off.
 """
 
 import itertools
@@ -19,6 +20,7 @@ from gcmb.intersection import build_exchange_graph, max_common_independent, min_
 from gcmb.matroids import (
     DeleteMatroid,
     GraphicMatroid,
+    LinearMatroid,
     Matroid,
     PartitionMatroid,
     delete,
@@ -28,7 +30,10 @@ from gcmb.matroids import (
 )
 from gcmb.solver import Labeling, solve_enum, solve_proximity
 
-OVERRIDES = (GraphicMatroid, PartitionMatroid, DeleteMatroid)
+from oracles import linear_independent
+
+OVERRIDES = (GraphicMatroid, LinearMatroid, PartitionMatroid, DeleteMatroid)
+RANK_OVERRIDES = (LinearMatroid, DeleteMatroid)
 
 
 @st.composite
@@ -54,17 +59,25 @@ def partitions(draw, n=None):
 
 
 @st.composite
-def linears(draw, p=None, min_n=1):
-    p = draw(st.sampled_from([2, 3])) if p is None else p
+def linears(draw):
+    """Loopless matrices of one to three rows over GF(2), GF(3), GF(5) or
+    GF(7); in a rank-deficient one the last row is a combination of the
+    others."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
     rows = draw(st.integers(1, 3))
-    n = draw(st.integers(min_n, 7))
+    deficient = rows > 1 and draw(st.booleans())
+    free = rows - deficient
+    n = draw(st.integers(1, 7))
     columns = draw(
         st.lists(
-            st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows).filter(any),
+            st.lists(st.integers(0, p - 1), min_size=free, max_size=free).filter(any),
             min_size=n,
             max_size=n,
         )
     )
+    if deficient:
+        mix = draw(st.lists(st.integers(0, p - 1), min_size=free, max_size=free))
+        columns = [col + [sum(a * x for a, x in zip(mix, col)) % p] for col in columns]
     return make_linear([[col[i] for col in columns] for i in range(rows)], p)
 
 
@@ -103,16 +116,38 @@ def assert_matches_oracle_loop(m, current):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("family", [multigraphs, partitions, minors], ids=["graphic", "partition", "minor"])
+@pytest.mark.parametrize(
+    "family",
+    [multigraphs, linears, partitions, minors],
+    ids=["graphic", "linear", "partition", "minor"],
+)
 def test_override_matches_oracle_loop(family, data):
     m = data.draw(family())
     assert_matches_oracle_loop(m, data.draw(independent_sets(m)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_linear_rank_and_independence_match_the_greedy_loop(data):
+    """The row reduction's `_indep` against plain forward elimination, and
+    `rank` of linear matroids and their deletions against the greedy oracle
+    loop, on random subsets."""
+    m = data.draw(linears())
+    minor = delete(m, data.draw(st.sets(st.integers(0, m.n - 1), max_size=m.n - 1)))
+    for subset in data.draw(st.lists(st.sets(st.integers(0, m.n - 1)), min_size=1, max_size=6)):
+        fs = frozenset(subset)
+        assert m._indep(fs) == linear_independent(m, fs)
+        assert m.rank(fs) == Matroid._rank(m, fs)
+    for subset in data.draw(st.lists(st.sets(st.integers(0, minor.n - 1)), min_size=1, max_size=6)):
+        fs = frozenset(subset)
+        assert minor._indep(fs) == linear_independent(m, (minor.parent_map[e] for e in fs))
+        assert minor.rank(fs) == Matroid._rank(minor, fs)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_exchange_graph_matches_pairwise_oracle(data):
-    m1 = data.draw(st.one_of(multigraphs(), minors()))
+    m1 = data.draw(st.one_of(multigraphs(), linears(), minors()))
     m2 = data.draw(st.one_of(partitions(m1.n), partition_minors(m1.n)))
     current = data.draw(independent_sets(m1, m2))
     graph = build_exchange_graph(m1, m2, current)
@@ -140,6 +175,32 @@ def test_graphic_refuses_a_cycle():
     triangle = make_graphic([(0, 1), (1, 2), (0, 2), (0, 3)])
     with pytest.raises(UsageError, match="independent"):
         triangle.circuits(frozenset({0, 1, 2}), [3])
+
+
+def test_linear_circuits_by_hand():
+    # Over GF(3): column 2 = c0 + c1, column 3 = 2 c0 + c1, column 4 = 2 c0.
+    m = make_linear([[1, 0, 1, 2, 2], [0, 1, 1, 1, 0]], 3)
+    assert m.circuits(frozenset({0, 1}), [2, 3, 4]) == {
+        2: frozenset({0, 1}),
+        3: frozenset({0, 1}),
+        4: frozenset({0}),
+    }
+    assert m.circuits(frozenset({4}), [0, 1, 2]) == {0: frozenset({4}), 1: None, 2: None}
+    assert m.circuits(frozenset({2, 4}), [0, 1, 3]) == {
+        0: frozenset({4}),
+        1: frozenset({2, 4}),
+        3: frozenset({2, 4}),
+    }
+
+
+def test_linear_refuses_a_dependent_set():
+    m = make_linear([[1, 0, 1, 2, 2], [0, 1, 1, 1, 0]], 3)
+    with pytest.raises(UsageError, match="independent"):
+        m.circuits(frozenset({0, 1, 2}), [3])
+    with pytest.raises(UsageError, match="independent"):
+        m.circuits(frozenset({0, 4}), [])
+    with pytest.raises(UsageError, match="independent"):
+        delete(m, [1]).circuits(frozenset({0, 3}), [1])
 
 
 def test_partition_zero_cap_is_a_loop():
@@ -219,5 +280,7 @@ def test_solves_match_with_overrides_switched_off(inst):
     with pytest.MonkeyPatch.context() as patch:
         for cls in OVERRIDES:
             patch.setattr(cls, "circuits", Matroid.circuits)
+        for cls in RANK_OVERRIDES:
+            patch.setattr(cls, "_rank", Matroid._rank)
         slow = both()
     assert fast == slow

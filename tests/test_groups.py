@@ -166,6 +166,32 @@ def test_group_axioms(data, spec):
     assert a + spec.identity() == a
 
 
+#: Element tokens: residue lists with signs and spaces, near-grammar junk,
+#: arbitrary text, and digit runs around int()'s 4300-digit limit.
+ELEMENT_TOKENS = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), max_size=4).map(lambda v: " , ".join(map(str, v))),
+    st.text(alphabet=" ,+-0123456789x", max_size=12),
+    st.text(max_size=8),
+    st.integers(4290, 4310).map(lambda k: "9" * k),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.sampled_from([GroupSpec.of(), GroupSpec.of(1000)] + [GroupSpec(f) for f in ALL_SMALL]),
+    token=ELEMENT_TOKENS,
+)
+def test_parse_index_matches_parse_element(spec, token):
+    try:
+        expected = spec.index_of(spec.parse_element(token))
+    except UsageError as exc:
+        with pytest.raises(UsageError) as caught:
+            spec.parse_index(token)
+        assert str(caught.value) == str(exc)
+    else:
+        assert spec.parse_index(token) == expected
+
+
 class TestDavenport:
     def test_cyclic(self):
         for m in range(2, 13):

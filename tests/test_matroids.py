@@ -110,6 +110,17 @@ class TestRank:
         assert k4.rank(range(6)) == k4.full_rank == 3
         assert k4.rank([0, 1, 3]) == 2  # a triangle
 
+    @pytest.mark.parametrize("kind", ["linear", "graphic", "delete"])
+    def test_elements_outside_the_ground_set_are_refused(self, k4, kind):
+        m = {
+            "linear": make_linear([[1, 0, 1, 2], [0, 1, 1, 1]], 3),
+            "graphic": k4,
+            "delete": delete(make_linear([[1, 0, 1, 2], [0, 1, 1, 1]], 3), [2]),
+        }[kind]
+        for bad in (m.n, -1):
+            with pytest.raises(UsageError, match=f"element '{bad}' outside ground set 0..{m.n - 1}$"):
+                m.rank([0, bad])
+
     def test_monotone_submodular(self, k4):
         for m in (k4, make_uniform(6, 3), make_partition([[0, 1, 2], [3, 4, 5]], [1, 2])):
             ranks = {}
