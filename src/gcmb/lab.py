@@ -54,20 +54,24 @@ from .solver import Labeling
 
 LAB_ENUM_LIMIT = 10**6
 SCAN_RANGE_LIMIT = 1 << 26
-_COUNT_CELLS = 1 << 16  # cells per slice: scan bincount keys, closeness base pairs
+_COUNT_CELLS = 1 << 16  # scan bincount keys per count slice
 _SCAN_CHUNK = 1 << 15  # labelings per scan kernel call
 _LOW_PLACE_LIMIT = 1 << 62  # the scan kernel's low parts, below q^L, stay in int64
 _COUNT_WEIGHT = 8  # cost of a sparse count cell in shifted-sum cells (measured)
 _LABEL_CELLS = 1 << 18  # base labels the scan kernel holds at once
 
 
-def _guarded_bases(m: Matroid) -> list[BaseSet]:
+def _lab_guard(m: Matroid) -> None:
     if math.comb(m.n, m.full_rank) > LAB_ENUM_LIMIT:
         raise CapacityError(
             f"lab checks require C(n,r) <= {LAB_ENUM_LIMIT}; "
             f"C({m.n},{m.full_rank}) exceeds it"
         )
-    return m.bases()
+
+
+def _guarded_rows(m: Matroid) -> np.ndarray:
+    _lab_guard(m)
+    return m.base_rows()
 
 
 def random_labeling(rng: random.Random, group: GroupSpec, n: int) -> Labeling:
@@ -98,15 +102,15 @@ def label_image(m: Matroid, labeling: Labeling) -> LabelImage:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
     group = labeling.group
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
-    labels = _label_sums(group.invariant_factors, _incidence(m.n, _guarded_bases(m)), digits)
+    labels = _label_sums(group.invariant_factors, _incidence(m.n, _guarded_rows(m)), digits)
     multiplicity = {group.element_at(v): c for v, c in Counter(labels[:, 0].tolist()).items()}
     return LabelImage(frozenset(multiplicity), multiplicity)
 
 
-def _incidence(n: int, bases: Sequence[BaseSet]) -> np.ndarray:
+def _incidence(n: int, bases: Sequence[BaseSet] | np.ndarray) -> np.ndarray:
     """The 0/1 incidence matrix of the bases, uint8, bases x elements."""
     incidence = np.zeros((len(bases), n), dtype=np.uint8)
-    np.put_along_axis(incidence, np.array(bases, dtype=np.intp), 1, axis=1)
+    np.put_along_axis(incidence, np.asarray(bases, dtype=np.intp), 1, axis=1)
     return incidence
 
 
@@ -201,11 +205,23 @@ def _closeness_witness(
 
     Each minimum-weight base A is matched in every label class to its nearest
     minimum-weight base of that class, ties going to the least.  The witness
-    has the largest such distance above k, then the least (A, B).  Distances
-    r - |A & B| count shared elements by popcount: each base is a bitmask
-    packed little-endian into uint64 words, and |A & B| is the bit count of
-    the words' ANDs, a slice of A rows at a time so that about _COUNT_CELLS
-    pairs are held at once.
+    has the largest such distance above k, then the least (A, B).
+
+    Distances come from a layered search over the base-exchange graph, whose
+    edges join bases that differ by one swap.  In a matroid the exchange
+    distance between bases A and B is exactly |A - B|: a swap changes
+    |A - B| by at most one, and the exchange axiom always offers a swap that
+    lowers it.  So the search, started from every target base at once, finds
+    the nearest target of each class.  Two bases are adjacent when they share
+    a key, a base with one element removed; keys are bitmasks, one uint64
+    word per 64 elements, grouped by one sort.  Each base holds a bitmask of
+    the label classes reached within d exchanges, 64 classes at a time; one
+    layer ORs the bitmasks over each key group and back onto its bases.  A
+    pool base's distance is the first layer that sets all its class bits.
+    The search never finds a distance below |A - B|, so checking A's exact
+    distances, read from its row alone, is enough: a trusted base list that
+    breaks the exchange axiom ends in a `UsageError`, never in a wrong
+    witness.  B is read from the same row.
     """
     if labeling.n != m.n:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
@@ -213,47 +229,113 @@ def _closeness_witness(
         raise UsageError(f"need {m.n} weights, got {len(weights)}")
     group = labeling.group
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
-    bases = _guarded_bases(m)
-    incidence = _incidence(m.n, bases)
+    rows = _guarded_rows(m)
+    rank = rows.shape[1]
+    incidence = _incidence(m.n, rows)
     labels = _label_sums(group.invariant_factors, incidence, digits)[:, 0]
-    totals = [0 if weights is None else sum(weights[e] for e in b) for b in bases]
-    cheapest: dict[int, Weight] = {}
-    for g, t in zip(labels.tolist(), totals):
-        cheapest[g] = min(t, cheapest.get(g, t))
-    best = min(totals)
-    pool = np.flatnonzero([t == best for t in totals])
-    targets = np.flatnonzero([t == cheapest[g] for g, t in zip(labels.tolist(), totals)])
-    # Targets grouped by label in ascending base order, so the least column
-    # of a class at its minimum distance is the least nearest target.
-    targets = targets[np.argsort(labels[targets], kind="stable")]
-    classes = np.flatnonzero(np.diff(labels[targets], prepend=-1))
-    rank, width = m.full_rank, len(targets)
-    dtype = np.min_scalar_type((rank + 1) * width)
-    packed = np.packbits(incidence, axis=1, bitorder="little")
-    masks = np.zeros((len(bases), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    masks[:, : packed.shape[1]] = packed
-    masks = masks.view(np.uint64)
-    inside = np.ascontiguousarray(masks[targets].T)  # words x targets
-    worst = (k, 0, 0)  # (distance, A, B), A and B as base indices
-    rows = max(1, _COUNT_CELLS // width)
-    for lo in range(0, len(pool), rows):
-        part = pool[lo : lo + rows]
-        shared = np.zeros((len(part), width), dtype=np.min_scalar_type(rank))
-        for w, word in enumerate(inside):
-            shared += np.bitwise_count(masks[part, w, None] & word)
-        keys = (rank - shared).astype(dtype) * width + np.arange(width, dtype=dtype)
-        nearest = np.minimum.reduceat(keys, classes, axis=1)
-        distance = nearest // width
-        top = int(distance.max())
-        if top > worst[0]:  # pool rows ascend, so ties keep the earlier A
-            row = int(np.argmax(distance.max(axis=1) == top))
-            b = min(int(targets[c]) for c in nearest[row][distance[row] == top] % width)
-            worst = (top, int(part[row]), b)
-    d, a, b = worst
+    totals = _base_totals(rows, weights)
+    # Bases grouped by label in ascending base order; a class's targets are
+    # its cheapest bases, so the least target of a class comes first.
+    by_label = np.argsort(labels, kind="stable")
+    first = _firsts(labels[by_label])
+    label_class = np.cumsum(first) - 1
+    cheapest = np.minimum.reduceat(totals[by_label], np.flatnonzero(first))
+    chosen = totals[by_label] == cheapest[label_class]
+    targets, target_class = by_label[chosen], label_class[chosen]
+    pool = np.flatnonzero(totals == totals.min())
+    distance = _exchange_distances(rows, incidence, pool, targets, target_class)
+    d = int(distance.max())
     if d <= k:
         return None
+    a = int(pool[np.argmax(distance == d)])
+    # A's distance to every target, and to every class
+    near = rank - np.count_nonzero(incidence[targets[:, None], rows[a]], axis=1)
+    nearest = np.minimum.reduceat(near, np.flatnonzero(_firsts(target_class)))
+    if int(nearest.max()) != d:
+        raise UsageError(
+            "base exchange axiom fails: the exchange distances between the bases "
+            "are not their differences (a trusted base list that is not a matroid)"
+        )
+    b = int(targets[(near == d) & (nearest[target_class] == d)].min())
     target = group.element_at(int(labels[b]))
-    return Witness(m, labeling, target, bases[a], bases[b], d, k, weights=weights)
+    base_a, base_b = (tuple(rows[i].tolist()) for i in (a, b))
+    return Witness(m, labeling, target, base_a, base_b, d, k, weights=weights)
+
+
+def _firsts(ordered: np.ndarray) -> np.ndarray:
+    """Flags the rows of a sorted array that differ from the row before."""
+    first = np.ones(len(ordered), dtype=bool)
+    differs = ordered[1:] != ordered[:-1]
+    first[1:] = differs if differs.ndim == 1 else differs.any(axis=1)
+    return first
+
+
+def _base_totals(rows: np.ndarray, weights: Optional[tuple[Weight, ...]]) -> np.ndarray:
+    """The weight of every base, exactly, scaled by the weights' common
+    denominator: int64 while no total can pass 2^62, else Python ints."""
+    if weights is None:
+        return np.zeros(rows.shape[0], dtype=np.int64)
+    scale = math.lcm(*(w.denominator for w in weights))
+    scaled = [int(w * scale) for w in weights]
+    largest = max(map(abs, scaled), default=0) * rows.shape[1]
+    dtype = np.int64 if largest < 1 << 62 else object
+    return np.array(scaled, dtype=dtype)[rows].sum(axis=1, dtype=dtype)
+
+
+def _exchange_distances(
+    rows: np.ndarray,
+    incidence: np.ndarray,
+    pool: np.ndarray,
+    targets: np.ndarray,
+    target_class: np.ndarray,
+) -> np.ndarray:
+    """For every pool base, the exchange distance to its farthest label
+    class, a class being as near as its nearest target.
+
+    Layer d holds, per base, the bitmask of classes with a target within d
+    exchanges, and a pool base lies one layer farther for every layer that
+    misses a class.  Layers stop after r + 1, where only a set system that
+    is not a matroid still misses one.  Keys are laid out r x count, key
+    (j, b) being base b without its j-th element; `group` maps each key to
+    its key group.
+    """
+    count, rank = rows.shape
+    packed = np.packbits(incidence, axis=1, bitorder="little")
+    words = np.zeros((count, max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    masks = words.view(np.uint64)
+    word, bit = np.divmod(rows.T, 64)
+    keys = np.repeat(masks[None], rank, axis=0)  # r x count x words
+    keys[np.arange(rank)[:, None], np.arange(count), word] ^= np.left_shift(
+        np.uint64(1), bit.astype(np.uint64)
+    )
+    keys = keys.reshape(rank * count, masks.shape[1])
+    order = np.lexsort(keys.T)
+    first = _firsts(keys[order])
+    heads = np.flatnonzero(first)
+    group = np.empty(len(order), dtype=np.intp)
+    group[order] = np.cumsum(first) - 1
+    group = group.reshape(rank, count)
+    owner = order % count
+    chunk, slot = np.divmod(target_class, 64)
+    flag = np.left_shift(np.uint64(1), slot.astype(np.uint64))
+    classes = int(target_class[-1]) + 1
+    distance = np.zeros(len(pool), dtype=np.intp)
+    for c in range(int(chunk[-1]) + 1):
+        inside = chunk == c
+        reached = np.zeros(count, dtype=np.uint64)
+        reached[targets[inside]] = flag[inside]
+        full = np.uint64((1 << min(64, classes - 64 * c)) - 1)
+        far = np.zeros(len(pool), dtype=np.intp)
+        for _ in range(rank + 1):  # in a matroid, r layers reach every base
+            short = reached[pool] != full
+            if not short.any():
+                break
+            far += short
+            merged = np.bitwise_or.reduceat(reached[owner], heads)
+            reached = np.bitwise_or.reduce(merged[group], axis=0)
+        np.maximum(distance, far, out=distance)
+    return distance
 
 
 def reduce_witness(w: Witness) -> Witness:
@@ -301,7 +383,8 @@ def _isolation_pools(m: Matroid) -> tuple[list[BaseSet], list[BaseSet]]:
             f"isolation predicates need a block-matroid candidate (n = 2r); "
             f"got n={m.n}, r={m.full_rank}"
         )
-    all_bases = _guarded_bases(m)
+    _lab_guard(m)
+    all_bases = m.bases()
     return all_bases, block_bases(m.n, all_bases)
 
 

@@ -95,6 +95,15 @@ class Matroid:
             self._full_rank = self.rank(range(self.n))
         return self._full_rank
 
+    def _enumeration_rank(self) -> int:
+        """The full rank r, once C(n, r) <= ENUMERATION_LIMIT is checked."""
+        r = self.full_rank
+        if math.comb(self.n, r) > ENUMERATION_LIMIT:
+            raise CapacityError(
+                f"C({self.n},{r}) exceeds the enumeration guard {ENUMERATION_LIMIT}"
+            )
+        return r
+
     def bases(self) -> list[BaseSet]:
         """All bases in lexicographic order, for the lab.
 
@@ -105,12 +114,14 @@ class Matroid:
         count them (no lab or `bases` report prints that count).  Subclasses
         override `_bases`, never this method.
         """
-        r = self.full_rank
-        if math.comb(self.n, r) > ENUMERATION_LIMIT:
-            raise CapacityError(
-                f"C({self.n},{r}) exceeds the enumeration guard {ENUMERATION_LIMIT}"
-            )
-        return self._bases(r)
+        return self._bases(self._enumeration_rank())
+
+    def base_rows(self) -> np.ndarray:
+        """The bases of `bases`, in its order, as the rows of a (count x r)
+        intp array, under the same guard.  The rows come from `_base_rows`,
+        which by default converts `_bases`; the graphic kernel overrides it.
+        Subclasses override `_base_rows`, never this method."""
+        return self._base_rows(self._enumeration_rank())
 
     def _bases(self, r: int) -> list[BaseSet]:
         return [
@@ -118,6 +129,10 @@ class Matroid:
             for combo in itertools.combinations(range(self.n), r)
             if self.is_independent(combo)
         ]
+
+    def _base_rows(self, r: int) -> np.ndarray:
+        bases = self._bases(r)
+        return np.array(bases, dtype=np.intp).reshape(len(bases), r)
 
     def is_base(self, subset: Iterable[int]) -> bool:
         fs = frozenset(subset)
@@ -213,6 +228,9 @@ class GraphicMatroid(Matroid):
         return True
 
     def _bases(self, r: int) -> list[BaseSet]:
+        return list(map(tuple, self._base_rows(r).tolist()))
+
+    def _base_rows(self, r: int) -> np.ndarray:
         """The r-subsets that are spanning forests, by a vectorised test.
 
         Each slice of at most _BASES_SLICE subsets keeps one row of vertex
@@ -225,7 +243,7 @@ class GraphicMatroid(Matroid):
         labels = np.arange(vertices, dtype=np.min_scalar_type(vertices))
         combos = itertools.combinations(range(self.n), r)
         total = math.comb(self.n, r)
-        out: list[BaseSet] = []
+        out = [np.empty((0, r), dtype=np.intp)]
         for lo in range(0, total, _BASES_SLICE):
             count = min(_BASES_SLICE, total - lo)
             flat = itertools.chain.from_iterable(itertools.islice(combos, count))
@@ -238,8 +256,8 @@ class GraphicMatroid(Matroid):
                 cv = comp[rows, ends[subsets[:, j], 1]]
                 forest &= cu != cv
                 np.copyto(comp, cv[:, None], where=comp == cu[:, None])
-            out.extend(map(tuple, subsets[forest].tolist()))
-        return out
+            out.append(subsets[forest])
+        return np.concatenate(out)
 
     def circuits(
         self, current: frozenset[int], outside: Iterable[int]

@@ -474,12 +474,16 @@ def closeness_reference(
     return Witness(m, labeling, g, a, b, d, k, weights=weights)
 
 
+_PAIR_CELLS = 1 << 16
+
+
 def closeness_witness_einsum(
     m: Matroid, labeling: Labeling, k: int, weights: Optional[Sequence[Weight]] = None
 ) -> Optional[Witness]:
-    """`lab._closeness_witness` with shared elements counted as the integer
-    product of the 0/1 incidence matrix with its transpose (`np.einsum`)
-    instead of by popcount; keys, reductions and tie-breaks are the same."""
+    """`lab._closeness_witness` by comparing every pool base with every
+    target: shared elements are the integer product of the 0/1 incidence
+    matrix with its transpose (`np.einsum`), about _PAIR_CELLS pairs at a
+    time, and the tie-breaks are the same."""
     weights = None if weights is None else tuple(weights)
     group = labeling.group
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
@@ -499,7 +503,7 @@ def closeness_witness_einsum(
     dtype = np.min_scalar_type((rank + 1) * width)
     inside = incidence[targets].T.astype(np.min_scalar_type(rank))
     worst = (k, 0, 0)
-    rows = max(1, lab_mod._COUNT_CELLS // width)
+    rows = max(1, _PAIR_CELLS // width)
     for lo in range(0, len(pool), rows):
         part = pool[lo : lo + rows]
         shared = np.einsum("an,nb->ab", incidence[part].astype(inside.dtype), inside)

@@ -68,6 +68,9 @@ SCENARIOS = [
     "solve --builtin tight4 --target 3 --mode proximity",
     "verify --builtin tight4 --k 2",
     "verify --matroid k6.mat --group Z3 --labels k6-z3.lab --k 1 --weights k6.w",
+    # plain K6 closeness: the witness pins the A/B tie-breaks, and a clean verdict
+    "verify --matroid k6.mat --group Z3 --labels k6-z3.lab --k 1",
+    "verify --matroid k6.mat --group Z4 --labels k6-z4.lab --k 1",
     "--seed 5 check-ss --matroid k6.mat --group Z4 --random 2",
     "scan --builtin k4 --group Z3 --predicate block",
     # ranges that cross several high blocks of the scan kernel's split, each with a hit
