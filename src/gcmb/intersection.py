@@ -3,15 +3,24 @@
 Classical augmenting-path algorithm on the exchange graph.  Weights are exact
 (int or Fraction); augmenting paths are chosen by (total weight, arc count,
 lexicographic element sequence), which makes every result deterministic and
-keeps the current set extreme (minimum weight among common independent sets
-of its cardinality).
+keeps the current set extreme (least weight among common independent sets of
+its size).
+
+The graph comes from the fundamental circuits C(I, y).  Its dense arcs, from
+each sink (free in the second matroid) to every inside x and from every x to
+each source (free in the first), pass through two hubs entered at no cost and
+no arc.  Label correcting from the sinks gives each node its least (cost, arcs)
+to a path end; I is extreme, so no cycle is negative (Frank 1981).  The least
+source by (cost, arcs, element), then the least element on each tight arc (the
+arc count falls by one), is the least path in that order.  With zero weights
+the first paths are single elements: a greedy prefix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .errors import InternalError, UsageError
 from .matroids import BaseSet, Matroid
@@ -19,112 +28,103 @@ from .matroids import BaseSet, Matroid
 Weight = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class ExchangeGraph:
-    """Exchange structure for a common independent set I.
+class ExchangeGraph(NamedTuple):
+    """The exchange graph of I: C(I, y) - y per outside y in each matroid, None
+    for a source (sink) of the first (second); `repair_*[x]`: the y whose circuit holds x."""
 
-    `sources` can enter while keeping the first matroid independent, `sinks`
-    while keeping the second; `repair_first[x]` lists the outside elements y
-    with I - x + y independent in the first matroid, `repair_second`
-    likewise for the second.
-    """
-
-    inside: tuple[int, ...]
-    sources: tuple[int, ...]
-    sinks: tuple[int, ...]
-    repair_first: dict[int, tuple[int, ...]]
-    repair_second: dict[int, tuple[int, ...]]
+    first: dict[int, Optional[frozenset[int]]]
+    second: dict[int, Optional[frozenset[int]]]
+    repair_first: dict[int, list[int]]
+    repair_second: dict[int, list[int]]
 
 
 def build_exchange_graph(m1: Matroid, m2: Matroid, current: frozenset[int]) -> ExchangeGraph:
-    """The exchange graph of I = `current`, read off one fundamental circuit
-    C(I, y) per outside y and matroid: I - x + y is independent exactly when
-    I + y is, or when x lies on that circuit."""
     outside = [e for e in range(m1.n) if e not in current]
-    inside = tuple(sorted(current))
-    first = m1.circuits(current, outside)
-    second = m2.circuits(current, outside)
-    sources = tuple(y for y in outside if first[y] is None)
-    sinks = tuple(y for y in outside if second[y] is None)
-    repair_first = _repairs(inside, outside, first)
-    repair_second = _repairs(inside, outside, second)
-    return ExchangeGraph(inside, sources, sinks, repair_first, repair_second)
+    first, second = m1.circuits(current, outside), m2.circuits(current, outside)
+    return ExchangeGraph(first, second, _holders(first), _holders(second))
 
 
-def _repairs(
-    inside: tuple[int, ...], outside: list[int], circuits: dict[int, Optional[frozenset[int]]]
-) -> dict[int, tuple[int, ...]]:
-    """x -> the outside y, ascending, with I - x + y independent.  Each y
-    goes to the x on its circuit C(I, y), and a y without one to every x, so
-    the work is the arcs' count, not |I| x |outside|."""
-    repairs: dict[int, list[int]] = {x: [] for x in inside}
-    for y in outside:
-        circuit = circuits[y]
-        for x in inside if circuit is None else circuit:
-            repairs[x].append(y)
-    return {x: tuple(ys) for x, ys in repairs.items()}
+def _holders(circuits: dict[int, Optional[frozenset[int]]]) -> dict[int, list[int]]:
+    held: dict[int, list[int]] = defaultdict(list)
+    for y, circuit in circuits.items():
+        for x in circuit or ():
+            held[x].append(y)
+    return held
 
 
 def _augmenting_path(
-    m1: Matroid,
-    m2: Matroid,
-    current: frozenset[int],
-    weights: Sequence[Weight],
+    m1: Matroid, m2: Matroid, current: frozenset[int], weights: Sequence[Weight]
 ) -> Optional[tuple[int, ...]]:
-    """Cheapest augmenting path, ties broken by arc count then element order.
-
-    Path nodes alternate outside/inside elements starting and ending outside:
-    y0 x1 y1 ... xm ym, where y0 is addable in the first matroid, ym in the
-    second, each (xi, yi) is a first-matroid repair and each (y(i-1), xi) a
-    second-matroid repair.  The symmetric difference with I is the augmented
-    common independent set.
-    """
+    """Cheapest augmenting path y0 x1 y1 ... xm ym, ties broken by arc count
+    then element order: y0 is free in the first matroid, ym in the second, each
+    (y(i-1), xi) a second- and each (xi, yi) a first-matroid swap for I."""
     graph = build_exchange_graph(m1, m2, current)
-    if not graph.sources or not graph.sinks:
-        return None
-    # (u, v, cost of v): y -> x when I - x + y is independent in m2, then
-    # x -> y when it is independent in m1.
-    arcs = [(y, x, -weights[x]) for x in graph.inside for y in graph.repair_second[x]]
-    arcs += [(x, y, weights[y]) for x in graph.inside for y in graph.repair_first[x]]
+    sources = [y for y, circuit in graph.first.items() if circuit is None]
+    sinks = [y for y, circuit in graph.second.items() if circuit is None]
+    n = m1.n
+    to_inside, to_sources = n, n + 1  # hubs: sink -> to_inside -> x -> to_sources -> source
+    enter = [(-weights[e] if e in current else weights[e], 1) for e in range(n)] + [(0, 0)] * 2
 
-    # label[v]: least (cost, arc count, path) of a simple path from a source
-    # to v.  I is extreme, so the graph has no negative cycle (Frank 1981):
-    # the least label of every node is a simple path whose prefixes are least
-    # too, and as the order is total any relaxation order ends at the same
-    # labels.
-    label = {y: (weights[y], 0, (y,)) for y in graph.sources}
-    changed = True
-    sweeps = 0
-    while changed:
-        changed = False
-        sweeps += 1
-        if sweeps > m1.n + 2:
-            raise InternalError(
-                "augmenting-path relaxation failed to converge (negative cycle?)"
-            )
-        for u, v, cost in arcs:
-            src = label.get(u)
-            if src is None or v in src[2]:
-                continue
-            cand = (src[0] + cost, src[1] + 1, src[2] + (v,))
-            best = label.get(v)
-            if best is None or cand < best:
-                label[v] = cand
-                changed = True
-    ends = [label[y] for y in graph.sinks if y in label]
-    return min(ends)[2] if ends else None
+    def successors(u: int):
+        if u >= n:
+            return current if u == to_inside else sources
+        if u in current:
+            return (*graph.repair_first[u], to_sources)
+        return (to_inside,) if graph.second[u] is None else graph.second[u]
+
+    def predecessors(v: int):
+        if v >= n:
+            return sinks if v == to_inside else current
+        if v in current:
+            return (*graph.repair_second[v], to_inside)
+        return (to_sources,) if graph.first[v] is None else graph.first[v]
+
+    # rest[u]: least (cost, arcs) from u to a sink, less enter[u] (what entering u adds).
+    rest: dict[int, tuple[Weight, int]] = dict.fromkeys(sinks, (0, 0))
+    queue, queued = sinks, set(sinks)
+    for _ in range(n + 2):  # without a negative cycle, one round per node settles them
+        later = []
+        for v in queue:
+            queued.discard(v)
+            via = (enter[v][0] + rest[v][0], enter[v][1] + rest[v][1])
+            for u in predecessors(v):
+                if u not in rest or via < rest[u]:
+                    rest[u] = via
+                    if u not in queued:
+                        queued.add(u)
+                        later.append(u)
+        queue = later
+    if queue:
+        raise InternalError("augmenting-path search did not settle (negative cycle?)")
+
+    through = {v: (enter[v][0] + rest[v][0], enter[v][1] + rest[v][1]) for v in rest}
+
+    def least_tight(u: int) -> int:  # the least element one tight arc on, past a hub
+        tight = (v for v in successors(u) if through.get(v) == rest[u])
+        return min(exits[v] if v >= n else v for v in tight)
+
+    # a hub's successors are elements, so these calls read no exit
+    exits = {hub: least_tight(hub) for hub in (to_inside, to_sources) if hub in rest}
+    starts = [(*through[y], y) for y in sources if y in rest]
+    if not starts:
+        return None
+    path = [min(starts)[2]]
+    while rest[path[-1]][1]:
+        path.append(least_tight(path[-1]))
+    return tuple(path)
 
 
 def max_common_independent(m1: Matroid, m2: Matroid) -> BaseSet:
     """A maximum-cardinality common independent set (deterministic)."""
     if m1.n != m2.n:
-        raise UsageError(
-            f"ground sets differ: {m1.n} vs {m2.n} elements"
-        )
-    zero = [0] * m1.n
+        raise UsageError(f"ground sets differ: {m1.n} vs {m2.n} elements")
     current: frozenset[int] = frozenset()
-    while True:
-        path = _augmenting_path(m1, m2, current, zero)
+    for e in range(m1.n):  # greedy prefix; a solve passes the cheaper partition as m2
+        if m2.circuits(current, [e])[e] is None and m1.circuits(current, [e])[e] is None:
+            current |= {e}
+    current = _augment(m1, m2, frozenset(), tuple(current)) if current else current
+    while len(current) < m1.full_rank:  # at an m1 base no source; if r2 < r1, no path
+        path = _augmenting_path(m1, m2, current, [0] * m1.n)
         if path is None:
             break
         current = _augment(m1, m2, current, path)

@@ -7,6 +7,7 @@ the package computes faster; none of them is shipped in `gcmb`.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from gcmb import lab as lab_mod
 from gcmb.errors import CapacityError, InternalError, UsageError
 from gcmb.groups import GroupElement
-from gcmb.intersection import Weight, build_exchange_graph
+from gcmb.intersection import Weight
 from gcmb.lab import Witness
 from gcmb.matroids import BaseSet, LinearMatroid, Matroid
 from gcmb.solver import (
@@ -146,6 +147,52 @@ def validate_exchange_loop(m) -> None:
 
 
 # -- intersection --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExchangeGraph:
+    """Exchange structure for a common independent set I.
+
+    `sources` can enter while keeping the first matroid independent, `sinks`
+    while keeping the second; `repair_first[x]` lists the outside elements y
+    with I - x + y independent in the first matroid, `repair_second`
+    likewise for the second.
+    """
+
+    inside: tuple[int, ...]
+    sources: tuple[int, ...]
+    sinks: tuple[int, ...]
+    repair_first: dict[int, tuple[int, ...]]
+    repair_second: dict[int, tuple[int, ...]]
+
+
+def build_exchange_graph(m1: Matroid, m2: Matroid, current: frozenset[int]) -> ExchangeGraph:
+    """The exchange graph of I = `current`, read off one fundamental circuit
+    C(I, y) per outside y and matroid: I - x + y is independent exactly when
+    I + y is, or when x lies on that circuit."""
+    outside = [e for e in range(m1.n) if e not in current]
+    inside = tuple(sorted(current))
+    first = m1.circuits(current, outside)
+    second = m2.circuits(current, outside)
+    sources = tuple(y for y in outside if first[y] is None)
+    sinks = tuple(y for y in outside if second[y] is None)
+    repair_first = _repairs(inside, outside, first)
+    repair_second = _repairs(inside, outside, second)
+    return ExchangeGraph(inside, sources, sinks, repair_first, repair_second)
+
+
+def _repairs(
+    inside: tuple[int, ...], outside: list[int], circuits: dict[int, Optional[frozenset[int]]]
+) -> dict[int, tuple[int, ...]]:
+    """x -> the outside y, ascending, with I - x + y independent.  Each y
+    goes to the x on its circuit C(I, y), and a y without one to every x, so
+    the work is the arcs' count, not |I| x |outside|."""
+    repairs: dict[int, list[int]] = {x: [] for x in inside}
+    for y in outside:
+        circuit = circuits[y]
+        for x in inside if circuit is None else circuit:
+            repairs[x].append(y)
+    return {x: tuple(ys) for x, ys in repairs.items()}
 
 
 def assert_extreme(

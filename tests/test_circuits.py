@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gcmb.errors import InternalError, UsageError
 from gcmb.groups import GroupSpec
-from gcmb.intersection import build_exchange_graph, max_common_independent, min_weight_common_base
+from gcmb.intersection import max_common_independent, min_weight_common_base
 from gcmb.matroids import (
     DeleteMatroid,
     GraphicMatroid,
@@ -30,7 +30,7 @@ from gcmb.matroids import (
 )
 from gcmb.solver import Labeling, solve_enum, solve_proximity
 
-from oracles import linear_independent
+from oracles import build_exchange_graph, linear_independent
 
 OVERRIDES = (GraphicMatroid, LinearMatroid, PartitionMatroid, DeleteMatroid)
 RANK_OVERRIDES = (LinearMatroid, DeleteMatroid)

@@ -175,10 +175,10 @@ class TestSolve:
     @pytest.mark.parametrize(
         "mode, counts",
         [
-            ((), "certified=yes signatures=20 candidates=0 intersections=1 oracle-calls=12"),
+            ((), "certified=yes signatures=20 candidates=0 intersections=1 oracle-calls=10"),
             (
                 ("--mode", "proximity", "--heuristic"),
-                "certified=no signatures=0 candidates=1 intersections=1 oracle-calls=18",
+                "certified=no signatures=0 candidates=1 intersections=1 oracle-calls=16",
             ),
         ],
         ids=["enum", "proximity"],

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcmb.errors import UsageError
+from gcmb.errors import InternalError, UsageError
 from gcmb import intersection
 from gcmb.intersection import max_common_independent, min_weight_common_base
-from gcmb.matroids import make_graphic, make_partition, make_uniform
+from gcmb.matroids import delete, make_graphic, make_linear, make_partition, make_uniform
 
 from conftest import random_small_matroid
 from oracles import assert_extreme, augmenting_path_two_phase, min_max_cardinality_bound
@@ -204,20 +204,66 @@ def alternating_chains(draw):
     return make_graphic(edges), make_partition(classes, [1] * k), weights
 
 
+WEIGHTS = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=3))
+#: Weights that force ties: all paths of one arc count cost the same, or many do.
+TIED_WEIGHTS = st.one_of(st.just(0), st.integers(-1, 1))
+
+
 @st.composite
-def weighted_pairs(draw):
+def weighted_pairs(draw, weight=WEIGHTS):
     """Graphic, linear and minor matroids against partition minors, either
     way round, with integer and rational weights."""
     m1 = draw(st.one_of(multigraphs(), linears(), minors()))
     m2 = draw(partition_minors(m1.n))
     if draw(st.booleans()):
         m1, m2 = m2, m1
-    weight = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=3))
     return m1, m2, draw(st.lists(weight, min_size=m1.n, max_size=m1.n))
 
 
+SOLVER_MATROIDS = [
+    make_graphic(list(itertools.combinations(range(5), 2))),
+    make_graphic(list(itertools.combinations(range(6), 2))),
+    make_linear(
+        [
+            [1, 0, 0, 0, 1, 1, 0, 2, 1],
+            [0, 1, 0, 0, 1, 0, 1, 1, 2],
+            [0, 0, 1, 0, 0, 1, 1, 1, 1],
+            [0, 0, 0, 1, 2, 1, 1, 0, 1],
+        ],
+        3,
+    ),
+]
+
+
+def solver_pair(rng, m, weight_range):
+    """The pair a solve intersects: `m` without the elements of the labels
+    counted zero, against the partition matroid of the other label classes
+    with their counts; labels, counts and weights from `rng`."""
+    labels = [rng.randrange(4) for _ in range(m.n)]
+    dropped = set(rng.sample(sorted(set(labels)), rng.randrange(len(set(labels)))))
+    minor = delete(m, [e for e in range(m.n) if labels[e] in dropped])
+    kept = sorted(set(labels) - dropped)
+    classes = [[i for i, e in enumerate(minor.parent_map) if labels[e] == g] for g in kept]
+    caps = [rng.randint(1, len(c)) for c in classes]
+    weights = [rng.randint(*weight_range) for _ in range(minor.n)]
+    return minor, make_partition(classes, caps), weights
+
+
+@st.composite
+def solver_pairs(draw):
+    """`solver_pair` on K5, K6 or a rank-4 GF(3) matroid, from a drawn seed
+    (plain draws favour constant labels); two weight ranges in three tie."""
+    m = draw(st.sampled_from(SOLVER_MATROIDS))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return solver_pair(rng, m, rng.choice([(0, 0), (-1, 1), (-9, 9)]))
+
+
 @settings(max_examples=150, deadline=None)
-@given(pair=st.one_of(weighted_pairs(), alternating_chains()))
+@given(
+    pair=st.one_of(
+        weighted_pairs(), weighted_pairs(TIED_WEIGHTS), alternating_chains(), solver_pairs()
+    )
+)
 def test_augmenting_path_matches_two_phase_reference(pair):
     """Grow a common independent set from empty by the package's own
     augmentations; every step must pick the reference's path, None included."""
@@ -229,3 +275,44 @@ def test_augmenting_path_matches_two_phase_reference(pair):
         if path is None:
             break
         current = intersection._augment(m1, m2, current, path)
+
+
+def test_tied_solver_pairs_match_two_phase_reference():
+    """Zero and {-1, 0, 1} weights on K6 often leave two tight successors to
+    one node; every step must still pick the reference's path."""
+    rng = random.Random(41)
+    k6 = SOLVER_MATROIDS[1]
+    for trial in range(300):
+        m1, m2, weights = solver_pair(rng, k6, [(0, 0), (-1, 1)][trial % 2])
+        current: frozenset[int] = frozenset()
+        while (path := intersection._augmenting_path(m1, m2, current, weights)) is not None:
+            assert path == augmenting_path_two_phase(m1, m2, current, weights)
+            current = intersection._augment(m1, m2, current, path)
+        assert augmenting_path_two_phase(m1, m2, current, weights) is None
+
+
+def reference_max_common(m1, m2):
+    """From the empty set, zero-weight reference paths until there is none."""
+    current: frozenset[int] = frozenset()
+    while (path := augmenting_path_two_phase(m1, m2, current, [0] * m1.n)) is not None:
+        current = intersection._augment(m1, m2, current, path)
+    return tuple(sorted(current))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=st.one_of(weighted_pairs(), alternating_chains(), solver_pairs()))
+def test_max_common_independent_matches_reference_loop(pair):
+    """The greedy prefix and the paths after it end in the set that the
+    reference's augmentations reach, element for element."""
+    m1, m2, _ = pair
+    assert max_common_independent(m1, m2) == reference_max_common(m1, m2)
+
+
+def test_negative_cycle_is_refused():
+    """{0, 1} is not extreme under these weights: trading either for a free
+    element saves 5, so the exchange graph has a negative cycle.  The search
+    must stop with an error after a bounded number of rounds, not return a
+    path."""
+    u = make_uniform(5, 3)
+    with pytest.raises(InternalError, match="negative cycle"):
+        intersection._augmenting_path(u, u, frozenset({0, 1}), [5, 5, 0, 0, 0])
