@@ -502,6 +502,9 @@ class PartitionMatroid(Matroid):
             len(subset & c) <= cap for c, cap in zip(self.classes, self.capacities)
         )
 
+    def _rank(self, subset: frozenset[int]) -> int:
+        return sum(min(cap, len(subset & c)) for c, cap in zip(self.classes, self.capacities))
+
     def circuits(
         self, current: frozenset[int], outside: Iterable[int]
     ) -> dict[int, Optional[frozenset[int]]]:

@@ -9,9 +9,11 @@ is exact exactly when the group's closeness guarantees apply.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from heapq import heappop, heappush
 from itertools import accumulate, compress
 from typing import Callable, Generator, Iterable, Iterator, Literal, Optional, Sequence, Union
 
@@ -372,36 +374,255 @@ def _target_signature(group: GroupSpec, counts: tuple[int, ...], target: GroupEl
     return sig
 
 
+class _Space:
+    """The candidate signatures of one solve.
+
+    Enum candidates are the compositions of `total` within the fiber sizes.
+    Proximity candidates (`base` given) are base + plus - minus with
+    |plus| = |minus| <= `radius`, plus and minus on disjoint group elements:
+    since plus = max(c - base, 0) and minus = max(base - c, 0), they are
+    exactly the compositions c within the fiber sizes with
+    sum over g of max(c_g - base_g, 0) <= radius, each once.  Both streams
+    order them as the feasibility walks `_label_walk` and `_balanced_moves`
+    do; the coordinates of the empty fibers are 0 in every candidate, so the
+    counting works on the non-empty fibers alone.
+    """
+
+    def __init__(
+        self,
+        labeling: Labeling,
+        total: int,
+        target: int,
+        base: Optional[tuple[int, ...]] = None,
+        radius: int = 0,
+    ):
+        self.labeling, self.total, self.target = labeling, total, target
+        self.base, self.radius = base, radius
+        self.caps = [len(fiber) for fiber in labeling.fibers]
+        self.coords = [g for g, c in enumerate(self.caps) if c > 0]
+        self.bounds = [self.caps[g] for g in self.coords]
+        # room[i] = sum(bounds[i:])
+        self.room = list(accumulate(reversed(self.bounds), initial=0))[::-1]
+
+    def stream(self) -> Generator[tuple[int, tuple[int, ...]], None, int]:
+        """The target-label candidates in stream order, as (rank, counts),
+        returning the stream size: the lazy walk of a feasibility solve."""
+        if self.base is None:
+            return _label_walk(self.labeling.group, self.total, self.caps, self.target)
+        return _balanced_moves(self.labeling, self.base, self.radius, self.target)
+
+    def size(self) -> int:
+        """The number of candidates, counted without walking them."""
+        if self.base is None:
+            return self._sizes[0][self.total]
+        return sum(self._pairs[0][move][move] for move in range(self.radius + 1))
+
+    def rank(self, counts: tuple[int, ...]) -> int:
+        """The position of a candidate in the stream: lexicographic for enum;
+        by move size, then plus, then minus, for proximity."""
+        values = [counts[g] for g in self.coords]
+        if self.base is None:
+            return _lex_rank(values, self._sizes)
+        base = [self.base[g] for g in self.coords]
+        plus = [max(c - b, 0) for c, b in zip(values, base)]
+        minus = [max(b - c, 0) for c, b in zip(values, base)]
+        move = sum(plus)
+        rank = sum(self._pairs[0][size][size] for size in range(move))
+        # The pairs of this size whose plus agrees before coordinate i and is
+        # lower at i.  free[q] counts the minus of size q on the coordinates
+        # before i off the plus's support; with 0 at i, i joins them.
+        free, done = [1] + [0] * move, 0
+        for i, p in enumerate(plus):
+            after = self._pairs[i + 1]
+            for v in range(p):
+                ways = _widen(free, base[i], move) if v == 0 else free
+                row = after[move - done - v]
+                rank += sum(w * row[move - q] for q, w in enumerate(ways))
+            done += p
+            if p == 0:
+                free = _widen(free, base[i], move)
+        # Then the minus of this plus, in lexicographic order off its support.
+        masked = [0 if p else b for p, b in zip(plus, base)]
+        return rank + _lex_rank(minus, _cell_sizes(masked, move))
+
+    @cached_property
+    def _sizes(self) -> list[list[int]]:
+        return _cell_sizes(self.bounds, self.total)
+
+    @cached_property
+    def _pairs(self) -> list[list[list[int]]]:
+        """pairs[i][p][q]: the (plus, minus) pairs on coordinates i and after
+        with disjoint supports, p units of plus outside the base and q units
+        of minus inside it, for p, q <= radius."""
+        top = self.radius
+        pairs = [[[0] * (top + 1) for _ in range(top + 1)]]
+        pairs[0][0][0] = 1
+        for i in reversed(range(len(self.coords))):
+            old = pairs[-1]
+            inside = self.base[self.coords[i]]
+            outside = self.bounds[i] - inside
+            # Coordinate i takes plus v >= 0, or minus w >= 1 (w = 0 is plus 0).
+            plus = zip(*(_widen(list(column), outside, top) for column in zip(*old)))
+            pairs.append([
+                [x + y - z for x, y, z in zip(widened, _widen(row, inside, top), row)]
+                for widened, row in zip(plus, old)
+            ])
+        return pairs[::-1]
+
+    def _reach(self) -> list[Optional[list[int]]]:
+        """reach[i][t]: the labels, as a bitmask, of the ways to put t units
+        on coordinates i and after, for the t that the units before i leave.
+        Past WALK_CELL_LIMIT only the last level is kept, and the others are
+        None."""
+        ar = arithmetic(self.labeling.group)
+        k, total, room = len(self.coords), self.total, self.room
+        reach: list[Optional[list[int]]] = [None] * k + [[1] + [0] * total]
+        if k * (total + 1) * -(-ar.order // 64) > WALK_CELL_LIMIT:
+            return reach
+        for i in reversed(range(k)):
+            below, row = reach[i + 1], [0] * (total + 1)
+            shifts = [ar.times(self.coords[i], v) for v in range(min(self.bounds[i], total) + 1)]
+            for t in range(max(0, total - room[0] + room[i]), min(total, room[i]) + 1):
+                mask = 0
+                for v in range(max(0, t - room[i + 1]), min(self.bounds[i], t) + 1):
+                    if below[t - v]:
+                        mask |= ar.shift_mask(below[t - v], shifts[v])
+                row[t] = mask
+            reach[i] = row
+        return reach
+
+    def cheapest_first(
+        self, weights: Sequence[Weight]
+    ) -> Iterator[tuple[Weight, Optional[tuple[int, ...]]]]:
+        """The target-label candidates c in nondecreasing lb(c), the sum over
+        g of the c_g smallest weights in E(g).
+
+        A best-first search over partial compositions: a partial that fixed
+        the coordinates before i and has t units left is keyed by its
+        fiber-weight sum plus the sum of the t smallest weights in the fibers
+        i and after, the cheapest completion when labels are ignored.  So no
+        completion weighs less than the key, and no child's key is below its
+        parent's.  A child is dropped when its units cannot reach the label
+        still needed (the `_reach` masks), or, for proximity, when its plus
+        so far and the units its remaining base cannot take pass the radius.
+        Yields (key, counts) for every head it pops, counts None for a
+        partial, which is expanded when the next head is asked for, so a
+        caller that stops at a key expands nothing past it.
+        """
+        ar = arithmetic(self.labeling.group)
+        coords, bounds, room, total = self.coords, self.bounds, self.room, self.total
+        k = len(coords)
+        if total > room[0]:
+            return
+        reach = self._reach()
+        if reach[0] is not None and not reach[0][total] >> self.target & 1:
+            return
+        fibers = [sorted(weights[e] for e in self.labeling.fibers[g]) for g in coords]
+        prefix = [list(accumulate(f[:total], initial=0)) for f in fibers]
+        least: list[list[Weight]] = [[0]]  # least[i][t]: the t smallest weights of fibers i on
+        pool: list[Weight] = []
+        for f in reversed(fibers):
+            pool = sorted(pool + f)
+            least.append(list(accumulate(pool[:total], initial=0)))
+        least.reverse()
+        moves = self.base is not None
+        if moves:
+            base = [self.base[g] for g in coords]
+            held = list(accumulate(reversed(base), initial=0))[::-1]  # held[i] = sum(base[i:])
+        steps = [ar.neg(g) for g in coords]
+        # (key, -depth, sequence, weight so far, units left, need, plus so far, values)
+        heap = [(least[0][total], 0, 0, 0, total, self.target, 0, None)]
+        pushed = 0
+        while heap:
+            key, depth, _, cost, t, need, used, path = heappop(heap)
+            i = -depth
+            if i == k:
+                counts = [0] * self.labeling.group.order
+                for g in reversed(coords):
+                    counts[g], path = path
+                yield key, tuple(counts)
+                continue
+            yield key, None
+            below, rest, costs, step = reach[i + 1], least[i + 1], prefix[i], steps[i]
+            low = max(0, t - room[i + 1])
+            need = ar.add(need, ar.times(step, low))
+            for v in range(low, min(bounds[i], t) + 1):
+                left = t - v
+                if below is None or below[left] >> need & 1:
+                    plus = used + max(v - base[i], 0) if moves else 0
+                    if not moves or plus + max(left - held[i + 1], 0) <= self.radius:
+                        pushed += 1
+                        spent = cost + costs[v]
+                        child = (spent + rest[left], depth - 1, pushed, spent, left, need, plus,
+                                 (v, path))
+                        heappush(heap, child)
+                need = ar.add(need, step)
+
+
+def _cell_sizes(bounds: Sequence[int], total: int) -> list[list[int]]:
+    """sizes[i][t]: the compositions of t within bounds[i:], for t <= total."""
+    sizes = [[1] + [0] * total]
+    for b in reversed(bounds):
+        sizes.append(_widen(sizes[-1], b, total))
+    return sizes[::-1]
+
+
+def _lex_rank(values: Sequence[int], sizes: list[list[int]]) -> int:
+    """The position of `values` among the compositions of their sum counted
+    by `sizes` (from `_cell_sizes`), in ascending lexicographic order."""
+    rank, left = 0, sum(values)
+    for i, x in enumerate(values):
+        below = sizes[i + 1]
+        rank += sum(below[left - v] for v in range(x))
+        left -= x
+    return rank
+
+
+def _widen(ways: list[int], cap: int, top: int) -> list[int]:
+    """ways times (1 + x + ... + x^cap), cut after degree `top`: the counts
+    by size once a coordinate that holds up to `cap` units joins, ways[q]
+    counting those of size q."""
+    out, window = [0] * (top + 1), 0
+    for q in range(top + 1):
+        window += ways[q]
+        if q > cap:
+            window -= ways[q - cap - 1]
+        out[q] = window
+    return out
+
+
 def _search(
     m: Matroid,
     labeling: Labeling,
     target: GroupElement,
     weights: Optional[Sequence[Weight]],
-    stream: Generator[tuple[int, tuple[int, ...]], None, int],
+    space: _Space,
     certified: bool,
     counter: Literal["signatures", "candidates"],
     calls_before: int,
 ) -> SolveResult:
     """Intersections over the candidate signatures with the target label.
 
-    `stream` yields (rank, counts) for the target-label candidates, rank
-    being the position in the full candidate stream, and returns that
-    stream's size.  Feasibility intersects them in stream order and keeps
-    the first hit.  Optimization takes the whole stream first and bounds each
-    target-label candidate c from below by lb(c), the sum over g of the c_g
-    smallest weights in E(g): no base with signature c weighs less.  It
-    intersects them in (lb, stream rank) order, stops once lb exceeds the
-    best weight found, and returns the least (weight, rank), which is the
-    first strict minimum of the stream.  `counter` names the stats field
-    that counts the candidates walked, up to the hit or the stream's end, and
-    oracle calls are counted from `calls_before`.
+    Feasibility walks `space.stream()` and intersects the target-label
+    candidates in stream order, keeping the first hit; `counter`, the stats
+    field named for the solve's stream, gets the hit's rank plus one, or the
+    stream size when nothing hits.  Optimization bounds each candidate c from
+    below by lb(c), the sum over g of the c_g smallest weights in E(g): no
+    base with signature c weighs less.  It pops the candidates in
+    nondecreasing lb from `space.cheapest_first`, intersects each, and stops
+    once the head's bound exceeds the best weight found.  So it intersects
+    exactly the candidates with lb(c) <= the optimum, whatever the order among
+    equal bounds, and returns the least (weight, stream rank), the first
+    strict minimum of the stream; a rank is counted only to break a weight
+    tie.  There `counter` gets the counted stream size.  Oracle calls are
+    counted from `calls_before`.
     """
     m.full_rank  # part of every solve's oracle calls, also when nothing is intersected
     group = labeling.group
-    hits = _Sized(stream)
     tried = 0
     best: Optional[tuple[BaseSet, Optional[Weight]]] = None
     if weights is None:
+        hits = _Sized(space.stream())
         for rank, counts in hits:
             tried += 1
             best = base_with_signature(m, labeling, _target_signature(group, counts, target))
@@ -411,30 +632,29 @@ def _search(
         else:
             walked = hits.size
     else:
-        # prefix[g][c] is the sum of the c smallest weights in E(g); both
-        # candidate streams keep every count within its fiber.
-        prefix = [
-            list(accumulate(sorted(weights[e] for e in fiber), initial=0))
-            for fiber in labeling.fibers
-        ]
-        queue = [
-            (
-                sum(prefix[g][c] for g, c in enumerate(counts) if c),
-                rank,
-                _target_signature(group, counts, target),
-            )
-            for rank, counts in hits
-        ]
-        walked = hits.size
-        queue.sort(key=lambda item: item[:2])
-        best_rank = walked
-        for lb, rank, sig in queue:
+        walked = space.size()
+        best_counts: tuple[int, ...] = ()
+        best_rank: Optional[int] = None  # counted once a tie needs it
+        for lb, counts in space.cheapest_first(weights):
             if best is not None and lb > best[1]:
                 break
+            if counts is None:  # a partial composition
+                continue
             tried += 1
+            sig = _target_signature(group, counts, target)
             found = base_with_signature(m, labeling, sig, weights)
-            if found is not None and (best is None or (found[1], rank) < (best[1], best_rank)):
-                best, best_rank = found, rank
+            if found is None or (best is not None and found[1] > best[1]):
+                continue
+            if best is not None and found[1] == best[1]:
+                if best_rank is None:
+                    best_rank = space.rank(best_counts)
+                rank = space.rank(counts)
+                if rank > best_rank:
+                    continue
+                best_rank = rank
+            else:
+                best_rank = None
+            best, best_counts = found, counts
     stats = SolveStats(
         intersections=tried, oracle_calls=m.oracle_calls - calls_before, **{counter: walked}
     )
@@ -452,9 +672,8 @@ def solve_enum(
     """Exact solve by enumerating every signature with the target label."""
     _check_instance(m, labeling, target)
     calls_before = m.oracle_calls
-    caps = [len(fiber) for fiber in labeling.fibers]
-    signatures = _label_walk(labeling.group, m.full_rank, caps, labeling.group.index_of(target))
-    return _search(m, labeling, target, weights, signatures, True, "signatures", calls_before)
+    space = _Space(labeling, m.full_rank, labeling.group.index_of(target))
+    return _search(m, labeling, target, weights, space, True, "signatures", calls_before)
 
 
 def proximity_certified(
@@ -515,8 +734,9 @@ def solve_proximity(
     calls_before = m.oracle_calls
     start = find_optimum_base(m, weights if weights is not None else [0] * m.n)
     base_sig = signature_of(labeling, start).counts
-    moves = _balanced_moves(labeling, base_sig, k, labeling.group.index_of(target))
-    return _search(m, labeling, target, weights, moves, certified, "candidates", calls_before)
+    r = sum(base_sig)
+    space = _Space(labeling, r, group.index_of(target), base_sig, min(k, r, labeling.n - r))
+    return _search(m, labeling, target, weights, space, certified, "candidates", calls_before)
 
 
 def _balanced_moves(
@@ -528,7 +748,9 @@ def _balanced_moves(
     for those whose label has index `target`, rank being the position among
     all candidates, and returns the number of candidates.  A move takes at
     most the r counts of base_sig and adds at most the n - r outside it, so
-    sizes past min(r, n - r) yield nothing and are not walked."""
+    sizes past min(r, n - r) yield nothing and are not walked.  Feasibility
+    solves walk it; optimization pops the same candidates cheapest-first
+    (`_Space.cheapest_first`)."""
     ar = arithmetic(labeling.group)
     order = labeling.group.order
     caps = [len(fiber) for fiber in labeling.fibers]
@@ -593,9 +815,13 @@ def parse_labeling(text: str, group: GroupSpec, n: int) -> Labeling:
     return Labeling(group, tuple(labels))
 
 
+#: A weight token that `int` reads alone, much faster than `Fraction`.
+_PLAIN_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _weight(value: str) -> Weight:
     """An exact integer or rational weight.  A value whose digits plus its
-    exponent pass INTEGER_DIGITS_LIMIT is refused before Fraction builds it."""
+    exponent pass INTEGER_DIGITS_LIMIT is refused before it is read."""
     mantissa, _, exponent = value.lower().partition("e")
     try:
         scale = abs(int(exponent)) if exponent else 0
@@ -606,6 +832,8 @@ def _weight(value: str) -> Weight:
             f"weight {quote(value)} has more than {INTEGER_DIGITS_LIMIT} digits with its "
             f"exponent (INTEGER_DIGITS_LIMIT)"
         )
+    if _PLAIN_INTEGER.fullmatch(value):
+        return int(value)
     try:
         frac = Fraction(value)
     except (ValueError, ZeroDivisionError):

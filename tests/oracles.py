@@ -23,7 +23,9 @@ from gcmb.solver import (
     Signature,
     SolveResult,
     SolveStats,
+    _balanced_moves,
     _compositions,
+    _label_walk,
     base_with_signature,
     find_optimum_base,
     proximity_certified,
@@ -415,6 +417,60 @@ def solve_proximity_reference(
         if best is None or found[1] < best[1]:
             best = found
     stats.oracle_calls = m.oracle_calls - calls_before
+    if best is None:
+        return SolveResult("infeasible", None, None, certified, target, stats)
+    return SolveResult("feasible", best[0], best[1], certified, target, stats)
+
+
+def optimize_by_walk_and_sort(
+    m: Matroid,
+    labeling: Labeling,
+    target: GroupElement,
+    weights: Sequence[Weight],
+    k: Optional[int] = None,
+) -> SolveResult:
+    """`solve_enum` (k None) or heuristic-mode `solve_proximity` (move bound
+    k) with weights, as the solvers ran optimization before the cheapest-first
+    search: walk the whole target-label stream of `_label_walk` or
+    `_balanced_moves`, bound each candidate c by lb(c), the sum over g of the
+    c_g smallest weights in E(g), sort by (lb, stream rank), intersect in that
+    order until lb passes the best weight, and keep the least (weight, rank).
+    Every field agrees with the package's result, stats included."""
+    group = labeling.group
+    calls_before = m.oracle_calls
+    if k is None:
+        certified, counter = True, "signatures"
+        caps = [len(fiber) for fiber in labeling.fibers]
+        stream = _label_walk(group, m.full_rank, caps, group.index_of(target))
+    else:
+        certified, _ = proximity_certified(group, k, True)
+        counter = "candidates"
+        base_sig = signature_of(labeling, find_optimum_base(m, weights)).counts
+        stream = _balanced_moves(labeling, base_sig, k, group.index_of(target))
+    m.full_rank  # counted in oracle calls, also when no intersection runs
+    prefix = [
+        list(itertools.accumulate(sorted(weights[e] for e in fiber), initial=0))
+        for fiber in labeling.fibers
+    ]
+    queue = []
+    while True:
+        try:
+            rank, counts = next(stream)
+        except StopIteration as end:
+            walked = end.value
+            break
+        queue.append((sum(prefix[g][c] for g, c in enumerate(counts) if c), rank, counts))
+    queue.sort(key=lambda item: item[:2])
+    tried, best, best_rank = 0, None, walked
+    for lb, rank, counts in queue:
+        if best is not None and lb > best[1]:
+            break
+        tried += 1
+        found = base_with_signature(m, labeling, Signature(group, counts), weights)
+        if found is not None and (best is None or (found[1], rank) < (best[1], best_rank)):
+            best, best_rank = found, rank
+    stats = SolveStats(intersections=tried, oracle_calls=m.oracle_calls - calls_before,
+                       **{counter: walked})
     if best is None:
         return SolveResult("infeasible", None, None, certified, target, stats)
     return SolveResult("feasible", best[0], best[1], certified, target, stats)

@@ -2,7 +2,8 @@
 
 `Matroid.circuits` asks the independence oracle about every swap; the
 graphic, linear, partition and deletion overrides answer from structure, and
-linear matroids and deletions answer `rank` without the greedy oracle loop.
+linear matroids, partition matroids and deletions answer `rank` without the
+greedy oracle loop.
 Each override must return exactly what the oracle loop returns, and solves
 must come out the same with the overrides switched off.
 """
@@ -11,7 +12,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcmb.errors import InternalError, UsageError
@@ -33,7 +34,7 @@ from gcmb.solver import Labeling, solve_enum, solve_proximity
 from oracles import build_exchange_graph, linear_independent
 
 OVERRIDES = (GraphicMatroid, LinearMatroid, PartitionMatroid, DeleteMatroid)
-RANK_OVERRIDES = (LinearMatroid, DeleteMatroid)
+RANK_OVERRIDES = (LinearMatroid, PartitionMatroid, DeleteMatroid)
 
 
 @st.composite
@@ -201,6 +202,20 @@ def test_linear_refuses_a_dependent_set():
         m.circuits(frozenset({0, 4}), [])
     with pytest.raises(UsageError, match="independent"):
         delete(m, [1]).circuits(frozenset({0, 3}), [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=partitions(), subsets=st.lists(st.sets(st.integers(0, 8)), min_size=1, max_size=6))
+@example(m=make_partition([[0, 1], [2, 3, 4]], [0, 2]), subsets=[{0, 1}, {0, 2, 3, 4}, set()])
+@example(m=make_partition([[0], [1, 2]], [0, 0]), subsets=[{0, 1, 2}])
+def test_partition_rank_is_the_capped_class_counts(m, subsets):
+    """`rank` from the capacities against the greedy oracle loop, zero caps
+    included, and without oracle calls."""
+    for subset in subsets:
+        fs = frozenset(e for e in subset if e < m.n)
+        assert m.rank(fs) == Matroid._rank(make_partition(m.classes, m.capacities), fs)
+    assert m.full_rank == sum(m.capacities)
+    assert m.oracle_calls == 0
 
 
 def test_partition_zero_cap_is_a_loop():

@@ -32,6 +32,7 @@ GF3_ROWS = [
 
 def input_files() -> dict[str, str]:
     k6 = list(itertools.combinations(range(6), 2))
+    k7 = list(itertools.combinations(range(7), 2))
     return {
         "k6.mat": "matroid graphic\nvertices 6\n" + "".join(f"edge {u} {v}\n" for u, v in k6),
         "gf3.mat": "matroid linear\nfield 3\nrows 4\n"
@@ -47,6 +48,9 @@ def input_files() -> dict[str, str]:
         "gf3-z6.lab": "".join(f"{e} {(5 * e) % 6}\n" for e in range(9)),
         "gf3.w": "".join(f"{e} {e % 4 - 1}/3\n" for e in range(9)),
         "tight4.w": "".join(f"{e} {(e * 2) % 5}\n" for e in range(6)),
+        "k7.mat": "matroid graphic\nvertices 7\n" + "".join(f"edge {u} {v}\n" for u, v in k7),
+        "k7-z2z4.lab": "".join(f"{e} {e % 2},{(e + e // 3) % 4}\n" for e in range(21)),
+        "k7-tie.w": "".join(f"{e} {e % 2}\n" for e in range(21)),
     }
 
 
@@ -80,6 +84,10 @@ SCENARIOS = [
     # labels keep the second residue even, so signatures= is the whole stream
     "solve --matroid k6.mat --group Z2xZ4 --labels k6-z2z4.lab --target 1,2 --mode proximity --heuristic --weights k6.w",
     "solve --matroid k6.mat --group Z2xZ4 --labels k6-z2z4-even.lab --target 1,1 --mode enum --weights k6.w",
+    # K7 over Z2xZ4 with 0/1 weights: twelve signatures reach the optimum with
+    # twelve different bases, and the stream rank picks the one reported
+    "solve --matroid k7.mat --group Z2xZ4 --labels k7-z2z4.lab --target 1,1 --mode proximity --heuristic --weights k7-tie.w",
+    "solve --matroid k7.mat --group Z2xZ4 --labels k7-z2z4.lab --target 1,1 --mode enum --weights k7-tie.w",
 ]
 
 

@@ -6,12 +6,15 @@ signatures; `oracles.solve_enum_reference` and
 its own, and intersect every target-label signature.  Feasibility results
 must agree in every field.  Optimization prunes signatures by a fiber-weight
 lower bound, so there every field but `intersections` and `oracle_calls`
-must agree, and those two may only be lower.
+must agree, and those two may only be lower.  Against
+`oracles.optimize_by_walk_and_sort`, which walks and sorts the whole stream
+as the solvers once did, every field of an optimization must agree.
 """
 
 import dataclasses
 import itertools
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -29,13 +32,19 @@ from gcmb.solver import (
     _balanced_moves,
     _compositions,
     _label_walk,
+    _Space,
     proximity_certified,
     signature_of,
     solve_enum,
     solve_proximity,
 )
 
-from oracles import balanced_moves, solve_enum_reference, solve_proximity_reference
+from oracles import (
+    balanced_moves,
+    optimize_by_walk_and_sort,
+    solve_enum_reference,
+    solve_proximity_reference,
+)
 
 GROUPS = [GroupSpec.parse(s) for s in ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "Z2xZ4")]
 
@@ -135,13 +144,16 @@ def test_balanced_moves_match_filtered_candidates(case):
     assert got == want
 
 
+KINDS = ["K4", "K5", "K6", "GF2", "GF3"]
+
+
 @st.composite
-def instances(draw):
+def instances(draw, kinds=KINDS, groups=GROUPS):
     """A matroid factory (each solve gets a fresh matroid, so oracle counts
     start at zero), labels, target, weights and proximity settings, drawn
     from a seed so that labels and weights are uniform."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = rng.choice(["K4", "K5", "K6", "GF2", "GF3"])
+    kind = rng.choice(kinds)
     if kind.startswith("K"):
         edges = list(itertools.combinations(range(int(kind[1])), 2))
 
@@ -161,7 +173,7 @@ def instances(draw):
             return make_linear(matrix, p)
 
     n = build().n
-    group = rng.choice(GROUPS)
+    group = rng.choice(groups)
     labeling = Labeling.from_indices(group, [rng.randrange(group.order) for _ in range(n)])
     target = group.element_at(rng.randrange(group.order))
     # A narrow weight range makes ties between signatures common.
@@ -234,7 +246,8 @@ def test_pruned_optimization_matches_unpruned_on_ties(inst, kind, seed):
 def test_weight_tie_returns_the_first_minimum_of_the_stream():
     """A K7 solve over Z3 where two target-label signatures both reach weight
     -45.  The lower bound visits the later one first; the answer is still the
-    base of the one that comes first in the signature stream."""
+    base of the one that comes first in the signature stream, and the walk
+    and sort of the whole stream intersects the same signatures."""
     group = GroupSpec.parse("Z3")
     labels = [1, 1, 0, 1, 0, 0, 0, 1, 2, 1, 0, 1, 2, 1, 2, 2, 0, 0, 2, 2, 2]
     weights = [-8, 9, 9, -6, -9, -1, -9, 6, 2, 6, -8, 9, 3, -5, -7, -9, 3, -1, -2, 1, 9]
@@ -244,3 +257,143 @@ def test_weight_tie_returns_the_first_minimum_of_the_stream():
     got = solve_enum(make_graphic(k7), labeling, target, weights)
     assert (got.base, got.weight) == ((0, 3, 6, 10, 13, 15), -45)
     assert_pruned_matches(got, solve_enum_reference(make_graphic(k7), labeling, target, weights))
+    assert got == optimize_by_walk_and_sort(make_graphic(k7), labeling, target, weights)
+
+
+# -- cheapest-first optimization against the walk and sort of the whole stream ----
+
+Z8, Z3xZ3 = GroupSpec.parse("Z8"), GroupSpec.parse("Z3xZ3")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inst=instances(kinds=KINDS + ["K7"], groups=GROUPS + [Z8, Z3xZ3]),
+    kind=st.sampled_from(["drawn"] + sorted(TIE_WEIGHTS)),
+    seed=st.integers(0, 2**32 - 1),
+    limit=st.sampled_from([solver.WALK_CELL_LIMIT, 0]),
+)
+def test_cheapest_first_matches_walk_and_sort(inst, kind, seed, limit):
+    """Whole results, stats included: the same signatures are intersected,
+    the same base wins a tie, and the counted stream sizes equal the walked
+    ones; past WALK_CELL_LIMIT (0 here) too, where nothing is pruned by
+    reach."""
+    build, labeling, target, weights, _, k = inst
+    if kind != "drawn" or weights is None:  # "drawn" keeps the instance's own weights
+        family = TIE_WEIGHTS["binary" if kind == "drawn" else kind]
+        weights = family(random.Random(seed), labeling.n)
+    with mock.patch.object(solver, "WALK_CELL_LIMIT", limit):
+        got_enum = solve_enum(build(), labeling, target, weights)
+        got_proximity = solve_proximity(build(), labeling, target, k, weights, "heuristic")
+    assert got_enum == optimize_by_walk_and_sort(build(), labeling, target, weights)
+    assert got_proximity == optimize_by_walk_and_sort(build(), labeling, target, weights, k)
+
+
+def fiber_labeling(group, caps):
+    """A labeling whose fiber sizes are `caps`."""
+    return Labeling.from_indices(group, [g for g, c in enumerate(caps) for _ in range(c)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=walk_cases())
+@example(case=(GroupSpec.parse("Z6"), [0] * 6, 0, GroupSpec.parse("Z6").identity()))
+@example(case=(GroupSpec.parse("Z6"), [0, 3, 0, 0, 2, 0], 6, GroupSpec.parse("Z6").identity()))
+def test_enum_sizes_and_ranks_are_stream_positions(case):
+    group, caps, total, _ = case
+    space = _Space(fiber_labeling(group, caps), total, 0)
+    stream = list(_compositions(total, caps))
+    assert space.size() == len(stream)
+    assert [space.rank(c) for c in stream] == list(range(len(stream)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=move_cases(), past=st.booleans())
+@example(case=(Labeling.from_indices(GroupSpec.parse("Z6"), [0, 0, 3, 3]), (1, 0, 0, 1, 0, 0), 0,
+               GroupSpec.parse("Z6").identity()), past=False)
+@example(case=(Labeling.from_indices(GroupSpec.parse("Z6"), [0, 0, 3, 3]), (1, 0, 0, 1, 0, 0), 4,
+               GroupSpec.parse("Z6").identity()), past=True)
+def test_move_sizes_and_ranks_are_stream_positions(case, past):
+    """`past` keeps the radius at k also where k passes min(r, n - r), as the
+    reference walk does; the solver cuts it there, with the same stream."""
+    labeling, base_sig, k, _ = case
+    r = sum(base_sig)
+    radius = k if past else min(k, r, labeling.n - r)
+    space = _Space(labeling, r, 0, base_sig, radius)
+    stream = list(balanced_moves(labeling, base_sig, k))
+    assert space.size() == len(stream)
+    assert [space.rank(c) for c in stream] == list(range(len(stream)))
+
+
+def lower_bound(labeling, weights, counts):
+    return sum(
+        sum(sorted(weights[e] for e in fiber)[:c]) for fiber, c in zip(labeling.fibers, counts)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=move_cases(), proximity=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       limit=st.sampled_from([solver.WALK_CELL_LIMIT, 0]))
+def test_cheapest_first_pops_the_target_label_stream_by_bound(case, proximity, seed, limit):
+    """Every target-label candidate once, in nondecreasing lower bound, each
+    with its bound; every partial head's key is at most the keys after it."""
+    labeling, base_sig, k, target = case
+    group, r = labeling.group, sum(base_sig)
+    weights = [random.Random(seed).randint(-3, 3) for _ in range(labeling.n)]
+    if proximity:
+        space = _Space(labeling, r, group.index_of(target), base_sig, min(k, r, labeling.n - r))
+        stream = balanced_moves(labeling, base_sig, k)
+    else:
+        space = _Space(labeling, r, group.index_of(target))
+        stream = _compositions(r, [len(fiber) for fiber in labeling.fibers])
+    want, _ = label_filtered(group, stream, target)
+    with mock.patch.object(solver, "WALK_CELL_LIMIT", limit):
+        heads = list(space.cheapest_first(weights))
+    keys = [key for key, _ in heads]
+    assert keys == sorted(keys)
+    popped = [(key, counts) for key, counts in heads if counts is not None]
+    assert sorted(counts for _, counts in popped) == sorted(counts for _, counts in want)
+    assert all(key == lower_bound(labeling, weights, counts) for key, counts in popped)
+
+
+@pytest.mark.parametrize("mode", ["enum", "proximity"])
+def test_optimization_labels_only_the_intersected_signatures(monkeypatch, mode):
+    """`Signature.label` runs once per counted intersection, not once per
+    candidate of the stream."""
+    calls = []
+    label = Signature.label
+    monkeypatch.setattr(Signature, "label", lambda sig: calls.append(sig.counts) or label(sig))
+    group = GroupSpec.parse("Z2xZ4")
+    rng = random.Random(7)
+    k7 = list(itertools.combinations(range(7), 2))
+    labeling = Labeling.from_indices(group, [rng.randrange(8) for _ in k7])
+    weights = [rng.randint(-9, 9) for _ in k7]
+    target = labeling.sum_over((0, 1, 2, 3, 4, 5))
+    if mode == "enum":
+        result = solve_enum(make_graphic(k7), labeling, target, weights)
+    else:
+        result = solve_proximity(make_graphic(k7), labeling, target, 7, weights, "heuristic")
+    assert result.feasible
+    assert len(calls) == result.stats.intersections
+    assert result.stats.signatures + result.stats.candidates > 10 * len(calls)
+
+
+def test_k8_over_z1000_proximity_optimization_pops_few_signatures(monkeypatch):
+    """Heuristic proximity optimization on K8 over Z1000 (radius 7, 1184040
+    candidates).  Walking and sorting the whole stream took 55.7 s and 1188
+    `Signature.label` calls (Xeon, 2 vCPUs); the cheapest-first search labels
+    only the 10 signatures it intersects and returns the same result."""
+    calls = []
+    label = Signature.label
+    monkeypatch.setattr(Signature, "label", lambda sig: calls.append(sig.counts) or label(sig))
+    rng = random.Random(8)
+    k8 = list(itertools.combinations(range(8), 2))
+    group = GroupSpec.parse("Z1000")
+    labeling = Labeling.from_indices(group, [rng.randrange(1000) for _ in k8])
+    weights = [rng.randint(-9, 9) for _ in k8]
+    target = labeling.sum_over(range(1, 28, 4))
+    start = time.perf_counter()
+    got = solve_proximity(make_graphic(k8), labeling, target, group.order - 1, weights, "heuristic")
+    assert time.perf_counter() - start < 10
+    assert (got.base, got.weight) == ((2, 3, 11, 16, 23, 24, 26), -36)
+    stats = got.stats
+    assert (stats.candidates, stats.intersections, stats.oracle_calls) == (1184040, 10, 133)
+    assert len(calls) == 10

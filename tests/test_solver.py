@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gcmb.groups import GroupSpec
-from gcmb.errors import ParseError, UsageError
-from gcmb.matroids import make_uniform
+from gcmb.errors import ParseError, UsageError, quote
+from gcmb.matroids import INTEGER_DIGITS_LIMIT, make_uniform
 from gcmb.solver import (
     CertificationError,
     Labeling,
@@ -15,6 +17,7 @@ from gcmb.solver import (
     enumerate_signatures,
     find_optimum_base,
     parse_labeling,
+    _weight,
     parse_weights,
     proximity_certified,
     signature_of,
@@ -350,3 +353,55 @@ class TestFiles:
             parse_weights("0 five\n", 1)
         with pytest.raises(ParseError, match="without weights"):
             parse_weights("0 1\n", 2)
+
+
+def fraction_weight(value):
+    """Every weight token through `Fraction`, as the parser read them before
+    plain integers went to `int`."""
+    mantissa, _, exponent = value.lower().partition("e")
+    try:
+        scale = abs(int(exponent)) if exponent else 0
+    except ValueError:
+        scale = 0
+    if sum(c.isdigit() for c in mantissa) + scale > INTEGER_DIGITS_LIMIT:
+        raise ParseError(
+            f"weight {quote(value)} has more than {INTEGER_DIGITS_LIMIT} digits with its "
+            f"exponent (INTEGER_DIGITS_LIMIT)"
+        )
+    try:
+        frac = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad weight {quote(value)}") from None
+    return int(frac) if frac.denominator == 1 else frac
+
+
+def outcome(parse, value):
+    try:
+        got = parse(value)
+    except ParseError as exc:
+        return "error", str(exc)
+    return type(got), got
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,25}", fullmatch=True),
+    st.text(alphabet="+-0123456789_e./ \u0663\uff15", min_size=1, max_size=10),
+))
+@example(value="+5")
+@example(value="007")
+@example(value="-0")
+@example(value="1_0")
+@example(value="1e3")
+@example(value="2/4")
+@example(value="0.5")
+@example(value="\u0663")  # ARABIC-INDIC DIGIT THREE
+@example(value="\uff15\uff10")  # FULLWIDTH DIGITS FIVE and ZERO
+@example(value="9" * 4300)
+@example(value="-" + "9" * 4300)
+@example(value="9" * 4301)
+@example(value="+" + "0" * 4300 + "1")
+def test_plain_integer_weights_read_as_through_fraction(value):
+    """The `int` path for `[+-]?[0-9]+` tokens gives what `Fraction` gave:
+    the same value and type, or the same error text."""
+    assert outcome(_weight, value) == outcome(fraction_weight, value)
