@@ -35,7 +35,8 @@ print("== witnesses live on block matroids after reduction ==")
 inst = tight_example(4)
 witness = check_k_close(inst.matroid, inst.labeling, 2)
 print("witness:", witness.describe())
-print("label image of the instance:", sorted(str(g) for g in label_image(inst.matroid, inst.labeling).image))
+image = label_image(inst.matroid, inst.labeling)
+print("label image of the instance:", [str(inst.group.element_at(g)) for g in sorted(image.multiplicity)])
 reduced = reduce_witness(witness)
 print("reduced:", reduced.describe(), f"(n={reduced.matroid.n}, already a block pair)")
 

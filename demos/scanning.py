@@ -32,7 +32,7 @@ line = found.lines[0]
 labeling = labeling_from_index(z3, inst.matroid.n, line.isolating_index)
 print(
     f"first isolating labeling index: {line.isolating_index} -> labels "
-    f"{[str(g) for g in labeling.labels]}"
+    f"{[str(z3.element_at(g)) for g in labeling.indices]}"
 )
 
 print()
@@ -49,6 +49,6 @@ for group_text in ("Z3", "Z4", "Z6", "Z2xZ2"):
     labeling = random_labeling(rng, group, 6)
     r = check_schrijver_seymour(k4, labeling)
     print(
-        f"{group_text}: image={r.image_size} stabilizer={r.stabilizer.order} "
+        f"{group_text}: image={r.image_size} stabilizer={r.stabilizer.bit_count()} "
         f"rank-sum={r.rank_sum} bound={r.bound} holds={r.holds}"
     )

@@ -19,10 +19,11 @@ z3 = GroupSpec.parse("Z3")
 labels = Labeling.from_indices(z3, [0, 1, 2, 0, 1, 2])
 
 print("== feasibility by signature enumeration ==")
-for target in z3.elements():
+# Targets are canonical element indices; element_at turns one into text.
+for target in range(z3.order):
     result = solve_enum(wheel, labels, target)
     print(
-        f"target {target}: {result.status:10s} base={result.base} "
+        f"target {z3.element_at(target)}: {result.status:10s} base={result.base} "
         f"(signatures tried: {result.stats.signatures}, "
         f"intersections: {result.stats.intersections})"
     )
@@ -31,26 +32,26 @@ print()
 print("== minimum-weight variant ==")
 weights = [4, 1, 1, -2, 3, 0]
 print("unconstrained optimum base:", find_optimum_base(wheel, weights))
-for target in z3.elements():
+for target in range(z3.order):
     result = solve_enum(wheel, labels, target, weights)
-    print(f"target {target}: base={result.base} weight={result.weight}")
+    print(f"target {z3.element_at(target)}: base={result.base} weight={result.weight}")
 
 print()
 print("== bounded-move search agrees where closeness is proven ==")
 # Z3 is cyclic of prime order, so radius |G|-1 = 2 is certified for feasibility.
-for target in z3.elements():
+for target in range(z3.order):
     exact = solve_enum(wheel, labels, target)
     prox = solve_proximity(wheel, labels, target, k=2)
     assert exact.feasible == prox.feasible
     print(
-        f"target {target}: proximity found {prox.status} with "
+        f"target {z3.element_at(target)}: proximity found {prox.status} with "
         f"{prox.stats.intersections} intersection calls (certified={prox.certified})"
     )
 
 print()
 print("== the extremal instance: why radius |G|-1 cannot shrink ==")
 inst = tight_example(4)  # U_{3,6} over Z4, one block labeled 1, the other 0
-zero = inst.group.identity()
+zero = 0  # the identity has canonical index 0
 result = solve_enum(inst.matroid, inst.labeling, zero)
 print("unique 0-base:", result.base, "(the all-zeros block)")
 # The greedy starting base is the all-ones block, a full 3 moves away from

@@ -40,15 +40,19 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _builtin(name: str) -> catalog_mod.BuiltinInstance:
+    if name not in catalog_mod.BUILTINS:
+        known = ", ".join(sorted(catalog_mod.BUILTINS))
+        raise UsageError(f"unknown builtin {quote(name)}; known: {known}")
+    return catalog_mod.BUILTINS[name]()
+
+
 def _load_instance(args) -> tuple[str, Matroid, GroupSpec, Optional[Labeling]]:
     """Resolve --builtin/--matroid plus --group/--labels into an instance."""
     if args.builtin and args.matroid:
         raise UsageError("pass either --builtin or --matroid, not both")
     if args.builtin:
-        if args.builtin not in catalog_mod.BUILTINS:
-            known = ", ".join(sorted(catalog_mod.BUILTINS))
-            raise UsageError(f"unknown builtin {quote(args.builtin)}; known: {known}")
-        inst = catalog_mod.BUILTINS[args.builtin]()
+        inst = _builtin(args.builtin)
         group = GroupSpec.parse(args.group) if args.group else inst.group
         if getattr(args, "labels", None):
             labeling = load_labeling(args.labels, group, inst.matroid.n)
@@ -80,7 +84,7 @@ def cmd_solve(args) -> int:
     labeling = _require_labeling(labeling)
     if args.target is None:
         raise UsageError("--target is required for solve")
-    target = group.parse_element(args.target)
+    target = group.parse_index(args.target)
     weights = load_weights(args.weights, matroid.n) if args.weights else None
     if args.mode == "enum":
         result = solve_enum(matroid, labeling, target, weights)
@@ -90,12 +94,13 @@ def cmd_solve(args) -> int:
         mode = "heuristic" if args.heuristic else "certified_only"
         result = solve_proximity(matroid, labeling, target, k, weights, mode)
         k_text = str(k)
+    target_text = str(group.element_at(target))
     lines = [
-        f"# gcmb solve matroid={name} group={group} target={target} "
+        f"# gcmb solve matroid={name} group={group} target={target_text} "
         f"mode={args.mode} k={k_text} seed={args.seed}"
     ]
     base_text = ",".join(map(str, result.base)) if result.base else "-"
-    label_text = str(target) if result.feasible else "-"
+    label_text = target_text if result.feasible else "-"
     weight_text = str(result.weight) if result.weight is not None else "-"
     lines.append(
         f"status={result.status} base={base_text} label={label_text} "
@@ -108,9 +113,10 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
-def _witness_line(prefix: str, witness) -> str:
+def _witness_line(prefix: str, witness: lab_mod.Witness) -> str:
+    target = witness.labeling.group.element_at(witness.target)
     return (
-        f"{prefix} distance={witness.distance} target={witness.target} "
+        f"{prefix} distance={witness.distance} target={target} "
         f"A={','.join(map(str, witness.base_a))} "
         f"B={','.join(map(str, witness.base_b))}"
     )
@@ -158,20 +164,20 @@ def cmd_scan(args) -> int:
         merged = lab_mod.merge_scan_reports([read_text(path) for path in args.merge])
         _emit(merged, args.out)
         return EXIT_NEGATIVE if "verdict=isolating" in merged else EXIT_OK
-    predicate = {"block": "block", "strong-block": "strong_block"}[args.predicate]
+    predicate = lab_mod.PREDICATE_FROM_NAME[args.predicate]
     if not args.group:
         raise UsageError("--group is required for scan")
     group = GroupSpec.parse(args.group)
     pool: list[tuple[str, Matroid]] = []
+    if args.catalog and args.builtin:
+        raise UsageError("pass either --catalog or --builtin, not both")
     if args.catalog:
         entries = _catalog_entries(catalog_mod.load_catalog, args.catalog, args.lenient)
         pool = [(e.id, e.matroid()) for e in catalog_mod.filter_blocks(entries)]
         if not pool:
             raise UsageError("no block matroids in the catalog")
     elif args.builtin:
-        if args.builtin not in catalog_mod.BUILTINS:
-            raise UsageError(f"unknown builtin {quote(args.builtin)}")
-        pool = [(args.builtin, catalog_mod.BUILTINS[args.builtin]().matroid)]
+        pool = [(args.builtin, _builtin(args.builtin).matroid)]
     else:
         raise UsageError("scan needs --catalog PATH or --builtin NAME")
     report = lab_mod.isolation_scan(
@@ -192,7 +198,9 @@ def cmd_check_ss(args) -> int:
     name, matroid, group, labeling = _load_instance(args)
     lines = [f"# gcmb check-ss matroid={name} group={group} seed={args.seed}"]
     labelings: list[tuple[str, Labeling]] = []
-    if args.random:
+    if args.random is not None:
+        if args.random < 1:
+            raise UsageError(f"--random must be at least 1, got {args.random}")
         rng = random.Random(args.seed)
         for i in range(args.random):
             labelings.append((f"random-{i}", lab_mod.random_labeling(rng, group, matroid.n)))
@@ -204,7 +212,7 @@ def cmd_check_ss(args) -> int:
         holds = "yes" if report.holds else "no"
         lines.append(
             f"labeling={source} image={report.image_size} "
-            f"stabilizer={report.stabilizer.order} cosets={report.num_cosets} "
+            f"stabilizer={report.stabilizer.bit_count()} cosets={report.num_cosets} "
             f"rank-sum={report.rank_sum} bound={report.bound} holds={holds}"
         )
         if not report.holds:
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--builtin", help="builtin matroid to scan")
     p_scan.add_argument("--group", help="group spec string")
     p_scan.add_argument(
-        "--predicate", choices=["block", "strong-block"], default="strong-block"
+        "--predicate", choices=list(lab_mod.PREDICATE_FROM_NAME), default="strong-block"
     )
     p_scan.add_argument(
         "--reduction", choices=["none", "translation"], default="none"

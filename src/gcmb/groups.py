@@ -7,7 +7,6 @@ are residue vectors added componentwise.  Specs parsed from strings such as
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import re
@@ -150,25 +149,7 @@ class GroupSpec:
             return "Z1"
         return "x".join(f"Z{m}" for m in self.invariant_factors)
 
-    # -- elements ----------------------------------------------------------
-
-    def identity(self) -> "GroupElement":
-        return GroupElement(self, (0,) * len(self.invariant_factors))
-
-    def element(self, residues: Iterable[int]) -> "GroupElement":
-        res = tuple(
-            r % m for r, m in zip(residues, self.invariant_factors, strict=True)
-        )
-        return GroupElement(self, res)
-
-    def elements(self) -> tuple["GroupElement", ...]:
-        """All elements in lexicographic residue order (the canonical order)."""
-        return _elements(self)
-
-    def index_of(self, g: "GroupElement") -> int:
-        if g.spec != self:
-            raise UsageError(f"element of {g.spec} used with group {self}")
-        return self._index(g.residues)
+    # -- elements: canonical indices, read from and written as text -----------
 
     def _index(self, residues: Iterable[int]) -> int:
         idx = 0
@@ -177,16 +158,18 @@ class GroupSpec:
         return idx
 
     def element_at(self, index: int) -> "GroupElement":
+        """The element with canonical index `index`, for printing."""
         if not 0 <= index < self.order:
             raise UsageError(f"element index {index} out of range for {self}")
-        return _elements(self)[index]
-
-    def parse_element(self, text: str) -> "GroupElement":
-        """Parse "1,3" (comma-joined residues) or a bare integer for rank-1 groups."""
-        return GroupElement(self, self._parse_residues(text))
+        residues = []
+        for m in reversed(self.invariant_factors):
+            index, r = divmod(index, m)
+            residues.append(r)
+        return GroupElement(self, tuple(reversed(residues)))
 
     def parse_index(self, text: str) -> int:
-        """The canonical index of the element that `parse_element` reads from `text`."""
+        """The canonical index of the element written as "1,3" (comma-joined
+        residues) or as a bare integer for rank-1 groups."""
         return self._index(self._parse_residues(text))
 
     def _parse_residues(self, text: str) -> tuple[int, ...]:
@@ -205,12 +188,6 @@ class GroupSpec:
                 f"{len(self.invariant_factors)}"
             )
         return tuple(v % m for v, m in zip(values, self.invariant_factors))
-
-
-@lru_cache(maxsize=None)
-def _elements(spec: GroupSpec) -> tuple["GroupElement", ...]:
-    ranges = [range(m) for m in spec.invariant_factors]
-    return tuple(GroupElement(spec, res) for res in itertools.product(*ranges))
 
 
 class IndexArithmetic:
@@ -325,113 +302,40 @@ class GroupElement:
         )
         return GroupElement(self.spec, res)
 
-    def __neg__(self) -> "GroupElement":
-        res = tuple(
-            (-a) % m for a, m in zip(self.residues, self.spec.invariant_factors)
-        )
-        return GroupElement(self.spec, res)
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return self + (-other)
-
-    def times(self, n: int) -> "GroupElement":
-        """The n-fold sum of this element (n >= 0)."""
-        if n < 0:
-            raise UsageError(f"scalar multiplier must be nonnegative, got {n}")
-        res = tuple(
-            (n * a) % m for a, m in zip(self.residues, self.spec.invariant_factors)
-        )
-        return GroupElement(self.spec, res)
-
-    @property
-    def is_identity(self) -> bool:
-        return all(r == 0 for r in self.residues)
-
     def __str__(self) -> str:
         if not self.residues:
             return "0"
         return ",".join(str(r) for r in self.residues)
 
-    def sort_key(self) -> tuple[int, ...]:
-        return self.residues
+
+def _check_set(spec: GroupSpec, mask: int) -> None:
+    if mask >> spec.order:
+        raise UsageError(f"element set {mask:#x} is not a set of indices of {spec}")
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup given by its element set; construction does not validate."""
-
-    parent: GroupSpec
-    elements: frozenset[GroupElement]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def is_valid(self) -> bool:
-        """Closure under addition and negation, identity present."""
-        if any(g.spec != self.parent for g in self.elements):
-            return False
-        ar = arithmetic(self.parent)
-        members = {self.parent.index_of(g) for g in self.elements}
-        return (
-            0 in members
-            and all(ar.neg(a) in members for a in members)
-            and all(ar.add(a, b) in members for a in members for b in members)
-        )
-
-    @classmethod
-    def whole(cls, spec: GroupSpec) -> "Subgroup":
-        return cls(spec, frozenset(spec.elements()))
-
-    @classmethod
-    def trivial(cls, spec: GroupSpec) -> "Subgroup":
-        return cls(spec, frozenset({spec.identity()}))
-
-
-@dataclass(frozen=True)
-class CosetPartition:
-    """The cosets of a subgroup, each with its lexicographically least representative."""
-
-    subgroup: Subgroup
-    cosets: tuple[frozenset[GroupElement], ...]
-    representatives: tuple[GroupElement, ...]
-
-
-def stabilizer(spec: GroupSpec, f: Iterable[GroupElement]) -> Subgroup:
-    """The subgroup of all g with g + F = F."""
-    fset = frozenset(f)
-    for el in fset:
-        if el.spec != spec:
-            raise UsageError(f"element of {el.spec} passed with group {spec}")
+def stabilizer(spec: GroupSpec, image: int) -> int:
+    """The subgroup {g : g + F = F} of a set F, sets as bitmasks over
+    canonical indices."""
+    _check_set(spec, image)
     ar = arithmetic(spec)
-    indices = {spec.index_of(x) for x in fset}
-    members = (g for g in range(spec.order) if all(ar.add(x, g) in indices for x in indices))
-    return Subgroup(spec, frozenset(map(spec.element_at, members)))
+    return sum(1 << g for g in range(spec.order) if ar.shift_mask(image, g) == image)
 
 
-def cosets(spec: GroupSpec, subgroup: Subgroup) -> CosetPartition:
-    """Partition the group into cosets of the subgroup.
-
-    Representatives are the lexicographically least residue vectors; cosets
-    are listed in representative order.
-    """
-    if subgroup.parent != spec:
-        raise UsageError(f"subgroup of {subgroup.parent} passed with group {spec}")
-    if not subgroup.is_valid():
+def cosets(spec: GroupSpec, subgroup: int) -> tuple[int, ...]:
+    """The cosets of a subgroup, as bitmasks over canonical indices, in the
+    order of their least elements: each is the subgroup shifted by the least
+    element that no coset before it holds."""
+    _check_set(spec, subgroup)
+    ar = arithmetic(spec)
+    members = (h for h in range(spec.order) if subgroup >> h & 1)
+    if not subgroup & 1 or any(ar.shift_mask(subgroup, h) != subgroup for h in members):
         raise UsageError("element set is not closed under the group operation")
-    ar = arithmetic(spec)
-    members = [spec.index_of(h) for h in subgroup.elements]
-    seen: set[int] = set()
-    parts: list[frozenset[GroupElement]] = []
-    reps: list[GroupElement] = []
-    for g in range(spec.order):  # lexicographic order
-        if g in seen:
-            continue
-        coset = {ar.add(g, h) for h in members}
-        parts.append(frozenset(map(spec.element_at, coset)))
-        reps.append(spec.element_at(g))
-        seen.update(coset)
-    return CosetPartition(subgroup, tuple(parts), tuple(reps))
+    parts, covered = [], 0
+    while covered != (1 << spec.order) - 1:
+        part = ar.shift_mask(subgroup, (~covered & covered + 1).bit_length() - 1)
+        parts.append(part)
+        covered |= part
+    return tuple(parts)
 
 
 # -- Davenport constant ----------------------------------------------------

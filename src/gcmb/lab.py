@@ -31,15 +31,7 @@ from typing import Iterable, Literal, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, InternalError, ParseError, UsageError, quote
-from .groups import (
-    GroupElement,
-    GroupSpec,
-    Subgroup,
-    arithmetic,
-    cosets,
-    davenport,
-    stabilizer,
-)
+from .groups import GroupSpec, arithmetic, cosets, davenport, stabilizer
 from .intersection import Weight
 from .matroids import (
     BaseSet,
@@ -87,14 +79,15 @@ def random_weights(rng: random.Random, n: int, low: int = -5, high: int = 5) -> 
 
 @dataclass(frozen=True)
 class LabelImage:
-    """The set of labels attained by bases, with attainment counts."""
+    """The labels attained by bases, a bitmask over canonical indices, with
+    the number of bases attaining each index."""
 
-    image: frozenset[GroupElement]
-    multiplicity: dict[GroupElement, int]
+    image: int
+    multiplicity: dict[int, int]
 
     @property
     def size(self) -> int:
-        return len(self.image)
+        return self.image.bit_count()
 
 
 def label_image(m: Matroid, labeling: Labeling) -> LabelImage:
@@ -103,8 +96,8 @@ def label_image(m: Matroid, labeling: Labeling) -> LabelImage:
     group = labeling.group
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
     labels = _label_sums(group.invariant_factors, _incidence(m.n, _guarded_rows(m)), digits)
-    multiplicity = {group.element_at(v): c for v, c in Counter(labels[:, 0].tolist()).items()}
-    return LabelImage(frozenset(multiplicity), multiplicity)
+    multiplicity = Counter(labels[:, 0].tolist())
+    return LabelImage(sum(1 << g for g in multiplicity), dict(multiplicity))
 
 
 def _incidence(n: int, bases: Sequence[BaseSet] | np.ndarray) -> np.ndarray:
@@ -152,14 +145,14 @@ def _label_sums(
 class Witness:
     """A pair of bases certifying a closeness violation.
 
-    `base_b` is a (weight-optimum) `target`-base at minimum exchange distance
-    from the (weight-optimum) base `base_a`, and that distance exceeds the
-    `k` under test.
+    `base_b` is a (weight-optimum) base at minimum exchange distance from the
+    (weight-optimum) base `base_a` among those whose label has canonical
+    index `target`, and that distance exceeds the `k` under test.
     """
 
     matroid: Matroid
     labeling: Labeling
-    target: GroupElement
+    target: int
     base_a: BaseSet
     base_b: BaseSet
     distance: int
@@ -169,7 +162,7 @@ class Witness:
 
     def describe(self) -> str:
         parts = [
-            f"target={self.target}",
+            f"target={self.labeling.group.element_at(self.target)}",
             f"A={','.join(map(str, self.base_a))}",
             f"B={','.join(map(str, self.base_b))}",
             f"distance={self.distance}",
@@ -223,6 +216,8 @@ def _closeness_witness(
     breaks the exchange axiom ends in a `UsageError`, never in a wrong
     witness.  B is read from the same row.
     """
+    if k < 0:
+        raise UsageError(f"closeness bound k must be nonnegative, got {k}")
     if labeling.n != m.n:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
     if weights is not None and len(weights) != m.n:
@@ -257,9 +252,8 @@ def _closeness_witness(
             "are not their differences (a trusted base list that is not a matroid)"
         )
     b = int(targets[(near == d) & (nearest[target_class] == d)].min())
-    target = group.element_at(int(labels[b]))
     base_a, base_b = (tuple(rows[i].tolist()) for i in (a, b))
-    return Witness(m, labeling, target, base_a, base_b, d, k, weights=weights)
+    return Witness(m, labeling, int(labels[b]), base_a, base_b, d, k, weights=weights)
 
 
 def _firsts(ordered: np.ndarray) -> np.ndarray:
@@ -359,12 +353,11 @@ def reduce_witness(w: Witness) -> Witness:
     new_weights = (
         tuple(w.weights[e] for e in final_map) if w.weights is not None else None
     )
-    group = w.labeling.group
-    target = arithmetic(group).sub(group.index_of(w.target), w.labeling.label_index(shared))
+    target = arithmetic(w.labeling.group).sub(w.target, w.labeling.label_index(shared))
     return Witness(
         matroid=minor,
         labeling=new_labels,
-        target=group.element_at(target),
+        target=target,
         base_a=tuple(sorted(positions[e] for e in set(w.base_a) - set(shared))),
         base_b=tuple(sorted(positions[e] for e in set(w.base_b) - set(shared))),
         distance=w.distance,
@@ -746,7 +739,7 @@ def merge_scan_lines(shards: Iterable[ScanLine]) -> tuple[ScanLine, ...]:
 
 
 PREDICATE_NAMES = {"block": "block", "strong_block": "strong-block"}
-_PREDICATE_FROM_NAME = {v: k for k, v in PREDICATE_NAMES.items()}
+PREDICATE_FROM_NAME = {v: k for k, v in PREDICATE_NAMES.items()}
 
 
 def render_scan_report(report: ScanReport) -> str:
@@ -795,10 +788,10 @@ def _with_example(
     example, shown = int(fields["example"]), quote(fields["example"])
     labels = []
     for text in fields["labels"].split(";"):
-        g = group.parse_element(text)
-        if str(g) != text:
+        g = group.parse_index(text)
+        if str(group.element_at(g)) != text:
             raise ValueError(f"label {quote(text)} is not a reduced element of {group}")
-        labels.append(group.index_of(g))
+        labels.append(g)
     q = group.order
     if not line.start <= example < line.stop:
         raise ValueError(f"example {shown} lies outside {quote(fields['range'])}")
@@ -821,11 +814,11 @@ def parse_scan_report(text: str) -> ScanReport:
     try:
         fields = _report_fields(ln[len("# gcmb scan") :])
         group = GroupSpec.parse(fields["group"])
-        if fields["predicate"] not in _PREDICATE_FROM_NAME:
+        if fields["predicate"] not in PREDICATE_FROM_NAME:
             raise ValueError(f"unknown predicate {quote(fields['predicate'])}")
         if fields["reduction"] not in ("none", "translation"):
             raise ValueError(f"unknown reduction {quote(fields['reduction'])}")
-        predicate = _PREDICATE_FROM_NAME[fields["predicate"]]
+        predicate = PREDICATE_FROM_NAME[fields["predicate"]]
         reduction, seed = fields["reduction"], int(fields["seed"])
         step = group.order if reduction == "translation" else 1
         rows = []
@@ -872,10 +865,11 @@ def merge_scan_reports(texts: Sequence[str]) -> str:
 @dataclass(frozen=True)
 class ImageBoundReport:
     """Label-image lower bound report: |image| >= |H| * min(sum of coset-fiber
-    ranks - r + 1, |G|/|H|) with H the stabilizer of the image."""
+    ranks - r + 1, |G|/|H|) with H the stabilizer of the image, a bitmask
+    over canonical indices."""
 
     image_size: int
-    stabilizer: Subgroup
+    stabilizer: int
     num_cosets: int
     rank_sum: int
     bound: int
@@ -892,13 +886,13 @@ def check_schrijver_seymour(m: Matroid, labeling: Labeling) -> ImageBoundReport:
     group = labeling.group
     img = label_image(m, labeling)
     h = stabilizer(group, img.image)
-    partition = cosets(group, h)
-    rank_sum = 0
-    for coset in partition.cosets:
-        fiber = [e for e, g in enumerate(labeling.labels) if g in coset]
-        rank_sum += m.rank(fiber)
+    parts = cosets(group, h)
+    rank_sum = sum(
+        m.rank([e for e, g in enumerate(labeling.indices) if part >> g & 1]) for part in parts
+    )
     r = m.full_rank
-    bound = h.order * min(rank_sum - r + 1, group.order // h.order)
+    h_order = h.bit_count()
+    bound = h_order * min(rank_sum - r + 1, group.order // h_order)
     holds = img.size >= bound
     prime_bound = None
     n = group.order
@@ -912,14 +906,14 @@ def check_schrijver_seymour(m: Matroid, labeling: Labeling) -> ImageBoundReport:
             raise InternalError(
                 "prime-form and general-form verdicts disagree on a prime group"
             )
-        if h.order == 1 and prime_bound != bound:
+        if h_order == 1 and prime_bound != bound:
             raise InternalError(
                 "prime-form and general-form bounds differ despite trivial stabilizer"
             )
     return ImageBoundReport(
         image_size=img.size,
         stabilizer=h,
-        num_cosets=len(partition.cosets),
+        num_cosets=len(parts),
         rank_sum=rank_sum,
         bound=bound,
         holds=holds,

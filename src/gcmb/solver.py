@@ -1,6 +1,7 @@
 """Solvers for group-constrained matroid base problems.
 
-Feasibility asks for a base whose label sum hits a target group element;
+Feasibility asks for a base whose label sum hits a target group element,
+given by its canonical index;
 optimization asks for a minimum-weight such base.  `solve_enum` reduces to
 one matroid intersection per candidate signature; `solve_proximity` only
 explores signatures within a bounded move distance of a greedy base, which
@@ -26,7 +27,7 @@ from .errors import (
     quote,
     read_text,
 )
-from .groups import GroupElement, GroupSpec, arithmetic, closeness_class, davenport
+from .groups import GroupSpec, arithmetic, closeness_class, davenport
 from .intersection import max_common_independent, min_weight_common_base
 from .matroids import INTEGER_DIGITS_LIMIT, BaseSet, Matroid, delete, make_partition
 
@@ -61,11 +62,6 @@ class Labeling:
         return len(self.indices)
 
     @cached_property
-    def labels(self) -> tuple[GroupElement, ...]:
-        elements = self.group.elements()
-        return tuple(elements[i] for i in self.indices)
-
-    @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
         """E(g): ground elements carrying each label, in index order, one
         tuple per group element in canonical order."""
@@ -79,19 +75,19 @@ class Labeling:
         return cls(group, tuple(indices))
 
     @classmethod
-    def constant(cls, group: GroupSpec, n: int, value: Optional[GroupElement] = None) -> "Labeling":
-        return cls(group, (0 if value is None else group.index_of(value),) * n)
+    def constant(cls, group: GroupSpec, n: int, value: int = 0) -> "Labeling":
+        return cls(group, (value,) * n)
 
     def label_index(self, subset: Iterable[int]) -> int:
         """The canonical index of the label sum over `subset`."""
         return arithmetic(self.group).total(self.indices[e] for e in subset)
 
-    def sum_over(self, subset: Iterable[int]) -> GroupElement:
-        return self.group.element_at(self.label_index(subset))
-
-    def translate(self, shift: GroupElement) -> "Labeling":
-        ar, s = arithmetic(self.group), self.group.index_of(shift)
-        return Labeling(self.group, tuple(ar.add(i, s) for i in self.indices))
+    def translate(self, shift: int) -> "Labeling":
+        """Every label moved by the element with index `shift`."""
+        if not 0 <= shift < self.group.order:
+            raise UsageError(f"element index {shift} out of range for {self.group}")
+        ar = arithmetic(self.group)
+        return Labeling(self.group, tuple(ar.add(i, shift) for i in self.indices))
 
 
 @dataclass(frozen=True)
@@ -111,10 +107,10 @@ class Signature:
     def total(self) -> int:
         return sum(self.counts)
 
-    def label(self) -> GroupElement:
-        """Sum over group elements of count-fold copies: the label every base
-        with this signature attains."""
-        return self.group.element_at(arithmetic(self.group).label(self.counts))
+    def label(self) -> int:
+        """Sum over group elements of count-fold copies: the index of the label
+        every base with this signature attains."""
+        return arithmetic(self.group).label(self.counts)
 
 
 def signature_of(labeling: Labeling, base: Iterable[int]) -> Signature:
@@ -245,10 +241,10 @@ def enumerate_signatures(
     group: GroupSpec,
     r: int,
     caps: Optional[Sequence[int]] = None,
-    target: Optional[GroupElement] = None,
+    target: Optional[int] = None,
 ) -> Iterator[Signature]:
     """All signatures summing to r within the caps, lexicographic order; with a
-    target, only those whose label equals it."""
+    target index, only those whose label has it."""
     if caps is None:
         caps = [r] * group.order
     if len(caps) != group.order:
@@ -258,7 +254,8 @@ def enumerate_signatures(
     if target is None:
         stream = _compositions(r, list(caps))
     else:
-        stream = (counts for _, counts in _label_walk(group, r, caps, group.index_of(target)))
+        _check_target(group, target)
+        stream = (counts for _, counts in _label_walk(group, r, caps, target))
     for counts in stream:
         yield Signature(group, counts)
 
@@ -277,7 +274,7 @@ class SolveResult:
     base: Optional[BaseSet] = None
     weight: Optional[Weight] = None
     certified: bool = True
-    target: Optional[GroupElement] = None
+    target: Optional[int] = None
     stats: SolveStats = field(default_factory=SolveStats)
 
     @property
@@ -347,9 +344,13 @@ def find_optimum_base(m: Matroid, weights: Sequence[Weight]) -> BaseSet:
     return tuple(sorted(chosen))
 
 
-def _check_instance(m: Matroid, labeling: Labeling, target: GroupElement) -> None:
-    if target.spec != labeling.group:
-        raise UsageError("target element does not belong to the labeling's group")
+def _check_target(group: GroupSpec, target: int) -> None:
+    if not 0 <= target < group.order:
+        raise UsageError(f"target index {target} out of range for {group}")
+
+
+def _check_instance(m: Matroid, labeling: Labeling, target: int) -> None:
+    _check_target(labeling.group, target)
     if labeling.n != m.n:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
 
@@ -366,7 +367,7 @@ class _Sized:
         self.size = yield from self._stream
 
 
-def _target_signature(group: GroupSpec, counts: tuple[int, ...], target: GroupElement) -> Signature:
+def _target_signature(group: GroupSpec, counts: tuple[int, ...], target: int) -> Signature:
     """The signature of a stream hit, its label checked against the target."""
     sig = Signature(group, counts)
     if sig.label() != target:
@@ -594,7 +595,7 @@ def _widen(ways: list[int], cap: int, top: int) -> list[int]:
 def _search(
     m: Matroid,
     labeling: Labeling,
-    target: GroupElement,
+    target: int,
     weights: Optional[Sequence[Weight]],
     space: _Space,
     certified: bool,
@@ -666,13 +667,13 @@ def _search(
 def solve_enum(
     m: Matroid,
     labeling: Labeling,
-    target: GroupElement,
+    target: int,
     weights: Optional[Sequence[Weight]] = None,
 ) -> SolveResult:
     """Exact solve by enumerating every signature with the target label."""
     _check_instance(m, labeling, target)
     calls_before = m.oracle_calls
-    space = _Space(labeling, m.full_rank, labeling.group.index_of(target))
+    space = _Space(labeling, m.full_rank, target)
     return _search(m, labeling, target, weights, space, True, "signatures", calls_before)
 
 
@@ -708,7 +709,7 @@ def proximity_certified(
 def solve_proximity(
     m: Matroid,
     labeling: Labeling,
-    target: GroupElement,
+    target: int,
     k: int,
     weights: Optional[Sequence[Weight]] = None,
     mode: Literal["certified_only", "heuristic"] = "certified_only",
@@ -735,7 +736,7 @@ def solve_proximity(
     start = find_optimum_base(m, weights if weights is not None else [0] * m.n)
     base_sig = signature_of(labeling, start).counts
     r = sum(base_sig)
-    space = _Space(labeling, r, group.index_of(target), base_sig, min(k, r, labeling.n - r))
+    space = _Space(labeling, r, target, base_sig, min(k, r, labeling.n - r))
     return _search(m, labeling, target, weights, space, certified, "candidates", calls_before)
 
 

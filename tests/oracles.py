@@ -7,6 +7,7 @@ the package computes faster; none of them is shipped in `gcmb`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -14,7 +15,6 @@ import numpy as np
 
 from gcmb import lab as lab_mod
 from gcmb.errors import CapacityError, InternalError, UsageError
-from gcmb.groups import GroupElement
 from gcmb.intersection import Weight
 from gcmb.lab import Witness
 from gcmb.matroids import BaseSet, LinearMatroid, Matroid
@@ -31,6 +31,70 @@ from gcmb.solver import (
     proximity_certified,
     signature_of,
 )
+
+# -- groups -------------------------------------------------------------------
+
+
+def residues(factors: Sequence[int], index: int) -> tuple[int, ...]:
+    """The residue vector of a canonical element index, the first invariant
+    factor most significant."""
+    out = []
+    for m in reversed(factors):
+        index, r = divmod(index, m)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def residue_index(factors: Sequence[int], vector: Sequence[int]) -> int:
+    """The canonical index of a residue vector, each residue reduced."""
+    index = 0
+    for r, m in zip(vector, factors, strict=True):
+        index = index * m + r % m
+    return index
+
+
+def residue_sum(factors: Sequence[int], indices: Iterable[int]) -> int:
+    """The index of the sum of the listed elements, added as residue vectors."""
+    total = [0] * len(factors)
+    for x in indices:
+        total = [a + b for a, b in zip(total, residues(factors, x))]
+    return residue_index(factors, total)
+
+
+def base_label(labeling: Labeling, subset: Iterable[int]) -> int:
+    """The label index of a set of ground elements, summed as residue vectors."""
+    return residue_sum(labeling.group.invariant_factors, (labeling.indices[e] for e in subset))
+
+
+def stabilizer_reference(factors: Sequence[int], image: set[int]) -> set[int]:
+    """Every g with g + F = F, by translating F by each g."""
+    order = math.prod(factors)
+    return {g for g in range(order) if {residue_sum(factors, (x, g)) for x in image} == image}
+
+
+def cosets_reference(factors: Sequence[int], subgroup: set[int]) -> list[set[int]]:
+    """The sets x + H, in the order of their least elements."""
+    parts: list[set[int]] = []
+    for x in range(math.prod(factors)):
+        if not any(x in part for part in parts):
+            parts.append({residue_sum(factors, (x, h)) for h in subgroup})
+    return parts
+
+
+def schrijver_seymour_reference(m: Matroid, labeling: Labeling) -> tuple[int, int, int, int, int, bool]:
+    """(image size, stabilizer order, coset count, rank sum, bound, verdict)
+    of |image| >= |H| * min(sum of coset-fiber ranks - r + 1, |G|/|H|), with
+    every base's label summed as residue vectors."""
+    factors = labeling.group.invariant_factors
+    image = {residue_sum(factors, (labeling.indices[e] for e in b)) for b in m.bases()}
+    h = stabilizer_reference(factors, image)
+    parts = cosets_reference(factors, h)
+    rank_sum = sum(
+        m.rank([e for e, g in enumerate(labeling.indices) if g in part]) for part in parts
+    )
+    bound = len(h) * min(rank_sum - m.full_rank + 1, labeling.group.order // len(h))
+    return len(image), len(h), len(parts), rank_sum, bound, len(image) >= bound
+
 
 # -- matroids -----------------------------------------------------------------
 
@@ -336,7 +400,7 @@ def compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]
 def solve_enum_reference(
     m: Matroid,
     labeling: Labeling,
-    target: GroupElement,
+    target: int,
     weights: Optional[Sequence[Weight]] = None,
 ) -> SolveResult:
     """`solve_enum` as its own loop over every signature of the fiber caps,
@@ -388,7 +452,7 @@ def balanced_moves(
 def solve_proximity_reference(
     m: Matroid,
     labeling: Labeling,
-    target: GroupElement,
+    target: int,
     k: int,
     weights: Optional[Sequence[Weight]] = None,
 ) -> SolveResult:
@@ -425,7 +489,7 @@ def solve_proximity_reference(
 def optimize_by_walk_and_sort(
     m: Matroid,
     labeling: Labeling,
-    target: GroupElement,
+    target: int,
     weights: Sequence[Weight],
     k: Optional[int] = None,
 ) -> SolveResult:
@@ -441,12 +505,12 @@ def optimize_by_walk_and_sort(
     if k is None:
         certified, counter = True, "signatures"
         caps = [len(fiber) for fiber in labeling.fibers]
-        stream = _label_walk(group, m.full_rank, caps, group.index_of(target))
+        stream = _label_walk(group, m.full_rank, caps, target)
     else:
         certified, _ = proximity_certified(group, k, True)
         counter = "candidates"
         base_sig = signature_of(labeling, find_optimum_base(m, weights)).counts
-        stream = _balanced_moves(labeling, base_sig, k, group.index_of(target))
+        stream = _balanced_moves(labeling, base_sig, k, target)
     m.full_rank  # counted in oracle calls, also when no intersection runs
     prefix = [
         list(itertools.accumulate(sorted(weights[e] for e in fiber), initial=0))
@@ -485,7 +549,7 @@ def verify_witness(w: Witness) -> bool:
     all_bases = m.bases()
     if w.base_a not in all_bases or w.base_b not in all_bases:
         return False
-    if labeling.sum_over(w.base_b) != w.target:
+    if base_label(labeling, w.base_b) != w.target:
         return False
     if len(set(w.base_a) - set(w.base_b)) != w.distance or w.distance <= w.k:
         return False
@@ -493,13 +557,13 @@ def verify_witness(w: Witness) -> bool:
         totals = {b: sum(w.weights[e] for e in b) for b in all_bases}
         if totals[w.base_a] != min(totals.values()):
             return False
-        same_label = [b for b in all_bases if labeling.sum_over(b) == w.target]
+        same_label = [b for b in all_bases if base_label(labeling, b) == w.target]
         cheapest = min(totals[b] for b in same_label)
         if totals[w.base_b] != cheapest:
             return False
         pool = [b for b in same_label if totals[b] == cheapest]
     else:
-        pool = [b for b in all_bases if labeling.sum_over(b) == w.target]
+        pool = [b for b in all_bases if base_label(labeling, b) == w.target]
     nearest = min(len(set(w.base_a) - set(b)) for b in pool)
     return nearest == w.distance
 
@@ -514,8 +578,8 @@ def _mask(base: BaseSet) -> int:
 def _violations(
     k: int,
     base_pool: Sequence[BaseSet],
-    target_pool: dict[GroupElement, list[BaseSet]],
-) -> Optional[tuple[BaseSet, BaseSet, GroupElement, int]]:
+    target_pool: dict[int, list[BaseSet]],
+) -> Optional[tuple[BaseSet, BaseSet, int, int]]:
     """Worst (A, B, g, distance) with min-distance > k, or None.
 
     Violations are ranked by distance (largest first), then lexicographically
@@ -525,10 +589,10 @@ def _violations(
     for bs in target_pool.values():
         for b in bs:
             masks.setdefault(b, _mask(b))
-    worst: Optional[tuple[BaseSet, BaseSet, GroupElement, int]] = None
+    worst: Optional[tuple[BaseSet, BaseSet, int, int]] = None
     for a in base_pool:
         mask_a = masks[a]
-        for g in sorted(target_pool, key=lambda e: e.sort_key()):
+        for g in sorted(target_pool):
             best_d = None
             best_b = None
             for b in target_pool[g]:
@@ -541,7 +605,7 @@ def _violations(
             if (
                 worst is None
                 or best_d > worst[3]
-                or (best_d == worst[3] and (a, best_b, g.sort_key()) < (worst[0], worst[1], worst[2].sort_key()))
+                or (best_d == worst[3] and (a, best_b, g) < worst[:3])
             ):
                 worst = candidate
     return worst
@@ -554,11 +618,12 @@ def closeness_reference(
     weights: Optional[Sequence[Weight]] = None,
 ) -> Optional[Witness]:
     """`check_k_close` (no weights) or `check_strongly_k_close` by adding
-    `GroupElement` labels per base and comparing every pair of bases."""
+    summing every base's labels as residue vectors and comparing every pair
+    of bases."""
     all_bases = m.bases()
-    by_label: dict[GroupElement, list[BaseSet]] = {}
+    by_label: dict[int, list[BaseSet]] = {}
     for b in all_bases:
-        by_label.setdefault(labeling.sum_over(b), []).append(b)
+        by_label.setdefault(base_label(labeling, b), []).append(b)
     if weights is None:
         worst = _violations(k, all_bases, by_label)
     else:
@@ -621,6 +686,5 @@ def closeness_witness_einsum(
     d, a, b = worst
     if d <= k:
         return None
-    target = group.element_at(int(labels[b]))
-    return Witness(m, labeling, target, bases[a], bases[b], d, k, weights=weights)
+    return Witness(m, labeling, int(labels[b]), bases[a], bases[b], d, k, weights=weights)
 

@@ -270,7 +270,7 @@ def solve_instances(draw):
         m = make_linear([[col[i] for col in columns] for i in range(rows)], p)
     group = rng.choice(GROUPS)
     labeling = Labeling.from_indices(group, [rng.randrange(group.order) for _ in range(m.n)])
-    target = group.element_at(rng.randrange(group.order))
+    target = rng.randrange(group.order)
     weights = None if rng.random() < 0.5 else [rng.randint(-5, 5) for _ in range(m.n)]
     return m, labeling, target, weights, rng.randrange(group.order)
 

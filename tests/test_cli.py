@@ -58,14 +58,15 @@ class TestSolve:
         assert code == 1 and "target" in err
 
     def test_unknown_builtin(self, capsys):
-        code, out, err = run(capsys, "solve", "--builtin", "nope", "--target", "0")
-        assert (code, out) == (1, "")
-        assert err == (
+        """solve and scan resolve builtins alike and list the known names."""
+        known = (
             "error: unknown builtin 'nope'; known: k4, s222, s233, tight2, tight3, "
             "tight4, tight5, tight6, u12, u23, u24, u36, u48, w3\n"
         )
+        code, out, err = run(capsys, "solve", "--builtin", "nope", "--target", "0")
+        assert (code, out, err) == (1, "", known)
         code, out, err = run(capsys, "scan", "--builtin", "nope", "--group", "Z2")
-        assert (code, out, err) == (1, "", "error: unknown builtin 'nope'\n")
+        assert (code, out, err) == (1, "", known)
 
     @pytest.mark.parametrize(
         "argv",
@@ -251,6 +252,10 @@ class TestVerify:
         assert plain[0] == strong[0] == 2
         assert "distance=3" in plain[1] and "distance=3" in strong[1]
 
+    def test_negative_k_is_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--builtin", "tight4", "--k", "-1")
+        assert (code, out, err) == (1, "", "error: closeness bound k must be nonnegative, got -1\n")
+
 
 class TestScan:
     def test_group_factor_past_the_integer_string_limit(self, capsys):
@@ -386,6 +391,13 @@ class TestScan:
         )
         assert code == 1 and "range" in err
 
+    def test_catalog_and_builtin_are_refused_together(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--catalog", str(bundled_path("rank3_size6.cat")),
+            "--builtin", "k4", "--group", "Z2",
+        )
+        assert (code, out, err) == (1, "", "error: pass either --catalog or --builtin, not both\n")
+
     def test_isolating_found_exit_2(self, capsys):
         code, out, _ = run(
             capsys, "scan", "--builtin", "tight3", "--group", "Z3"
@@ -417,6 +429,12 @@ class TestCheckSs:
                            "--random", "3")
         assert out_a != out_b  # with overwhelming probability
         assert out_a == out_a2
+
+
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_random_count_must_be_positive(self, capsys, count):
+        code, out, err = run(capsys, "check-ss", "--builtin", "k4", "--random", count)
+        assert (code, out, err) == (1, "", f"error: --random must be at least 1, got {count}\n")
 
 
 class TestCatalogCommands:

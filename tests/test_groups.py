@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from gcmb.errors import CapacityError, UsageError
 from gcmb.groups import (
-    CosetPartition,
     GroupSpec,
-    Subgroup,
     arithmetic,
     closeness_class,
     cosets,
@@ -16,6 +14,8 @@ from gcmb.groups import (
     davenport_lower_bound,
     stabilizer,
 )
+
+from oracles import cosets_reference, residue_index, residue_sum, residues, stabilizer_reference
 
 Z2 = GroupSpec.of(2)
 Z4 = GroupSpec.of(4)
@@ -36,9 +36,15 @@ def spec_strategy():
 
 
 def element_strategy(spec):
-    return st.tuples(*[st.integers(0, m - 1) for m in spec.invariant_factors]).map(
-        spec.element
-    )
+    return st.integers(0, spec.order - 1)
+
+
+def mask(indices):
+    return sum(1 << x for x in set(indices))
+
+
+def members(spec, bits):
+    return {g for g in range(spec.order) if bits >> g & 1}
 
 
 class TestParsing:
@@ -105,65 +111,73 @@ class TestParsing:
         assert GroupSpec.parse("Z" + "0" * 5000 + "6") == GroupSpec.of(6)
 
     def test_element_serialization(self):
-        g = Z2xZ4.element((1, 3))
-        assert str(g) == "1,3"
-        assert Z2xZ4.parse_element("1,3") == g
-        assert str(Z6.element((5,))) == "5"
-        assert Z6.parse_element("5") == Z6.element((5,))
+        g = Z2xZ4.parse_index("1,3")
+        assert g == 1 * 4 + 3
+        assert str(Z2xZ4.element_at(g)) == "1,3"
+        assert Z2xZ4.parse_index("-1,7") == g
+        assert str(Z6.element_at(5)) == "5"
+        assert Z6.parse_index("5") == 5
         with pytest.raises(UsageError):
-            Z6.parse_element("1,2")
+            Z6.parse_index("1,2")
+        with pytest.raises(UsageError):
+            Z6.element_at(6)
 
 
 class TestArithmetic:
     def test_add_z4(self):
-        assert Z4.element((3,)) + Z4.element((2,)) == Z4.element((1,))
+        assert arithmetic(Z4).add(3, 2) == 1
 
     def test_add_z2z2(self):
-        assert Z2xZ2.element((1, 0)) + Z2xZ2.element((1, 1)) == Z2xZ2.element((0, 1))
+        ar = arithmetic(Z2xZ2)
+        assert ar.add(Z2xZ2.parse_index("1,0"), Z2xZ2.parse_index("1,1")) == Z2xZ2.parse_index("0,1")
 
     def test_identity_random(self):
         rng = random.Random(0)
         for spec in (Z6, Z2xZ4):
-            zero = spec.identity()
+            ar = arithmetic(spec)
             for _ in range(100):
-                g = spec.element_at(rng.randrange(spec.order))
-                assert g + zero == g
+                g = rng.randrange(spec.order)
+                assert ar.add(g, 0) == ar.add(0, g) == g
 
     def test_spec_mismatch(self):
+        """Printed elements keep their group: adding across groups is refused."""
         with pytest.raises(UsageError):
-            Z4.element((1,)) + Z6.element((1,))
+            Z4.element_at(1) + Z6.element_at(1)
 
     def test_scalar_mul(self):
-        assert Z4.element((2,)).times(3) == Z4.element((2,))  # 6 mod 4
+        assert arithmetic(Z4).times(2, 3) == 2  # 6 mod 4
         for spec in (Z4, Z6, Z2xZ2):
-            for g in spec.elements():
-                assert g.times(0).is_identity
+            ar = arithmetic(spec)
+            for g in range(spec.order):
+                assert ar.times(g, 0) == 0
 
     def test_order_kills(self):
         for factors in ALL_SMALL:
             spec = GroupSpec(factors)
             if spec.order > 12:
                 continue
-            for g in spec.elements():
-                assert g.times(spec.order).is_identity
+            for g in range(spec.order):
+                assert arithmetic(spec).times(g, spec.order) == 0
 
     def test_indexing_roundtrip(self):
         for spec in (Z4, Z2xZ4, Z2xZ2):
-            for i, g in enumerate(spec.elements()):
-                assert spec.index_of(g) == i
-                assert spec.element_at(i) == g
+            for i in range(spec.order):
+                text = str(spec.element_at(i))
+                assert spec.parse_index(text) == i
+                assert spec.element_at(i).residues == residues(spec.invariant_factors, i)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), spec=spec_strategy())
 def test_group_axioms(data, spec):
+    ar = arithmetic(spec)
     a = data.draw(element_strategy(spec))
     b = data.draw(element_strategy(spec))
     c = data.draw(element_strategy(spec))
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
-    assert a + (-a) == spec.identity()
-    assert a + spec.identity() == a
+    assert ar.add(a, b) == ar.add(b, a)
+    assert ar.add(ar.add(a, b), c) == ar.add(a, ar.add(b, c))
+    assert ar.add(a, ar.neg(a)) == 0
+    assert ar.add(a, 0) == a
 
 
 #: Element tokens: residue lists with signs and spaces, near-grammar junk,
@@ -181,15 +195,21 @@ ELEMENT_TOKENS = st.one_of(
     spec=st.sampled_from([GroupSpec.of(), GroupSpec.of(1000)] + [GroupSpec(f) for f in ALL_SMALL]),
     token=ELEMENT_TOKENS,
 )
-def test_parse_index_matches_parse_element(spec, token):
+def test_parse_index_matches_residue_reference(spec, token):
+    """An element is comma-joined integers, one per invariant factor (a lone
+    0 for the trivial group), each reduced; anything else is refused."""
+    factors = spec.invariant_factors
     try:
-        expected = spec.index_of(spec.parse_element(token))
-    except UsageError as exc:
-        with pytest.raises(UsageError) as caught:
+        values = [int(part) for part in token.split(",")]
+    except ValueError:
+        values = None
+    if not factors and values == [0]:
+        assert spec.parse_index(token) == 0
+    elif values is None or len(values) != len(factors):
+        with pytest.raises(UsageError, match="element"):
             spec.parse_index(token)
-        assert str(caught.value) == str(exc)
     else:
-        assert spec.parse_index(token) == expected
+        assert spec.parse_index(token) == residue_index(factors, values)
 
 
 class TestDavenport:
@@ -239,99 +259,110 @@ class TestDavenport:
 class TestStabilizer:
     def test_whole_group(self):
         for spec in (Z4, Z6, Z2xZ2):
-            assert stabilizer(spec, spec.elements()).elements == frozenset(
-                spec.elements()
-            )
+            whole = (1 << spec.order) - 1
+            assert stabilizer(spec, whole) == whole
 
     def test_singleton(self):
         for spec in (Z4, Z2xZ4):
-            for g in spec.elements():
-                assert stabilizer(spec, [g]).elements == {spec.identity()}
+            for g in range(spec.order):
+                assert stabilizer(spec, 1 << g) == 1
 
     def test_z4_even_pair(self):
-        f = {Z4.element((0,)), Z4.element((2,))}
+        f = {0, 2}
         # direct check of all four translations
-        expected = {
-            g for g in Z4.elements() if frozenset(g + x for x in f) == frozenset(f)
-        }
-        assert expected == {Z4.element((0,)), Z4.element((2,))}
-        assert stabilizer(Z4, f).elements == frozenset(expected)
+        expected = {g for g in range(4) if {(g + x) % 4 for x in f} == f}
+        assert expected == {0, 2}
+        assert stabilizer(Z4, mask(f)) == mask(expected)
 
     def test_always_a_subgroup_and_coset_union(self):
         rng = random.Random(1)
         for spec in (Z4, Z6, Z2xZ2, Z2xZ4):
-            elems = spec.elements()
             for _ in range(25):
-                f = frozenset(rng.sample(elems, rng.randrange(1, spec.order + 1)))
+                f = mask(rng.sample(range(spec.order), rng.randrange(1, spec.order + 1)))
                 h = stabilizer(spec, f)
-                assert h.is_valid()
+                # cosets refuses a mask that is not a subgroup
+                parts = cosets(spec, h)
                 # F must be a union of cosets of its stabilizer
-                part = cosets(spec, h)
-                for coset in part.cosets:
-                    inter = coset & f
-                    assert inter in (frozenset(), coset)
+                for part in parts:
+                    assert part & f in (0, part)
+
+    def test_refuses_indices_outside_the_group(self):
+        with pytest.raises(UsageError, match="not a set of indices of Z4"):
+            stabilizer(Z4, 1 << 4)
 
 
 class TestCosets:
     def test_trivial_subgroup(self):
-        part = cosets(Z6, Subgroup.trivial(Z6))
-        assert len(part.cosets) == 6
-        assert all(len(c) == 1 for c in part.cosets)
+        parts = cosets(Z6, 1)
+        assert parts == tuple(1 << g for g in range(6))
 
     def test_whole_group(self):
-        part = cosets(Z6, Subgroup.whole(Z6))
-        assert len(part.cosets) == 1
-        assert part.representatives == (Z6.identity(),)
+        parts = cosets(Z6, (1 << 6) - 1)
+        assert parts == ((1 << 6) - 1,)
 
     def test_z4_even_subgroup(self):
-        h = Subgroup(Z4, frozenset({Z4.element((0,)), Z4.element((2,))}))
-        part = cosets(Z4, h)
-        assert part.cosets == (
-            frozenset({Z4.element((0,)), Z4.element((2,))}),
-            frozenset({Z4.element((1,)), Z4.element((3,))}),
-        )
-        assert [str(r) for r in part.representatives] == ["0", "1"]
+        parts = cosets(Z4, mask({0, 2}))
+        assert parts == (mask({0, 2}), mask({1, 3}))
+        # each coset is listed at its least element
+        assert [str(Z4.element_at((part & -part).bit_length() - 1)) for part in parts] == ["0", "1"]
 
     def test_rejects_non_subgroup(self):
-        bad = Subgroup(Z4, frozenset({Z4.element((0,)), Z4.element((1,))}))
-        with pytest.raises(UsageError):
-            cosets(Z4, bad)
+        for bad in (mask({0, 1}), mask({2}), 0, 1 << 4):
+            with pytest.raises(UsageError):
+                cosets(Z4, bad)
 
     def test_partition_properties(self):
         for spec in (Z2xZ4, Z6):
             for h in _all_subgroups(spec):
-                part = cosets(spec, h)
-                union = set()
-                for coset in part.cosets:
-                    assert len(coset) == h.order
-                    assert not (union & coset)
-                    union |= coset
-                assert union == set(spec.elements())
-                assert len(part.cosets) == spec.order // h.order
+                parts = cosets(spec, h)
+                union = 0
+                for part in parts:
+                    assert part.bit_count() == h.bit_count()
+                    assert not union & part
+                    union |= part
+                assert union == (1 << spec.order) - 1
+                assert len(parts) == spec.order // h.bit_count()
 
 
 def _all_subgroups(spec):
-    """Enumerate all subgroups by closing every subset of generators (small groups)."""
-    elems = spec.elements()
-    found = set()
-    out = []
+    """Enumerate all subgroups, as masks, by closing every subset of at most
+    three generators under residue-vector addition (small groups)."""
     import itertools
 
-    for k in range(0, min(3, len(elems)) + 1):
-        for gens in itertools.combinations(elems, k):
-            members = {spec.identity()}
+    factors = spec.invariant_factors
+    found = []
+    for k in range(0, min(3, spec.order) + 1):
+        for gens in itertools.combinations(range(spec.order), k):
+            members = {0}
             frontier = list(gens)
             while frontier:
                 x = frontier.pop()
                 if x in members:
                     continue
                 members.add(x)
-                frontier.extend(x + y for y in list(members))
-            key = frozenset(members)
-            if key not in found:
-                found.add(key)
-                out.append(Subgroup(spec, key))
-    return out
+                frontier.extend(residue_sum(factors, (x, y)) for y in list(members))
+            if mask(members) not in found:
+                found.append(mask(members))
+    return found
+
+
+#: Groups of order up to 16 for the mask differential tests: the trivial
+#: group and every abelian group of order 2..16.
+MASK_GROUPS = [GroupSpec(())] + [GroupSpec(f) for f in ALL_SMALL]
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=st.sampled_from(MASK_GROUPS), data=st.data())
+def test_mask_stabilizer_and_cosets_match_residue_reference(spec, data):
+    """The stabilizer and cosets of a random set, as bitmasks, equal the sets
+    found by translating residue vectors, cosets in the same order."""
+    image = set(data.draw(st.lists(element_strategy(spec), min_size=1, max_size=spec.order)))
+    h = stabilizer(spec, mask(image))
+    expected = stabilizer_reference(spec.invariant_factors, image)
+    assert members(spec, h) == expected
+    assert [members(spec, part) for part in cosets(spec, h)] == cosets_reference(
+        spec.invariant_factors, expected
+    )
 
 
 class TestClosenessClass:
@@ -354,7 +385,7 @@ class TestClosenessClass:
         assert closeness_class(GroupSpec.parse(text)) == expected
 
 
-# -- index arithmetic against GroupElement arithmetic -----------------------------
+# -- index arithmetic against residue-vector arithmetic --------------------------
 
 ARITHMETIC_GROUPS = [GroupSpec(())] + [GroupSpec(f) for f in ALL_SMALL] + [
     GroupSpec.of(1000), GroupSpec.of(2, 2048), GroupSpec.of(4, 4, 16),
@@ -368,30 +399,30 @@ ARITHMETIC_GROUPS = [GroupSpec(())] + [GroupSpec(f) for f in ALL_SMALL] + [
 )
 def test_index_arithmetic_matches_group_elements(spec, data):
     """add, neg, sub, times, total, label and shift_mask on canonical indices
-    agree with the GroupElement operations they replace."""
+    agree with the same operations on residue vectors, and with the addition
+    of printed elements."""
     ar = arithmetic(spec)
+    factors = spec.invariant_factors
     index = st.integers(0, spec.order - 1)
     a, b = data.draw(index), data.draw(index)
-    ga, gb = spec.element_at(a), spec.element_at(b)
-    assert spec.element_at(ar.add(a, b)) == ga + gb
-    assert spec.element_at(ar.neg(a)) == -ga
-    assert spec.element_at(ar.sub(a, b)) == ga - gb
+    assert ar.add(a, b) == residue_sum(factors, (a, b))
+    assert spec.element_at(ar.add(a, b)) == spec.element_at(a) + spec.element_at(b)
+    negated = residue_index(factors, [-r for r in residues(factors, a)])
+    assert ar.neg(a) == negated
+    assert ar.sub(a, b) == residue_sum(factors, (a, ar.neg(b)))
     n = data.draw(st.integers(0, 12))
-    assert spec.element_at(ar.times(a, n)) == ga.times(n)
+    assert ar.times(a, n) == residue_index(factors, [n * r for r in residues(factors, a)])
     assert ar.times(a, -n) == ar.neg(ar.times(a, n))
     listed = data.draw(st.lists(index, max_size=8))
-    expected = spec.identity()
-    for x in listed:
-        expected = expected + spec.element_at(x)
-    assert spec.element_at(ar.total(listed)) == expected
+    expected = residue_sum(factors, listed)
+    assert ar.total(listed) == expected
     counts = [0] * spec.order
     for x in listed:
         counts[x] += 1
-    assert spec.element_at(ar.label(counts)) == expected
-    members = set(data.draw(st.lists(index, max_size=8)))
-    mask = sum(1 << x for x in members)
-    shifted = {spec.index_of(spec.element_at(x) + ga) for x in members}
-    assert ar.shift_mask(mask, a) == sum(1 << x for x in shifted)
+    assert ar.label(counts) == expected
+    chosen = set(data.draw(st.lists(index, max_size=8)))
+    shifted = {residue_sum(factors, (x, a)) for x in chosen}
+    assert ar.shift_mask(mask(chosen), a) == mask(shifted)
 
 
 def test_arithmetic_is_kept_per_group():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcmb.groups import GroupSpec
 from gcmb.errors import CapacityError, UsageError
@@ -25,8 +27,8 @@ from gcmb.lab import (
 from gcmb.matroids import make_explicit, make_uniform
 from gcmb.solver import Labeling
 
-from conftest import k4_edges
-from oracles import oracles_equal, verify_witness
+from conftest import k4_edges, random_small_matroid
+from oracles import base_label, oracles_equal, schrijver_seymour_reference, verify_witness
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)
@@ -44,13 +46,15 @@ def tight_instance(m):
 class TestLabelImage:
     def test_constant_identity(self, k4):
         img = label_image(k4, Labeling.constant(Z3, 6))
-        assert img.image == {Z3.identity()}
-        assert img.multiplicity[Z3.identity()] == 16
+        assert img.image == 1  # the identity, index 0, alone
+        assert img.size == 1
+        assert img.multiplicity == {0: 16}
 
     def test_tight_example_full_image(self):
         matroid, lab = tight_instance(4)
         img = label_image(matroid, lab)
-        assert img.image == set(Z4.elements())
+        assert img.image == (1 << 4) - 1
+        assert img.size == 4
         assert sum(img.multiplicity.values()) == 20
 
     def test_second_enumeration_path(self, k4):
@@ -60,7 +64,7 @@ class TestLabelImage:
         # independent recomputation: reversed enumeration order
         seen = {}
         for base in reversed(k4.bases()):
-            g = lab.sum_over(base)
+            g = base_label(lab, base)
             seen[g] = seen.get(g, 0) + 1
         assert seen == img.multiplicity
 
@@ -86,7 +90,17 @@ class TestCheckKClose:
         witness = check_k_close(matroid, lab, 2)
         assert witness.base_a == (0, 1, 2)
         assert witness.base_b == (3, 4, 5)
-        assert witness.target == Z4.identity()
+        assert witness.target == 0
+        assert witness.describe() == "target=0 A=0,1,2 B=3,4,5 distance=3 k=2"
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_negative_k_is_refused(self, k4, weighted):
+        lab = Labeling.constant(Z3, 6)
+        with pytest.raises(UsageError, match="closeness bound k must be nonnegative, got -1"):
+            if weighted:
+                check_strongly_k_close(k4, lab, [0] * 6, -1)
+            else:
+                check_k_close(k4, lab, -1)
 
     def test_rank3_blocks_z3_exhaustive(self, k4):
         # every Z3-labeling of the wheel passes at k = 2
@@ -159,7 +173,7 @@ class TestReduceWitness:
         assert reduced.matroid.n == 6
         pure = check_k_close(*tight_instance(4), 2)
         assert oracles_equal(reduced.matroid, pure.matroid)
-        assert reduced.labeling.labels == pure.labeling.labels
+        assert reduced.labeling.indices == pure.labeling.indices
         assert reduced.target == pure.target
         assert reduced.base_a == pure.base_a and reduced.base_b == pure.base_b
 
@@ -213,8 +227,8 @@ class TestIsolationPredicates:
         isolated = is_block_isolating(matroid, lab)
         assert isolated == (0, 1, 2)
         img = label_image(matroid, lab)
-        assert img.multiplicity[lab.sum_over((3, 4, 5))] == 1
-        assert img.multiplicity[lab.sum_over((0, 1, 2))] == 1
+        assert img.multiplicity[base_label(lab, (3, 4, 5))] == 1
+        assert img.multiplicity[base_label(lab, (0, 1, 2))] == 1
         strong = is_strong_block_isolating(matroid, lab)
         assert strong is not None
 
@@ -233,7 +247,7 @@ class TestIsolationPredicates:
                 for b in matroid.bases()
                 if tuple(sorted(set(range(6)) - set(b))) in set(matroid.bases())
             ]
-            same = [b for b in blocks if lab.sum_over(b) == lab.sum_over(weak)]
+            same = [b for b in blocks if base_label(lab, b) == base_label(lab, weak)]
             assert same == [weak]
             assert is_strong_block_isolating(matroid, lab) is not None
         assert hits > 0
@@ -387,6 +401,7 @@ class TestImageBound:
     def test_constant_identity_degenerate(self, k4):
         report = check_schrijver_seymour(k4, Labeling.constant(Z3, 6))
         assert report.image_size == 1
+        assert report.stabilizer == 1  # only the identity fixes {0} in Z3
         assert report.rank_sum == k4.full_rank
         assert report.bound == 1
         assert report.holds
@@ -407,6 +422,38 @@ class TestImageBound:
                 for _ in range(25):
                     lab = random_labeling(rng, group, m.n)
                     assert check_schrijver_seymour(m, lab).holds
+
+
+    def test_stabilizer_is_a_mask_of_the_image_translations(self):
+        # U_{1,2} over Z4 labeled 0 and 2: the image {0, 2} is fixed by 0 and 2
+        report = check_schrijver_seymour(make_uniform(2, 1), Labeling.from_indices(Z4, [0, 2]))
+        assert (report.image_size, report.stabilizer, report.num_cosets) == (2, 0b0101, 2)
+        assert report.rank_sum == 1 and report.bound == 2 and report.holds
+
+
+#: The trivial group and every abelian group of order 2..16.
+SMALL_GROUPS = [GroupSpec(())] + [
+    GroupSpec(f)
+    for f in [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2), (9,), (3, 3),
+              (10,), (11,), (12,), (2, 6), (13,), (14,), (15,), (16,), (2, 8), (4, 4), (2, 2, 4),
+              (2, 2, 2, 2)]
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=st.sampled_from(SMALL_GROUPS), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_schrijver_seymour_matches_residue_reference(group, seed, data):
+    """check_schrijver_seymour, with the mask stabilizer and cosets, agrees
+    with the residue-vector reference on image size, stabilizer order, coset
+    count, rank sum, bound and verdict."""
+    m = random_small_matroid(random.Random(seed))
+    values = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4))
+    labels = data.draw(st.lists(st.sampled_from(values), min_size=m.n, max_size=m.n))
+    labeling = Labeling.from_indices(group, labels)
+    report = check_schrijver_seymour(m, labeling)
+    got = (report.image_size, report.stabilizer.bit_count(), report.num_cosets,
+           report.rank_sum, report.bound, report.holds)
+    assert got == schrijver_seymour_reference(m, labeling)
 
 
 class TestSboSuite:

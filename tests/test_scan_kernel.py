@@ -66,8 +66,7 @@ def test_kernel_matches_per_labeling_predicates(data):
     checked, first = brute_scan(m, group, predicate, reduction, start, start + width)
     assert (line.checked, line.isolating_index) == (checked, first)
     if first is not None:
-        digits = labeling_from_index(group, m.n, first).labels
-        assert tuple(group.index_of(g) for g in digits) == line.isolating_labels
+        assert labeling_from_index(group, m.n, first).indices == line.isolating_labels
 
 
 SPLIT_GROUPS = [GroupSpec.of(*f) for f in [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]]

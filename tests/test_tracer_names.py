@@ -100,7 +100,7 @@ def test_search_calls_base_with_signature_by_its_module_name(monkeypatch, mode, 
     m = make_graphic(list(itertools.combinations(range(5), 2)))
     labeling = Labeling.from_indices(group, [e % 3 for e in range(m.n)])
     weights = [(7 * e) % 5 - 2 for e in range(m.n)] if weighted else None
-    target = group.parse_element("1")
+    target = group.parse_index("1")
     if mode == "enum":
         result = solve_enum(m, labeling, target, weights)
     else:
