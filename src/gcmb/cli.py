@@ -47,8 +47,10 @@ def _builtin(name: str) -> catalog_mod.BuiltinInstance:
     return catalog_mod.BUILTINS[name]()
 
 
-def _load_instance(args) -> tuple[str, Matroid, GroupSpec, Optional[Labeling]]:
-    """Resolve --builtin/--matroid plus --group/--labels into an instance."""
+def _load_instance(
+    args, grouped: bool = True
+) -> tuple[str, Matroid, Optional[GroupSpec], Optional[Labeling]]:
+    """Resolve --builtin/--matroid plus --group/--labels (--group optional if not grouped)."""
     if args.builtin and args.matroid:
         raise UsageError("pass either --builtin or --matroid, not both")
     if args.builtin:
@@ -65,6 +67,8 @@ def _load_instance(args) -> tuple[str, Matroid, GroupSpec, Optional[Labeling]]:
         raise UsageError("an instance is required: --builtin NAME or --matroid PATH")
     matroid = load_matroid(args.matroid, trust=getattr(args, "trust", False))
     if not args.group:
+        if not grouped:
+            return args.matroid, matroid, None, None
         raise UsageError("--group is required with --matroid")
     group = GroupSpec.parse(args.group)
     labeling = None
@@ -242,7 +246,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    name, matroid, _, _ = _load_instance(args)
+    name, matroid, _, _ = _load_instance(args, grouped=False)
     listing = matroid.bases()
     lines = [f"# gcmb bases matroid={name} n={matroid.n} r={matroid.full_rank}"]
     lines.extend(",".join(map(str, b)) for b in listing)

@@ -13,7 +13,8 @@ no arc.  Label correcting from the sinks gives each node its least (cost, arcs)
 to a path end; I is extreme, so no cycle is negative (Frank 1981).  The least
 source by (cost, arcs, element), then the least element on each tight arc (the
 arc count falls by one), is the least path in that order.  With zero weights
-the first paths are single elements: a greedy prefix.
+the first paths are single elements: a greedy prefix, which a cardinality
+intersection takes from both matroids' cursors (`Matroid.cursor`) at once.
 """
 
 from __future__ import annotations
@@ -118,17 +119,27 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> BaseSet:
     """A maximum-cardinality common independent set (deterministic)."""
     if m1.n != m2.n:
         raise UsageError(f"ground sets differ: {m1.n} vs {m2.n} elements")
-    current: frozenset[int] = frozenset()
-    for e in range(m1.n):  # greedy prefix; a solve passes the cheaper partition as m2
-        if m2.circuits(current, [e])[e] is None and m1.circuits(current, [e])[e] is None:
-            current |= {e}
-    current = _augment(m1, m2, frozenset(), tuple(current)) if current else current
+    prefix = _common_prefix(m1, m2)
+    current = _augment(m1, m2, frozenset(), prefix) if prefix else frozenset()
     while len(current) < m1.full_rank:  # at an m1 base no source; if r2 < r1, no path
         path = _augmenting_path(m1, m2, current, [0] * m1.n)
         if path is None:
             break
         current = _augment(m1, m2, current, path)
     return tuple(sorted(current))
+
+
+def _common_prefix(m1: Matroid, m2: Matroid) -> tuple[int, ...]:
+    """Each element, ascending, that fits in both matroids' cursors with those
+    taken before it; a solve passes the partition, cheaper to ask, as m2."""
+    first, second = m1.cursor(), m2.cursor()
+    prefix = []
+    for e in range(m1.n):
+        if second.fits(e) and first.fits(e):
+            first.add(e)
+            second.add(e)
+            prefix.append(e)
+    return tuple(prefix)
 
 
 def _augment(

@@ -3,6 +3,10 @@
 Elements are integers 0..n-1.  Bases are sorted tuples of element indices.
 Graphic and linear constructors keep a name map for I/O only; all algorithms
 work on indices.
+
+Greedy queries (rank, optimum base, intersection prefix, exchange completion)
+run on independence cursors (`Matroid.cursor`).  A greedy pass counts one
+oracle call per element offered, whichever cursor answers it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +44,9 @@ GROUND_SIZE_LIMIT = 10**5
 
 
 class Matroid:
-    """Base class: subclasses implement `_indep` on frozensets of indices."""
+    """Base class: subclasses implement `_indep` on frozensets of indices, the
+    counted oracle, and may override the hooks `_rank`, `cursor`, `circuits`,
+    `_bases` and `_base_rows`, never the public methods that call them."""
 
     kind = "abstract"
 
@@ -82,12 +88,26 @@ class Matroid:
         return self._rank(self._ground_subset(subset))
 
     def _rank(self, subset: frozenset[int]) -> int:
-        """The greedy rank: one oracle call per element, by ascending index."""
-        chosen: set[int] = set()
-        for e in sorted(subset):
-            if self.is_independent(chosen | {e}):
-                chosen.add(e)
-        return len(chosen)
+        """The greedy rank: one oracle call per element."""
+        return len(self.greedy(subset))
+
+    def cursor(self) -> Cursor:
+        """An independence cursor at the empty set; this default asks the oracle."""
+        return Cursor(self)
+
+    def _count(self, calls: int) -> None:
+        """Count `calls` oracle calls that a structural cursor answered."""
+        self.oracle_calls += calls
+
+    def greedy(self, order: Collection[int], start: Iterable[int] = ()) -> list[int]:
+        """The elements of `order` that a greedy pass on top of the independent
+        set `start` takes; one oracle call per element offered."""
+        cursor = self.cursor()
+        for e in start:
+            cursor.add(e)
+        if not cursor.asks_oracle:
+            self._count(len(order))
+        return cursor.take(order)
 
     @property
     def full_rank(self) -> int:
@@ -160,6 +180,115 @@ class Matroid:
         return f"<{type(self).__name__} n={self.n} r={self.full_rank}>"
 
 
+# -- independence cursors ----------------------------------------------------
+
+
+class Cursor:
+    """An independent set I grown one element at a time: `fits(e)` answers
+    whether I + e is independent, and `add(e)` takes an e that fits.  This
+    default asks the oracle; the cursors below answer uncounted from their own
+    state, and `data[e]` is what they read of element e."""
+
+    asks_oracle = True
+
+    def __init__(self, m: Matroid):
+        self.m, self.taken = m, set()
+
+    def fits(self, e: int) -> bool:
+        return self.m.is_independent(self.taken | {e})
+
+    def add(self, e: int) -> None:
+        self.taken.add(e)
+
+    def take(self, elements: Iterable[int]) -> list[int]:
+        """Take each element, in order, that fits; return those taken."""
+        taken = []
+        for e in elements:
+            if self.fits(e):
+                self.add(e)
+                taken.append(e)
+        return taken
+
+
+class _ForestCursor(Cursor):
+    """A union-find over the vertices of a graphic matroid; data[e]: e's ends."""
+
+    asks_oracle = False
+
+    def __init__(self, m: GraphicMatroid):
+        self.data, self.root = m.edge_pairs, list(range(len(m.vertex_names)))
+
+    def _find(self, x: int) -> int:
+        root = self.root
+        while (up := root[x]) != x:
+            root[x] = x = root[up]  # path halving
+        return x
+
+    def fits(self, e: int) -> bool:
+        u, v = self.data[e]
+        return self._find(u) != self._find(v)
+
+    def add(self, e: int) -> None:
+        u, v = self.data[e]
+        self.root[self._find(u)] = self._find(v)
+
+
+class _EliminationCursor(Cursor):
+    """A running GF(p) elimination; data[e] is column e.  Each column taken is
+    kept reduced by those taken before it and scaled to 1 at its pivot row,
+    with its combination of the taken columns."""
+
+    asks_oracle = False
+
+    def __init__(self, m: LinearMatroid):
+        self.data, self.p = m.columns, m.p
+        self.kept: list[tuple[int, list[int], dict[int, int]]] = []  # (row, column, combination)
+
+    def _remainder(self, e: int) -> tuple[list[int], dict[int, int]]:
+        """Column e less its combination of the kept columns, and that of the taken."""
+        p = self.p
+        column, combination = self.data[e], {}
+        for i, kept, used in self.kept:
+            if f := column[i]:
+                column = [(x - f * t) % p for x, t in zip(column, kept)]
+                for x, c in used.items():
+                    combination[x] = (combination.get(x, 0) + f * c) % p
+        return column, combination
+
+    def fits(self, e: int) -> bool:
+        return any(self._remainder(e)[0])
+
+    def add(self, e: int) -> None:
+        column, combination = self._remainder(e)
+        i = next(i for i, x in enumerate(column) if x)
+        inv = pow(column[i], -1, self.p)
+        used = {x: -c * inv % self.p for x, c in combination.items()}
+        self.kept.append((i, [x * inv % self.p for x in column], {**used, e: inv}))
+
+    def circuit(self, e: int) -> Optional[frozenset[int]]:
+        """None when e fits, else C(I, e) - e: the taken columns it combines."""
+        column, combination = self._remainder(e)
+        return None if any(column) else frozenset(x for x, c in combination.items() if c)
+
+
+class _CapacityCursor(Cursor):
+    """The capacity left per class of a partition matroid; data[e]: e's class."""
+
+    asks_oracle = False
+
+    def __init__(self, m: PartitionMatroid):
+        self.data, self.left = [0] * m.n, list(m.capacities)
+        for i, c in enumerate(m.classes):
+            for e in c:
+                self.data[e] = i
+
+    def fits(self, e: int) -> bool:
+        return self.left[self.data[e]] > 0
+
+    def add(self, e: int) -> None:
+        self.left[self.data[e]] -= 1
+
+
 # -- concrete families -------------------------------------------------------
 
 
@@ -211,21 +340,10 @@ class GraphicMatroid(Matroid):
         self.edge_pairs = tuple(pairs)
 
     def _indep(self, subset: frozenset[int]) -> bool:
-        parent = list(range(len(self.vertex_names)))
+        return len(_ForestCursor(self).take(subset)) == len(subset)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in subset:
-            u, v = self.edge_pairs[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+    def cursor(self) -> Cursor:
+        return _ForestCursor(self)
 
     def _bases(self, r: int) -> list[BaseSet]:
         return list(map(tuple, self._base_rows(r).tolist()))
@@ -324,67 +442,28 @@ class LinearMatroid(Matroid):
         super().__init__(width)
         self.p = p
         self.rows = tuple(tuple(x % p for x in row) for row in rows)
+        self.columns = tuple(zip(*self.rows))
         for j in range(width):
             if not any(row[j] for row in self.rows):
                 raise UsageError(f"column {j} is zero (a loop); matroids here are loopless")
 
-    def _reduce(
-        self, pivoting: Sequence[int], carried: Sequence[int] = ()
-    ) -> tuple[list[int], list[list[int]]]:
-        """Gauss-Jordan elimination over GF(p) of the columns `pivoting`,
-        then `carried`, in that order.
-
-        Pivots are taken in the `pivoting` columns only, left to right,
-        skipping a column with none below the rows already used.  Returns the
-        positions of the pivot columns, pivot row k belonging to the k-th,
-        and the reduced rows: a pivot column is a unit vector, and a carried
-        column is its combination of the pivot columns in the pivot rows plus
-        a remainder, zero exactly when it lies in their span, in the others.
-        """
-        order = [*pivoting, *carried]
-        reduced = [[row[j] for j in order] for row in self.rows]
-        p = self.p
-        pivots: list[int] = []
-        for c in range(len(pivoting)):
-            k = len(pivots)
-            hit = next((i for i in range(k, len(reduced)) if reduced[i][c]), None)
-            if hit is None:
-                continue
-            reduced[k], reduced[hit] = reduced[hit], reduced[k]
-            inv = pow(reduced[k][c], -1, p)
-            top = reduced[k] = [x * inv % p for x in reduced[k]]
-            for i, row in enumerate(reduced):
-                f = row[c]
-                if f and i != k:
-                    reduced[i] = [(x - f * t) % p for x, t in zip(row, top)]
-            pivots.append(c)
-        return pivots, reduced
-
     def _indep(self, subset: frozenset[int]) -> bool:
-        return len(self._reduce(sorted(subset))[0]) == len(subset)
+        return len(_EliminationCursor(self).take(subset)) == len(subset)
 
     def _rank(self, subset: frozenset[int]) -> int:
-        return len(self._reduce(sorted(subset))[0])
+        return len(_EliminationCursor(self).take(subset))
+
+    def cursor(self) -> Cursor:
+        return _EliminationCursor(self)
 
     def circuits(
         self, current: frozenset[int], outside: Iterable[int]
     ) -> dict[int, Optional[frozenset[int]]]:
-        """Row-reduce current's columns carrying the outside ones: y is free
-        when its column keeps a non-zero entry outside the pivot rows, else
-        C(current, y) - y holds the x with a non-zero coefficient."""
-        inside = sorted(current)
-        outside = list(outside)
-        pivots, reduced = self._reduce(inside, outside)
-        r = len(inside)
-        if len(pivots) != r:
+        """C(current, y) - y from one running elimination of current's columns."""
+        cursor = _EliminationCursor(self)
+        if len(cursor.take(current)) != len(current):
             raise UsageError("fundamental circuits need an independent set")
-        out: dict[int, Optional[frozenset[int]]] = {}
-        for j, y in enumerate(outside, start=r):
-            if any(row[j] for row in reduced[r:]):
-                out[y] = None
-            else:
-                out[y] = frozenset(x for x, row in zip(inside, reduced) if row[j])
-        return out
+        return {y: cursor.circuit(y) for y in outside}
 
 
 class ExplicitMatroid(Matroid):
@@ -505,6 +584,9 @@ class PartitionMatroid(Matroid):
     def _rank(self, subset: frozenset[int]) -> int:
         return sum(min(cap, len(subset & c)) for c, cap in zip(self.classes, self.capacities))
 
+    def cursor(self) -> Cursor:
+        return _CapacityCursor(self)
+
     def circuits(
         self, current: frozenset[int], outside: Iterable[int]
     ) -> dict[int, Optional[frozenset[int]]]:
@@ -539,6 +621,17 @@ class DeleteMatroid(Matroid):
 
     def _rank(self, subset: frozenset[int]) -> int:
         return self.parent.rank(self.parent_map[e] for e in subset)
+
+    def cursor(self) -> Cursor:
+        inner = self.parent.cursor()
+        if inner.asks_oracle:
+            return Cursor(self)
+        inner.data = [inner.data[e] for e in self.parent_map]  # the parent's, re-indexed
+        return inner
+
+    def _count(self, calls: int) -> None:
+        super()._count(calls)
+        self.parent._count(calls)  # as each `_indep` here asks the parent
 
     def circuits(
         self, current: frozenset[int], outside: Iterable[int]
@@ -710,15 +803,10 @@ def find_exchange(
         candidate = keep | set(b2)
         if not m.is_independent(candidate):
             continue
-        added = set()
-        current = set(candidate)
-        for a in sorted(a1_set):
-            if m.is_independent(current | {a}):
-                current.add(a)
-                added.add(a)
-        if len(current) != m.full_rank:
+        added = m.greedy(sorted(a1_set), start=candidate)
+        if len(candidate) + len(added) != m.full_rank:
             raise InternalError("greedy completion inside a base fell short")
-        a2 = tuple(sorted(a1_set - added))
+        a2 = tuple(sorted(a1_set.difference(added)))
         if len(a2) != t:
             raise InternalError("exchange bookkeeping mismatch")
         return a2, tuple(b2)

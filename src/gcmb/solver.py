@@ -337,11 +337,7 @@ def find_optimum_base(m: Matroid, weights: Sequence[Weight]) -> BaseSet:
     """Greedy minimum-weight base; ties broken by ascending element index."""
     if len(weights) != m.n:
         raise UsageError(f"need {m.n} weights, got {len(weights)}")
-    chosen: set[int] = set()
-    for e in sorted(range(m.n), key=lambda e: (weights[e], e)):
-        if m.is_independent(chosen | {e}):
-            chosen.add(e)
-    return tuple(sorted(chosen))
+    return tuple(sorted(m.greedy(sorted(range(m.n), key=lambda e: (weights[e], e)))))
 
 
 def _check_target(group: GroupSpec, target: int) -> None:

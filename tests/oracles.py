@@ -13,6 +13,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from gcmb import intersection
 from gcmb import lab as lab_mod
 from gcmb.errors import CapacityError, InternalError, UsageError
 from gcmb.intersection import Weight
@@ -181,6 +182,26 @@ def linear_independent(m: LinearMatroid, subset: Iterable[int]) -> bool:
     return True
 
 
+def greedy_rank_loop(m: Matroid, subset: Iterable[int]) -> int:
+    """The greedy rank by the oracle loop that the cursors replace: one
+    `is_independent` call per element, by ascending index."""
+    chosen: set[int] = set()
+    for e in sorted(subset):
+        if m.is_independent(chosen | {e}):
+            chosen.add(e)
+    return len(chosen)
+
+
+def optimum_base_loop(m: Matroid, weights: Sequence[Weight]) -> BaseSet:
+    """`find_optimum_base` by the oracle loop: one `is_independent` call per
+    element, by (weight, index)."""
+    chosen: set[int] = set()
+    for e in sorted(range(m.n), key=lambda e: (weights[e], e)):
+        if m.is_independent(chosen | {e}):
+            chosen.add(e)
+    return tuple(sorted(chosen))
+
+
 def exchange_surplus(m: Matroid, a1: Iterable[int], b1: Iterable[int]) -> int:
     """|A1| + |B1| - r(A1 u B1): the guaranteed exchange size."""
     a1_set = frozenset(a1)
@@ -277,6 +298,23 @@ def assert_extreme(
         raise InternalError(
             f"intermediate set of size {k} is not extreme: {mine} vs optimum {best}"
         )
+
+
+def max_common_by_circuits(m1: Matroid, m2: Matroid) -> BaseSet:
+    """`max_common_independent` with its greedy prefix asked through
+    `circuits`, one query per element in each matroid, then the same
+    augmentations: the reference for the cursor prefix."""
+    current: frozenset[int] = frozenset()
+    for e in range(m1.n):
+        if m2.circuits(current, [e])[e] is None and m1.circuits(current, [e])[e] is None:
+            current |= {e}
+    current = intersection._augment(m1, m2, frozenset(), tuple(current)) if current else current
+    while len(current) < m1.full_rank:
+        path = intersection._augmenting_path(m1, m2, current, [0] * m1.n)
+        if path is None:
+            break
+        current = intersection._augment(m1, m2, current, path)
+    return tuple(sorted(current))
 
 
 def min_max_cardinality_bound(m1: Matroid, m2: Matroid) -> int:

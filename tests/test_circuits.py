@@ -1,13 +1,17 @@
-"""Fundamental-circuit overrides against the oracle loop they replace.
+"""Fundamental-circuit overrides and independence cursors against the
+oracle loops they replace.
 
 `Matroid.circuits` asks the independence oracle about every swap; the
 graphic, linear, partition and deletion overrides answer from structure, and
 linear matroids, partition matroids and deletions answer `rank` without the
-greedy oracle loop.
+greedy oracle loop.  Their cursors (`Matroid.cursor`) answer the greedy
+queries of rank, `find_optimum_base` and the intersection prefix from a
+union-find, a running elimination or the capacities left.
 Each override must return exactly what the oracle loop returns, and solves
 must come out the same with the overrides switched off.
 """
 
+import copy
 import itertools
 import random
 
@@ -15,23 +19,33 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gcmb.solver as solver_mod
 from gcmb.errors import InternalError, UsageError
 from gcmb.groups import GroupSpec
-from gcmb.intersection import max_common_independent, min_weight_common_base
+from gcmb.intersection import _common_prefix, max_common_independent, min_weight_common_base
 from gcmb.matroids import (
     DeleteMatroid,
     GraphicMatroid,
     LinearMatroid,
     Matroid,
     PartitionMatroid,
+    _ForestCursor,
     delete,
+    make_explicit,
     make_graphic,
     make_linear,
     make_partition,
+    make_uniform,
 )
-from gcmb.solver import Labeling, solve_enum, solve_proximity
+from gcmb.solver import Labeling, find_optimum_base, solve_enum, solve_proximity
 
-from oracles import build_exchange_graph, linear_independent
+from oracles import (
+    build_exchange_graph,
+    greedy_rank_loop,
+    linear_independent,
+    max_common_by_circuits,
+    optimum_base_loop,
+)
 
 OVERRIDES = (GraphicMatroid, LinearMatroid, PartitionMatroid, DeleteMatroid)
 RANK_OVERRIDES = (LinearMatroid, PartitionMatroid, DeleteMatroid)
@@ -83,10 +97,32 @@ def linears(draw):
 
 
 @st.composite
-def minors(draw):
-    parent = draw(st.one_of(multigraphs(), partitions(), linears()))
+def uniforms(draw):
+    n = draw(st.integers(1, 7))
+    return make_uniform(n, draw(st.integers(1, n)))
+
+
+@st.composite
+def explicits(draw):
+    """The bases of a drawn multigraph or linear matroid, as a base list."""
+    m = draw(st.one_of(multigraphs(), linears()))
+    return make_explicit(m.n, m.bases(), trust=True)
+
+
+@st.composite
+def minors(draw, parents=None):
+    if parents is None:
+        parents = st.one_of(multigraphs(), partitions(), linears())
+    parent = draw(parents)
     removed = draw(st.sets(st.integers(0, parent.n - 1), max_size=parent.n - 1))
     return delete(parent, removed)
+
+
+def every_kind():
+    """Each matroid kind with a cursor of its own or the default one, and
+    deletions of each."""
+    kinds = st.one_of(multigraphs(), linears(), partitions(), uniforms(), explicits())
+    return st.one_of(kinds, minors(kinds))
 
 
 @st.composite
@@ -130,7 +166,7 @@ def test_override_matches_oracle_loop(family, data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_linear_rank_and_independence_match_the_greedy_loop(data):
-    """The row reduction's `_indep` against plain forward elimination, and
+    """The running elimination's `_indep` against plain forward elimination, and
     `rank` of linear matroids and their deletions against the greedy oracle
     loop, on random subsets."""
     m = data.draw(linears())
@@ -138,11 +174,11 @@ def test_linear_rank_and_independence_match_the_greedy_loop(data):
     for subset in data.draw(st.lists(st.sets(st.integers(0, m.n - 1)), min_size=1, max_size=6)):
         fs = frozenset(subset)
         assert m._indep(fs) == linear_independent(m, fs)
-        assert m.rank(fs) == Matroid._rank(m, fs)
+        assert m.rank(fs) == greedy_rank_loop(m, fs)
     for subset in data.draw(st.lists(st.sets(st.integers(0, minor.n - 1)), min_size=1, max_size=6)):
         fs = frozenset(subset)
         assert minor._indep(fs) == linear_independent(m, (minor.parent_map[e] for e in fs))
-        assert minor.rank(fs) == Matroid._rank(minor, fs)
+        assert minor.rank(fs) == greedy_rank_loop(minor, fs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,7 +249,7 @@ def test_partition_rank_is_the_capped_class_counts(m, subsets):
     included, and without oracle calls."""
     for subset in subsets:
         fs = frozenset(e for e in subset if e < m.n)
-        assert m.rank(fs) == Matroid._rank(make_partition(m.classes, m.capacities), fs)
+        assert m.rank(fs) == greedy_rank_loop(make_partition(m.classes, m.capacities), fs)
     assert m.full_rank == sum(m.capacities)
     assert m.oracle_calls == 0
 
@@ -230,17 +266,96 @@ def test_partition_zero_cap_is_a_loop():
 
 
 def test_wrong_circuit_is_caught_on_both_intersection_paths(monkeypatch):
-    """A circuit override that claims every element is free would augment
-    into a dependent set; both intersection paths must refuse it."""
+    """A circuit override or a cursor that claims every element is free would
+    augment into a dependent set; both intersection paths must refuse it.  The
+    cardinality path takes its prefix from the cursors, the weighted path its
+    paths from the circuits."""
     parallel = make_graphic([(0, 1), (0, 1), (1, 2)])
     pairs = make_partition([[0, 1, 2]], [2])
+    assert parallel.full_rank == 2  # a greedy pass, cached before the cursor lies
     monkeypatch.setattr(
         GraphicMatroid, "circuits", lambda self, current, outside: dict.fromkeys(outside)
     )
+
+    class Lying(_ForestCursor):
+        def fits(self, e):
+            return True
+
+    monkeypatch.setattr(GraphicMatroid, "cursor", lambda self: Lying(self))
     with pytest.raises(InternalError, match="dependent"):
         max_common_independent(parallel, pairs)
     with pytest.raises(InternalError, match="dependent"):
         min_weight_common_base(parallel, pairs, [0, 0, 5])
+
+
+# -- independence cursors ------------------------------------------------------
+
+
+def counted(m, run):
+    """What `run()` returns, with the oracle calls it added on m and on each
+    parent up m's deletion chain."""
+    chain = [m]
+    while isinstance(chain[-1], DeleteMatroid):
+        chain.append(chain[-1].parent)
+    before = [x.oracle_calls for x in chain]
+    value = run()
+    return value, [x.oracle_calls - b for x, b in zip(chain, before)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cursor_fits_match_the_oracle(data):
+    """Along a random element order, taking a random share of the elements
+    that fit, `fits(e)` is `is_independent(I | {e})`."""
+    m = data.draw(every_kind())
+    cursor, taken = m.cursor(), set()
+    for e in data.draw(st.permutations(range(m.n))):
+        free = m.is_independent(taken | {e})
+        assert cursor.fits(e) == free
+        if free and data.draw(st.booleans()):
+            cursor.add(e)
+            taken.add(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_greedy_passes_match_the_oracle_loop(data):
+    """`rank` and `find_optimum_base` return what the oracle loops return,
+    and count the same oracle calls on the matroid and on its parents."""
+    m = data.draw(every_kind())
+    subset = frozenset(data.draw(st.sets(st.integers(0, m.n - 1))))
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=m.n, max_size=m.n))
+    rank = counted(m, lambda: m.rank(subset))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matroid, "_rank", greedy_rank_loop)
+        assert rank == counted(m, lambda: m.rank(subset))
+    assert rank[0] == greedy_rank_loop(m, subset)
+    assert counted(m, lambda: find_optimum_base(m, weights)) == counted(
+        m, lambda: optimum_base_loop(m, weights)
+    )
+
+
+def test_greedy_queries_make_no_independence_test(monkeypatch):
+    """On graphic and linear matroids and their deletions, rank,
+    `find_optimum_base` and the intersection prefix come from the cursors:
+    they still work with every `_indep` refusing to answer."""
+    graph = make_graphic([*itertools.combinations(range(5), 2), (0, 1), (2, 3)])
+    linear = make_linear([[1, 0, 1, 2, 2, 0, 1], [0, 1, 1, 1, 0, 2, 2]], 3)
+    cases = [graph, linear, delete(graph, [0, 4, 7]), delete(linear, [1])]
+
+    def answers(m):
+        part = make_partition([range(0, m.n, 2), range(1, m.n, 2)], [2, 1])
+        weights = [(5 * e) % 7 for e in range(m.n)]
+        return m.rank(range(m.n)), find_optimum_base(m, weights), _common_prefix(m, part)
+
+    expected = [answers(m) for m in cases]
+
+    def refuse(self, subset):
+        raise AssertionError("a greedy query asked the independence oracle")
+
+    for cls in (GraphicMatroid, LinearMatroid, DeleteMatroid, PartitionMatroid):
+        monkeypatch.setattr(cls, "_indep", refuse)
+    assert [answers(m) for m in cases] == expected
 
 
 # -- solves with and without the overrides ------------------------------------
@@ -253,13 +368,18 @@ def complete_graph(v):
 
 
 @st.composite
-def solve_instances(draw):
+def solve_instances(draw, kinds=("K4", "K5", "K6", "GF2", "GF3")):
     """Uniformly random labels, weights and targets from a drawn seed (plain
     Hypothesis draws favour constant labels, which make solves trivial)."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = rng.choice(["K4", "K5", "K6", "GF2", "GF3"])
+    kind = rng.choice(kinds)
     if kind.startswith("K"):
         m = complete_graph(int(kind[1]))
+    elif kind == "U":
+        n = rng.randrange(4, 9)
+        m = make_uniform(n, rng.randrange(1, n))
+    elif kind == "X":
+        m = make_explicit(6, complete_graph(4).bases())
     else:
         p, rows, n = int(kind[2]), rng.randrange(2, 5), rng.randrange(5, 9)
         columns = []
@@ -295,7 +415,38 @@ def test_solves_match_with_overrides_switched_off(inst):
     with pytest.MonkeyPatch.context() as patch:
         for cls in OVERRIDES:
             patch.setattr(cls, "circuits", Matroid.circuits)
+            patch.setattr(cls, "cursor", Matroid.cursor)
         for cls in RANK_OVERRIDES:
             patch.setattr(cls, "_rank", Matroid._rank)
         slow = both()
     assert fast == slow
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=solve_instances(("K4", "K5", "K6", "GF2", "GF3", "U", "X")))
+def test_cursor_solves_match_the_circuit_prefix(inst):
+    """Solves with the cursors return what they returned with the greedy
+    prefix asked through `circuits` and the greedy passes asked through
+    the oracle.  Graphic and linear matroids count the same oracle calls;
+    uniform and explicit ones, whose prefix tested every swap, never more."""
+    m, labeling, target, weights, k = inst
+
+    def both(m):
+        return [
+            solve_enum(m, labeling, target, weights),
+            solve_proximity(m, labeling, target, k, weights, mode="heuristic"),
+        ]
+
+    before = copy.deepcopy(m)
+    fast = both(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "max_common_independent", max_common_by_circuits)
+        patch.setattr(solver_mod, "find_optimum_base", optimum_base_loop)
+        patch.setattr(Matroid, "_rank", greedy_rank_loop)
+        slow = both(before)
+    for new, old in zip(fast, slow):
+        assert solve_fields(new) == solve_fields(old)
+        if m.kind in ("graphic", "linear"):
+            assert new.stats.oracle_calls == old.stats.oracle_calls
+        else:
+            assert new.stats.oracle_calls <= old.stats.oracle_calls

@@ -476,6 +476,16 @@ class TestBases:
         code, _, err = run(capsys, "bases", "--matroid", "/nonexistent", "--group", "Z2")
         assert code == 1
 
+    def test_matroid_file_needs_no_group(self, capsys, tmp_path):
+        mat = tmp_path / "m.txt"
+        mat.write_text("matroid uniform\nn 4\nr 2\n")
+        code, out, err = run(capsys, "bases", "--matroid", str(mat))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"# gcmb bases matroid={mat} n=4 r=2\n0,1\n0,2\n0,3\n1,2\n1,3\n2,3\n"
+            "summary bases=6\n"
+        )
+
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
