@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityError, ParseError, UsageError, content_lines, quote, read_text
 from .groups import GroupSpec
 from .matroids import (
@@ -23,7 +25,6 @@ from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
     Matroid,
-    block_bases,
     make_explicit,
     make_graphic,
     make_uniform,
@@ -58,7 +59,7 @@ Problems = Optional[list[tuple[int, str]]]
 
 def _entries(
     lines: Iterable[tuple[int, str]],
-    fields: Callable[[str], tuple[int, int, Sequence[BaseSet]]],
+    fields: Callable[[str], tuple[int, int, np.ndarray | Sequence[BaseSet]]],
     lenient: bool,
     problems: Problems,
 ) -> Iterator[CatalogEntry]:
@@ -86,7 +87,18 @@ def _entries(
         yield CatalogEntry(entry_id, n, r, matroid.base_list, matroid)
 
 
-def _catalog_fields(rest: str) -> tuple[int, int, list[tuple[int, ...]]]:
+#: int() of the plain element tokens, which a lookup reads faster.
+_ELEMENT_TOKENS = {str(e): e for e in range(256)}
+
+
+def _catalog_fields(rest: str) -> tuple[int, int, np.ndarray | list[BaseSet]]:
+    """(n, r, bases) of `<n> <r> <bases>`.
+
+    A line whose bases are integers of one size that fit in int64 is read in
+    one pass, into the sorted rows of an array.  Any other line goes chunk by
+    chunk, which names its first bad or repeating base, or gives tuples that
+    `ExplicitMatroid` refuses.
+    """
     parts = rest.split(None, 2)
     if len(parts) != 3:
         raise ParseError("expected '<id> <n> <r> <bases>'")
@@ -94,8 +106,22 @@ def _catalog_fields(rest: str) -> tuple[int, int, list[tuple[int, ...]]]:
         n, r = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError("bad n/r") from None
+    chunks = list(filter(str.strip, parts[2].split(";")))
+    if len({chunk.count(",") for chunk in chunks}) == 1:
+        tokens = ",".join(chunks).split(",")
+        values = list(map(_ELEMENT_TOKENS.get, tokens))
+        try:
+            if None in values:
+                values = list(map(int, tokens))
+            rows = np.array(values, dtype=np.int64).reshape(len(chunks), -1)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            rows.sort(axis=1)
+            if not (rows[:, 1:] == rows[:, :-1]).any():
+                return n, r, rows
     bases = []
-    for chunk in filter(str.strip, parts[2].split(";")):
+    for chunk in chunks:
         try:
             base = tuple(map(int, chunk.split(",")))
         except ValueError:
@@ -125,7 +151,7 @@ def format_entry(entry: CatalogEntry) -> str:
 def filter_blocks(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:
     """Keep entries whose ground set splits into two disjoint bases."""
     for entry in entries:
-        if entry.n == 2 * entry.r > 0 and block_bases(entry.n, entry.bases):
+        if entry.n == 2 * entry.r > 0 and entry.matroid().base_blocks()[1].any():
             yield entry
 
 

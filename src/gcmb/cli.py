@@ -158,9 +158,12 @@ def _parse_range(text: Optional[str]) -> Optional[tuple[int, int]]:
         return None
     try:
         lo, hi = text.split("..")
-        return int(lo), int(hi)
+        start, stop = int(lo), int(hi)
     except ValueError:
         raise UsageError(f"bad range {quote(text)}; expected 'a..b'") from None
+    if stop < start:
+        raise UsageError(f"bad range {quote(text)}; expected 'a..b' with a <= b")
+    return start, stop
 
 
 def cmd_scan(args) -> int:

@@ -26,7 +26,7 @@ import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .intersection import Weight
 from .matroids import (
     BaseSet,
     Matroid,
-    block_bases,
     contract,
     delete,
     find_blocks,
@@ -370,37 +369,37 @@ def reduce_witness(w: Witness) -> Witness:
 # -- isolation predicates ------------------------------------------------------
 
 
-def _isolation_pools(m: Matroid) -> tuple[list[BaseSet], list[BaseSet]]:
+def _isolation_pools(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
+    """The base rows of m, in base order, and which of them are blocks."""
     if m.n != 2 * m.full_rank or m.n == 0:
         raise UsageError(
             f"isolation predicates need a block-matroid candidate (n = 2r); "
             f"got n={m.n}, r={m.full_rank}"
         )
     _lab_guard(m)
-    all_bases = m.bases()
-    return all_bases, block_bases(m.n, all_bases)
+    return m.base_blocks()
 
 
 def is_block_isolating(m: Matroid, labeling: Labeling) -> Optional[BaseSet]:
     """A block that is the unique base (among all bases) with its label, if any."""
-    all_bases, blocks = _isolation_pools(m)
-    return _isolated_block(labeling, all_bases, blocks)
+    rows, blocks = _isolation_pools(m)
+    return _isolated_block(labeling, rows, rows[blocks])
 
 
 def is_strong_block_isolating(m: Matroid, labeling: Labeling) -> Optional[BaseSet]:
     """A block that is the unique block with its label, if any."""
-    _, blocks = _isolation_pools(m)
-    return _isolated_block(labeling, blocks, blocks)
+    rows, blocks = _isolation_pools(m)
+    return _isolated_block(labeling, rows[blocks], rows[blocks])
 
 
 def _isolated_block(
-    labeling: Labeling, pool: Sequence[BaseSet], blocks: Sequence[BaseSet]
+    labeling: Labeling, pool: np.ndarray, blocks: np.ndarray
 ) -> Optional[BaseSet]:
     """The first block whose label no other base of `pool` attains."""
-    counts = Counter(map(labeling.label_index, pool))
-    for b in blocks:
+    counts = Counter(map(labeling.label_index, pool.tolist()))
+    for b in blocks.tolist():
         if counts[labeling.label_index(b)] == 1:
-            return b
+            return tuple(b)
     return None
 
 
@@ -465,26 +464,99 @@ def _low_ranges(start: int, end: int, place: int) -> tuple[int, int, list[tuple[
     return first, last, [(0, place)]
 
 
-def _split(order: int, n: int, masks: Sequence[int], start: int, end: int, step: int) -> int:
-    """The number of low digits L with the least estimated work for the
-    labelings start..end, step apart.
+class _ShardTables:
+    """The scan kernel's tables that depend on the labelings a chunk scans,
+    not on the entry: for each candidate number L of low digits, the chunk's
+    high blocks and low parts, and for an L that a split picks, the digits of
+    the low parts and of the high blocks.  One instance serves every entry of
+    one ground size in an `isolation_scan` call, and builds each table the
+    first time an entry asks for it."""
+
+    def __init__(self, order: int, n: int, step: int):
+        self.order, self.n, self.step = order, n, step
+        self._spans: dict[tuple[int, int], list[tuple[int, int, int, int]]] = {}
+        self._tables: dict[tuple[int, int, int], _ChunkTables] = {}
+
+    def spans(self, start: int, end: int) -> list[tuple[int, int, int, int]]:
+        """(L, first block, last block, low parts scanned) for the labelings
+        start..end, for L from 1 to the largest value with L <= n and
+        q^L <= _LOW_PLACE_LIMIT."""
+        if (start, end) not in self._spans:
+            spans = []
+            low = 1
+            while low <= self.n and self.order**low <= _LOW_PLACE_LIMIT:
+                first, last, ranges = _low_ranges(start, end, self.order**low)
+                spans.append((low, first, last, sum(-(-(b - a) // self.step) for a, b in ranges)))
+                low += 1
+            self._spans[start, end] = spans
+        return self._spans[start, end]
+
+    def tables(self, start: int, end: int, low: int) -> _ChunkTables:
+        if (start, end, low) not in self._tables:
+            order, place = self.order, self.order**low
+            first, last, ranges = _low_ranges(start, end, place)
+            lows = np.concatenate([np.arange(a, b, self.step, dtype=np.int64) for a, b in ranges])
+            digits = np.array(
+                [lows // order**i % order for i in range(low)], dtype=np.min_scalar_type(order)
+            )
+            blocks = range(first, last + 1)
+            high = np.array(
+                [[y // order**j % order for y in blocks] for j in range(self.n - low)],
+                dtype=np.int64,
+            ).reshape(self.n - low, len(blocks))
+            head = int(np.searchsorted(lows, start % place))  # the first block starts here
+            tail = int(np.searchsorted(lows, end % place, side="right"))  # the last ends here
+            self._tables[start, end, low] = _ChunkTables(
+                place, first, last, lows, digits, high, head, tail
+            )
+        return self._tables[start, end, low]
+
+
+class _ChunkTables(NamedTuple):
+    place: int  # q^L
+    first: int  # the first and last high blocks
+    last: int
+    lows: np.ndarray  # the low parts scanned, as in `_low_ranges`
+    digits: np.ndarray  # their L digits, one row per element
+    high: np.ndarray  # the high digits of every high block, one column per block
+    head: int  # the position in lows where the first block starts
+    tail: int  # the position in lows past the end of the last block
+
+
+class _ScanBases(NamedTuple):
+    """What the kernel reads of an entry's bases, built once per entry."""
+
+    masks: np.ndarray  # int64 bitmask per base
+    incidence: np.ndarray  # see `_incidence`
+    classes: list[int]  # classes[L]: the distinct masks >> L
+
+
+def _scan_bases(n: int, bases: np.ndarray) -> _ScanBases:
+    masks = (np.int64(1) << bases).sum(axis=1)
+    shifted = masks[:, None] >> np.arange(n + 1)
+    incidence = (shifted[:, :n] & 1).astype(np.uint8)
+    shifted.sort(axis=0)
+    classes = 1 + (shifted[1:] != shifted[:-1]).sum(axis=0)
+    return _ScanBases(masks, incidence, classes.tolist())
+
+
+def _split(
+    order: int, spans: Sequence[tuple[int, int, int, int]], bases: int, classes: Sequence[int]
+) -> int:
+    """The number of low digits L with the least estimated work for a chunk
+    with the candidate `spans` (see `_ShardTables.spans`), over `bases`
+    bases of which classes[L] differ in their high elements.
 
     Sparse counts cost _COUNT_WEIGHT per (base, low labeling).  When the
     labelings span more than one high block, the shifted sums add one per
-    (high block, low labeling, class, group value).  L ranges from 1 to the
-    largest value with q^L <= _LOW_PLACE_LIMIT; ties go to the least L.
+    (high block, low labeling, class, group value).  Ties go to the least L.
     """
     costs = []
-    low = 1
-    while low <= n and order**low <= _LOW_PLACE_LIMIT:
-        first, last, ranges = _low_ranges(start, end, order**low)
-        count = sum(-(-(b - a) // step) for a, b in ranges)
-        cost = _COUNT_WEIGHT * len(masks) * count
+    for low, first, last, count in spans:
+        cost = _COUNT_WEIGHT * bases * count
         if last > first:
-            classes = len({m >> low for m in masks})
-            cost += (last - first + 1) * count * classes * order
+            cost += (last - first + 1) * count * classes[low] * order
         costs.append((cost, low))
-        low += 1
     return min(costs)[1]
 
 
@@ -505,16 +577,19 @@ def _scan_chunk(
     factors: Sequence[int],
     start: int,
     n: int,
-    bases: Sequence[BaseSet],
+    bases: np.ndarray,
     block_count: int,
     offsets: np.ndarray,
+    inputs: _ScanBases,
+    shard: _ShardTables,
 ) -> tuple[int, Optional[int]]:
     """Scan the labelings start + offsets; returns (checked, first isolating).
 
-    The first `block_count` bases are the blocks.  A labeling is isolating
-    when some group value is the label of exactly one base and that base is
-    a block.  `offsets` step evenly from 0, and `start` is a multiple of
-    the step.
+    The first `block_count` rows of `bases` are the blocks, and `inputs`
+    holds what the kernel reads of them.  A labeling is isolating when some
+    group value is the label of exactly one base and that base is a block.
+    `offsets` step evenly from 0 by the shard's step, and `start` is a
+    multiple of it.
 
     Meet in the middle: an index is a low part (the digits of elements
     0..L-1, below q^L, in int64) and a high block (index // q^L, a Python
@@ -530,35 +605,24 @@ def _scan_chunk(
     size = int(offsets.size)
     if size == 0 or block_count == 0:
         return size, None
-    order = math.prod(factors)
+    order = shard.order
     end = start + int(offsets[-1])
-    step = int(offsets[1]) if size > 1 else 1
-    masks = [sum(1 << e for e in b) for b in bases]
-    low = _split(order, n, masks, start, end, step)
-    place = order**low
-    first, last, ranges = _low_ranges(start, end, place)
-    lows = np.concatenate([np.arange(a, b, step, dtype=np.int64) for a, b in ranges])
-    incidence = _incidence(n, bases)
-    # the high digits of every high block, one column per block
-    high = np.array(
-        [[y // order**j % order for y in range(first, last + 1)] for j in range(n - low)],
-        dtype=np.int64,
-    ).reshape(n - low, last - first + 1)
+    low = _split(order, shard.spans(start, end), len(bases), inputs.classes)
+    place, first, last, lows, digits, high, head, tail = shard.tables(start, end, low)
+    incidence = inputs.incidence
     if first == last:
         class_count, shift = 1, _label_sums(factors, incidence[:, low:], high)[:, 0]
     else:
-        ids: dict[int, int] = {}
-        classes = np.array([ids.setdefault(m >> low, len(ids)) for m in masks], dtype=np.int64)
-        members = np.unique(classes, return_index=True)[1]
+        _, members, classes = np.unique(
+            inputs.masks >> low, return_index=True, return_inverse=True
+        )
         # rows[c, y, v]: the value of class c's histogram that its high sum
         # in block first + y moves onto v
         rows = _differences(factors, _label_sums(factors, incidence[members, low:], high))
-        class_count, shift = len(ids), None
+        class_count, shift = len(members), None
     cells = class_count * order
     width = max(1, _COUNT_CELLS // max(cells, len(bases)))
     count_type = np.min_scalar_type(2 * len(bases))
-    head = int(np.searchsorted(lows, start % place))  # the first block starts here
-    tail = int(np.searchsorted(lows, end % place, side="right"))  # the last ends here
 
     def slices():
         """(position, labels) of count slices of the low parts.  They run from
@@ -572,16 +636,13 @@ def _scan_chunk(
         span = width
         for at, stop in ((head, lows.size), (0, head)):
             while at < stop:
-                part = lows[at : min(at + span, stop)]
-                digits = np.array(
-                    [part // order**i % order for i in range(low)], dtype=np.min_scalar_type(order)
-                )
-                labels = _label_sums(factors, incidence[:, :low], digits, shift)
+                part = digits[:, at : min(at + span, stop)]
+                labels = _label_sums(factors, incidence[:, :low], part, shift)
                 if shift is None:
                     labels = labels + classes[:, None] * order
-                for lo in range(0, part.size, width):
+                for lo in range(0, part.shape[1], width):
                     yield at + lo, labels[:, lo : lo + width]
-                at += part.size
+                at += part.shape[1]
                 span = min(2 * span, most)
 
     best: Optional[tuple[int, int]] = None  # (block - first, position in lows)
@@ -620,14 +681,14 @@ def _scan_chunk(
 
 
 def _scan_task(args) -> ScanLine:
-    (matroid_id, factors, n, bases, block_count, start, stop, step, chunk) = args
+    (matroid_id, factors, n, bases, block_count, start, stop, step, chunk, inputs, shard) = args
     checked = 0
     first: Optional[int] = None
     lo = -(-start // step) * step  # the first scanned index: a multiple of the step
     while lo < stop:
         hi = min(stop, lo + chunk * step)
         offsets = np.arange(0, hi - lo, step, dtype=np.int64)
-        done, hit = _scan_chunk(factors, lo, n, bases, block_count, offsets)
+        done, hit = _scan_chunk(factors, lo, n, bases, block_count, offsets, inputs, shard)
         checked += done
         if hit is not None and first is None:
             first = hit  # chunks ascend, so the first hit is the minimum
@@ -667,11 +728,12 @@ def isolation_scan(
     workers = max(1, min(jobs, os.cpu_count() or 1))
     tasks = []
     seen: set[str] = set()
+    tables: dict[int, _ShardTables] = {}  # by ground size
     for matroid_id, m in matroids:
         if matroid_id in seen:
             raise UsageError(f"matroid id {quote(matroid_id)} appears twice in the scan")
         seen.add(matroid_id)
-        all_bases, blocks = _isolation_pools(m)
+        rows, blocks = _isolation_pools(m)
         total = order**m.n
         start, stop = index_range if index_range is not None else (0, total)
         if not 0 <= start <= stop <= total:
@@ -683,10 +745,15 @@ def isolation_scan(
                 f"range of {stop - start} labelings exceeds {SCAN_RANGE_LIMIT}; "
                 f"shard the scan with index ranges"
             )
-        bases = list(blocks)  # blocks first: the kernel takes a block count
+        # blocks first: the kernel takes a block count
+        picked = np.flatnonzero(blocks)
+        block_count = len(picked)
         if predicate == "block":
-            block_set = set(blocks)
-            bases += [b for b in all_bases if b not in block_set]
+            picked = np.concatenate([picked, np.flatnonzero(~blocks)])
+        bases = rows[picked]
+        inputs = _scan_bases(m.n, bases)
+        if m.n not in tables:
+            tables[m.n] = _ShardTables(order, m.n, step)
         # Shards tile [start, stop); inner cuts sit on multiples of the step.
         lo = -(-start // step) * step
         span = max(0, stop - lo)
@@ -694,7 +761,8 @@ def isolation_scan(
         width = max(step, -(-span // (parts * step)) * step)
         edges = [start, *range(lo + width, stop, width), stop]
         for a, b in zip(edges, edges[1:]):
-            tasks.append((matroid_id, factors, m.n, bases, len(blocks), a, b, step, _SCAN_CHUNK))
+            tasks.append((matroid_id, factors, m.n, bases, block_count, a, b, step, _SCAN_CHUNK,
+                          inputs, tables[m.n]))
 
     workers = min(workers, len(tasks))
     if workers > 1:

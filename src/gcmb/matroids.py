@@ -11,6 +11,7 @@ oracle call per element offered, whichever cursor answers it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -153,6 +154,20 @@ class Matroid:
     def _base_rows(self, r: int) -> np.ndarray:
         bases = self._bases(r)
         return np.array(bases, dtype=np.intp).reshape(len(bases), r)
+
+    def base_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of `base_rows`, under its guard, and for each row whether
+        it is a block: a base whose complement is also a base (none unless
+        n = 2r).  The flags come from `_block_flags`; subclasses override
+        it, never this method."""
+        rows = self.base_rows()
+        return rows, self._block_flags(rows)
+
+    def _block_flags(self, rows: np.ndarray) -> np.ndarray:
+        if self.n != 2 * rows.shape[1]:
+            return np.zeros(len(rows), dtype=bool)
+        # the guard keeps n = 2r below 27, so the masks fit in int64
+        return _complements_found(self.n, (np.int64(1) << rows).sum(axis=1))
 
     def is_base(self, subset: Iterable[int]) -> bool:
         fs = frozenset(subset)
@@ -467,42 +482,47 @@ class LinearMatroid(Matroid):
 
 
 class ExplicitMatroid(Matroid):
-    """Matroid given by the full list of its bases."""
+    """Matroid given by the full list of its bases.
+
+    The bases are kept once, as the rows of a read-only int64 array in
+    lexicographic order, and as sorted tuples in the same order
+    (`base_list`).  Their bitmasks, their block flags and the frozensets the
+    oracle reads are each built on first use.
+    """
 
     kind = "explicit_bases"
 
-    def __init__(self, n: int, bases: Iterable[Iterable[int]], trust: bool = False):
+    def __init__(self, n: int, bases: Iterable[Iterable[int]] | np.ndarray, trust: bool = False):
         super().__init__(n)
         if n > EXPLICIT_VALIDATE_MAX and not trust:
             raise UsageError(
                 f"explicit base lists with n > {EXPLICIT_VALIDATE_MAX} are only "
                 f"accepted with trust enabled (exchange validation is quadratic)"
             )
-        base_sets = sorted({tuple(sorted(set(b))) for b in bases})
-        if not base_sets:
-            raise UsageError("explicit matroid needs a nonempty base list")
-        r = len(base_sets[0])
-        for b in base_sets:
-            if len(b) != r:
-                raise UsageError(
-                    f"bases must share one size; saw sizes {r} and {len(b)}"
-                )
-            for e in b:
-                if not 0 <= e < n:
-                    raise UsageError(f"base element {quote(str(e))} outside ground set 0..{n - 1}")
-        missing = sorted(set(range(n)).difference(*base_sets))
-        if missing:
-            raise UsageError(
-                f"elements {element_list(missing)} appear in no base (loops); "
-                f"matroids here are loopless"
-            )
-        self.base_list = tuple(base_sets)
-        self._base_frozen = tuple(frozenset(b) for b in base_sets)
-        self._base_lookup = frozenset(self._base_frozen)
-        self.r = r
-        self._full_rank = r
+        self.base_list, self._rows = _explicit_bases(n, bases)
+        self.r = self._full_rank = self._rows.shape[1]
         if not trust:
             self._validate_exchange()
+
+    @functools.cached_property
+    def _masks(self) -> np.ndarray:
+        """Each base as an int64 bitmask, read where n < 63: by the exchange
+        check (n <= 12) and by the block flags (n = 2r under the guard)."""
+        return (np.int64(1) << self._rows).sum(axis=1)
+
+    @functools.cached_property
+    def _blocks(self) -> np.ndarray:
+        if self.n != 2 * self.r:
+            return np.zeros(len(self._rows), dtype=bool)
+        return _complements_found(self.n, self._masks)
+
+    @functools.cached_property
+    def _base_frozen(self) -> tuple[frozenset[int], ...]:
+        return tuple(map(frozenset, self.base_list))
+
+    @functools.cached_property
+    def _base_lookup(self) -> frozenset[frozenset[int]]:
+        return frozenset(map(frozenset, self.base_list))
 
     def _validate_exchange(self) -> None:
         """For bases A, B and a in A - B, some b in B - A makes A - a + b a base.
@@ -514,8 +534,7 @@ class ExplicitMatroid(Matroid):
         loop over A, then B, then the set A - B.
         """
         bits = 1 << np.arange(self.n, dtype=np.int64)
-        elements = np.array(self.base_list, dtype=np.int64)  # bases x r, also for r = 0
-        masks = bits[elements].sum(axis=1)
+        elements, masks = self._rows, self._masks  # bases x r, also for r = 0
         is_base = np.zeros(1 << self.n, dtype=bool)
         is_base[masks] = True
         rest = masks[:, None] ^ bits[elements]  # A - a, bases x positions of a
@@ -542,10 +561,81 @@ class ExplicitMatroid(Matroid):
     def _bases(self, r: int) -> list[BaseSet]:
         return list(self.base_list)
 
+    def _base_rows(self, r: int) -> np.ndarray:
+        return self._rows
+
+    def _block_flags(self, rows: np.ndarray) -> np.ndarray:
+        return self._blocks
+
     def _indep(self, subset: frozenset[int]) -> bool:
+        bases = self._base_lookup
         if len(subset) >= self.r:
-            return subset in self._base_lookup
-        return any(subset <= b for b in self._base_frozen)
+            return subset in bases
+        return any(subset <= b for b in bases)
+
+
+def _complements_found(n: int, masks: np.ndarray) -> np.ndarray:
+    """For each of the bitmasks over 0..n-1, whether its complement is one of them."""
+    known = np.sort(masks)
+    complements = masks ^ ((1 << n) - 1)
+    return known[np.searchsorted(known, complements).clip(max=len(known) - 1)] == complements
+
+
+def _explicit_bases(
+    n: int, bases: Iterable[Iterable[int]] | np.ndarray
+) -> tuple[tuple[BaseSet, ...], np.ndarray]:
+    """The distinct bases, each read as a set: as sorted tuples in
+    lexicographic order, and as the rows of a read-only (count x r) int64
+    array in the same order.
+
+    A 2-D integer array is read row by row.  A list with no base, with bases
+    of two sizes or with an element outside 0..n-1 is refused with the first
+    fault that a walk over the sorted bases meets; then one whose union
+    misses an element (a loop).
+    """
+    grid = np.sort(bases.astype(np.int64), axis=1) if isinstance(bases, np.ndarray) else None
+    rows = None
+    if grid is not None and not (grid[:, 1:] == grid[:, :-1]).any():
+        # rows that are sets already: sorted and deduplicated as an array
+        if grid.shape[1]:
+            grid = grid[np.lexsort(grid.T[::-1])]
+        distinct = np.ones(len(grid), dtype=bool)
+        distinct[1:] = (grid[1:] != grid[:-1]).any(axis=1)
+        rows = grid[distinct]
+        base_list = tuple(map(tuple, rows.tolist()))
+    else:
+        sets = bases if grid is None else grid.tolist()
+        base_list = tuple(sorted({tuple(sorted(set(b))) for b in sets}))
+        if len({len(b) for b in base_list}) == 1:
+            try:
+                rows = np.array(base_list, dtype=np.int64)
+            except OverflowError:  # an element past int64 lies outside the ground set
+                pass
+    if not base_list:
+        raise UsageError("explicit matroid needs a nonempty base list")
+    if rows is None or (rows.size and (rows.min() < 0 or rows.max() >= n)):
+        raise UsageError(_first_shape_fault(n, base_list))
+    missing = np.flatnonzero(np.bincount(rows.ravel(), minlength=n) == 0)
+    if missing.size:
+        raise UsageError(
+            f"elements {element_list(missing.tolist())} appear in no base (loops); "
+            f"matroids here are loopless"
+        )
+    rows.flags.writeable = False
+    return base_list, rows
+
+
+def _first_shape_fault(n: int, base_list: Sequence[BaseSet]) -> str:
+    """The first of the sorted bases of another size than the first or with
+    an element outside 0..n-1, as its message."""
+    r = len(base_list[0])
+    for b in base_list:
+        if len(b) != r:
+            return f"bases must share one size; saw sizes {r} and {len(b)}"
+        for e in b:
+            if not 0 <= e < n:
+                return f"base element {quote(str(e))} outside ground set 0..{n - 1}"
+    raise InternalError("no misshapen base in a list found misshapen")
 
 
 class PartitionMatroid(Matroid):
@@ -702,13 +792,6 @@ class ExchangeBijection:
     pairs: tuple[tuple[int, int], ...]
 
 
-def block_bases(n: int, bases: Sequence[BaseSet]) -> list[BaseSet]:
-    """The bases, in the given order, whose complement in 0..n-1 is also a base."""
-    known = {frozenset(b) for b in bases}
-    ground = frozenset(range(n))
-    return [b for b in bases if ground.difference(b) in known]
-
-
 def find_blocks(m: Matroid) -> Optional[tuple[BaseSet, BaseSet]]:
     """The lexicographically least base whose complement is also a base,
     with that complement; None if the matroid has no such pair.
@@ -719,10 +802,10 @@ def find_blocks(m: Matroid) -> Optional[tuple[BaseSet, BaseSet]]:
     r = m.full_rank
     if m.n != 2 * r or m.n == 0:
         return None
-    blocks = block_bases(m.n, m.bases())
-    if not blocks:
+    rows, flags = m.base_blocks()
+    if not flags.any():
         return None
-    first = blocks[0]
+    first = tuple(rows[flags.argmax()].tolist())
     return first, tuple(e for e in range(m.n) if e not in first)
 
 

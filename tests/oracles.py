@@ -15,10 +15,11 @@ import numpy as np
 
 from gcmb import intersection
 from gcmb import lab as lab_mod
-from gcmb.errors import CapacityError, InternalError, UsageError
+from gcmb.errors import CapacityError, InternalError, ParseError, UsageError
+from gcmb.errors import content_lines, element_list, quote
 from gcmb.intersection import Weight
 from gcmb.lab import Witness
-from gcmb.matroids import BaseSet, LinearMatroid, Matroid
+from gcmb.matroids import EXPLICIT_VALIDATE_MAX, BaseSet, LinearMatroid, Matroid
 from gcmb.solver import (
     Labeling,
     Signature,
@@ -231,6 +232,98 @@ def validate_exchange_loop(m) -> None:
         f"base exchange axiom fails: no swap for element {a} of "
         f"{tuple(sorted(a_set))} toward {tuple(sorted(b_set))}"
     )
+
+
+# -- catalog ingestion -----------------------------------------------------------
+
+
+def catalog_fields_reference(rest: str) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(n, r, bases) of `<n> <r> <bases>`, one chunk at a time, as tuples."""
+    parts = rest.split(None, 2)
+    if len(parts) != 3:
+        raise ParseError("expected '<id> <n> <r> <bases>'")
+    try:
+        n, r = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("bad n/r") from None
+    bases = []
+    for chunk in filter(str.strip, parts[2].split(";")):
+        try:
+            base = tuple(map(int, chunk.split(",")))
+        except ValueError:
+            raise ParseError(f"bad base {quote(chunk.strip())}") from None
+        if len(set(base)) != len(base):
+            raise ParseError(f"base {quote(chunk.strip())} repeats an element")
+        bases.append(base)
+    return n, r, bases
+
+
+class ExplicitReference(Matroid):
+    """An explicit matroid checked base by base over sorted tuples, validated
+    by `validate_exchange_loop`; its oracle tests every base."""
+
+    kind = "explicit_bases"
+
+    def __init__(self, n: int, bases: Iterable[Iterable[int]], trust: bool = False):
+        super().__init__(n)
+        if n > EXPLICIT_VALIDATE_MAX and not trust:
+            raise UsageError(
+                f"explicit base lists with n > {EXPLICIT_VALIDATE_MAX} are only "
+                f"accepted with trust enabled (exchange validation is quadratic)"
+            )
+        base_sets = sorted({tuple(sorted(set(b))) for b in bases})
+        if not base_sets:
+            raise UsageError("explicit matroid needs a nonempty base list")
+        r = len(base_sets[0])
+        for b in base_sets:
+            if len(b) != r:
+                raise UsageError(f"bases must share one size; saw sizes {r} and {len(b)}")
+            for e in b:
+                if not 0 <= e < n:
+                    raise UsageError(f"base element {quote(str(e))} outside ground set 0..{n - 1}")
+        missing = sorted(set(range(n)).difference(*base_sets))
+        if missing:
+            raise UsageError(
+                f"elements {element_list(missing)} appear in no base (loops); "
+                f"matroids here are loopless"
+            )
+        self.base_list = tuple(base_sets)
+        self._base_frozen = tuple(frozenset(b) for b in base_sets)
+        self.r = self._full_rank = r
+        if not trust:
+            validate_exchange_loop(self)
+
+    def _indep(self, subset: frozenset[int]) -> bool:
+        return any(subset <= b for b in self._base_frozen)
+
+
+def block_bases_reference(n: int, bases: Sequence[BaseSet]) -> list[BaseSet]:
+    """The bases, in the given order, whose complement in 0..n-1 is also a base."""
+    known = {frozenset(b) for b in bases}
+    ground = frozenset(range(n))
+    return [b for b in bases if ground.difference(b) in known]
+
+
+def parse_catalog_reference(
+    text: str, lenient: bool = False, problems: Optional[list] = None
+) -> Iterator[tuple[str, int, int, ExplicitReference]]:
+    """(id, n, r, matroid) of each good catalog line; a bad line raises a
+    ParseError naming it or, when lenient, is appended to `problems`."""
+    for lineno, line in content_lines(text):
+        entry_id, *rest = line.split(None, 1)
+        try:
+            n, r, bases = catalog_fields_reference("".join(rest))
+            matroid = ExplicitReference(n, bases)
+            if matroid.full_rank != r:
+                raise UsageError("rank mismatch")
+        except (ParseError, UsageError, CapacityError) as exc:
+            reason = f"entry {quote(entry_id)}: {exc}"
+            if not lenient:
+                raise ParseError(reason, lineno) from None
+            if problems is not None:
+                problems.append((lineno, reason))
+            continue
+        yield entry_id, n, r, matroid
 
 
 # -- intersection --------------------------------------------------------------

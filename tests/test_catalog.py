@@ -1,13 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gcmb import matroids as matroids_mod
 from gcmb.catalog import (
     BUILTINS,
     BuiltinInstance,
     CatalogEntry,
     builtin_instances,
     bundled_matroids,
+    bundled_path,
     direct_sum,
     entry_to_indicator,
     filter_blocks,
@@ -19,11 +23,18 @@ from gcmb.catalog import (
     subset_colex_unrank,
     tight_example,
 )
+from gcmb.cli import main
 from gcmb.errors import ParseError, UsageError
 from gcmb.lab import label_image
 from gcmb.matroids import find_blocks, make_uniform
 
-from oracles import verify_axioms
+from oracles import (
+    ExplicitReference,
+    block_bases_reference,
+    oracles_equal,
+    parse_catalog_reference,
+    verify_axioms,
+)
 
 
 class TestCatalogFormat:
@@ -199,3 +210,147 @@ class TestBuiltins:
     def test_bad_tight(self):
         with pytest.raises(UsageError):
             tight_example(1)
+
+
+# -- ingestion against the base-by-base reference --------------------------------
+
+BUNDLED_FAMILIES = [
+    (e.n, e.bases)
+    for name in ("rank3_size6.cat", "rank4_size8_blocks.cat")
+    for e in load_bundled_catalog(name)
+]
+
+
+@st.composite
+def catalog_lines(draw, entry_id):
+    """One catalog line: a matroid's bases or a near miss, under mutations
+    that each break one rule of the format or of the base list."""
+    if draw(st.booleans()):
+        n, family = draw(st.sampled_from(BUNDLED_FAMILIES))
+    else:
+        n = draw(st.integers(1, 7))
+        r = draw(st.integers(1, n))
+        subsets = list(itertools.combinations(range(n), r))
+        dropped = draw(st.sets(st.sampled_from(subsets), max_size=min(2, len(subsets) - 1)))
+        family = [s for s in subsets if s not in dropped]
+    bases = [list(b) for b in draw(st.permutations(family))]
+    r = len(bases[0]) if bases else 0
+    mutations = draw(st.sets(st.sampled_from([
+        "shuffle", "duplicate", "repeat", "outside", "huge", "empty", "sizes", "loop",
+        "large n", "rank", "bad token", "spaces", "short", "no bases", "drop",
+    ]), max_size=3))
+    if "no bases" in mutations:
+        bases = []
+    if "drop" in mutations:  # mostly an exchange failure
+        bases = bases[: len(bases) // 2] + bases[len(bases) // 2 + 1 :]
+    if "shuffle" in mutations:
+        bases = [draw(st.permutations(b)) for b in bases]
+    if "duplicate" in mutations and bases:
+        bases.insert(draw(st.integers(0, len(bases))), draw(st.sampled_from(bases)))
+    if "loop" in mutations:
+        n += 1
+    if "large n" in mutations:
+        n = draw(st.sampled_from([13, 16]))
+    if "sizes" in mutations and bases:
+        at = draw(st.integers(0, len(bases) - 1))
+        bases[at] = bases[at][:-1] if draw(st.booleans()) else [*bases[at], n - 1]
+    for name, value in [("outside", draw(st.sampled_from([-1, n, n + 3]))), ("huge", 10**20),
+                        ("repeat", None)]:
+        if name in mutations and bases and bases[0]:
+            at = draw(st.integers(0, len(bases) - 1))
+            base = bases[at]
+            if base:
+                spot = draw(st.integers(0, len(base) - 1))
+                base[spot] = base[(spot + 1) % len(base)] if value is None else value
+    chunks = [",".join(map(str, b)) for b in bases]
+    if "bad token" in mutations and chunks:
+        at = draw(st.integers(0, len(chunks) - 1))
+        chunks[at] = draw(st.sampled_from(["x", "1.5", "", "0,,1", "1_0", "+1", "٣"]))
+    if "spaces" in mutations and chunks:
+        at = draw(st.integers(0, len(chunks) - 1))
+        chunks[at] = " " + chunks[at].replace(",", ", ") + " "
+    if "empty" in mutations:
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(st.sampled_from(["", " "])))
+    if "rank" in mutations:
+        r += draw(st.sampled_from([-1, 1]))
+    fields = [str(n), str(r), ";".join(chunks) or ";"]
+    if "short" in mutations:
+        n_text, r_text, rest = fields
+        fields = draw(st.sampled_from([[n_text], ["x", r_text, rest], [n_text, "y", rest]]))
+    return " ".join([entry_id, *fields])
+
+
+@st.composite
+def catalog_texts(draw):
+    count = draw(st.integers(1, 4))
+    lines = [draw(catalog_lines(f"e{i}")) for i in range(count)]
+    return "".join(f"{line}\n" for line in lines)
+
+
+def ingested(parse, shape, text, lenient):
+    """The entries as `shape` gives them, or the error, and the skipped lines."""
+    problems: list = []
+    try:
+        entries = [shape(entry) for entry in parse(text, lenient=lenient, problems=problems)]
+    except ParseError as exc:
+        return ("error", str(exc), exc.line), problems
+    return entries, problems
+
+
+def package_shape(entry):
+    rows, blocks = entry.matroid().base_blocks()
+    return entry.id, entry.n, entry.r, entry.bases, [tuple(b) for b in rows[blocks].tolist()]
+
+
+def reference_shape(entry):
+    entry_id, n, r, m = entry
+    return entry_id, n, r, m.base_list, block_bases_reference(n, m.base_list)
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalog_texts())
+@example("e 4 2 0,9;0,1,2\n")  # a size fault before a range fault in sorted order
+@example("e 4 2 0,1;0,1,99;0,2\n")  # both faults in one base: the size is named
+@example("e 4 2 0,1;-1,2\n")
+@example("e 4 2 0,1;0,99999999999999999999999\n")
+@example("e 4 2 0,0;x,1\n")  # a repeat before a bad token
+@example("e 13 2 0,x\n")  # a bad token before the ground size limit
+@example("e 4 2 ;;\n")
+@example("e 6 3 0,1,2;3,4,5;0,1,3\ne 4 2 0,1;0,2;0,3;1,2;1,3;2,3\n")
+def test_ingestion_matches_the_reference(text):
+    for lenient in (False, True):
+        got = ingested(parse_catalog, package_shape, text, lenient)
+        assert got == ingested(parse_catalog_reference, reference_shape, text, lenient)
+
+
+def test_every_line_of_the_bundled_catalogs_matches_the_reference():
+    for name in ("rank3_size6.cat", "rank4_size8_blocks.cat"):
+        text = bundled_path(name).read_text(encoding="utf-8")
+        got = [package_shape(e) for e in parse_catalog(text)]
+        assert got == [reference_shape(e) for e in parse_catalog_reference(text)]
+
+
+def test_a_catalog_entry_answers_the_oracle_as_the_reference():
+    entries = [e for name in ("rank3_size6.cat", "rank4_size8_blocks.cat")
+               for e in load_bundled_catalog(name)]
+    for e in entries[:20]:
+        m, reference = e.matroid(), ExplicitReference(e.n, e.bases)
+        assert "_base_lookup" not in vars(m)  # built on the oracle's first call
+        assert oracles_equal(m, reference)
+
+
+def test_a_catalog_scan_finds_the_blocks_of_each_entry_once(monkeypatch, capsys):
+    calls = []
+    inner = matroids_mod._complements_found
+
+    def counting(n, masks):
+        calls.append(masks)
+        return inner(n, masks)
+
+    monkeypatch.setattr(matroids_mod, "_complements_found", counting)
+    path = bundled_path("rank4_size8_blocks.cat")
+    assert main(["scan", "--catalog", str(path), "--group", "Z4", "--predicate", "block",
+                 "--range", "0..64"]) == 0
+    entries = load_bundled_catalog("rank4_size8_blocks.cat")
+    assert len(capsys.readouterr().out.splitlines()) == len(entries) + 2
+    assert len(calls) == len(entries)

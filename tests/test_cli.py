@@ -391,6 +391,14 @@ class TestScan:
         )
         assert code == 1 and "range" in err
 
+    @pytest.mark.parametrize("source", [
+        ["--catalog", str(bundled_path("rank4_size8_blocks.cat"))], ["--builtin", "k4"],
+    ])
+    def test_reversed_range_names_the_range(self, capsys, source):
+        code, out, err = run(capsys, "scan", *source, "--group", "Z4", "--range", "5..3")
+        expected = "error: bad range '5..3'; expected 'a..b' with a <= b\n"
+        assert (code, out, err) == (1, "", expected)
+
     def test_catalog_and_builtin_are_refused_together(self, capsys):
         code, out, err = run(
             capsys, "scan", "--catalog", str(bundled_path("rank3_size6.cat")),

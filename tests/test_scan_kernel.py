@@ -45,14 +45,30 @@ KERNEL_GROUPS = [GroupSpec.of(q) for q in (2, 3, 4, 5, 6, 16, 64, 256, 1024)] + 
 ]
 
 
+def pools(data):
+    """One to four block candidates, which may differ in n, base count and
+    block count, scanned together: entries of one n share shard tables."""
+    candidates = st.sampled_from(BLOCK_CANDIDATES)
+    return data.draw(st.lists(candidates, min_size=1, max_size=4, unique_by=lambda c: c[0]))
+
+
+def assert_lines_match(report, pool, group, predicate, reduction, start, stop):
+    assert [line.matroid_id for line in report.lines] == [name for name, _ in pool]
+    for (_, m), line in zip(pool, report.lines):
+        checked, first = brute_scan(m, group, predicate, reduction, start, stop)
+        assert (line.checked, line.isolating_index) == (checked, first)
+        if first is not None:
+            assert labeling_from_index(group, m.n, first).indices == line.isolating_labels
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_per_labeling_predicates(data):
-    name, m = data.draw(st.sampled_from(BLOCK_CANDIDATES))
+    pool = pools(data)
     group = data.draw(st.sampled_from(KERNEL_GROUPS))
     predicate = data.draw(st.sampled_from(["block", "strong_block"]))
     reduction = data.draw(st.sampled_from(["none", "translation"]))
-    total = group.order**m.n
+    total = group.order ** min(m.n for _, m in pool)
     width = data.draw(st.integers(0, min(total, 48)))
     # index 0 labels every element with the identity: never isolating when
     # there are two blocks, so a hit from 0 on lies past the first labeling
@@ -61,12 +77,8 @@ def test_kernel_matches_per_labeling_predicates(data):
     # counts go a few labelings, down to one, at a time below the default
     cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
     with patch.object(lab_mod, "_COUNT_CELLS", cells), patch.object(lab_mod, "_SCAN_CHUNK", chunk):
-        report = isolation_scan([(name, m)], group, predicate, reduction, (start, start + width))
-    line = report.lines[0]
-    checked, first = brute_scan(m, group, predicate, reduction, start, start + width)
-    assert (line.checked, line.isolating_index) == (checked, first)
-    if first is not None:
-        assert labeling_from_index(group, m.n, first).indices == line.isolating_labels
+        report = isolation_scan(pool, group, predicate, reduction, (start, start + width))
+    assert_lines_match(report, pool, group, predicate, reduction, start, start + width)
 
 
 SPLIT_GROUPS = [GroupSpec.of(*f) for f in [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]]
@@ -84,18 +96,19 @@ def max_low(order, n):
 def test_every_split_matches_per_labeling_predicates(data):
     """Forces each number L of low digits, from 1 to its maximum, on a range
     that crosses at least one high-block boundary (q^L divides it) with
-    partial blocks at both ends.  U_{4,8} over Z256 has 2^64 labelings, more
-    than q^L <= 2^62 can split into int64 low parts: there the high block
-    numbers and most indices lie past 2^63."""
+    partial blocks at both ends, over a pool of entries.  U_{4,8} over Z256
+    has 2^64 labelings, more than q^L <= 2^62 can split into int64 low parts:
+    there the high block numbers and most indices lie past 2^63."""
     if data.draw(st.booleans()):
-        _, m = data.draw(st.sampled_from(BLOCK_CANDIDATES))
+        pool = pools(data)
         group = data.draw(st.sampled_from(SPLIT_GROUPS))
     else:
-        m, group = U48, Z256
+        pool, group = [("u48", U48)], Z256
+    n = min(m.n for _, m in pool)
     predicate = data.draw(st.sampled_from(["block", "strong_block"]))
     reduction = data.draw(st.sampled_from(["none", "translation"]))
-    low = data.draw(st.integers(1, max_low(group.order, m.n)))
-    place, total = group.order**low, group.order**m.n
+    low = data.draw(st.integers(1, max_low(group.order, n)))
+    place, total = group.order**low, group.order**n
     width = data.draw(st.integers(2, min(total, 40)))
     if place < total:
         boundary = data.draw(st.integers(1, (total - 1) // place)) * place
@@ -104,38 +117,57 @@ def test_every_split_matches_per_labeling_predicates(data):
         start = data.draw(st.integers(0, total - width))
     chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
     cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
-    check_split(m, group, predicate, reduction, low, start, width, chunk, cells)
+    check_split(pool, group, predicate, reduction, low, start, width, chunk, cells)
 
 
-def check_split(m, group, predicate, reduction, low, start, width, chunk, cells):
+def check_split(pool, group, predicate, reduction, low, start, width, chunk, cells):
     with (
         patch.object(lab_mod, "_split", lambda *args: low),
         patch.object(lab_mod, "_COUNT_CELLS", cells),
         patch.object(lab_mod, "_SCAN_CHUNK", chunk),
     ):
-        report = isolation_scan([("m", m)], group, predicate, reduction, (start, start + width))
-    line = report.lines[0]
-    assert (line.checked, line.isolating_index) == brute_scan(
-        m, group, predicate, reduction, start, start + width
-    )
+        report = isolation_scan(pool, group, predicate, reduction, (start, start + width))
+    assert_lines_match(report, pool, group, predicate, reduction, start, start + width)
+
+
+def test_entries_of_one_size_share_the_shard_tables(monkeypatch):
+    """One table object per ground size, and per chunk one set of tables for
+    each split that some entry picks: the four entries of n = 6 with blocks
+    all pick one split here, and its tables are built once."""
+    made = []
+
+    class Recording(lab_mod._ShardTables):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(lab_mod, "_ShardTables", Recording)
+    pool = [(name, m) for name, m in BLOCK_CANDIDATES if m.n in (4, 6)]
+    group = GroupSpec.of(5)
+    report = isolation_scan(pool, group, "block", "none", (100, 600))
+    assert sorted(shard.n for shard in made) == [4, 6]
+    six = next(shard for shard in made if shard.n == 6)
+    assert len(six._spans) == len(six._tables) == 1
+    assert_lines_match(report, pool, group, "block", "none", 100, 600)
 
 
 def test_least_hit_of_a_block_may_come_from_a_later_slice(k4):
     """Slices start where the first block starts and wrap around to the low
     parts before it: there the second block has a hit (46376) below the one
     (46381) that an earlier slice found."""
-    check_split(k4, GroupSpec.of(6), "block", "none", 1, 46375, 33, 1 << 15, 100)
+    check_split([("k4", k4)], GroupSpec.of(6), "block", "none", 1, 46375, 33, 1 << 15, 100)
 
 
 def test_split_follows_the_cost_estimate():
     """Over a large group the kernel keeps a chunk inside one high block and
     folds; over a small group the estimate prefers shifted class histograms
     across blocks, since 70 bases outweigh 4 values times a few classes."""
-    masks = [sum(1 << e for e in b) for b in U48.bases()]
+    classes = lab_mod._scan_bases(8, U48.base_rows()).classes
     for order, folds in [(64, True), (4, False)]:
         start = 3 * order**5 + 12
         end = start + (1 << 15) - 1
-        place = order ** lab_mod._split(order, 8, masks, start, end, 1)
+        spans = lab_mod._ShardTables(order, 8, 1).spans(start, end)
+        place = order ** lab_mod._split(order, spans, len(U48.bases()), classes)
         assert (start // place == end // place) == folds
 
 
