@@ -337,6 +337,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (GcmbError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -356,26 +356,11 @@ def _formula_applies(spec: GroupSpec) -> bool:
     return len(primes) == 1  # p-group
 
 
-@lru_cache(maxsize=None)
-def _translation_perms(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
-    ar = arithmetic(spec)
-    return tuple(tuple(ar.add(x, g) for x in range(spec.order)) for g in range(spec.order))
-
-
 def _longest_zero_sum_free(spec: GroupSpec) -> int:
     """Length of the longest sequence over G with no nonempty zero-sum subsequence."""
     n = spec.order
-    perms = _translation_perms(spec)
+    translate = arithmetic(spec).shift_mask
     cap = davenport_lower_bound(spec) + 4  # sanity window; D(G) <= |G| anyway
-
-    def translate(mask: int, x: int) -> int:
-        perm = perms[x]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << perm[low.bit_length() - 1]
-            mask ^= low
-        return out
 
     memo: dict[tuple[int, int], int] = {}
 

@@ -582,8 +582,8 @@ def _scan_chunk(
     offsets: np.ndarray,
     inputs: _ScanBases,
     shard: _ShardTables,
-) -> tuple[int, Optional[int]]:
-    """Scan the labelings start + offsets; returns (checked, first isolating).
+) -> Optional[int]:
+    """The least isolating index among the labelings start + offsets, if any.
 
     The first `block_count` rows of `bases` are the blocks, and `inputs`
     holds what the kernel reads of them.  A labeling is isolating when some
@@ -601,10 +601,14 @@ def _scan_chunk(
     its total is 1.  Inside a single high block each base's high sum folds
     into its labels, there is one class, and the count is the plain sparse
     one.
+
+    The low parts go in ascending order.  Their labels are summed in batches
+    of about _LABEL_CELLS (bases times low parts) and counted in slices of
+    `width` low parts.  The scan stops after a batch once the least hit lies
+    in the first high block: every later low part is larger.
     """
-    size = int(offsets.size)
-    if size == 0 or block_count == 0:
-        return size, None
+    if block_count == 0:
+        return None
     order = shard.order
     end = start + int(offsets[-1])
     low = _split(order, shard.spans(start, end), len(bases), inputs.classes)
@@ -620,84 +624,64 @@ def _scan_chunk(
         # in block first + y moves onto v
         rows = _differences(factors, _label_sums(factors, incidence[members, low:], high))
         class_count, shift = len(members), None
+        which = np.arange(class_count)[:, None, None]
     cells = class_count * order
     width = max(1, _COUNT_CELLS // max(cells, len(bases)))
+    most = width * max(1, _LABEL_CELLS // (width * len(bases)))
     count_type = np.min_scalar_type(2 * len(bases))
-
-    def slices():
-        """(position, labels) of count slices of the low parts.  They run from
-        the first block's start to the end, then over the low parts before
-        it, which the first block does not scan: a hit in the first block is
-        the least as soon as it is found.  Labels, offset by class * |G|
-        across blocks, come one slice first and then twice as many slices
-        each time, up to about _LABEL_CELLS at once, so that an early hit
-        costs few labels and a long scan few calls."""
-        most = width * max(1, _LABEL_CELLS // (width * len(bases)))
-        span = width
-        for at, stop in ((head, lows.size), (0, head)):
-            while at < stop:
-                part = digits[:, at : min(at + span, stop)]
-                labels = _label_sums(factors, incidence[:, :low], part, shift)
-                if shift is None:
-                    labels = labels + classes[:, None] * order
-                for lo in range(0, part.shape[1], width):
-                    yield at + lo, labels[:, lo : lo + width]
-                at += part.shape[1]
-                span = min(2 * span, most)
-
     best: Optional[tuple[int, int]] = None  # (block - first, position in lows)
-    for lo, labels in slices():
-        w = labels.shape[1]
-        if shift is None:
-            keys = labels * w + np.arange(w)  # by class, value, position
-            counts = np.bincount(keys[:block_count].ravel(), minlength=cells * w)
-            if block_count < len(bases):
-                counts += 2 * np.bincount(keys[block_count:].ravel(), minlength=cells * w)
-            hist = counts.astype(count_type).reshape(class_count, order, w)
-            blocks = last - first + 1 if best is None else best[0] + 1
-            which = np.arange(class_count)[:, None, None]
-            once = hist[which, rows[:, :blocks]].sum(axis=0, dtype=count_type) == 1
-        else:
-            keys = labels + np.arange(0, w * order, order)  # by position, then value
-            once = np.bincount(keys[:block_count].ravel(), minlength=order * w) == 1
-            if block_count < len(bases):
-                once &= np.bincount(keys[block_count:].ravel(), minlength=order * w) == 0
-        if not once.any():
-            continue
-        if shift is not None:
-            once = once.reshape(w, order).T[None]
-        # once is blocks x values x positions: take the least valid (block, position)
-        found = np.flatnonzero(once)
-        y, at = found // (order * w), lo + found % w
-        valid = ((y > 0) | (at >= head)) & ((y < last - first) | (at < tail))
-        if valid.any():
-            hit = min(zip(y[valid].tolist(), at[valid].tolist()))
-            best = min(best or hit, hit)
-            if best[0] == 0:
-                break
+    for batch in range(0, lows.size, most):
+        part = digits[:, batch : batch + most]
+        batch_labels = _label_sums(factors, incidence[:, :low], part, shift)
+        if shift is None:  # across blocks, keys are offset by class * |G|
+            batch_labels = batch_labels + classes[:, None] * order
+        for lo in range(0, batch_labels.shape[1], width):
+            labels = batch_labels[:, lo : lo + width]
+            w = labels.shape[1]
+            if shift is None:
+                keys = labels * w + np.arange(w)  # by class, value, position
+                counts = np.bincount(keys[:block_count].ravel(), minlength=cells * w)
+                if block_count < len(bases):
+                    counts += 2 * np.bincount(keys[block_count:].ravel(), minlength=cells * w)
+                hist = counts.astype(count_type).reshape(class_count, order, w)
+                once = hist[which, rows].sum(axis=0, dtype=count_type) == 1
+            else:
+                keys = labels + np.arange(0, w * order, order)  # by position, then value
+                once = np.bincount(keys[:block_count].ravel(), minlength=order * w) == 1
+                if block_count < len(bases):
+                    once &= np.bincount(keys[block_count:].ravel(), minlength=order * w) == 0
+            if not once.any():
+                continue
+            if shift is not None:
+                once = once.reshape(w, order).T[None]
+            # once is blocks x values x positions: take the least valid (block, position)
+            found = np.flatnonzero(once)
+            y, at = found // (order * w), batch + lo + found % w
+            valid = ((y > 0) | (at >= head)) & ((y < last - first) | (at < tail))
+            if valid.any():
+                hit = min(zip(y[valid].tolist(), at[valid].tolist()))
+                best = min(best or hit, hit)
+        if best is not None and best[0] == 0:
+            break
     if best is None:
-        return size, None
-    return size, (first + best[0]) * place + int(lows[best[1]])
+        return None
+    return (first + best[0]) * place + int(lows[best[1]])
 
 
 def _scan_task(args) -> ScanLine:
     (matroid_id, factors, n, bases, block_count, start, stop, step, chunk, inputs, shard) = args
-    checked = 0
-    first: Optional[int] = None
     lo = -(-start // step) * step  # the first scanned index: a multiple of the step
+    checked = len(range(lo, stop, step))
     while lo < stop:
         hi = min(stop, lo + chunk * step)
         offsets = np.arange(0, hi - lo, step, dtype=np.int64)
-        done, hit = _scan_chunk(factors, lo, n, bases, block_count, offsets, inputs, shard)
-        checked += done
-        if hit is not None and first is None:
-            first = hit  # chunks ascend, so the first hit is the minimum
+        hit = _scan_chunk(factors, lo, n, bases, block_count, offsets, inputs, shard)
+        if hit is not None:  # chunks ascend, so the first hit is the least
+            order = math.prod(factors)
+            labels = tuple(hit // order**i % order for i in range(n))
+            return ScanLine(matroid_id, start, stop, checked, hit, labels)
         lo = hi
-    if first is None:
-        return ScanLine(matroid_id, start, stop, checked)
-    order = math.prod(factors)
-    labels = tuple(first // order**i % order for i in range(n))
-    return ScanLine(matroid_id, start, stop, checked, first, labels)
+    return ScanLine(matroid_id, start, stop, checked)
 
 
 def isolation_scan(

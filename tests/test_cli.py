@@ -385,6 +385,11 @@ class TestScan:
             "--group", "Z3")
         assert one.read_text() == eight.read_text()
 
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_must_be_positive(self, capsys, jobs):
+        code, out, err = run(capsys, "--jobs", jobs, "scan", "--builtin", "u24", "--group", "Z3")
+        assert (code, out, err) == (1, "", f"error: --jobs must be at least 1, got {jobs}\n")
+
     def test_bad_range(self, capsys):
         code, _, err = run(
             capsys, "scan", "--builtin", "k4", "--group", "Z3", "--range", "10-20"

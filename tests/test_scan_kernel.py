@@ -74,9 +74,15 @@ def test_kernel_matches_per_labeling_predicates(data):
     # there are two blocks, so a hit from 0 on lies past the first labeling
     start = data.draw(st.one_of(st.just(0), st.integers(0, total - width)))
     chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
-    # counts go a few labelings, down to one, at a time below the default
+    # counts go a few labelings, down to one, at a time below the default, and
+    # label batches hold a few count slices or a single one
     cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
-    with patch.object(lab_mod, "_COUNT_CELLS", cells), patch.object(lab_mod, "_SCAN_CHUNK", chunk):
+    batch = data.draw(st.sampled_from([1, 7, lab_mod._LABEL_CELLS]))
+    with (
+        patch.object(lab_mod, "_COUNT_CELLS", cells),
+        patch.object(lab_mod, "_LABEL_CELLS", batch),
+        patch.object(lab_mod, "_SCAN_CHUNK", chunk),
+    ):
         report = isolation_scan(pool, group, predicate, reduction, (start, start + width))
     assert_lines_match(report, pool, group, predicate, reduction, start, start + width)
 
@@ -117,13 +123,17 @@ def test_every_split_matches_per_labeling_predicates(data):
         start = data.draw(st.integers(0, total - width))
     chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
     cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
-    check_split(pool, group, predicate, reduction, low, start, width, chunk, cells)
+    batch = data.draw(st.sampled_from([1, 7, lab_mod._LABEL_CELLS]))
+    check_split(pool, group, predicate, reduction, low, start, width, chunk, cells, batch)
 
 
-def check_split(pool, group, predicate, reduction, low, start, width, chunk, cells):
+def check_split(
+    pool, group, predicate, reduction, low, start, width, chunk, cells, batch=lab_mod._LABEL_CELLS
+):
     with (
         patch.object(lab_mod, "_split", lambda *args: low),
         patch.object(lab_mod, "_COUNT_CELLS", cells),
+        patch.object(lab_mod, "_LABEL_CELLS", batch),
         patch.object(lab_mod, "_SCAN_CHUNK", chunk),
     ):
         report = isolation_scan(pool, group, predicate, reduction, (start, start + width))
@@ -152,10 +162,27 @@ def test_entries_of_one_size_share_the_shard_tables(monkeypatch):
 
 
 def test_least_hit_of_a_block_may_come_from_a_later_slice(k4):
-    """Slices start where the first block starts and wrap around to the low
-    parts before it: there the second block has a hit (46376) below the one
-    (46381) that an earlier slice found."""
+    """Slices ascend over the low parts and count every high block at once:
+    the slice of low part 1 finds a hit in the second block (46381), and the
+    later slice of low part 2 a lesser one in the first block (46376)."""
     check_split([("k4", k4)], GroupSpec.of(6), "block", "none", 1, 46375, 33, 1 << 15, 100)
+
+
+def test_a_shard_stops_at_its_first_hit(monkeypatch, k4):
+    """No kernel call follows the chunk that hits, and `checked` still counts
+    the whole range."""
+    hits = []
+    kernel = lab_mod._scan_chunk
+
+    def counting(*args):
+        hits.append(kernel(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(lab_mod, "_scan_chunk", counting)
+    monkeypatch.setattr(lab_mod, "_SCAN_CHUNK", 7)
+    line = isolation_scan([("k4", k4)], GroupSpec.of(4), "block").lines[0]
+    assert (line.checked, line.isolating_index) == (4096, 81)
+    assert hits[-1] == 81 and hits[:-1] == [None] * (len(hits) - 1)
 
 
 def test_split_follows_the_cost_estimate():
