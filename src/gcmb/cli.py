@@ -1,9 +1,10 @@
 """Command-line surface: solve, verify, scan, check-ss, catalog, bases.
 
-Exit codes: 0 success (feasible / ok / nothing found), 1 error, 2 negative
-result (infeasible target, closeness witness, isolating labeling found),
-3 label-image inequality violated.  All randomness flows from --seed and is
-recorded in report headers; --jobs never changes output bytes.
+Exit codes: 0 success (feasible / ok / nothing found), 1 error (usage
+errors included), 2 negative result (infeasible target, closeness witness,
+isolating labeling found), 3 label-image inequality violated.  All
+randomness flows from --seed and is recorded in report headers; --jobs never
+changes output bytes.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import argparse
 import functools
 import random
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import catalog as catalog_mod
 from . import lab as lab_mod
-from .errors import GcmbError, UsageError, quote, read_text
+from .errors import CapacityError, GcmbError, UsageError, quote, read_text
 from .groups import GroupSpec
 from .matroids import Matroid, load_matroid
 from .solver import (
@@ -31,6 +32,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
 EXIT_SS_VIOLATION = 3
+
+#: Most labelings `check-ss --random` checks in one run.
+RANDOM_LABELINGS_LIMIT = 100_000
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -204,16 +208,21 @@ def cmd_scan(args) -> int:
 def cmd_check_ss(args) -> int:
     name, matroid, group, labeling = _load_instance(args)
     lines = [f"# gcmb check-ss matroid={name} group={group} seed={args.seed}"]
-    labelings: list[tuple[str, Labeling]] = []
+    labelings: Iterable[tuple[str, Labeling]]
     if args.random is not None:
         if args.random < 1:
             raise UsageError(f"--random must be at least 1, got {args.random}")
+        if args.random > RANDOM_LABELINGS_LIMIT:
+            raise CapacityError(f"--random {args.random} exceeds the limit N <= "
+                                f"{RANDOM_LABELINGS_LIMIT} (RANDOM_LABELINGS_LIMIT)")
         rng = random.Random(args.seed)
-        for i in range(args.random):
-            labelings.append((f"random-{i}", lab_mod.random_labeling(rng, group, matroid.n)))
+        labelings = (
+            (f"random-{i}", lab_mod.random_labeling(rng, group, matroid.n))
+            for i in range(args.random)
+        )
     else:
-        labelings.append(("given", _require_labeling(labeling)))
-    violations = 0
+        labelings = [("given", _require_labeling(labeling))]
+    checked = violations = 0
     for source, lab in labelings:
         report = lab_mod.check_schrijver_seymour(matroid, lab)
         holds = "yes" if report.holds else "no"
@@ -222,9 +231,10 @@ def cmd_check_ss(args) -> int:
             f"stabilizer={report.stabilizer.bit_count()} cosets={report.num_cosets} "
             f"rank-sum={report.rank_sum} bound={report.bound} holds={holds}"
         )
+        checked += 1
         if not report.holds:
             violations += 1
-    lines.append(f"summary checked={len(labelings)} violations={violations}")
+    lines.append(f"summary checked={checked} violations={violations}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_SS_VIOLATION if violations else EXIT_OK
 
@@ -267,9 +277,17 @@ def _add_instance_flags(parser, with_labels=True) -> None:
     parser.add_argument("--trust", action="store_true", help="skip validation of large explicit matroids")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise UsageError, so that they
+    exit 1, not 2, the negative result.  Subparsers are of the same class."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache  # parsing leaves the tree unchanged, so one build serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcmb",
         description="Group-constrained matroid base solvers and verification lab",
     )
@@ -334,9 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)

@@ -209,7 +209,7 @@ class IndexArithmetic:
         self._parts = tuple(
             (tuple(x // p % m for x in range(self.order)), m, p) for m, p in zip(factors, places)
         )
-        self._low_masks: dict[tuple[int, int], int] = {}
+        self._low_masks: dict[tuple[int, int], tuple[int, int]] = {}  # (f, d) -> (low, width)
 
     def add(self, a: int, b: int) -> int:
         if self.cyclic:
@@ -254,22 +254,21 @@ class IndexArithmetic:
         return out
 
     def shift_mask(self, mask: int, a: int) -> int:
-        """The set {x + a : x in mask}, sets as bitmasks over indices."""
+        """The set {x + a : x in mask}, sets as bitmasks over indices.  A mask
+        wider than |G| bits is a row of such sets, |G| bits each, and every
+        set of the row is shifted."""
         for f, (col, m, p) in enumerate(self._parts):
             d = col[a]
             if d:
-                low = self._low_mask(f, d)  # the bits whose residue stays below m
+                # The bits whose residue stays below m, over `width` bits of
+                # whole sets; widened, at least doubled, when the mask passes it.
+                low, width = self._low_masks.get((f, d), (0, 0))
+                if mask >> width:
+                    width = max(2 * width, -(-mask.bit_length() // self.order) * self.order)
+                    low = ((1 << (m - d) * p) - 1) * (((1 << width) - 1) // ((1 << m * p) - 1))
+                    self._low_masks[f, d] = low, width
                 mask = (mask & low) << d * p | (mask & ~low) >> (m - d) * p
         return mask
-
-    def _low_mask(self, f: int, d: int) -> int:
-        """The indices whose residue in factor f is below m - d."""
-        key = (f, d)
-        if key not in self._low_masks:
-            _, m, p = self._parts[f]
-            repeat = ((1 << self.order) - 1) // ((1 << m * p) - 1)
-            self._low_masks[key] = ((1 << (m - d) * p) - 1) * repeat
-        return self._low_masks[key]
 
 
 @lru_cache(maxsize=None)

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import accumulate, compress
-from typing import Callable, Generator, Iterable, Iterator, Literal, Optional, Sequence, Union
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, Union
 
 from .errors import (
     InternalError,
@@ -33,9 +33,10 @@ from .matroids import INTEGER_DIGITS_LIMIT, BaseSet, Matroid, delete, make_parti
 
 Weight = Union[int, Fraction]
 
-#: Most cells the enumeration walk keeps.  A cell is one (fiber, units left)
-#: pair times one 64-label word of the labels it reaches; past the limit the
-#: walk keeps none and visits every signature.
+#: Most cells the signature search's label reach holds.  A cell is one
+#: (fiber, units left) pair times one 64-label word of the labels it
+#: reaches; past the limit the search keeps no reach and checks the label of
+#: complete signatures only.
 WALK_CELL_LIMIT = 1 << 18
 
 
@@ -152,91 +153,6 @@ def _compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]
         refill(i + 1, tail - 1)
 
 
-def _label_walk(
-    group: GroupSpec, total: int, caps: Sequence[int], target: int
-) -> Generator[tuple[int, tuple[int, ...]], None, int]:
-    """The compositions of `total` within `caps` whose label has index
-    `target`, as (rank, counts) in ascending lex order, where rank is the
-    position in the full stream `_compositions(total, caps)`; returns the
-    size of that stream.
-
-    The walk fixes the coordinates of the non-empty caps one after another
-    and carries `need`, the target minus the label fixed so far.  A cell
-    (i, t) holds the ways to put t units on coordinates i and after; once the
-    walk has been through a cell, it keeps the cell's size and its reach, the
-    bitmask of the labels the cell attains.  A later visit with a need outside
-    the reach skips the cell and adds its size to the rank.  Past
-    WALK_CELL_LIMIT no cell is kept and every composition is visited.
-    """
-    ar = arithmetic(group)
-    coords = [g for g, c in enumerate(caps) if c > 0]
-    bounds = [caps[g] for g in coords]
-    k = len(coords)
-    room = list(accumulate(reversed(bounds), initial=0))[::-1]  # room[i] = sum(bounds[i:])
-    if not 0 <= total <= room[0]:
-        return 0
-    if k == 0:  # the empty composition, label 0
-        if target == 0:
-            yield 0, (0,) * len(caps)
-        return 1
-    keep = k * (total + 1) * -(-ar.order // 64) <= WALK_CELL_LIMIT
-    cells: dict[tuple[int, int], tuple[int, int]] = {}  # (i, t) -> (size, reach)
-    step = [ar.neg(g) for g in coords]  # need moves by step[i] per unit on coordinate i
-    # Per depth i: the value of coordinate i, its largest value, the units
-    # left before it, the need after it, and for a cell being kept its size
-    # and reach so far.
-    value, top, left, need = [0] * k, [0] * k, [0] * k, [0] * k
-    building, size, reach = [False] * k, [0] * k, [0] * k
-
-    def enter(i: int, t: int, before: int, build: bool) -> None:
-        value[i] = low = max(0, t - room[i + 1])
-        top[i], left[i] = min(bounds[i], t), t
-        need[i] = ar.add(before, ar.times(step[i], low))
-        building[i], size[i], reach[i] = build, 0, 0
-
-    rank = 0
-    i = 0
-    enter(0, total, target, keep)
-    while i >= 0:
-        v = value[i]
-        if v > top[i]:  # cell (i, left[i]) is done
-            if building[i]:
-                cells[i, left[i]] = (size[i], reach[i])
-                if i and building[i - 1]:
-                    size[i - 1] += size[i]
-                    reach[i - 1] |= ar.shift_mask(reach[i], ar.times(coords[i - 1], value[i - 1]))
-            i -= 1
-        elif i + 1 == k:  # v takes the last units: one composition
-            if need[i] == 0:
-                counts = [0] * len(caps)
-                for g, c in zip(coords, value):
-                    counts[g] = c
-                yield rank, tuple(counts)
-            rank += 1
-            if building[i]:
-                size[i] += 1
-                reach[i] |= 1 << ar.times(coords[i], v)
-        else:
-            t = left[i] - v
-            cell = cells.get((i + 1, t))
-            if cell is None:
-                enter(i + 1, t, need[i], keep)
-                i += 1
-                continue
-            if building[i]:
-                size[i] += cell[0]
-                reach[i] |= ar.shift_mask(cell[1], ar.times(coords[i], v))
-            if cell[1] >> need[i] & 1:
-                enter(i + 1, t, need[i], False)
-                i += 1
-                continue
-            rank += cell[0]
-        if i >= 0:
-            value[i] += 1
-            need[i] = ar.add(need[i], step[i])
-    return rank
-
-
 def enumerate_signatures(
     group: GroupSpec,
     r: int,
@@ -251,13 +167,12 @@ def enumerate_signatures(
         raise UsageError("need one cap per group element")
     if any(c < 0 for c in caps):
         raise UsageError("signature caps must be nonnegative")
-    if target is None:
-        stream = _compositions(r, list(caps))
-    else:
+    if target is not None:
         _check_target(group, target)
-        stream = (counts for _, counts in _label_walk(group, r, caps, target))
-    for counts in stream:
-        yield Signature(group, counts)
+    label = arithmetic(group).label
+    for counts in _compositions(r, list(caps)):
+        if target is None or label(counts) == target:
+            yield Signature(group, counts)
 
 
 @dataclass
@@ -351,38 +266,27 @@ def _check_instance(m: Matroid, labeling: Labeling, target: int) -> None:
         raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
 
 
-class _Sized:
-    """Iterates a stream generator and keeps the value it returns, the size
-    of the stream, once it is exhausted."""
-
-    def __init__(self, stream: Generator[tuple[int, tuple[int, ...]], None, int]):
-        self._stream = stream
-        self.size = 0
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        self.size = yield from self._stream
-
-
 def _target_signature(group: GroupSpec, counts: tuple[int, ...], target: int) -> Signature:
     """The signature of a stream hit, its label checked against the target."""
     sig = Signature(group, counts)
     if sig.label() != target:
-        raise InternalError(f"signature {counts} off the target label {target} in the walk")
+        raise InternalError(f"signature {counts} off the target label {target} in the search")
     return sig
 
 
 class _Space:
-    """The candidate signatures of one solve.
+    """The candidate signatures of one solve, and the search that pops them.
 
-    Enum candidates are the compositions of `total` within the fiber sizes.
-    Proximity candidates (`base` given) are base + plus - minus with
-    |plus| = |minus| <= `radius`, plus and minus on disjoint group elements:
-    since plus = max(c - base, 0) and minus = max(base - c, 0), they are
-    exactly the compositions c within the fiber sizes with
-    sum over g of max(c_g - base_g, 0) <= radius, each once.  Both streams
-    order them as the feasibility walks `_label_walk` and `_balanced_moves`
-    do; the coordinates of the empty fibers are 0 in every candidate, so the
-    counting works on the non-empty fibers alone.
+    Enum candidates are the compositions of `total` within the fiber sizes,
+    in lexicographic order.  Proximity candidates (`base` given) are
+    base + plus - minus with |plus| = |minus| <= `radius`, plus and minus on
+    disjoint group elements: since plus = max(c - base, 0) and
+    minus = max(base - c, 0), they are exactly the compositions c within the
+    fiber sizes with sum over g of max(c_g - base_g, 0) <= radius, each once,
+    ordered by move size, then plus, then minus.  `size` and `rank` count
+    positions in these streams without walking them; `cheapest_first` pops
+    the target-label candidates.  The coordinates of the empty fibers are 0
+    in every candidate, so the counting works on the non-empty fibers alone.
     """
 
     def __init__(
@@ -395,197 +299,220 @@ class _Space:
     ):
         self.labeling, self.total, self.target = labeling, total, target
         self.base, self.radius = base, radius
-        self.caps = [len(fiber) for fiber in labeling.fibers]
-        self.coords = [g for g, c in enumerate(self.caps) if c > 0]
-        self.bounds = [self.caps[g] for g in self.coords]
+        self.coords = [g for g, fiber in enumerate(labeling.fibers) if fiber]
+        self.bounds = [len(labeling.fibers[g]) for g in self.coords]
         # room[i] = sum(bounds[i:])
         self.room = list(accumulate(reversed(self.bounds), initial=0))[::-1]
-
-    def stream(self) -> Generator[tuple[int, tuple[int, ...]], None, int]:
-        """The target-label candidates in stream order, as (rank, counts),
-        returning the stream size: the lazy walk of a feasibility solve."""
-        if self.base is None:
-            return _label_walk(self.labeling.group, self.total, self.caps, self.target)
-        return _balanced_moves(self.labeling, self.base, self.radius, self.target)
+        # Bits per coefficient of the packed counts below.  A coefficient,
+        # also of a product before it is cut, counts value tuples within the
+        # fiber sizes, and there are fewer than 2^(bits - 1) of those.
+        self.bits = 1 + sum((b + 1).bit_length() for b in self.bounds)
 
     def size(self) -> int:
         """The number of candidates, counted without walking them."""
         if self.base is None:
-            return self._sizes[0][self.total]
-        return sum(self._pairs[0][move][move] for move in range(self.radius + 1))
+            return _coefficient(self._sizes[0], self.total, self.bits)
+        table, top = self._pair_tables(self.radius, ())[0], self.radius
+        # From x^p y^p to x^(p+1) y^(p+1) are 2 top + 2 coefficients.
+        return sum(_coefficient(table, p * (2 * top + 2), self.bits) for p in range(top + 1))
 
     def rank(self, counts: tuple[int, ...]) -> int:
         """The position of a candidate in the stream: lexicographic for enum;
         by move size, then plus, then minus, for proximity."""
         values = [counts[g] for g in self.coords]
+        bits = self.bits
         if self.base is None:
-            return _lex_rank(values, self._sizes)
+            return _lex_rank(values, self._sizes, bits)
         base = [self.base[g] for g in self.coords]
         plus = [max(c - b, 0) for c, b in zip(values, base)]
         minus = [max(b - c, 0) for c, b in zip(values, base)]
         move = sum(plus)
-        rank = sum(self._pairs[0][size][size] for size in range(move))
+        if move == 0:  # the base itself, first in the stream
+            return 0
+        width = 2 * move + 1  # coefficients per power of x in a pair table
+        tables = self._pair_tables(move, [i for i, p in enumerate(plus) if p])
+        rank = sum(_coefficient(tables[0], size * (width + 1), bits) for size in range(move))
         # The pairs of this size whose plus agrees before coordinate i and is
-        # lower at i.  free[q] counts the minus of size q on the coordinates
-        # before i off the plus's support; with 0 at i, i joins them.
-        free, done = [1] + [0] * move, 0
+        # v < p at i: a coefficient of free, the minus before i off the plus's
+        # support by size (with i among them when v = 0), times the row of
+        # table i + 1 for the plus still to place.
+        cut = (1 << (move + 1) * bits) - 1
+        free, done = 1, 0
         for i, p in enumerate(plus):
-            after = self._pairs[i + 1]
+            joined = free * _geometric(min(base[i], move), bits) & cut
             for v in range(p):
-                ways = _widen(free, base[i], move) if v == 0 else free
-                row = after[move - done - v]
-                rank += sum(w * row[move - q] for q, w in enumerate(ways))
+                row = tables[i + 1] >> (move - done - v) * width * bits
+                rank += _coefficient((joined if v == 0 else free) * row, move, bits)
             done += p
             if p == 0:
-                free = _widen(free, base[i], move)
+                free = joined
         # Then the minus of this plus, in lexicographic order off its support.
         masked = [0 if p else b for p, b in zip(plus, base)]
-        return rank + _lex_rank(minus, _cell_sizes(masked, move))
+        return rank + _lex_rank(minus, _cell_sizes(masked, move, bits), bits)
 
     @cached_property
-    def _sizes(self) -> list[list[int]]:
-        return _cell_sizes(self.bounds, self.total)
+    def _sizes(self) -> list[int]:
+        return _cell_sizes(self.bounds, self.total, self.bits)
 
-    @cached_property
-    def _pairs(self) -> list[list[list[int]]]:
-        """pairs[i][p][q]: the (plus, minus) pairs on coordinates i and after
-        with disjoint supports, p units of plus outside the base and q units
-        of minus inside it, for p, q <= radius."""
-        top = self.radius
-        pairs = [[[0] * (top + 1) for _ in range(top + 1)]]
-        pairs[0][0][0] = 1
+    def _pair_tables(self, top: int, after: Sequence[int]) -> dict[int, int]:
+        """Table 0, and table i + 1 for each i in `after`.  Table i counts the
+        (plus, minus) pairs on coordinates i and after with disjoint supports
+        by p, the plus outside the base, and q, the minus inside it: it is
+        the product over j >= i of (1 + x + ... + x^out_j) + (y + ... + y^in_j),
+        out_j and in_j the units outside and inside the base, cut after
+        degree top in x and in y.  Coefficient p (2 top + 1) + q holds
+        x^p y^q, so one multiplication adds a coordinate."""
+        bits, width = self.bits, 2 * top + 1
+        cut = _geometric(top, width * bits) * ((1 << (top + 1) * bits) - 1)
+        table, tables = 1, {}
         for i in reversed(range(len(self.coords))):
-            old = pairs[-1]
+            if i in after:
+                tables[i + 1] = table
             inside = self.base[self.coords[i]]
-            outside = self.bounds[i] - inside
-            # Coordinate i takes plus v >= 0, or minus w >= 1 (w = 0 is plus 0).
-            plus = zip(*(_widen(list(column), outside, top) for column in zip(*old)))
-            pairs.append([
-                [x + y - z for x, y, z in zip(widened, _widen(row, inside, top), row)]
-                for widened, row in zip(plus, old)
-            ])
-        return pairs[::-1]
+            factor = (_geometric(min(self.bounds[i] - inside, top), width * bits)
+                      + _geometric(min(inside, top), bits) - 1)
+            table = table * factor & cut
+        tables[0] = table
+        return tables
 
-    def _reach(self) -> list[Optional[list[int]]]:
-        """reach[i][t]: the labels, as a bitmask, of the ways to put t units
-        on coordinates i and after, for the t that the units before i leave.
-        Past WALK_CELL_LIMIT only the last level is kept, and the others are
-        None."""
+    def _reach(self) -> list[Optional[int]]:
+        """reach[i]: for every t <= total, the labels of the ways to put t
+        units on coordinates i and after, as a bitmask over indices at bit
+        t|G|, all in one int.  Past WALK_CELL_LIMIT only the last row, the
+        empty composition alone, is kept, and the others are None."""
         ar = arithmetic(self.labeling.group)
-        k, total, room = len(self.coords), self.total, self.room
-        reach: list[Optional[list[int]]] = [None] * k + [[1] + [0] * total]
-        if k * (total + 1) * -(-ar.order // 64) > WALK_CELL_LIMIT:
+        k, total, order = len(self.coords), self.total, ar.order
+        reach: list[Optional[int]] = [None] * k + [1]
+        if k * (total + 1) * -(-order // 64) > WALK_CELL_LIMIT:
             return reach
+        cut = (1 << (total + 1) * order) - 1  # no row holds more than total units
         for i in reversed(range(k)):
-            below, row = reach[i + 1], [0] * (total + 1)
-            shifts = [ar.times(self.coords[i], v) for v in range(min(self.bounds[i], total) + 1)]
-            for t in range(max(0, total - room[0] + room[i]), min(total, room[i]) + 1):
-                mask = 0
-                for v in range(max(0, t - room[i + 1]), min(self.bounds[i], t) + 1):
-                    if below[t - v]:
-                        mask |= ar.shift_mask(below[t - v], shifts[v])
-                row[t] = mask
-            reach[i] = row
+            shifted = row = reach[i + 1]
+            for v in range(1, min(self.bounds[i], total) + 1):  # v units of label coords[i]
+                shifted = ar.shift_mask(shifted, self.coords[i])
+                row |= shifted << v * order
+            reach[i] = row & cut
         return reach
 
     def cheapest_first(
-        self, weights: Sequence[Weight]
-    ) -> Iterator[tuple[Weight, Optional[tuple[int, ...]]]]:
-        """The target-label candidates c in nondecreasing lb(c), the sum over
-        g of the c_g smallest weights in E(g).
+        self, weights: Optional[Sequence[Weight]]
+    ) -> Iterator[tuple[object, Optional[tuple[int, ...]]]]:
+        """The target-label candidates in nondecreasing key: lb(c), the sum
+        over g of the c_g smallest weights in E(g), with weights; the stream
+        order without them (a feasibility solve).
 
-        A best-first search over partial compositions: a partial that fixed
-        the coordinates before i and has t units left is keyed by its
-        fiber-weight sum plus the sum of the t smallest weights in the fibers
-        i and after, the cheapest completion when labels are ignored.  So no
-        completion weighs less than the key, and no child's key is below its
-        parent's.  A child is dropped when its units cannot reach the label
-        still needed (the `_reach` masks), or, for proximity, when its plus
-        so far and the units its remaining base cannot take pass the radius.
+        A best-first search over partial compositions, which fixed the
+        coordinates before some i and have t units left.  No completion of a
+        partial has a lower key, so the candidates pop in key order.  Keys:
+        - with weights, the fiber-weight sum so far plus the t smallest
+          weights in the fibers i and after, the cheapest completion when
+          labels are ignored;
+        - enum feasibility, 0: ties pop deepest first, then in push order,
+          so the search is a lexicographic depth-first walk;
+        - proximity feasibility, (move bound, plus so far, minus so far), the
+          bound being the plus so far and the units left that the rest of the
+          base cannot take.  It never falls from a partial to its children
+          and is the move size at a candidate, and a tuple sorts before its
+          extensions, so candidates pop by move size, then plus, then minus.
+        A child is dropped when its units cannot reach the label still
+        needed (the `_reach` rows), or when its move bound passes the radius.
         Yields (key, counts) for every head it pops, counts None for a
         partial, which is expanded when the next head is asked for, so a
-        caller that stops at a key expands nothing past it.
+        caller that stops at a head expands nothing past it.
         """
         ar = arithmetic(self.labeling.group)
+        order = ar.order
         coords, bounds, room, total = self.coords, self.bounds, self.room, self.total
         k = len(coords)
         if total > room[0]:
             return
         reach = self._reach()
-        if reach[0] is not None and not reach[0][total] >> self.target & 1:
+        if reach[0] is not None and not reach[0] >> total * order + self.target & 1:
             return
-        fibers = [sorted(weights[e] for e in self.labeling.fibers[g]) for g in coords]
-        prefix = [list(accumulate(f[:total], initial=0)) for f in fibers]
-        least: list[list[Weight]] = [[0]]  # least[i][t]: the t smallest weights of fibers i on
-        pool: list[Weight] = []
-        for f in reversed(fibers):
-            pool = sorted(pool + f)
-            least.append(list(accumulate(pool[:total], initial=0)))
-        least.reverse()
+        # Against a base of full fibers (enum) no value is a plus and no units
+        # pass what the base holds, so an enum search never counts a move.
         moves = self.base is not None
-        if moves:
-            base = [self.base[g] for g in coords]
-            held = list(accumulate(reversed(base), initial=0))[::-1]  # held[i] = sum(base[i:])
-        steps = [ar.neg(g) for g in coords]
+        base = [self.base[g] for g in coords] if moves else bounds
+        held = list(accumulate(reversed(base), initial=0))[::-1]  # held[i] = sum(base[i:])
+        if weights is not None:
+            fibers = [sorted(weights[e] for e in self.labeling.fibers[g]) for g in coords]
+            prefix = [list(accumulate(f[:total], initial=0)) for f in fibers]
+            least: list[list[Weight]] = [[0]]  # least[i][t]: the t smallest weights of fibers i on
+            pool: list[Weight] = []
+            for f in reversed(fibers):
+                pool = sorted(pool + f)
+                least.append(list(accumulate(pool[:total], initial=0)))
+            least.reverse()
+            root: object = least[0][total]
+        else:
+            root = (0, (), ()) if moves else 0
+        steps, radius = [ar.neg(g) for g in coords], self.radius
         # (key, -depth, sequence, weight so far, units left, need, plus so far, values)
-        heap = [(least[0][total], 0, 0, 0, total, self.target, 0, None)]
+        heap = [(root, 0, 0, 0, total, self.target, 0, None)]
         pushed = 0
         while heap:
             key, depth, _, cost, t, need, used, path = heappop(heap)
             i = -depth
             if i == k:
-                counts = [0] * self.labeling.group.order
+                counts = [0] * order
                 for g in reversed(coords):
                     counts[g], path = path
                 yield key, tuple(counts)
                 continue
             yield key, None
-            below, rest, costs, step = reach[i + 1], least[i + 1], prefix[i], steps[i]
+            below, step = reach[i + 1], steps[i]
+            b, rest = base[i], held[i + 1]
             low = max(0, t - room[i + 1])
             need = ar.add(need, ar.times(step, low))
             for v in range(low, min(bounds[i], t) + 1):
                 left = t - v
-                if below is None or below[left] >> need & 1:
-                    plus = used + max(v - base[i], 0) if moves else 0
-                    if not moves or plus + max(left - held[i + 1], 0) <= self.radius:
+                if below is None or below >> left * order + need & 1:
+                    gain = v - b if v > b else 0
+                    excess = left - rest if left > rest else 0
+                    if used + gain + excess <= radius:
+                        spent = child = 0
+                        if weights is not None:
+                            spent = cost + prefix[i][v]
+                            child = spent + least[i + 1][left]
+                        elif moves:
+                            child = (used + gain + excess, key[1] + (gain,),
+                                     key[2] + (b - v if v < b else 0,))
                         pushed += 1
-                        spent = cost + costs[v]
-                        child = (spent + rest[left], depth - 1, pushed, spent, left, need, plus,
-                                 (v, path))
-                        heappush(heap, child)
+                        heappush(heap, (child, depth - 1, pushed, spent, left, need, used + gain,
+                                        (v, path)))
                 need = ar.add(need, step)
 
 
-def _cell_sizes(bounds: Sequence[int], total: int) -> list[list[int]]:
-    """sizes[i][t]: the compositions of t within bounds[i:], for t <= total."""
-    sizes = [[1] + [0] * total]
+def _cell_sizes(bounds: Sequence[int], total: int, bits: int) -> list[int]:
+    """sizes[i]: the compositions of t within bounds[i:] for every t <= total,
+    packed with `bits` bits per count, the count for t being coefficient t."""
+    cut = (1 << (total + 1) * bits) - 1
+    sizes = [1]
     for b in reversed(bounds):
-        sizes.append(_widen(sizes[-1], b, total))
+        sizes.append(sizes[-1] * _geometric(min(b, total), bits) & cut)
     return sizes[::-1]
 
 
-def _lex_rank(values: Sequence[int], sizes: list[list[int]]) -> int:
+def _lex_rank(values: Sequence[int], sizes: list[int], bits: int) -> int:
     """The position of `values` among the compositions of their sum counted
     by `sizes` (from `_cell_sizes`), in ascending lexicographic order."""
-    rank, left = 0, sum(values)
-    for i, x in enumerate(values):
-        below = sizes[i + 1]
-        rank += sum(below[left - v] for v in range(x))
+    rank, left, mask = 0, sum(values), (1 << bits) - 1
+    for below, x in zip(sizes[1:], values):
+        for v in range(x):
+            rank += below >> (left - v) * bits & mask
         left -= x
     return rank
 
 
-def _widen(ways: list[int], cap: int, top: int) -> list[int]:
-    """ways times (1 + x + ... + x^cap), cut after degree `top`: the counts
-    by size once a coordinate that holds up to `cap` units joins, ways[q]
-    counting those of size q."""
-    out, window = [0] * (top + 1), 0
-    for q in range(top + 1):
-        window += ways[q]
-        if q > cap:
-            window -= ways[q - cap - 1]
-        out[q] = window
-    return out
+def _geometric(degree: int, step: int) -> int:
+    """1 + z + ... + z^degree at z = 2^step: the polynomial packed with
+    `step` bits per coefficient."""
+    return ((1 << (degree + 1) * step) - 1) // ((1 << step) - 1)
+
+
+def _coefficient(packed: int, index: int, bits: int) -> int:
+    """Coefficient `index` of a polynomial packed with `bits` bits each."""
+    return packed >> index * bits & (1 << bits) - 1
 
 
 def _search(
@@ -598,60 +525,53 @@ def _search(
     counter: Literal["signatures", "candidates"],
     calls_before: int,
 ) -> SolveResult:
-    """Intersections over the candidate signatures with the target label.
+    """Intersections over the candidate signatures with the target label,
+    popped from `space.cheapest_first`.
 
-    Feasibility walks `space.stream()` and intersects the target-label
-    candidates in stream order, keeping the first hit; `counter`, the stats
-    field named for the solve's stream, gets the hit's rank plus one, or the
-    stream size when nothing hits.  Optimization bounds each candidate c from
-    below by lb(c), the sum over g of the c_g smallest weights in E(g): no
-    base with signature c weighs less.  It pops the candidates in
-    nondecreasing lb from `space.cheapest_first`, intersects each, and stops
-    once the head's bound exceeds the best weight found.  So it intersects
-    exactly the candidates with lb(c) <= the optimum, whatever the order among
-    equal bounds, and returns the least (weight, stream rank), the first
-    strict minimum of the stream; a rank is counted only to break a weight
-    tie.  There `counter` gets the counted stream size.  Oracle calls are
-    counted from `calls_before`.
+    Feasibility pops them in stream order and keeps the first hit; `counter`,
+    the stats field named for the solve's stream, gets the hit's rank plus
+    one, or the stream size when nothing hits.  Optimization bounds each
+    candidate c from below by lb(c), the sum over g of the c_g smallest
+    weights in E(g): no base with signature c weighs less.  It pops the
+    candidates in nondecreasing lb, intersects each, and stops once the
+    head's bound exceeds the best weight found.  So it intersects exactly the
+    candidates with lb(c) <= the optimum, whatever the order among equal
+    bounds, and returns the least (weight, stream rank), the first strict
+    minimum of the stream; a rank is counted only to break a weight tie.
+    There `counter` gets the stream size.  Both count ranks and sizes
+    without walking the stream.  Oracle calls are counted from
+    `calls_before`.
     """
     m.full_rank  # part of every solve's oracle calls, also when nothing is intersected
     group = labeling.group
     tried = 0
     best: Optional[tuple[BaseSet, Optional[Weight]]] = None
-    if weights is None:
-        hits = _Sized(space.stream())
-        for rank, counts in hits:
-            tried += 1
-            best = base_with_signature(m, labeling, _target_signature(group, counts, target))
-            if best is not None:
-                walked = rank + 1
-                break
+    best_counts: tuple[int, ...] = ()
+    best_rank: Optional[int] = None  # counted once a tie needs it
+    for lb, counts in space.cheapest_first(weights):
+        if best is not None and lb > best[1]:
+            break
+        if counts is None:  # a partial composition
+            continue
+        tried += 1
+        sig = _target_signature(group, counts, target)
+        found = base_with_signature(m, labeling, sig, weights)
+        if found is None or (best is not None and found[1] > best[1]):
+            continue
+        if best is not None and found[1] == best[1]:
+            if best_rank is None:
+                best_rank = space.rank(best_counts)
+            rank = space.rank(counts)
+            if rank > best_rank:
+                continue
+            best_rank = rank
         else:
-            walked = hits.size
-    else:
-        walked = space.size()
-        best_counts: tuple[int, ...] = ()
-        best_rank: Optional[int] = None  # counted once a tie needs it
-        for lb, counts in space.cheapest_first(weights):
-            if best is not None and lb > best[1]:
-                break
-            if counts is None:  # a partial composition
-                continue
-            tried += 1
-            sig = _target_signature(group, counts, target)
-            found = base_with_signature(m, labeling, sig, weights)
-            if found is None or (best is not None and found[1] > best[1]):
-                continue
-            if best is not None and found[1] == best[1]:
-                if best_rank is None:
-                    best_rank = space.rank(best_counts)
-                rank = space.rank(counts)
-                if rank > best_rank:
-                    continue
-                best_rank = rank
-            else:
-                best_rank = None
-            best, best_counts = found, counts
+            best_rank = None
+        best, best_counts = found, counts
+        if weights is None:
+            break
+    hit = weights is None and best is not None
+    walked = space.rank(best_counts) + 1 if hit else space.size()
     stats = SolveStats(
         intersections=tried, oracle_calls=m.oracle_calls - calls_before, **{counter: walked}
     )
@@ -714,7 +634,10 @@ def solve_proximity(
 
     Starting from an optimum (or lexicographically least) base, candidate
     signatures are its signature plus a balanced gain/loss move of size at
-    most k, tried in increasing move size then lexicographic order.  In
+    most k.  Feasibility tries them in increasing move size, then
+    lexicographic (plus, minus) order, popped from the signature search
+    without walking the moves that cannot reach the target label;
+    optimization pops them cheapest-first (see `_search`).  In
     certified_only mode this refuses regimes where exactness is unproven;
     heuristic mode runs anyway and marks the result uncertified.
     """
@@ -734,46 +657,6 @@ def solve_proximity(
     r = sum(base_sig)
     space = _Space(labeling, r, target, base_sig, min(k, r, labeling.n - r))
     return _search(m, labeling, target, weights, space, certified, "candidates", calls_before)
-
-
-def _balanced_moves(
-    labeling: Labeling, base_sig: tuple[int, ...], k: int, target: int
-) -> Generator[tuple[int, tuple[int, ...]], None, int]:
-    """The candidates base_sig + plus - minus with |plus| = |minus| <= k,
-    within the fiber sizes, with plus and minus on disjoint group elements;
-    by move size, then lexicographic (plus, minus).  Yields (rank, counts)
-    for those whose label has index `target`, rank being the position among
-    all candidates, and returns the number of candidates.  A move takes at
-    most the r counts of base_sig and adds at most the n - r outside it, so
-    sizes past min(r, n - r) yield nothing and are not walked.  Feasibility
-    solves walk it; optimization pops the same candidates cheapest-first
-    (`_Space.cheapest_first`)."""
-    ar = arithmetic(labeling.group)
-    order = labeling.group.order
-    caps = [len(fiber) for fiber in labeling.fibers]
-    r = sum(base_sig)
-    # A candidate has the target label exactly when
-    # label(minus) = label(base_sig) - target + label(plus).
-    offset = ar.sub(ar.label(base_sig), target)
-    bits = [1 << g for g in range(order)]  # support of counts c: sum(compress(bits, c))
-    rank = 0
-    for move in range(0, min(k, r, labeling.n - r) + 1):
-        plus_bounds = [min(move, caps[i] - base_sig[i]) for i in range(order)]
-        minus_bounds = [min(move, base_sig[i]) for i in range(order)]
-        # The minus of one plus are those off its support, in this order.
-        minuses = [
-            (minus, ar.label(minus), sum(compress(bits, minus)))
-            for minus in _compositions(move, minus_bounds)
-        ]
-        for plus in _compositions(move, plus_bounds):
-            want, taken = ar.add(offset, ar.label(plus)), sum(compress(bits, plus))
-            for minus, label, support in minuses:
-                if support & taken:
-                    continue
-                if label == want:
-                    yield rank, tuple(b + p - q for b, p, q in zip(base_sig, plus, minus))
-                rank += 1
-    return rank
 
 
 # -- labeling and weight files ----------------------------------------------

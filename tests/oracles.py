@@ -25,9 +25,7 @@ from gcmb.solver import (
     Signature,
     SolveResult,
     SolveStats,
-    _balanced_moves,
     _compositions,
-    _label_walk,
     base_with_signature,
     find_optimum_base,
     proximity_certified,
@@ -60,6 +58,16 @@ def residue_sum(factors: Sequence[int], indices: Iterable[int]) -> int:
     total = [0] * len(factors)
     for x in indices:
         total = [a + b for a, b in zip(total, residues(factors, x))]
+    return residue_index(factors, total)
+
+
+def counts_label(factors: Sequence[int], counts: Sequence[int]) -> int:
+    """The index of the sum over elements x of counts[x] copies of x, summed
+    as residue vectors."""
+    total = [0] * len(factors)
+    for x, c in enumerate(counts):
+        if c:
+            total = [a + c * r for a, r in zip(total, residues(factors, x))]
     return residue_index(factors, total)
 
 
@@ -626,35 +634,32 @@ def optimize_by_walk_and_sort(
 ) -> SolveResult:
     """`solve_enum` (k None) or heuristic-mode `solve_proximity` (move bound
     k) with weights, as the solvers ran optimization before the cheapest-first
-    search: walk the whole target-label stream of `_label_walk` or
-    `_balanced_moves`, bound each candidate c by lb(c), the sum over g of the
-    c_g smallest weights in E(g), sort by (lb, stream rank), intersect in that
-    order until lb passes the best weight, and keep the least (weight, rank).
-    Every field agrees with the package's result, stats included."""
+    search: walk the whole stream, `compositions` within the fiber sizes or
+    `balanced_moves`, keep the candidates with the target label, bound each
+    candidate c by lb(c), the sum over g of the c_g smallest weights in E(g),
+    sort by (lb, stream rank), intersect in that order until lb passes the
+    best weight, and keep the least (weight, rank).  Every field agrees with
+    the package's result, stats included."""
     group = labeling.group
     calls_before = m.oracle_calls
     if k is None:
         certified, counter = True, "signatures"
-        caps = [len(fiber) for fiber in labeling.fibers]
-        stream = _label_walk(group, m.full_rank, caps, target)
+        stream = compositions(m.full_rank, [len(fiber) for fiber in labeling.fibers])
     else:
         certified, _ = proximity_certified(group, k, True)
         counter = "candidates"
         base_sig = signature_of(labeling, find_optimum_base(m, weights)).counts
-        stream = _balanced_moves(labeling, base_sig, k, target)
+        stream = balanced_moves(labeling, base_sig, k)
     m.full_rank  # counted in oracle calls, also when no intersection runs
     prefix = [
         list(itertools.accumulate(sorted(weights[e] for e in fiber), initial=0))
         for fiber in labeling.fibers
     ]
-    queue = []
-    while True:
-        try:
-            rank, counts = next(stream)
-        except StopIteration as end:
-            walked = end.value
-            break
-        queue.append((sum(prefix[g][c] for g, c in enumerate(counts) if c), rank, counts))
+    queue, walked = [], 0
+    for rank, counts in enumerate(stream):
+        walked += 1
+        if counts_label(group.invariant_factors, counts) == target:
+            queue.append((sum(prefix[g][c] for g, c in enumerate(counts) if c), rank, counts))
     queue.sort(key=lambda item: item[:2])
     tried, best, best_rank = 0, None, walked
     for lb, rank, counts in queue:

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from gcmb import catalog as catalog_mod
+from gcmb import cli
 from gcmb.catalog import bundled_path
 from gcmb.cli import build_parser, main
+from gcmb.errors import UsageError
 
 
 def run(capsys, *argv):
@@ -449,6 +451,15 @@ class TestCheckSs:
         code, out, err = run(capsys, "check-ss", "--builtin", "k4", "--random", count)
         assert (code, out, err) == (1, "", f"error: --random must be at least 1, got {count}\n")
 
+    def test_random_count_past_the_limit_is_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check-ss", "--builtin", "k4", "--random", str(10**12))
+        assert time.perf_counter() - start < 5
+        expected = ("error: --random 1000000000000 exceeds the limit N <= 100000 "
+                    "(RANDOM_LABELINGS_LIMIT)\n")
+        assert (code, out, err) == (1, "", expected)
+        assert cli.RANDOM_LABELINGS_LIMIT == 100_000
+
 
 class TestCatalogCommands:
     def test_import_matches_bundled(self, capsys, tmp_path):
@@ -526,5 +537,28 @@ def test_readme_commands_parse(capsys):
     for line in lines:
         try:
             build_parser().parse_args(shlex.split(line)[1:])
-        except SystemExit:
-            pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+        except UsageError as exc:
+            pytest.fail(f"README command does not parse: {line}\n{exc}")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--builtin", "tight4", "--target", "0", "--bogus"],
+     "gcmb: unrecognized arguments: --bogus"),
+    (["solve", "--builtin", "tight4", "--target", "0", "--mode", "bogus"],
+     "gcmb solve: argument --mode: invalid choice: 'bogus'"),
+    ([], "gcmb: the following arguments are required: command"),
+    (["catalog"], "gcmb catalog: the following arguments are required: catalog_command"),
+])
+def test_usage_errors_exit_1_not_the_negative_code(capsys, argv, message):
+    """Exit 2 is a negative verdict (an infeasible target), so a typo must
+    not share it.  The choices' wording differs across Python versions."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--target" in capsys.readouterr().out

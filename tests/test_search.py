@@ -1,7 +1,11 @@
 """The shared signature search of both solvers against separate loops.
 
-`solve_enum` and `solve_proximity` feed one search body with their candidate
-signatures; `oracles.solve_enum_reference` and
+`solve_enum` and `solve_proximity` pop their candidate signatures from one
+best-first search, `_Space.cheapest_first`, and feed one search body with
+them.  Its feasibility pops must equal the streams `oracles.compositions`
+and `oracles.balanced_moves` filtered by label, in order, rank and size, and
+its packed label reach must equal the labels that `oracles.compositions`
+enumerates.  `oracles.solve_enum_reference` and
 `oracles.solve_proximity_reference` keep each solver's loop written out on
 its own, and intersect every target-label signature.  Feasibility results
 must agree in every field.  Optimization prunes signatures by a fiber-weight
@@ -23,15 +27,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcmb import solver
-from gcmb.groups import GroupSpec
+from gcmb.groups import GroupSpec, IndexArithmetic
 from gcmb.matroids import make_graphic, make_linear
 from gcmb.solver import (
     CertificationError,
     Labeling,
     Signature,
-    _balanced_moves,
     _compositions,
-    _label_walk,
     _Space,
     proximity_certified,
     signature_of,
@@ -41,7 +43,9 @@ from gcmb.solver import (
 
 from oracles import (
     balanced_moves,
+    compositions,
     optimize_by_walk_and_sort,
+    residue_sum,
     solve_enum_reference,
     solve_proximity_reference,
 )
@@ -69,19 +73,12 @@ def test_compositions_walk_thousands_of_coordinates():
     assert all(len(c) == 5000 and sum(c) == 1 for c in got)
 
 
-# -- the target-label streams against filtering every candidate by label ------
+# -- the search's feasibility pops against filtering every candidate by label --
 
 WALK_GROUPS = [GroupSpec.parse(s) for s in ("Z1", "Z6", "Z2xZ2", "Z2xZ4", "Z1000")]
-
-
-def drain(stream):
-    """The items of a generator and the value it returns."""
-    items = []
-    while True:
-        try:
-            items.append(next(stream))
-        except StopIteration as end:
-            return items, end.value
+REACH_GROUPS = [
+    GroupSpec.parse(s) for s in ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ4", "Z3xZ3", "Z1000")
+]
 
 
 def label_filtered(group, candidates, target):
@@ -92,11 +89,36 @@ def label_filtered(group, candidates, target):
     return hits, len(candidates)
 
 
+def feasibility_pops(space, limit):
+    """(rank, counts) of the candidates that a feasibility search pops, in
+    pop order, and the stream size, with WALK_CELL_LIMIT at `limit`."""
+    with mock.patch.object(solver, "WALK_CELL_LIMIT", limit):
+        popped = [counts for _, counts in space.cheapest_first(None) if counts is not None]
+    return [(space.rank(c), c) for c in popped], space.size()
+
+
+def fiber_labeling(group, caps):
+    """A labeling whose fiber sizes are `caps`."""
+    return Labeling.from_indices(group, [g for g, c in enumerate(caps) for _ in range(c)])
+
+
+def caps_compositions(total, caps):
+    """`oracles.compositions(total, caps)`, recursing over the non-zero caps
+    alone, so that the 1000 caps of Z1000 stay within the recursion limit;
+    the zero caps hold 0 in every composition, so the order is the same."""
+    coords = [g for g, c in enumerate(caps) if c]
+    for values in compositions(total, [caps[g] for g in coords]):
+        counts = [0] * len(caps)
+        for g, v in zip(coords, values):
+            counts[g] = v
+        yield tuple(counts)
+
+
 @st.composite
-def walk_cases(draw):
+def walk_cases(draw, groups=WALK_GROUPS):
     """A group, caps with zeros among them (a handful of non-zero caps for
     Z1000), a total, and a target that is often reached by no signature."""
-    group = draw(st.sampled_from(WALK_GROUPS))
+    group = draw(st.sampled_from(groups))
     caps = [0] * group.order
     for g in draw(st.lists(st.integers(0, group.order - 1), max_size=6)):
         caps[g] = draw(st.integers(0, 4))
@@ -105,19 +127,21 @@ def walk_cases(draw):
     return group, caps, total, target
 
 
+LIMITS = st.sampled_from([solver.WALK_CELL_LIMIT, 0, 1, 64])
+
+
 @settings(max_examples=300, deadline=None)
-@given(case=walk_cases(), limit=st.sampled_from([solver.WALK_CELL_LIMIT, 0, 1, 64]))
+@given(case=walk_cases(), limit=LIMITS)
 @example(case=(GroupSpec.parse("Z2xZ4"), [2, 0, 3, 1, 0, 2, 2, 0], 5,
                GroupSpec.parse("Z2xZ4").parse_index("1,1")), limit=solver.WALK_CELL_LIMIT)
 @example(case=(GroupSpec.parse("Z6"), [0] * 6, 0, 0), limit=0)
 def test_label_walk_matches_filtered_compositions(case, limit):
-    """Same hits in the same order, the same ranks and the same stream size,
-    with the walk's cells kept (under the limit) and not kept (over it)."""
+    """The enum feasibility search, a depth-first walk pruned by label reach:
+    the same hits in the same order, the same ranks and the same stream
+    size, with the label reach kept (under the limit) and not (over it)."""
     group, caps, total, target = case
-    want = label_filtered(group, _compositions(total, caps), target)
-    with mock.patch.object(solver, "WALK_CELL_LIMIT", limit):
-        got = drain(_label_walk(group, total, caps, target))
-    assert got == want
+    want = label_filtered(group, caps_compositions(total, caps), target)
+    assert feasibility_pops(_Space(fiber_labeling(group, caps), total, target), limit) == want
 
 
 @st.composite
@@ -136,12 +160,56 @@ def move_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=move_cases())
-def test_balanced_moves_match_filtered_candidates(case):
+@given(case=move_cases(), limit=LIMITS)
+def test_balanced_moves_match_filtered_candidates(case, limit):
+    """The proximity feasibility search pops the balanced moves by move size,
+    then plus, then minus, as `balanced_moves` walks them; the radius is
+    cut at min(r, n - r) as the solver cuts it."""
     labeling, base_sig, k, target = case
+    r = sum(base_sig)
     want = label_filtered(labeling.group, balanced_moves(labeling, base_sig, k), target)
-    got = drain(_balanced_moves(labeling, base_sig, k, target))
-    assert got == want
+    space = _Space(labeling, r, target, base_sig, min(k, r, labeling.n - r))
+    assert feasibility_pops(space, limit) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=walk_cases(groups=REACH_GROUPS))
+@example(case=(GroupSpec.parse("Z3xZ3"), [0, 2, 0, 1, 0, 0, 0, 3, 1], 4, 0))
+def test_packed_reach_matches_enumerated_labels(case):
+    """Block t of row i holds the labels of the ways to put t units on the
+    non-empty fibers from the i-th on, for every t up to the total, and
+    nothing past the last block."""
+    group, caps, total, _ = case
+    space = _Space(fiber_labeling(group, caps), total, 0)
+    rows = space._reach()
+    coords, bounds, order = space.coords, space.bounds, group.order
+    assert len(rows) == len(coords) + 1
+    for i, row in enumerate(rows):
+        for t in range(total + 1):
+            labels = {
+                residue_sum(group.invariant_factors,
+                            (g for g, c in zip(coords[i:], values) for _ in range(c)))
+                for values in compositions(t, bounds[i:])
+            }
+            assert row >> t * order & (1 << order) - 1 == sum(1 << x for x in labels)
+        assert row >> (total + 1) * order == 0
+
+
+def test_proximity_feasibility_miss_labels_no_candidate(monkeypatch):
+    """K7 over Z6 with every label in {0, 3}, so no base reaches 1.  The
+    search refuses the target at its root reach and labels nothing; a walk
+    of the move stream labels every plus composition it meets."""
+    calls = []
+    label = IndexArithmetic.label
+    monkeypatch.setattr(IndexArithmetic, "label",
+                        lambda ar, counts: calls.append(counts) or label(ar, counts))
+    rng = random.Random(6)
+    k7 = list(itertools.combinations(range(7), 2))
+    labeling = Labeling.from_indices(GroupSpec.parse("Z6"), [rng.choice([0, 3]) for _ in k7])
+    got = solve_proximity(make_graphic(k7), labeling, 1, 5)
+    assert not got.feasible and got.certified
+    assert (got.stats.candidates, got.stats.intersections) == (7, 0)
+    assert calls == []
 
 
 KINDS = ["K4", "K5", "K6", "GF2", "GF3"]
@@ -286,11 +354,6 @@ def test_cheapest_first_matches_walk_and_sort(inst, kind, seed, limit):
         got_proximity = solve_proximity(build(), labeling, target, k, weights, "heuristic")
     assert got_enum == optimize_by_walk_and_sort(build(), labeling, target, weights)
     assert got_proximity == optimize_by_walk_and_sort(build(), labeling, target, weights, k)
-
-
-def fiber_labeling(group, caps):
-    """A labeling whose fiber sizes are `caps`."""
-    return Labeling.from_indices(group, [g for g, c in enumerate(caps) for _ in range(c)])
 
 
 @settings(max_examples=200, deadline=None)
