@@ -296,26 +296,16 @@ def k4_graphic() -> GraphicMatroid:
 
 def whirl3() -> ExplicitMatroid:
     """The rank-3 whirl: the wheel with its rim triangle relaxed into a base."""
-    bases = list(k4_graphic().bases()) + [(3, 4, 5)]
-    return make_explicit(6, bases)
+    return make_explicit(6, k4_graphic().bases() + [(3, 4, 5)])
 
 
-def _direct_sum_bases(parts: Sequence[tuple[int, Sequence[BaseSet]]]) -> tuple[int, list[BaseSet]]:
-    offset = 0
-    pieces: list[list[BaseSet]] = []
-    for n, bases in parts:
-        pieces.append([tuple(e + offset for e in b) for b in bases])
-        offset += n
-    combined = [
-        tuple(sorted(itertools.chain.from_iterable(combo)))
-        for combo in itertools.product(*pieces)
-    ]
-    return offset, combined
-
-
-def direct_sum(parts: Sequence[Matroid], trust: bool = False) -> ExplicitMatroid:
-    n, bases = _direct_sum_bases([(m.n, m.bases()) for m in parts])
-    return make_explicit(n, bases, trust=trust)
+def direct_sum(parts: Sequence[Matroid]) -> ExplicitMatroid:
+    """The direct sum, each part's elements numbered after the parts before it."""
+    offset, pieces = 0, []
+    for m in parts:
+        pieces.append([tuple(e + offset for e in b) for b in m.bases()])
+        offset += m.n
+    return make_explicit(offset, [sum(combo, ()) for combo in itertools.product(*pieces)])
 
 
 def _mod_labeling(group: GroupSpec, n: int) -> Labeling:
@@ -358,16 +348,3 @@ def builtin_instances() -> dict[str, BuiltinInstance]:
     """Every named instance of `BUILTINS`, freshly built."""
     return {name: make() for name, make in BUILTINS.items()}
 
-
-def bundled_matroids(max_n: int = 8, max_r: int = 4) -> list[tuple[str, Matroid]]:
-    """Distinct matroids behind the builtin instances, size-filtered.
-
-    Tight-example matroids are uniform and already covered by the u-entries.
-    """
-    ordered = ["u12", "u23", "u24", "k4", "w3", "u36", "s222", "s233", "u48"]
-    out = []
-    for name in ordered:
-        m = BUILTINS[name]().matroid
-        if m.n <= max_n and m.full_rank <= max_r:
-            out.append((name, m))
-    return out

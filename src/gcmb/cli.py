@@ -95,6 +95,9 @@ def cmd_solve(args) -> int:
     target = group.parse_index(args.target)
     weights = load_weights(args.weights, matroid.n) if args.weights else None
     if args.mode == "enum":
+        if args.k is not None or args.heuristic is not None:
+            flag = "--k" if args.k is not None else "--heuristic" if args.heuristic else "--certified"
+            raise UsageError(f"{flag} applies to --mode proximity only, not --mode enum")
         result = solve_enum(matroid, labeling, target, weights)
         k_text = "-"
     else:
@@ -172,10 +175,13 @@ def _parse_range(text: Optional[str]) -> Optional[tuple[int, int]]:
 
 def cmd_scan(args) -> int:
     if args.merge:
+        for name in ("catalog", "builtin", "group", "predicate", "reduction", "range", "lenient"):
+            if getattr(args, name):
+                raise UsageError(f"pass either --merge or --{name}, not both")
         merged = lab_mod.merge_scan_reports([read_text(path) for path in args.merge])
         _emit(merged, args.out)
         return EXIT_NEGATIVE if "verdict=isolating" in merged else EXIT_OK
-    predicate = lab_mod.PREDICATE_FROM_NAME[args.predicate]
+    predicate = lab_mod.PREDICATE_FROM_NAME[args.predicate or "strong-block"]
     if not args.group:
         raise UsageError("--group is required for scan")
     group = GroupSpec.parse(args.group)
@@ -195,7 +201,7 @@ def cmd_scan(args) -> int:
         pool,
         group,
         predicate,
-        reduction=args.reduction,
+        reduction=args.reduction or "none",
         index_range=_parse_range(args.range),
         jobs=args.jobs,
         seed=args.seed,
@@ -206,6 +212,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_check_ss(args) -> int:
+    if args.random is not None and args.labels:
+        raise UsageError("pass either --labels or --random, not both")
     name, matroid, group, labeling = _load_instance(args)
     lines = [f"# gcmb check-ss matroid={name} group={group} seed={args.seed}"]
     labelings: Iterable[tuple[str, Labeling]]
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     certified = p_solve.add_mutually_exclusive_group()
     certified.add_argument("--certified", dest="heuristic", action="store_false")
     certified.add_argument("--heuristic", dest="heuristic", action="store_true")
-    p_solve.set_defaults(heuristic=False, func=cmd_solve)
+    p_solve.set_defaults(heuristic=None, func=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="closeness check, with witness on failure")
     _add_instance_flags(p_verify)
@@ -318,11 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--builtin", help="builtin matroid to scan")
     p_scan.add_argument("--group", help="group spec string")
     p_scan.add_argument(
-        "--predicate", choices=list(lab_mod.PREDICATE_FROM_NAME), default="strong-block"
+        "--predicate", choices=list(lab_mod.PREDICATE_FROM_NAME),
+        help="default strong-block",
     )
-    p_scan.add_argument(
-        "--reduction", choices=["none", "translation"], default="none"
-    )
+    p_scan.add_argument("--reduction", choices=["none", "translation"], help="default none")
     p_scan.add_argument("--range", help="labeling index range a..b for sharding")
     p_scan.add_argument("--lenient", action="store_true", help="skip invalid catalog entries")
     p_scan.add_argument("--merge", nargs="+", help="merge shard reports instead of scanning")

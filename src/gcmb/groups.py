@@ -14,12 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
-from .errors import CapacityError, InternalError, UsageError, quote
+from .errors import CapacityError, UsageError, quote
 
 _SPEC_TOKEN = re.compile(r"^[zZ](\d+)$")
-
-#: Hard cap for exhaustive searches over sequences of group elements.
-DAVENPORT_BRUTE_MAX_ORDER = 16
 
 #: Largest group order gcmb builds.  Isolation scans count bases per group
 #: value and solves walk |G|-long signatures, so both grow with |G|; groups
@@ -355,66 +352,20 @@ def _formula_applies(spec: GroupSpec) -> bool:
     return len(primes) == 1  # p-group
 
 
-def _longest_zero_sum_free(spec: GroupSpec) -> int:
-    """Length of the longest sequence over G with no nonempty zero-sum subsequence."""
-    n = spec.order
-    translate = arithmetic(spec).shift_mask
-    cap = davenport_lower_bound(spec) + 4  # sanity window; D(G) <= |G| anyway
-
-    memo: dict[tuple[int, int], int] = {}
-
-    def extend(sums: int, min_elem: int) -> int:
-        key = (sums, min_elem)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = 0
-        for x in range(max(min_elem, 1), n):  # index 0 is the identity
-            new_sums = sums | (1 << x) | translate(sums, x)
-            if new_sums & 1:  # identity became a subsequence sum
-                continue
-            best = max(best, 1 + extend(new_sums, x))
-        memo[key] = best
-        return best
-
-    longest = extend(0, 1)
-    if longest + 1 > cap:
-        raise InternalError(
-            f"zero-sum-free search exceeded the sanity window for {spec}"
-        )
-    return longest
-
-
-def davenport(
-    spec: GroupSpec,
-    method: Literal["formula", "brute_force", "auto"] = "auto",
-) -> int:
+def davenport(spec: GroupSpec) -> int:
     """The Davenport constant D(G): the least L such that every length-L
     sequence over G has a nonempty zero-sum subsequence.
 
-    `formula` returns sum(m_i - 1) + 1 and refuses groups where that closed
-    form is not known to be exact (it is exact for p-groups and for at most
-    two invariant factors).  `brute_force` searches zero-sum-free sequences
-    and is capped at |G| <= 16.  `auto` prefers the formula when valid.
+    It is the closed form sum(m_i - 1) + 1, exact for p-groups and for groups
+    with at most two invariant factors (Olson 1969); any other group, of
+    order 24 or more, is refused.
     """
-    if method == "auto":
-        method = "formula" if _formula_applies(spec) else "brute_force"
-    if method == "formula":
-        if not _formula_applies(spec):
-            raise UsageError(
-                f"closed-form Davenport constant is only valid for p-groups and "
-                f"groups with <= 2 invariant factors; {spec} is neither "
-                f"(use brute_force)"
-            )
-        return davenport_lower_bound(spec)
-    if method == "brute_force":
-        if spec.order > DAVENPORT_BRUTE_MAX_ORDER:
-            raise CapacityError(
-                f"brute-force Davenport search capped at |G| <= "
-                f"{DAVENPORT_BRUTE_MAX_ORDER}, got |G| = {spec.order}"
-            )
-        return _longest_zero_sum_free(spec) + 1
-    raise UsageError(f"unknown davenport method {method!r}")
+    if not _formula_applies(spec):
+        raise UsageError(
+            f"closed-form Davenport constant is only valid for p-groups and "
+            f"groups with <= 2 invariant factors; {spec} is neither"
+        )
+    return davenport_lower_bound(spec)
 
 
 def closeness_class(spec: GroupSpec) -> Literal["proven", "unproven"]:

@@ -36,6 +36,7 @@ from .intersection import Weight
 from .matroids import (
     BaseSet,
     Matroid,
+    check_subsets,
     contract,
     delete,
     find_blocks,
@@ -53,11 +54,7 @@ _LABEL_CELLS = 1 << 18  # base labels the scan kernel holds at once
 
 
 def _lab_guard(m: Matroid) -> None:
-    if math.comb(m.n, m.full_rank) > LAB_ENUM_LIMIT:
-        raise CapacityError(
-            f"lab checks require C(n,r) <= {LAB_ENUM_LIMIT}; "
-            f"C({m.n},{m.full_rank}) exceeds it"
-        )
+    check_subsets(m.n, m.full_rank, LAB_ENUM_LIMIT, "LAB_ENUM_LIMIT")
 
 
 def _guarded_rows(m: Matroid) -> np.ndarray:
@@ -726,8 +723,9 @@ def isolation_scan(
             )
         if stop - start > SCAN_RANGE_LIMIT:
             raise CapacityError(
-                f"range of {stop - start} labelings exceeds {SCAN_RANGE_LIMIT}; "
-                f"shard the scan with index ranges"
+                f"range of {stop - start} labelings exceeds the limit "
+                f"b - a <= {SCAN_RANGE_LIMIT} (SCAN_RANGE_LIMIT); shard the scan with "
+                f"index ranges a..b"
             )
         # blocks first: the kernel takes a block count
         picked = np.flatnonzero(blocks)

@@ -47,7 +47,7 @@ GROUND_SIZE_LIMIT = 10**5
 class Matroid:
     """Base class: subclasses implement `_indep` on frozensets of indices, the
     counted oracle, and may override the hooks `_rank`, `cursor`, `circuits`,
-    `_bases` and `_base_rows`, never the public methods that call them."""
+    `_base_rows` and `_block_flags`, never the public methods that call them."""
 
     kind = "abstract"
 
@@ -119,40 +119,29 @@ class Matroid:
     def _enumeration_rank(self) -> int:
         """The full rank r, once C(n, r) <= ENUMERATION_LIMIT is checked."""
         r = self.full_rank
-        if math.comb(self.n, r) > ENUMERATION_LIMIT:
-            raise CapacityError(
-                f"C({self.n},{r}) exceeds the enumeration guard {ENUMERATION_LIMIT}"
-            )
+        check_subsets(self.n, r, ENUMERATION_LIMIT, "ENUMERATION_LIMIT")
         return r
 
     def bases(self) -> list[BaseSet]:
-        """All bases in lexicographic order, for the lab.
-
-        The guard C(n, r) <= ENUMERATION_LIMIT is checked here; the listing
-        comes from `_bases`.  Its default asks the oracle about every
-        r-subset.  Graphic, uniform and explicit matroids override the hook
-        with kernels that make no oracle calls, so `oracle_calls` does not
-        count them (no lab or `bases` report prints that count).  Subclasses
-        override `_bases`, never this method.
-        """
-        return self._bases(self._enumeration_rank())
+        """The rows of `base_rows`, under its guard, as sorted tuples."""
+        return list(map(tuple, self.base_rows().tolist()))
 
     def base_rows(self) -> np.ndarray:
-        """The bases of `bases`, in its order, as the rows of a (count x r)
-        intp array, under the same guard.  The rows come from `_base_rows`,
-        which by default converts `_bases`; the graphic kernel overrides it.
-        Subclasses override `_base_rows`, never this method."""
+        """All bases in lexicographic order, as the rows of a (count x r)
+        integer array, for the lab.
+
+        The guard C(n, r) <= ENUMERATION_LIMIT is checked here; the rows come
+        from `_base_rows`.  Its default asks the oracle about every r-subset.
+        Graphic, uniform and explicit matroids override the hook with kernels
+        that make no oracle calls, so `oracle_calls` does not count them (no
+        lab or `bases` report prints that count).  Subclasses override
+        `_base_rows`, never this method.
+        """
         return self._base_rows(self._enumeration_rank())
 
-    def _bases(self, r: int) -> list[BaseSet]:
-        return [
-            combo
-            for combo in itertools.combinations(range(self.n), r)
-            if self.is_independent(combo)
-        ]
-
     def _base_rows(self, r: int) -> np.ndarray:
-        bases = self._bases(r)
+        combos = itertools.combinations(range(self.n), r)
+        bases = [combo for combo in combos if self.is_independent(combo)]
         return np.array(bases, dtype=np.intp).reshape(len(bases), r)
 
     def base_blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +182,15 @@ class Matroid:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} n={self.n} r={self.full_rank}>"
+
+
+def check_subsets(n: int, r: int, limit: int, name: str) -> None:
+    """Refuse C(n, r) past `limit`, the guard constant called `name`."""
+    count = math.comb(n, r)
+    if count > limit:
+        # the power of two it reaches past 10^30: str() refuses over 4300 digits
+        value = count if count < 10**30 else f"2^{count.bit_length() - 1} or more"
+        raise CapacityError(f"C({n},{r}) = {value} exceeds the limit C(n,r) <= {limit} ({name})")
 
 
 # -- independence cursors ----------------------------------------------------
@@ -323,8 +321,10 @@ class UniformMatroid(Matroid):
     def _indep(self, subset: frozenset[int]) -> bool:
         return len(subset) <= self.r
 
-    def _bases(self, r: int) -> list[BaseSet]:
-        return list(itertools.combinations(range(self.n), r))
+    def _base_rows(self, r: int) -> np.ndarray:
+        count = math.comb(self.n, r)
+        flat = itertools.chain.from_iterable(itertools.combinations(range(self.n), r))
+        return np.fromiter(flat, dtype=np.intp, count=count * r).reshape(count, r)
 
 
 class GraphicMatroid(Matroid):
@@ -359,9 +359,6 @@ class GraphicMatroid(Matroid):
 
     def cursor(self) -> Cursor:
         return _ForestCursor(self)
-
-    def _bases(self, r: int) -> list[BaseSet]:
-        return list(map(tuple, self._base_rows(r).tolist()))
 
     def _base_rows(self, r: int) -> np.ndarray:
         """The r-subsets that are spanning forests, by a vectorised test.
@@ -517,10 +514,6 @@ class ExplicitMatroid(Matroid):
         return _complements_found(self.n, self._masks)
 
     @functools.cached_property
-    def _base_frozen(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.base_list))
-
-    @functools.cached_property
     def _base_lookup(self) -> frozenset[frozenset[int]]:
         return frozenset(map(frozenset, self.base_list))
 
@@ -548,7 +541,7 @@ class ExplicitMatroid(Matroid):
         if not missed.any():
             return
         i, j = (int(x) for x in np.argwhere(missed)[0])
-        a_set, b_set = self._base_frozen[i], self._base_frozen[j]
+        a_set, b_set = frozenset(self.base_list[i]), frozenset(self.base_list[j])
         a = next(
             a for a in a_set - b_set
             if not need[i, self.base_list[i].index(a)] & other[j]
@@ -557,9 +550,6 @@ class ExplicitMatroid(Matroid):
             f"base exchange axiom fails: no swap for element {a} of "
             f"{tuple(sorted(a_set))} toward {tuple(sorted(b_set))}"
         )
-
-    def _bases(self, r: int) -> list[BaseSet]:
-        return list(self.base_list)
 
     def _base_rows(self, r: int) -> np.ndarray:
         return self._rows
@@ -754,32 +744,10 @@ class ContractMatroid(Matroid):
         return self.parent.is_independent(mapped | self.contracted)
 
 
-def make_uniform(n: int, r: int) -> UniformMatroid:
-    return UniformMatroid(n, r)
-
-
-def make_graphic(edges: Sequence[tuple[object, object]], vertices: Optional[int] = None) -> GraphicMatroid:
-    return GraphicMatroid(edges, vertices)
-
-
-def make_linear(rows: Sequence[Sequence[int]], p: int) -> LinearMatroid:
-    return LinearMatroid(rows, p)
-
-
-def make_explicit(n: int, bases: Iterable[Iterable[int]], trust: bool = False) -> ExplicitMatroid:
-    return ExplicitMatroid(n, bases, trust=trust)
-
-
-def make_partition(classes: Sequence[Iterable[int]], capacities: Sequence[int]) -> PartitionMatroid:
-    return PartitionMatroid(classes, capacities)
-
-
-def delete(m: Matroid, removed: Iterable[int]) -> Matroid:
-    return DeleteMatroid(m, removed)
-
-
-def contract(m: Matroid, contracted: Iterable[int]) -> Matroid:
-    return ContractMatroid(m, contracted)
+#: The public constructors are the classes.
+make_uniform, make_graphic, make_linear = UniformMatroid, GraphicMatroid, LinearMatroid
+make_explicit, make_partition = ExplicitMatroid, PartitionMatroid
+delete, contract = DeleteMatroid, ContractMatroid
 
 
 # -- exchange machinery ------------------------------------------------------
@@ -906,14 +874,13 @@ class SboReport:
         return self.is_sbo
 
 
-def _sbo_guard(m: Matroid) -> list[BaseSet]:
+def _sbo_guard(m: Matroid) -> None:
+    """The guards of the bijection searches, on the rank and on C(n, r)."""
     if m.full_rank > SBO_MAX_RANK:
-        raise CapacityError(f"bijection search capped at rank <= {SBO_MAX_RANK}")
-    if math.comb(m.n, m.full_rank) > SBO_MAX_BASES:
         raise CapacityError(
-            f"bijection search capped at C(n,r) <= {SBO_MAX_BASES} bases"
+            f"rank {m.full_rank} exceeds the limit r <= {SBO_MAX_RANK} (SBO_MAX_RANK)"
         )
-    return m.bases()
+    check_subsets(m.n, m.full_rank, SBO_MAX_BASES, "SBO_MAX_BASES")
 
 
 def _subset_exchange_bijection(
@@ -949,7 +916,8 @@ def is_strongly_base_orderable(m: Matroid) -> SboReport:
     turn every subset swap into a base.  Returns the witnessing bijections,
     or the first (lex) violating pair.
     """
-    all_bases = _sbo_guard(m)
+    _sbo_guard(m)
+    all_bases = m.bases()
     bijections: dict[tuple[BaseSet, BaseSet], ExchangeBijection] = {}
     for i, a in enumerate(all_bases):
         for b in all_bases[i + 1 :]:
@@ -966,8 +934,7 @@ def is_k_replaceable(m: Matroid, base_a: Iterable[int], base_b: Iterable[int], k
     b_set = frozenset(base_b)
     if not (m.is_base(a_set) and m.is_base(b_set)):
         raise UsageError("both arguments must be bases")
-    if m.full_rank > SBO_MAX_RANK or math.comb(m.n, m.full_rank) > SBO_MAX_BASES:
-        raise CapacityError("replaceability search shares the SBO guards")
+    _sbo_guard(m)
     return _subset_exchange_bijection(m, b_set, a_set, k) is not None
 
 

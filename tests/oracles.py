@@ -6,6 +6,7 @@ the package computes faster; none of them is shipped in `gcmb`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,8 +16,10 @@ import numpy as np
 
 from gcmb import intersection
 from gcmb import lab as lab_mod
+from gcmb.catalog import BUILTINS
 from gcmb.errors import CapacityError, InternalError, ParseError, UsageError
 from gcmb.errors import content_lines, element_list, quote
+from gcmb.groups import GroupSpec, arithmetic
 from gcmb.intersection import Weight
 from gcmb.lab import Witness
 from gcmb.matroids import EXPLICIT_VALIDATE_MAX, BaseSet, LinearMatroid, Matroid
@@ -104,6 +107,33 @@ def schrijver_seymour_reference(m: Matroid, labeling: Labeling) -> tuple[int, in
     )
     bound = len(h) * min(rank_sum - m.full_rank + 1, labeling.group.order // len(h))
     return len(image), len(h), len(parts), rank_sum, bound, len(image) >= bound
+
+
+#: Largest group order `davenport_by_search` takes.
+DAVENPORT_SEARCH_MAX_ORDER = 16
+
+
+def davenport_by_search(spec: GroupSpec) -> int:
+    """D(G), one more than the length of the longest sequence over G with no
+    nonempty zero-sum subsequence, by a search over sets of subsequence sums."""
+    if spec.order > DAVENPORT_SEARCH_MAX_ORDER:
+        raise CapacityError(
+            f"group order {spec.order} exceeds the limit |G| <= {DAVENPORT_SEARCH_MAX_ORDER} "
+            f"(DAVENPORT_SEARCH_MAX_ORDER)"
+        )
+    translate = arithmetic(spec).shift_mask
+
+    @functools.cache
+    def extend(sums: int, least: int) -> int:
+        """The longest zero-sum-free extension by elements from `least` on."""
+        best = 0
+        for x in range(least, spec.order):
+            grown = sums | 1 << x | translate(sums, x)
+            if not grown & 1:  # index 0, the identity, is no subsequence sum
+                best = max(best, 1 + extend(grown, x))
+        return best
+
+    return extend(0, 1) + 1
 
 
 # -- matroids -----------------------------------------------------------------
@@ -234,7 +264,7 @@ def validate_exchange_loop(m) -> None:
     if not missed.any():
         return
     i, j = (int(x) for x in np.argwhere(missed)[0])
-    a_set, b_set = m._base_frozen[i], m._base_frozen[j]
+    a_set, b_set = frozenset(m.base_list[i]), frozenset(m.base_list[j])
     a = next(a for a in a_set - b_set if not need[i, m.base_list[i].index(a)] & masks[j])
     raise UsageError(
         f"base exchange axiom fails: no swap for element {a} of "
@@ -332,6 +362,20 @@ def parse_catalog_reference(
                 problems.append((lineno, reason))
             continue
         yield entry_id, n, r, matroid
+
+
+def bundled_matroids(max_n: int = 8, max_r: int = 4) -> list[tuple[str, Matroid]]:
+    """Distinct matroids behind the builtin instances, size-filtered.
+
+    Tight-example matroids are uniform and already covered by the u-entries.
+    """
+    ordered = ["u12", "u23", "u24", "k4", "w3", "u36", "s222", "s233", "u48"]
+    out = []
+    for name in ordered:
+        m = BUILTINS[name]().matroid
+        if m.n <= max_n and m.full_rank <= max_r:
+            out.append((name, m))
+    return out
 
 
 # -- intersection --------------------------------------------------------------

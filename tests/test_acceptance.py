@@ -14,7 +14,6 @@ import pytest
 
 from gcmb.catalog import (
     builtin_instances,
-    bundled_matroids,
     bundled_path,
     filter_blocks,
     parse_indicator_file,
@@ -41,7 +40,13 @@ from gcmb.matroids import (
 )
 from gcmb.solver import Labeling, solve_enum, solve_proximity
 
-from oracles import base_label, exchange_surplus, verify_witness
+from oracles import (
+    base_label,
+    bundled_matroids,
+    davenport_by_search,
+    exchange_surplus,
+    verify_witness,
+)
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)
@@ -256,11 +261,10 @@ def test_criterion_09_davenport_constants():
     for factors in all_small:
         spec = GroupSpec(factors)
         is_p_group = len({p for m in factors for p in _prime_factors(m)}) == 1
-        if is_p_group or len(factors) <= 2:
-            assert davenport(spec, "brute_force") == davenport(spec, "formula")
-            assert davenport(spec, "formula") == davenport_lower_bound(spec)
+        assert is_p_group or len(factors) <= 2  # the closed form is exact here
+        assert davenport_by_search(spec) == davenport(spec) == davenport_lower_bound(spec)
     for m_val in range(2, 13):
-        assert davenport(GroupSpec.of(m_val), "brute_force") == m_val
+        assert davenport_by_search(GroupSpec.of(m_val)) == m_val
     _passed(9, "Davenport constants: brute force matches formula")
 
 

@@ -1,6 +1,6 @@
 """The base-enumeration kernels and the exchange-graph closeness search
-against the loops they replace: `Matroid._bases` asking the oracle about
-every r-subset, and the pairwise einsum distances and per-pair reference
+against the loops they replace: `Matroid._base_rows` asking the oracle
+about every r-subset, and the pairwise einsum distances and per-pair reference
 kept in `oracles.py`."""
 
 import itertools
@@ -35,7 +35,7 @@ from oracles import closeness_reference, closeness_witness_einsum
 
 def oracle_bases(m):
     """The default hook: every r-subset the oracle calls independent."""
-    return Matroid._bases(m, m.full_rank)
+    return list(map(tuple, Matroid._base_rows(m, m.full_rank).tolist()))
 
 
 @st.composite
@@ -93,8 +93,8 @@ def test_family_kernels_make_no_oracle_calls():
               make_explicit(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)])):
         r = m.full_rank
         calls = m.oracle_calls
-        m._bases(r)
         m._base_rows(r)
+        m.bases()
         assert m.oracle_calls == calls, m.kind
 
 
@@ -129,7 +129,7 @@ def test_base_rows_share_the_enumeration_guard(m):
     with pytest.raises(CapacityError) as rows:
         m.base_rows()
     assert str(rows.value) == str(listed.value)
-    assert "enumeration guard" in str(rows.value)
+    assert "exceeds the limit C(n,r) <= 10000000 (ENUMERATION_LIMIT)" in str(rows.value)
 
 
 # -- closeness distances -----------------------------------------------------------

@@ -10,7 +10,6 @@ from gcmb.catalog import (
     BuiltinInstance,
     CatalogEntry,
     builtin_instances,
-    bundled_matroids,
     bundled_path,
     direct_sum,
     entry_to_indicator,
@@ -31,6 +30,7 @@ from gcmb.matroids import find_blocks, make_uniform
 from oracles import (
     ExplicitReference,
     block_bases_reference,
+    bundled_matroids,
     oracles_equal,
     parse_catalog_reference,
     verify_axioms,

@@ -55,6 +55,16 @@ class TestSolve:
         assert code == 2
         assert "status=infeasible" in out
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "enum", "--k", "3"], ["--mode", "enum", "--heuristic"], ["--certified"],
+    ], ids=["k", "heuristic", "certified-default-mode"])
+    def test_enum_mode_refuses_the_proximity_flags(self, capsys, flags):
+        """Enum search takes no move bound, so these flags would go unread."""
+        flag = next(f for f in flags if f in ("--k", "--heuristic", "--certified"))
+        code, out, err = run(capsys, "solve", "--builtin", "tight4", "--target", "0", *flags)
+        expected = f"error: {flag} applies to --mode proximity only, not --mode enum\n"
+        assert (code, out, err) == (1, "", expected)
+
     def test_missing_target_is_error(self, capsys):
         code, _, err = run(capsys, "solve", "--builtin", "tight4")
         assert code == 1 and "target" in err
@@ -293,6 +303,19 @@ class TestScan:
         assert code == 0
         assert merged.read_text() == full.read_text()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--catalog", "nothing.cat"), ("--builtin", "u24"), ("--group", "Z5"),
+        ("--predicate", "block"), ("--reduction", "translation"), ("--range", "0..1"),
+        ("--lenient", None),
+    ])
+    def test_merge_refuses_the_scan_flags(self, capsys, tmp_path, flag, value):
+        """A merge reads its shards' own headers, so a scan flag would go unread."""
+        shard = tmp_path / "s0.txt"
+        run(capsys, "--out", str(shard), "scan", "--builtin", "k4", "--group", "Z3")
+        given = [flag] if value is None else [flag, value]
+        code, out, err = run(capsys, "scan", "--merge", str(shard), *given)
+        assert (code, out, err) == (1, "", f"error: pass either --merge or {flag}, not both\n")
+
     def test_overlapping_merge_rejected(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run(capsys, "--out", str(a), "scan", "--builtin", "k4", "--group", "Z3",
@@ -445,6 +468,14 @@ class TestCheckSs:
         assert out_a != out_b  # with overwhelming probability
         assert out_a == out_a2
 
+
+    def test_labels_and_random_are_refused_together(self, capsys, tmp_path):
+        """Random labelings replace the given one, which would go unchecked."""
+        labels = tmp_path / "k4.lab"
+        labels.write_text("".join(f"{e} 1\n" for e in range(6)))
+        code, out, err = run(capsys, "check-ss", "--builtin", "k4", "--labels", str(labels),
+                             "--random", "2")
+        assert (code, out, err) == (1, "", "error: pass either --labels or --random, not both\n")
 
     @pytest.mark.parametrize("count", ["-3", "0"])
     def test_random_count_must_be_positive(self, capsys, count):

@@ -56,7 +56,7 @@ def test_validator_matches_plain_loop(family):
         m = ExplicitMatroid(n, bases, trust=True)  # structural checks only
     except UsageError:
         assume(False)
-    assert outcome(m._validate_exchange) == outcome(lambda: plain_validate(m._base_frozen))
+    assert outcome(m._validate_exchange) == outcome(lambda: plain_validate(tuple(map(frozenset, m.base_list))))
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             expected = any(set(subset) <= set(b) for b in bases)

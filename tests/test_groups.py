@@ -15,7 +15,17 @@ from gcmb.groups import (
     stabilizer,
 )
 
-from oracles import cosets_reference, residue_index, residue_sum, residues, stabilizer_reference
+from gcmb.lab import sbo_strong_closeness_suite
+from gcmb.matroids import make_uniform
+
+from oracles import (
+    cosets_reference,
+    davenport_by_search,
+    residue_index,
+    residue_sum,
+    residues,
+    stabilizer_reference,
+)
 
 Z2 = GroupSpec.of(2)
 Z4 = GroupSpec.of(4)
@@ -213,32 +223,36 @@ def test_parse_index_matches_residue_reference(spec, token):
 
 
 class TestDavenport:
+    """`davenport` against the zero-sum search of `oracles.davenport_by_search`."""
+
     def test_cyclic(self):
         for m in range(2, 13):
-            assert davenport(GroupSpec.of(m), "brute_force") == m
+            assert davenport_by_search(GroupSpec.of(m)) == davenport(GroupSpec.of(m)) == m
 
     def test_klein(self):
-        assert davenport(Z2xZ2, "formula") == 3
-        assert davenport(Z2xZ2, "brute_force") == 3
+        assert davenport(Z2xZ2) == davenport_by_search(Z2xZ2) == 3
 
     def test_two_factor_matches_formula(self):
         spec = GroupSpec.of(2, 6)
-        assert davenport(spec, "brute_force") == davenport(spec, "formula") == 7
+        assert davenport_by_search(spec) == davenport(spec) == 7
 
     def test_formula_refuses_outside_validity(self):
-        # order 36 with 3 invariant factors and two primes: no exact closed form
-        spec = GroupSpec((2, 2, 6))  # hypothetical shape; not a p-group
-        with pytest.raises(UsageError):
-            davenport(spec, "formula")
+        # three invariant factors and two primes: no exact closed form
+        with pytest.raises(UsageError, match="Z2xZ2xZ6 is neither"):
+            davenport(GroupSpec((2, 2, 6)))
+
+    def test_strong_closeness_suite_ends_in_the_same_refusal(self):
+        with pytest.raises(UsageError, match="Z2xZ2xZ6 is neither"):
+            sbo_strong_closeness_suite(make_uniform(2, 1), GroupSpec((2, 2, 6)), trials=1)
 
     def test_brute_force_cap(self):
-        with pytest.raises(CapacityError):
-            davenport(GroupSpec.of(17), "brute_force")
+        with pytest.raises(CapacityError, match="DAVENPORT_SEARCH_MAX_ORDER"):
+            davenport_by_search(GroupSpec.of(17))
 
     def test_upper_bound_and_cyclic_equality(self):
         for factors in ALL_SMALL:
             spec = GroupSpec(factors)
-            d = davenport(spec, "brute_force")
+            d = davenport_by_search(spec)
             assert d <= spec.order
             if len(factors) == 1:
                 assert d == spec.order
@@ -246,14 +260,12 @@ class TestDavenport:
                 assert d < spec.order
 
     def test_formula_agrees_on_valid_classes(self):
+        """The closed form is the search's value on every abelian group of
+        order 2 to 16, so refusing the other groups loses no value."""
+        assert len(ALL_SMALL) == 24
         for factors in ALL_SMALL:
             spec = GroupSpec(factors)
-            try:
-                by_formula = davenport(spec, "formula")
-            except UsageError:
-                continue
-            assert by_formula == davenport(spec, "brute_force")
-            assert by_formula == davenport_lower_bound(spec)
+            assert davenport(spec) == davenport_by_search(spec) == davenport_lower_bound(spec)
 
 
 class TestStabilizer:

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,14 @@ from gcmb.lab import (
     render_scan_report,
     sbo_strong_closeness_suite,
 )
-from gcmb.matroids import make_explicit, make_uniform
+from gcmb.matroids import (
+    Matroid,
+    PartitionMatroid,
+    is_k_replaceable,
+    is_strongly_base_orderable,
+    make_explicit,
+    make_uniform,
+)
 from gcmb.solver import Labeling
 
 from conftest import k4_edges, random_small_matroid
@@ -493,3 +502,38 @@ class TestGuards:
         big_group = GroupSpec.of(2, 2, 2, 2)  # 16^4 = 65536 fits; push the range
         report = isolation_scan([("u24", u)], big_group, "strong_block")
         assert report.total_checked == 16**4
+
+
+U7_6, U12_5 = make_uniform(7, 6), make_uniform(12, 5)
+HALF = PartitionMatroid([range(100_000)], [50_000])
+GUARD_CASES = {
+    "lab": (lambda: label_image(make_uniform(28, 7), Labeling.constant(Z2, 28)),
+            "C(28,7) = 1184040 exceeds the limit C(n,r) <= 1000000 (LAB_ENUM_LIMIT)"),
+    "enumeration": (lambda: make_uniform(40, 20).base_rows(), "C(40,20) = 137846528820 exceeds "
+                    "the limit C(n,r) <= 10000000 (ENUMERATION_LIMIT)"),
+    "enumeration-past-10^30": (
+        HALF.base_rows, f"C(100000,50000) = 2^{math.comb(100_000, 50_000).bit_length() - 1} or "
+        f"more exceeds the limit C(n,r) <= 10000000 (ENUMERATION_LIMIT)"),
+    "scan-range": (
+        lambda: isolation_scan([("u24", make_uniform(4, 2))], GroupSpec.of(4096), "block"),
+        "range of 281474976710656 labelings exceeds the limit b - a <= 67108864 "
+        "(SCAN_RANGE_LIMIT); shard the scan with index ranges a..b"),
+    "sbo-rank": (lambda: is_strongly_base_orderable(U7_6),
+                 "rank 6 exceeds the limit r <= 5 (SBO_MAX_RANK)"),
+    "sbo-bases": (lambda: is_strongly_base_orderable(U12_5),
+                  "C(12,5) = 792 exceeds the limit C(n,r) <= 120 (SBO_MAX_BASES)"),
+    "replaceable-rank": (lambda: is_k_replaceable(U7_6, range(6), range(1, 7), 1),
+                         "rank 6 exceeds the limit r <= 5 (SBO_MAX_RANK)"),
+    "replaceable-bases": (lambda: is_k_replaceable(U12_5, range(5), range(5, 10), 1),
+                          "C(12,5) = 792 exceeds the limit C(n,r) <= 120 (SBO_MAX_BASES)"),
+}
+
+
+@pytest.mark.parametrize("case", GUARD_CASES)
+def test_guard_errors_name_the_value_the_limit_and_the_constant(case):
+    """Each guard refuses before the bases are listed."""
+    call, message = GUARD_CASES[case]
+    with patch.object(Matroid, "bases", side_effect=AssertionError("bases listed")):
+        with pytest.raises(CapacityError) as info:
+            call()
+    assert str(info.value) == message

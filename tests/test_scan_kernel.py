@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gcmb import cli
 from gcmb import lab as lab_mod
-from gcmb.catalog import bundled_matroids
 from gcmb.errors import CapacityError
 from gcmb.groups import GroupSpec
 from gcmb.lab import (
@@ -22,6 +21,8 @@ from gcmb.lab import (
     render_scan_report,
 )
 from gcmb.matroids import make_uniform
+
+from oracles import bundled_matroids
 
 BLOCK_CANDIDATES = [(name, m) for name, m in bundled_matroids() if m.n == 2 * m.full_rank]
 DIRECT = {"block": is_block_isolating, "strong_block": is_strong_block_isolating}
