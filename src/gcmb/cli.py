@@ -58,6 +58,8 @@ def _load_instance(
     if args.builtin and args.matroid:
         raise UsageError("pass either --builtin or --matroid, not both")
     if args.builtin:
+        if getattr(args, "trust", False):
+            raise UsageError("--trust applies to --matroid files only, not --builtin")
         inst = _builtin(args.builtin)
         group = GroupSpec.parse(args.group) if args.group else inst.group
         if getattr(args, "labels", None):
@@ -299,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gcmb",
         description="Group-constrained matroid base solvers and verification lab",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for scans")
+    parser.add_argument("--seed", type=int, help="seed for all randomness (default 0)")
+    parser.add_argument("--jobs", type=int, help="parallel workers for scans (default 1)")
     parser.add_argument("--out", help="also write the report to this file")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -359,8 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes "-1..3" for an option
+        if argv[i - 1] == "--range" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"--range={argv[i]}"]
     try:
         args = build_parser().parse_args(argv)
+        for name, default in (("seed", 0), ("jobs", 1)):  # None: not given
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif getattr(args, "merge", None):  # a merge takes its shards' seed, scans nothing
+                raise UsageError(f"pass either --merge or --{name}, not both")
         if args.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)

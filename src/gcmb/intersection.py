@@ -12,9 +12,10 @@ each source (free in the first), pass through two hubs entered at no cost and
 no arc.  Label correcting from the sinks gives each node its least (cost, arcs)
 to a path end; I is extreme, so no cycle is negative (Frank 1981).  The least
 source by (cost, arcs, element), then the least element on each tight arc (the
-arc count falls by one), is the least path in that order.  With zero weights
-the first paths are single elements: a greedy prefix, which a cardinality
-intersection takes from both matroids' cursors (`Matroid.cursor`) at once.
+arc count falls by one), is the least path in that order.  The first paths
+are single elements, in (weight, element) order up to the weight of the first
+element that does not fit: a greedy prefix, which both intersections take from
+both matroids' cursors (`Matroid.cursor`) at once and check as one set.
 """
 
 from __future__ import annotations
@@ -119,26 +120,42 @@ def max_common_independent(m1: Matroid, m2: Matroid) -> BaseSet:
     """A maximum-cardinality common independent set (deterministic)."""
     if m1.n != m2.n:
         raise UsageError(f"ground sets differ: {m1.n} vs {m2.n} elements")
-    prefix = _common_prefix(m1, m2)
+    return tuple(sorted(_grow(m1, m2, [0] * m1.n)))
+
+
+def _grow(m1: Matroid, m2: Matroid, weights: Sequence[Weight]) -> frozenset[int]:
+    """The greedy prefix, then least augmenting paths until an m1 base (no
+    source left) or no path (as when r2 < r1); each set on the way is extreme."""
+    prefix = _common_prefix(m1, m2, weights)
     current = _augment(m1, m2, frozenset(), prefix) if prefix else frozenset()
-    while len(current) < m1.full_rank:  # at an m1 base no source; if r2 < r1, no path
-        path = _augmenting_path(m1, m2, current, [0] * m1.n)
-        if path is None:
-            break
+    while len(current) < m1.full_rank and (path := _augmenting_path(m1, m2, current, weights)):
         current = _augment(m1, m2, current, path)
-    return tuple(sorted(current))
+    return current
 
 
-def _common_prefix(m1: Matroid, m2: Matroid) -> tuple[int, ...]:
-    """Each element, ascending, that fits in both matroids' cursors with those
-    taken before it; a solve passes the partition, cheaper to ask, as m2."""
+def _common_prefix(m1: Matroid, m2: Matroid, weights: Sequence[Weight]) -> tuple[int, ...]:
+    """Each element, in (weight, element) order, that fits both matroids'
+    cursors with those taken before it, up to the first element heavier than
+    one that did not fit (a misfit): exactly the first paths from the empty set.
+    Up to a misfit, the elements taken weigh at most w(e), e the element at
+    hand, and those left at least w(e).  So a path y0 x1 y1 ... xm ym costs
+    w(y0) + sum(w(yi) - w(xi)) >= w(e) over 2m + 1 arcs, and the one-arc path
+    e, with no lower element of weight w(e) free in both, is the least.  A
+    misfit f never fits later, as the cursors only grow, so this holds at
+    weight w(f) too; a heavier element can lose to a path through f.  A solve
+    passes the partition, cheaper to ask, as m2."""
     first, second = m1.cursor(), m2.cursor()
-    prefix = []
-    for e in range(m1.n):
+    prefix: list[int] = []
+    misfit: Optional[Weight] = None  # the first misfit's weight
+    for e in sorted(range(m1.n), key=weights.__getitem__):  # stable: ties by element
+        if misfit is not None and weights[e] > misfit:
+            break
         if second.fits(e) and first.fits(e):
             first.add(e)
             second.add(e)
             prefix.append(e)
+        elif misfit is None:
+            misfit = weights[e]
     return tuple(prefix)
 
 
@@ -172,12 +189,8 @@ def min_weight_common_base(
     r = m1.full_rank
     if m2.full_rank != r:
         return None
-    current: frozenset[int] = frozenset()
-    for _ in range(r):
-        path = _augmenting_path(m1, m2, current, weights)
-        if path is None:
-            return None
-        current = _augment(m1, m2, current, path)
-    base = tuple(sorted(current))
+    base = tuple(sorted(_grow(m1, m2, weights)))
+    if len(base) < r:
+        return None
     total: Weight = sum(weights[e] for e in base)
     return base, total

@@ -462,6 +462,24 @@ def max_common_by_circuits(m1: Matroid, m2: Matroid) -> BaseSet:
     return tuple(sorted(current))
 
 
+def min_weight_common_base_from_empty(
+    m1: Matroid, m2: Matroid, weights: Sequence[Weight]
+) -> Optional[tuple[BaseSet, Weight]]:
+    """`min_weight_common_base` without its greedy prefix: r least augmenting
+    paths from the empty set, the reference for the prefix."""
+    r = m1.full_rank
+    if m2.full_rank != r:
+        return None
+    current: frozenset[int] = frozenset()
+    for _ in range(r):
+        path = intersection._augmenting_path(m1, m2, current, weights)
+        if path is None:
+            return None
+        current = intersection._augment(m1, m2, current, path)
+    base = tuple(sorted(current))
+    return base, sum(weights[e] for e in base)
+
+
 def min_max_cardinality_bound(m1: Matroid, m2: Matroid) -> int:
     """min over X of r1(X) + r2(E\\X); exhaustive (n <= 16)."""
     if m1.n > 16:

@@ -267,11 +267,13 @@ def test_partition_zero_cap_is_a_loop():
 
 def test_wrong_circuit_is_caught_on_both_intersection_paths(monkeypatch):
     """A circuit override or a cursor that claims every element is free would
-    augment into a dependent set; both intersection paths must refuse it.  The
-    cardinality path takes its prefix from the cursors, the weighted path its
-    paths from the circuits."""
+    augment into a dependent set; both intersection paths must refuse it.
+    Both take a prefix from the cursors.  Under the weights the weighted
+    prefix stops after {0}, as 2 does not fit the partition, so its last
+    augmentation comes from the circuits: (1,), which the lie makes free."""
     parallel = make_graphic([(0, 1), (0, 1), (1, 2)])
-    pairs = make_partition([[0, 1, 2]], [2])
+    pairs = make_partition([[0, 2], [1]], [1, 1])
+    assert min_weight_common_base(parallel, pairs, [0, 1, 0]) == ((1, 2), 1)
     assert parallel.full_rank == 2  # a greedy pass, cached before the cursor lies
     monkeypatch.setattr(
         GraphicMatroid, "circuits", lambda self, current, outside: dict.fromkeys(outside)
@@ -285,7 +287,7 @@ def test_wrong_circuit_is_caught_on_both_intersection_paths(monkeypatch):
     with pytest.raises(InternalError, match="dependent"):
         max_common_independent(parallel, pairs)
     with pytest.raises(InternalError, match="dependent"):
-        min_weight_common_base(parallel, pairs, [0, 0, 5])
+        min_weight_common_base(parallel, pairs, [0, 1, 0])
 
 
 # -- independence cursors ------------------------------------------------------
@@ -346,7 +348,7 @@ def test_greedy_queries_make_no_independence_test(monkeypatch):
     def answers(m):
         part = make_partition([range(0, m.n, 2), range(1, m.n, 2)], [2, 1])
         weights = [(5 * e) % 7 for e in range(m.n)]
-        return m.rank(range(m.n)), find_optimum_base(m, weights), _common_prefix(m, part)
+        return m.rank(range(m.n)), find_optimum_base(m, weights), _common_prefix(m, part, weights)
 
     expected = [answers(m) for m in cases]
 

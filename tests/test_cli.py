@@ -316,6 +316,15 @@ class TestScan:
         code, out, err = run(capsys, "scan", "--merge", str(shard), *given)
         assert (code, out, err) == (1, "", f"error: pass either --merge or {flag}, not both\n")
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--seed", "0"), ("--jobs", "4")])
+    def test_merge_refuses_seed_and_jobs(self, capsys, tmp_path, flag, value):
+        """A merge prints its shards' seed and runs no scan, so either flag
+        would go unread, even when it names the default."""
+        shard = tmp_path / "s0.txt"
+        run(capsys, "--out", str(shard), "scan", "--builtin", "k4", "--group", "Z3")
+        code, out, err = run(capsys, flag, value, "scan", "--merge", str(shard))
+        assert (code, out, err) == (1, "", f"error: pass either --merge or {flag}, not both\n")
+
     def test_overlapping_merge_rejected(self, capsys, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         run(capsys, "--out", str(a), "scan", "--builtin", "k4", "--group", "Z3",
@@ -420,6 +429,13 @@ class TestScan:
             capsys, "scan", "--builtin", "k4", "--group", "Z3", "--range", "10-20"
         )
         assert code == 1 and "range" in err
+
+    @pytest.mark.parametrize("given", [["--range", "-1..3"], ["--range=-1..3"]])
+    def test_negative_range_start_names_the_range(self, capsys, given):
+        """argparse takes a separate "-1..3" for an option; it must reach the
+        range check all the same."""
+        code, out, err = run(capsys, "scan", "--builtin", "k4", "--group", "Z4", *given)
+        assert (code, out, err) == (1, "", "error: scan range -1..3 outside [0, 4096) for k4\n")
 
     @pytest.mark.parametrize("source", [
         ["--catalog", str(bundled_path("rank4_size8_blocks.cat"))], ["--builtin", "k4"],
@@ -540,6 +556,18 @@ class TestBases:
             f"# gcmb bases matroid={mat} n=4 r=2\n0,1\n0,2\n0,3\n1,2\n1,3\n2,3\n"
             "summary bases=6\n"
         )
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--builtin", "tight4", "--k", "3"],
+    ["solve", "--builtin", "tight4", "--target", "0"],
+    ["check-ss", "--builtin", "k4"],
+    ["bases", "--builtin", "u24"],
+])
+def test_trust_is_refused_with_a_builtin(capsys, argv):
+    """`--trust` skips the validation of a matroid file; a builtin has none to skip."""
+    code, out, err = run(capsys, *argv, "--trust")
+    assert (code, out, err) == (1, "", "error: --trust applies to --matroid files only, not --builtin\n")
 
 
 def test_parser_is_built_once():

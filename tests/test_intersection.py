@@ -12,7 +12,12 @@ from gcmb.intersection import max_common_independent, min_weight_common_base
 from gcmb.matroids import delete, make_graphic, make_linear, make_partition, make_uniform
 
 from conftest import random_small_matroid
-from oracles import assert_extreme, augmenting_path_two_phase, min_max_cardinality_bound
+from oracles import (
+    assert_extreme,
+    augmenting_path_two_phase,
+    min_max_cardinality_bound,
+    min_weight_common_base_from_empty,
+)
 from test_circuits import linears, minors, multigraphs, partition_minors
 
 
@@ -306,6 +311,57 @@ def test_max_common_independent_matches_reference_loop(pair):
     reference's augmentations reach, element for element."""
     m1, m2, _ = pair
     assert max_common_independent(m1, m2) == reference_max_common(m1, m2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=st.one_of(
+        weighted_pairs(), weighted_pairs(TIED_WEIGHTS), alternating_chains(), solver_pairs()
+    ),
+    scale=st.sampled_from([1, 0, Fraction(1, 3)]),
+    swap=st.booleans(),
+)
+def test_weighted_prefix_matches_the_loop_from_empty(pair, scale, swap):
+    """Each prefix element is the least path from the set before it, and the
+    base and weight are those of r paths from the empty set, None included."""
+    m1, m2, weights = pair
+    if swap:
+        m1, m2 = m2, m1
+    weights = [scale * w for w in weights]
+    current: frozenset[int] = frozenset()
+    for e in intersection._common_prefix(m1, m2, weights):
+        assert intersection._augmenting_path(m1, m2, current, weights) == (e,)
+        current |= {e}
+    got = min_weight_common_base(m1, m2, weights)
+    assert got == min_weight_common_base_from_empty(m1, m2, weights)
+
+
+def test_weighted_prefix_stops_above_a_misfit():
+    """Edges 0 and 3 are parallel, 0 and 1 share a class.  The prefix takes 0
+    and then 1 does not fit, so it stops before 3 and 2: from {0} the path
+    1 0 3 costs 1, less than the element 2 that a prefix going on would take."""
+    edges = make_graphic([(0, 2), (2, 1), (1, 0), (0, 2)])
+    classes = make_partition([[2, 3], [0, 1]], [1, 1])
+    weights = [0, 0, 2, 1]
+    assert intersection._common_prefix(edges, classes, weights) == (0,)
+    assert min_weight_common_base(edges, classes, weights) == ((1, 3), 1)
+    assert min_weight_common_base(classes, edges, weights) == ((1, 3), 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=st.one_of(weighted_pairs(), alternating_chains(), solver_pairs()))
+def test_zero_weight_prefix_is_the_ascending_prefix(pair):
+    """With zero weights no element is heavier than a misfit: the prefix is
+    each element, ascending, that fits both cursors, as the cardinality
+    intersection took it before weights ordered the prefix."""
+    m1, m2, _ = pair
+    first, second, ascending = m1.cursor(), m2.cursor(), []
+    for e in range(m1.n):
+        if second.fits(e) and first.fits(e):
+            first.add(e)
+            second.add(e)
+            ascending.append(e)
+    assert intersection._common_prefix(m1, m2, [0] * m1.n) == tuple(ascending)
 
 
 def test_negative_cycle_is_refused():

@@ -458,5 +458,5 @@ def test_k8_over_z1000_proximity_optimization_pops_few_signatures(monkeypatch):
     assert time.perf_counter() - start < 10
     assert (got.base, got.weight) == ((2, 3, 11, 16, 23, 24, 26), -36)
     stats = got.stats
-    assert (stats.candidates, stats.intersections, stats.oracle_calls) == (1184040, 10, 133)
+    assert (stats.candidates, stats.intersections, stats.oracle_calls) == (1184040, 10, 127)
     assert len(calls) == 10
