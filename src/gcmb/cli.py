@@ -51,17 +51,15 @@ def _builtin(name: str) -> catalog_mod.BuiltinInstance:
     return catalog_mod.BUILTINS[name]()
 
 
-def _load_instance(
-    args, grouped: bool = True
-) -> tuple[str, Matroid, Optional[GroupSpec], Optional[Labeling]]:
-    """Resolve --builtin/--matroid plus --group/--labels (--group optional if not grouped)."""
+def _load_instance(args) -> tuple[str, Matroid, Optional[GroupSpec], Optional[Labeling]]:
+    """Resolve --builtin/--matroid plus --group/--labels, which `bases` does not take."""
     if args.builtin and args.matroid:
         raise UsageError("pass either --builtin or --matroid, not both")
     if args.builtin:
         if getattr(args, "trust", False):
             raise UsageError("--trust applies to --matroid files only, not --builtin")
         inst = _builtin(args.builtin)
-        group = GroupSpec.parse(args.group) if args.group else inst.group
+        group = GroupSpec.parse(args.group) if getattr(args, "group", None) else inst.group
         if getattr(args, "labels", None):
             labeling = load_labeling(args.labels, group, inst.matroid.n)
         elif group == inst.group:
@@ -72,9 +70,9 @@ def _load_instance(
     if not args.matroid:
         raise UsageError("an instance is required: --builtin NAME or --matroid PATH")
     matroid = load_matroid(args.matroid, trust=getattr(args, "trust", False))
+    if "group" not in args:
+        return args.matroid, matroid, None, None
     if not args.group:
-        if not grouped:
-            return args.matroid, matroid, None, None
         raise UsageError("--group is required with --matroid")
     group = GroupSpec.parse(args.group)
     labeling = None
@@ -269,7 +267,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_bases(args) -> int:
-    name, matroid, _, _ = _load_instance(args, grouped=False)
+    name, matroid, _, _ = _load_instance(args)
     listing = matroid.bases()
     lines = [f"# gcmb bases matroid={name} n={matroid.n} r={matroid.full_rank}"]
     lines.extend(",".join(map(str, b)) for b in listing)
@@ -278,11 +276,11 @@ def cmd_bases(args) -> int:
     return EXIT_OK
 
 
-def _add_instance_flags(parser, with_labels=True) -> None:
+def _add_instance_flags(parser, grouped=True) -> None:
     parser.add_argument("--matroid", help="matroid file path")
     parser.add_argument("--builtin", help="builtin instance name (see README)")
-    parser.add_argument("--group", help="group spec string, e.g. Z4 or Z2xZ2")
-    if with_labels:
+    if grouped:
+        parser.add_argument("--group", help="group spec string, e.g. Z4 or Z2xZ2")
         parser.add_argument("--labels", help="labeling file path")
     parser.add_argument("--trust", action="store_true", help="skip validation of large explicit matroids")
 
@@ -354,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.set_defaults(func=cmd_catalog)
 
     p_bases = sub.add_parser("bases", help="enumerate all bases")
-    _add_instance_flags(p_bases, with_labels=False)
+    _add_instance_flags(p_bases, grouped=False)
     p_bases.set_defaults(func=cmd_bases)
 
     return parser

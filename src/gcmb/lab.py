@@ -202,10 +202,10 @@ def _closeness_witness(
     |A - B| by at most one, and the exchange axiom always offers a swap that
     lowers it.  So the search, started from every target base at once, finds
     the nearest target of each class.  Two bases are adjacent when they share
-    a key, a base with one element removed; keys are bitmasks, one uint64
-    word per 64 elements, grouped by one sort.  Each base holds a bitmask of
-    the label classes reached within d exchanges, 64 classes at a time; one
-    layer ORs the bitmasks over each key group and back onto its bases.  A
+    a key, a base with one element removed, numbered by its colex rank: one
+    int64 at any ground size, grouped by one sort.  Each base holds a bitmask
+    of the label classes reached within d exchanges, 64 classes at a time;
+    one layer ORs the bitmasks over each key group and back onto its bases.  A
     pool base's distance is the first layer that sets all its class bits.
     The search never finds a distance below |A - B|, so checking A's exact
     distances, read from its row alone, is enough: a trusted base list that
@@ -234,7 +234,7 @@ def _closeness_witness(
     chosen = totals[by_label] == cheapest[label_class]
     targets, target_class = by_label[chosen], label_class[chosen]
     pool = np.flatnonzero(totals == totals.min())
-    distance = _exchange_distances(rows, incidence, pool, targets, target_class)
+    distance = _exchange_distances(rows, pool, targets, target_class)
     d = int(distance.max())
     if d <= k:
         return None
@@ -253,10 +253,9 @@ def _closeness_witness(
 
 
 def _firsts(ordered: np.ndarray) -> np.ndarray:
-    """Flags the rows of a sorted array that differ from the row before."""
+    """Flags the entries of a sorted array that differ from the one before."""
     first = np.ones(len(ordered), dtype=bool)
-    differs = ordered[1:] != ordered[:-1]
-    first[1:] = differs if differs.ndim == 1 else differs.any(axis=1)
+    first[1:] = ordered[1:] != ordered[:-1]
     return first
 
 
@@ -274,7 +273,6 @@ def _base_totals(rows: np.ndarray, weights: Optional[tuple[Weight, ...]]) -> np.
 
 def _exchange_distances(
     rows: np.ndarray,
-    incidence: np.ndarray,
     pool: np.ndarray,
     targets: np.ndarray,
     target_class: np.ndarray,
@@ -285,22 +283,23 @@ def _exchange_distances(
     Layer d holds, per base, the bitmask of classes with a target within d
     exchanges, and a pool base lies one layer farther for every layer that
     misses a class.  Layers stop after r + 1, where only a set system that
-    is not a matroid still misses one.  Keys are laid out r x count, key
-    (j, b) being base b without its j-th element; `group` maps each key to
-    its key group.
+    is not a matroid still misses one.  Key (j, b) is base b without its
+    j-th element, as its colex rank: element x in place i adds C(x, i + 1).
+    Keys are laid out r x count and grouped by one unstable sort, as no step
+    reads the order inside a group; `group` maps each key to its key group.
     """
     count, rank = rows.shape
-    packed = np.packbits(incidence, axis=1, bitorder="little")
-    words = np.zeros((count, max(1, -(-packed.shape[1] // 8)) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    masks = words.view(np.uint64)
-    word, bit = np.divmod(rows.T, 64)
-    keys = np.repeat(masks[None], rank, axis=0)  # r x count x words
-    keys[np.arange(rank)[:, None], np.arange(count), word] ^= np.left_shift(
-        np.uint64(1), bit.astype(np.uint64)
-    )
-    keys = keys.reshape(rank * count, masks.shape[1])
-    order = np.lexsort(keys.T)
+    place = np.arange(rank)
+    # comb[d + 1, i] = C(d + i, i) and comb[0] = 0; as x - i <= n - r in place i,
+    # no entry passes C(n, r)
+    shift = rows - place
+    comb = np.zeros((int(shift.max(initial=0)) + 2, rank + 1), dtype=np.int64)
+    comb[1:] = [[math.comb(d + i, i) for i in range(rank + 1)] for d in range(len(comb) - 1)]
+    # without its j-th element, a base keeps x in place i before j, adding
+    # C(x, i + 1), and moves it to place i - 1 after j, adding C(x, i)
+    kept, moved = comb[shift, place + 1], comb[shift + 1, place]
+    keys = (moved.sum(axis=1, keepdims=True) + np.cumsum(kept - moved, axis=1) - kept).T.ravel()
+    order = np.argsort(keys)
     first = _firsts(keys[order])
     heads = np.flatnonzero(first)
     group = np.empty(len(order), dtype=np.intp)

@@ -26,7 +26,7 @@ BaseSet = tuple[int, ...]
 
 #: Guard for exhaustive base enumeration.
 ENUMERATION_LIMIT = 10**7
-#: Candidate subsets tested per slice by the graphic base kernel, which
+#: Candidate forests tested per slice by the graphic base kernel, which
 #: bounds its working memory below ENUMERATION_LIMIT.
 _BASES_SLICE = 1 << 16
 #: Explicit base lists larger than this require trust=True instead of validation.
@@ -361,33 +361,35 @@ class GraphicMatroid(Matroid):
         return _ForestCursor(self)
 
     def _base_rows(self, r: int) -> np.ndarray:
-        """The r-subsets that are spanning forests, by a vectorised test.
+        """The spanning forests, grown one edge at a time.
 
-        Each slice of at most _BASES_SLICE subsets keeps one row of vertex
-        component labels per subset.  Edges are added position by position:
-        an edge whose ends share a component rejects its subset, and the
-        component of one end is relabelled to that of the other.
+        Every prefix of a base is a forest, so level j keeps the forests of j
+        edges whose last edge leaves room for r - j more, with one row of
+        vertex component labels each.  A forest grows by every later edge that
+        joins two of its components, in forest and then edge order, which
+        keeps each level lexicographic.  Candidates are tested in slices of at
+        most _BASES_SLICE; edges are kept in the smallest signed integer type.
         """
         ends = np.array(self.edge_pairs, dtype=np.intp).reshape(self.n, 2)
         vertices = len(self.vertex_names)
-        labels = np.arange(vertices, dtype=np.min_scalar_type(vertices))
-        combos = itertools.combinations(range(self.n), r)
-        total = math.comb(self.n, r)
-        out = [np.empty((0, r), dtype=np.intp)]
-        for lo in range(0, total, _BASES_SLICE):
-            count = min(_BASES_SLICE, total - lo)
-            flat = itertools.chain.from_iterable(itertools.islice(combos, count))
-            subsets = np.fromiter(flat, dtype=np.intp, count=count * r).reshape(count, r)
-            comp = np.tile(labels, (count, 1))
-            rows = np.arange(count)
-            forest = np.ones(count, dtype=bool)
-            for j in range(r):
-                cu = comp[rows, ends[subsets[:, j], 0]]
-                cv = comp[rows, ends[subsets[:, j], 1]]
-                forest &= cu != cv
-                np.copyto(comp, cv[:, None], where=comp == cu[:, None])
-            out.append(subsets[forest])
-        return np.concatenate(out)
+        comp = np.arange(vertices, dtype=np.min_scalar_type(vertices))[None]
+        rows = np.full((1, 1), -1, dtype=np.min_scalar_type(-1 - self.n))  # -1 precedes every edge
+        for top in range(self.n - r, self.n):  # the last edge that leaves room
+            bound = (top - rows[:, -1]).cumsum()  # candidates up to each forest, one at least
+            total = int(bound[-1])
+            pieces = []
+            for lo in range(0, total, _BASES_SLICE):
+                slot = np.arange(lo, min(lo + _BASES_SLICE, total))
+                parent = bound.searchsorted(slot, side="right")
+                edge = slot + (top + 1) - bound[parent]
+                cu, cv = comp[parent[:, None], ends[edge]].T
+                fits = cu != cv
+                parent, edge = parent[fits], edge[fits].astype(rows.dtype)
+                grown = comp[parent]
+                np.copyto(grown, cv[fits, None], where=grown == cu[fits, None])
+                pieces.append((np.concatenate((rows[parent], edge[:, None]), axis=1), grown))
+            rows, comp = (np.concatenate(piece) for piece in zip(*pieces))
+        return rows[:, 1:].astype(np.intp)
 
     def circuits(
         self, current: frozenset[int], outside: Iterable[int]

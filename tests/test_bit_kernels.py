@@ -21,6 +21,7 @@ from gcmb.groups import GroupSpec
 from gcmb.lab import Witness, _closeness_witness, check_k_close, check_strongly_k_close
 from gcmb.matroids import (
     Matroid,
+    _ForestCursor,
     contract,
     delete,
     make_explicit,
@@ -63,6 +64,22 @@ def test_graphic_bases_edge_cases():
     assert m.bases() == oracle_bases(m) == [
         (0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4)
     ]
+    # the listing keeps edges in the smallest signed type: 127 edges fit int8, 128 do not
+    for n in (127, 128, 129):
+        m = make_graphic([(0, 1)] * (n - 2) + [(1, 2), (0, 2)])
+        assert m.bases() == oracle_bases(m)
+
+
+@pytest.mark.parametrize("v", range(2, 9))
+def test_complete_graphs_have_cayley_many_spanning_trees(v):
+    """K_v has v^(v-2) spanning trees (Cayley's formula), listed in strictly
+    increasing lexicographic order, each a spanning tree for the forest cursor."""
+    m = make_graphic(list(itertools.combinations(range(v), 2)))
+    rows = m.base_rows()
+    assert rows.shape == (v ** (v - 2), v - 1)
+    listed = list(map(tuple, rows.tolist()))
+    assert listed == sorted(set(listed))
+    assert all(len(_ForestCursor(m).take(row)) == v - 1 for row in listed)
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,8 +203,8 @@ def test_exchange_search_witness_matches_the_einsum_reference(case):
 @pytest.mark.parametrize("weights", [None, "binary"])
 def test_popcount_distances_reach_the_second_word(weights):
     """Edges 0-63 are parallel and 64-69 alternate between the two other
-    vertex pairs: keys of bases made of the last six differ in mask word 1
-    only."""
+    vertex pairs, so many bases differ only in elements past 63: the search
+    must tell apart subsets of a ground set wider than one 64-bit word."""
     edges = [(0, 1)] * 64 + [(1, 2), (0, 2)] * 3
     m = make_graphic(edges)
     group = GroupSpec.of(3)
@@ -232,8 +249,7 @@ def test_exchange_distances_match_pairwise_minima(data):
     by_class = np.argsort(target_class, kind="stable")
     targets, target_class = chosen[by_class], target_class[by_class]
     pool = np.array(sorted(data.draw(st.lists(st.integers(0, count - 1), min_size=1, unique=True))))
-    incidence = lab_mod._incidence(m.n, rows)
-    got = lab_mod._exchange_distances(rows, incidence, pool, targets, target_class)
+    got = lab_mod._exchange_distances(rows, pool, targets, target_class)
     sets = [set(b) for b in m.bases()]
     want = [
         max(
@@ -243,6 +259,18 @@ def test_exchange_distances_match_pairwise_minima(data):
         for a in pool
     ]
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("weights", [None, "binary"])
+def test_colex_keys_past_the_int64_binomials(weights):
+    """U_{70,69}: C(69, 34) passes 2^63, but the colex keys of its bases only
+    sum binomials below C(70, 69)."""
+    m = make_uniform(70, 69)
+    labeling = Labeling.from_indices(GroupSpec.of(3), [e % 3 for e in range(70)])
+    w = None if weights is None else tuple(e % 2 for e in range(70))
+    for k in range(3):
+        got = _closeness_witness(m, labeling, k, w)
+        assert witness_fields(got) == witness_fields(closeness_witness_einsum(m, labeling, k, w))
 
 
 def test_more_than_64_label_classes_are_attained():

@@ -540,12 +540,21 @@ class TestBases:
     def test_matroid_file(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"
         mat.write_text("matroid uniform\nn 4\nr 2\n")
-        code, out, _ = run(capsys, "bases", "--matroid", str(mat), "--group", "Z2")
+        code, out, _ = run(capsys, "bases", "--matroid", str(mat))
         assert code == 0 and "0,1" in out
 
     def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "bases", "--matroid", "/nonexistent", "--group", "Z2")
-        assert code == 1
+        code, _, err = run(capsys, "bases", "--matroid", "/nonexistent")
+        assert code == 1 and "/nonexistent" in err
+
+    @pytest.mark.parametrize("instance", [["--builtin", "k4"], ["--matroid", "F"]])
+    @pytest.mark.parametrize("flag", ["--group", "--labels"])
+    def test_group_and_labels_are_refused(self, capsys, instance, flag):
+        """A base list reads no labels, so a group or labeling given to it is
+        refused rather than ignored."""
+        code, out, err = run(capsys, "bases", *instance, flag, "Z3")
+        assert (code, out) == (1, "")
+        assert err == f"error: gcmb: unrecognized arguments: {flag} Z3\n"
 
     def test_matroid_file_needs_no_group(self, capsys, tmp_path):
         mat = tmp_path / "m.txt"
