@@ -124,15 +124,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.feasible else EXIT_NEGATIVE
 
 
-def _witness_line(prefix: str, witness: lab_mod.Witness) -> str:
-    target = witness.labeling.group.element_at(witness.target)
-    return (
-        f"{prefix} distance={witness.distance} target={target} "
-        f"A={','.join(map(str, witness.base_a))} "
-        f"B={','.join(map(str, witness.base_b))}"
-    )
-
-
 def cmd_verify(args) -> int:
     name, matroid, group, labeling = _load_instance(args)
     labeling = _require_labeling(labeling)
@@ -153,9 +144,9 @@ def cmd_verify(args) -> int:
         lines.append("verdict=ok")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    lines.append(_witness_line("verdict=witness", witness))
+    lines.append(f"verdict=witness {witness.describe()}")
     reduced = lab_mod.reduce_witness(witness)
-    lines.append(_witness_line(f"reduced n={reduced.matroid.n}", reduced))
+    lines.append(f"reduced n={reduced.matroid.n} {reduced.describe()}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_NEGATIVE
 

@@ -192,14 +192,13 @@ class IndexArithmetic:
 
     Index x carries the residue (x // place) % m in each invariant factor m,
     the first factor most significant.  Sums are taken factor by factor, so
-    no |G| x |G| table is built; cyclic groups add modulo |G|.  Sets of
-    elements are bitmasks over indices.  Get one through `arithmetic(spec)`,
-    which keeps one instance per group.
+    no |G| x |G| table is built; the trivial group has no factor, and every
+    sum is 0.  Sets of elements are bitmasks over indices.  Get one through
+    `arithmetic(spec)`, which keeps one instance per group.
     """
 
     def __init__(self, spec: GroupSpec):
         self.order = spec.order
-        self.cyclic = spec.rank <= 1
         factors = spec.invariant_factors
         places = [math.prod(factors[i + 1 :]) for i in range(len(factors))]
         # Per factor: the residue of every index, the modulus m and the place p.
@@ -209,8 +208,6 @@ class IndexArithmetic:
         self._low_masks: dict[tuple[int, int], tuple[int, int]] = {}  # (f, d) -> (low, width)
 
     def add(self, a: int, b: int) -> int:
-        if self.cyclic:
-            return (a + b) % self.order
         out = 0
         for col, m, p in self._parts:
             out += (col[a] + col[b]) % m * p
@@ -224,8 +221,6 @@ class IndexArithmetic:
 
     def times(self, a: int, n: int) -> int:
         """The n-fold sum of element a (n < 0 negates)."""
-        if self.cyclic:
-            return a * n % self.order
         out = 0
         for col, m, p in self._parts:
             out += col[a] * n % m * p
@@ -233,8 +228,6 @@ class IndexArithmetic:
 
     def total(self, indices: Iterable[int]) -> int:
         """The sum of the listed elements."""
-        if self.cyclic:
-            return sum(indices) % self.order
         indices = list(indices)
         out = 0
         for col, m, p in self._parts:
@@ -243,8 +236,6 @@ class IndexArithmetic:
 
     def label(self, counts: Sequence[int]) -> int:
         """The sum over elements x of counts[x] copies of x."""
-        if self.cyclic:
-            return sum(map(operator.mul, counts, range(self.order))) % self.order
         out = 0
         for col, m, p in self._parts:
             out += sum(map(operator.mul, counts, col)) % m * p

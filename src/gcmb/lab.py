@@ -30,7 +30,7 @@ from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InternalError, ParseError, UsageError, quote
+from .errors import CapacityError, ParseError, UsageError, quote
 from .groups import GroupSpec, arithmetic, cosets, davenport, stabilizer
 from .intersection import Weight
 from .matroids import (
@@ -154,19 +154,13 @@ class Witness:
     distance: int
     k: int
     weights: Optional[tuple[Weight, ...]] = None
-    matroid_id: str = ""
 
     def describe(self) -> str:
-        parts = [
-            f"target={self.labeling.group.element_at(self.target)}",
-            f"A={','.join(map(str, self.base_a))}",
-            f"B={','.join(map(str, self.base_b))}",
-            f"distance={self.distance}",
-            f"k={self.k}",
-        ]
-        if self.matroid_id:
-            parts.insert(0, f"matroid={self.matroid_id}")
-        return " ".join(parts)
+        """The witness fields of a `gcmb verify` report line."""
+        return (
+            f"distance={self.distance} target={self.labeling.group.element_at(self.target)} "
+            f"A={','.join(map(str, self.base_a))} B={','.join(map(str, self.base_b))}"
+        )
 
 
 def check_k_close(m: Matroid, labeling: Labeling, k: int) -> Optional[Witness]:
@@ -358,7 +352,6 @@ def reduce_witness(w: Witness) -> Witness:
         distance=w.distance,
         k=w.k,
         weights=new_weights,
-        matroid_id=(w.matroid_id + "/reduced" if w.matroid_id else "reduced"),
     )
 
 
@@ -436,11 +429,6 @@ class ScanReport:
 def labeling_from_index(group: GroupSpec, n: int, index: int) -> Labeling:
     q = group.order
     return Labeling.from_indices(group, [(index // q**i) % q for i in range(n)])
-
-
-def labeling_to_index(labeling: Labeling) -> int:
-    q = labeling.group.order
-    return sum(d * q**i for i, d in enumerate(labeling.indices))
 
 
 def _low_ranges(start: int, end: int, place: int) -> tuple[int, int, list[tuple[int, int]]]:
@@ -529,11 +517,9 @@ class _ScanBases(NamedTuple):
 
 def _scan_bases(n: int, bases: np.ndarray) -> _ScanBases:
     masks = (np.int64(1) << bases).sum(axis=1)
-    shifted = masks[:, None] >> np.arange(n + 1)
-    incidence = (shifted[:, :n] & 1).astype(np.uint8)
-    shifted.sort(axis=0)
+    shifted = np.sort(masks[:, None] >> np.arange(n + 1), axis=0)
     classes = 1 + (shifted[1:] != shifted[:-1]).sum(axis=0)
-    return _ScanBases(masks, incidence, classes.tolist())
+    return _ScanBases(masks, _incidence(n, bases), classes.tolist())
 
 
 def _split(
@@ -923,15 +909,10 @@ class ImageBoundReport:
     rank_sum: int
     bound: int
     holds: bool
-    prime_bound: Optional[int] = None
 
 
 def check_schrijver_seymour(m: Matroid, labeling: Labeling) -> ImageBoundReport:
-    """Evaluate the label-image cardinality inequality on one instance.
-
-    For prime-order cyclic groups the simpler single-element-fiber form is
-    evaluated too and cross-checked against the general form.
-    """
+    """Evaluate the label-image cardinality inequality on one instance."""
     group = labeling.group
     img = label_image(m, labeling)
     h = stabilizer(group, img.image)
@@ -939,34 +920,15 @@ def check_schrijver_seymour(m: Matroid, labeling: Labeling) -> ImageBoundReport:
     rank_sum = sum(
         m.rank([e for e, g in enumerate(labeling.indices) if part >> g & 1]) for part in parts
     )
-    r = m.full_rank
     h_order = h.bit_count()
-    bound = h_order * min(rank_sum - r + 1, group.order // h_order)
-    holds = img.size >= bound
-    prime_bound = None
-    n = group.order
-    if len(group.invariant_factors) == 1 and n >= 2 and all(
-        n % d for d in range(2, int(n**0.5) + 1)
-    ):
-        per_element = sum(m.rank(fiber) for fiber in labeling.fibers)
-        prime_bound = min(n, per_element - r + 1)
-        prime_holds = img.size >= prime_bound
-        if prime_holds != holds:
-            raise InternalError(
-                "prime-form and general-form verdicts disagree on a prime group"
-            )
-        if h_order == 1 and prime_bound != bound:
-            raise InternalError(
-                "prime-form and general-form bounds differ despite trivial stabilizer"
-            )
+    bound = h_order * min(rank_sum - m.full_rank + 1, group.order // h_order)
     return ImageBoundReport(
         image_size=img.size,
         stabilizer=h,
         num_cosets=len(parts),
         rank_sum=rank_sum,
         bound=bound,
-        holds=holds,
-        prime_bound=prime_bound,
+        holds=img.size >= bound,
     )
 
 

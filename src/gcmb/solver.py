@@ -121,60 +121,6 @@ def signature_of(labeling: Labeling, base: Iterable[int]) -> Signature:
     return Signature(labeling.group, tuple(counts))
 
 
-def _compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All tuples with given total and per-coordinate bounds, ascending lex order.
-
-    Each tuple is the lexicographic successor of the one before: the rightmost
-    coordinate that can take one unit from the coordinates after it grows by
-    one, and those coordinates are refilled with the least tuple for their sum.
-    """
-    n = len(bounds)
-    room = list(accumulate(reversed(bounds), initial=0))[::-1]  # room[i] = sum(bounds[i:])
-    if not 0 <= total <= room[0]:
-        return
-    counts = [0] * n
-
-    def refill(first: int, left: int) -> None:
-        for j in range(first, n):
-            counts[j] = max(0, left - room[j + 1])
-            left -= counts[j]
-
-    refill(0, total)
-    while True:
-        yield tuple(counts)
-        tail = 0
-        for i in reversed(range(n)):
-            if tail and counts[i] < bounds[i]:
-                break
-            tail += counts[i]
-        else:
-            return
-        counts[i] += 1
-        refill(i + 1, tail - 1)
-
-
-def enumerate_signatures(
-    group: GroupSpec,
-    r: int,
-    caps: Optional[Sequence[int]] = None,
-    target: Optional[int] = None,
-) -> Iterator[Signature]:
-    """All signatures summing to r within the caps, lexicographic order; with a
-    target index, only those whose label has it."""
-    if caps is None:
-        caps = [r] * group.order
-    if len(caps) != group.order:
-        raise UsageError("need one cap per group element")
-    if any(c < 0 for c in caps):
-        raise UsageError("signature caps must be nonnegative")
-    if target is not None:
-        _check_target(group, target)
-    label = arithmetic(group).label
-    for counts in _compositions(r, list(caps)):
-        if target is None or label(counts) == target:
-            yield Signature(group, counts)
-
-
 @dataclass
 class SolveStats:
     signatures: int = 0

@@ -28,7 +28,6 @@ from gcmb.solver import (
     Signature,
     SolveResult,
     SolveStats,
-    _compositions,
     base_with_signature,
     find_optimum_base,
     proximity_certified,
@@ -77,6 +76,13 @@ def counts_label(factors: Sequence[int], counts: Sequence[int]) -> int:
 def base_label(labeling: Labeling, subset: Iterable[int]) -> int:
     """The label index of a set of ground elements, summed as residue vectors."""
     return residue_sum(labeling.group.invariant_factors, (labeling.indices[e] for e in subset))
+
+
+def labeling_to_index(labeling: Labeling) -> int:
+    """The scan index of a labeling, the inverse of `lab.labeling_from_index`:
+    the label of element i is digit i of the index in base |G|."""
+    q = labeling.group.order
+    return sum(d * q**i for i, d in enumerate(labeling.indices))
 
 
 def stabilizer_reference(factors: Sequence[int], image: set[int]) -> set[int]:
@@ -585,7 +591,19 @@ def augmenting_path_two_phase(
 
 def compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """All tuples with given total and per-coordinate bounds, ascending lex
-    order, by recursion on the first coordinate."""
+    order.  The recursion runs over the non-zero bounds alone, so that the
+    1000 bounds of Z1000 stay within the recursion limit; a zero bound holds
+    0 in every tuple, so the order is the same."""
+    free = [i for i, b in enumerate(bounds) if b]
+    for values in _bounded_tuples(total, [bounds[i] for i in free]):
+        counts = [0] * len(bounds)
+        for i, v in zip(free, values):
+            counts[i] = v
+        yield tuple(counts)
+
+
+def _bounded_tuples(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """`compositions` by recursion on the first coordinate."""
     if not bounds:
         if total == 0:
             yield ()
@@ -594,7 +612,7 @@ def compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple[int, ...]]
     for head in range(0, min(bounds[0], total) + 1):
         if total - head > sum(rest):
             continue
-        for tail in compositions(total - head, rest):
+        for tail in _bounded_tuples(total - head, rest):
             yield (head,) + tail
 
 
@@ -636,17 +654,15 @@ def balanced_moves(
 ) -> Iterator[tuple[int, ...]]:
     """Every proximity candidate base_sig + plus - minus, |plus| = |minus| =
     move for move = 0..k, plus and minus on disjoint group elements and
-    within the fiber sizes; by move, then lexicographic (plus, minus).  The
-    package's iterative `_compositions` walks the plus and minus, so that
-    groups of order 1000 stay within the recursion limit."""
+    within the fiber sizes; by move, then lexicographic (plus, minus)."""
     caps = [len(fiber) for fiber in labeling.fibers]
     order = labeling.group.order
     for move in range(0, k + 1):
         plus_bounds = [min(move, caps[i] - base_sig[i]) for i in range(order)]
         minus_bounds = [min(move, base_sig[i]) for i in range(order)]
-        for plus in _compositions(move, plus_bounds):
+        for plus in compositions(move, plus_bounds):
             masked = [0 if plus[i] else minus_bounds[i] for i in range(order)]
-            for minus in _compositions(move, masked):
+            for minus in compositions(move, masked):
                 yield tuple(base_sig[i] + plus[i] - minus[i] for i in range(order))
 
 

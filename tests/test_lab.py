@@ -18,7 +18,6 @@ from gcmb.lab import (
     isolation_scan,
     label_image,
     labeling_from_index,
-    labeling_to_index,
     merge_scan_reports,
     random_labeling,
     random_weights,
@@ -37,7 +36,13 @@ from gcmb.matroids import (
 from gcmb.solver import Labeling
 
 from conftest import k4_edges, random_small_matroid
-from oracles import base_label, oracles_equal, schrijver_seymour_reference, verify_witness
+from oracles import (
+    base_label,
+    labeling_to_index,
+    oracles_equal,
+    schrijver_seymour_reference,
+    verify_witness,
+)
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)
@@ -100,7 +105,7 @@ class TestCheckKClose:
         assert witness.base_a == (0, 1, 2)
         assert witness.base_b == (3, 4, 5)
         assert witness.target == 0
-        assert witness.describe() == "target=0 A=0,1,2 B=3,4,5 distance=3 k=2"
+        assert witness.describe() == "distance=3 target=0 A=0,1,2 B=3,4,5"
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_negative_k_is_refused(self, k4, weighted):
@@ -415,14 +420,36 @@ class TestImageBound:
         assert report.bound == 1
         assert report.holds
 
+    @staticmethod
+    def assert_prime_form(m, lab):
+        """Over Z_p the stabilizer is {0} or G.  With {0} the cosets are the
+        single elements, so the bound is the prime form min(p, sum of the
+        fiber ranks - r + 1); with G the image is all of G."""
+        report = check_schrijver_seymour(m, lab)
+        p = lab.group.order
+        assert report.holds
+        if report.stabilizer == 1:
+            per_element = sum(m.rank(fiber) for fiber in lab.fibers)
+            assert report.bound == min(p, per_element - m.full_rank + 1)
+        else:
+            assert report.stabilizer == (1 << p) - 1
+            assert report.image_size == p
+        assert (
+            report.image_size, report.stabilizer.bit_count(), report.num_cosets,
+            report.rank_sum, report.bound, report.holds,
+        ) == schrijver_seymour_reference(m, lab)
+
     def test_exhaustive_z2_z3_small(self, k4):
         for group in (Z2, Z3):
             for index in range(group.order**6):
-                lab = labeling_from_index(group, 6, index)
-                report = check_schrijver_seymour(k4, lab)
-                assert report.holds
-                if group is Z3:
-                    assert report.prime_bound is not None
+                self.assert_prime_form(k4, labeling_from_index(group, 6, index))
+
+    def test_prime_form_on_random_z5_z7(self, k4, whirl3):
+        rng = random.Random(41)
+        for group in (GroupSpec.of(5), GroupSpec.of(7)):
+            for m in (k4, whirl3, make_uniform(6, 3)):
+                for _ in range(25):
+                    self.assert_prime_form(m, random_labeling(rng, group, m.n))
 
     def test_random_composite_groups(self, k4, whirl3):
         rng = random.Random(37)

@@ -11,7 +11,6 @@ from gcmb.lab import (
     is_strong_block_isolating,
     isolation_scan,
     labeling_from_index,
-    labeling_to_index,
 )
 from gcmb.matroids import (
     brualdi_bijection,
@@ -21,13 +20,13 @@ from gcmb.matroids import (
 )
 from gcmb.solver import (
     Labeling,
-    enumerate_signatures,
+    Signature,
     signature_of,
     solve_enum,
     solve_proximity,
 )
 
-from oracles import base_label, dual
+from oracles import base_label, compositions, dual, labeling_to_index
 
 GROUPS = [GroupSpec.of(2), GroupSpec.of(3), GroupSpec.of(4), GroupSpec.of(2, 2)]
 
@@ -115,13 +114,13 @@ def test_signatures_partition_the_bases(inst):
     reachable = {}
     for b in m.bases():
         reachable.setdefault(signature_of(labeling, b).counts, []).append(b)
-    enumerated = [sig.counts for sig in enumerate_signatures(group, m.full_rank, caps)]
+    enumerated = list(compositions(m.full_rank, caps))
     assert len(set(enumerated)) == len(enumerated)  # no duplicates
     assert enumerated == sorted(enumerated)  # lexicographic order
     assert set(reachable) <= set(enumerated)
-    for sig in enumerate_signatures(group, m.full_rank, caps):
-        for b in reachable.get(sig.counts, []):
-            assert sig.label() == base_label(labeling, b)
+    for counts in enumerated:
+        for b in reachable.get(counts, []):
+            assert Signature(group, counts).label() == base_label(labeling, b)
 
 
 @settings(max_examples=40, deadline=None)

@@ -33,7 +33,6 @@ from gcmb.solver import (
     CertificationError,
     Labeling,
     Signature,
-    _compositions,
     _Space,
     proximity_certified,
     signature_of,
@@ -62,13 +61,13 @@ GROUPS = [GroupSpec.parse(s) for s in ("Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ
 def test_compositions_are_the_bounded_tuples_in_lex_order(total, bounds):
     ranges = [range(b + 1) for b in bounds]
     expected = [c for c in itertools.product(*ranges) if sum(c) == total]
-    assert list(_compositions(total, bounds)) == expected
+    assert list(compositions(total, bounds)) == expected
 
 
 def test_compositions_walk_thousands_of_coordinates():
     bounds = [0] * 5000
     bounds[10] = bounds[4999] = 1
-    got = list(_compositions(1, bounds))
+    got = list(compositions(1, bounds))
     assert [c.index(1) for c in got] == [4999, 10]
     assert all(len(c) == 5000 and sum(c) == 1 for c in got)
 
@@ -102,18 +101,6 @@ def fiber_labeling(group, caps):
     return Labeling.from_indices(group, [g for g, c in enumerate(caps) for _ in range(c)])
 
 
-def caps_compositions(total, caps):
-    """`oracles.compositions(total, caps)`, recursing over the non-zero caps
-    alone, so that the 1000 caps of Z1000 stay within the recursion limit;
-    the zero caps hold 0 in every composition, so the order is the same."""
-    coords = [g for g, c in enumerate(caps) if c]
-    for values in compositions(total, [caps[g] for g in coords]):
-        counts = [0] * len(caps)
-        for g, v in zip(coords, values):
-            counts[g] = v
-        yield tuple(counts)
-
-
 @st.composite
 def walk_cases(draw, groups=WALK_GROUPS):
     """A group, caps with zeros among them (a handful of non-zero caps for
@@ -140,7 +127,7 @@ def test_label_walk_matches_filtered_compositions(case, limit):
     the same hits in the same order, the same ranks and the same stream
     size, with the label reach kept (under the limit) and not (over it)."""
     group, caps, total, target = case
-    want = label_filtered(group, caps_compositions(total, caps), target)
+    want = label_filtered(group, compositions(total, caps), target)
     assert feasibility_pops(_Space(fiber_labeling(group, caps), total, target), limit) == want
 
 
@@ -363,7 +350,7 @@ def test_cheapest_first_matches_walk_and_sort(inst, kind, seed, limit):
 def test_enum_sizes_and_ranks_are_stream_positions(case):
     group, caps, total, _ = case
     space = _Space(fiber_labeling(group, caps), total, 0)
-    stream = list(_compositions(total, caps))
+    stream = list(compositions(total, caps))
     assert space.size() == len(stream)
     assert [space.rank(c) for c in stream] == list(range(len(stream)))
 
@@ -406,7 +393,7 @@ def test_cheapest_first_pops_the_target_label_stream_by_bound(case, proximity, s
         stream = balanced_moves(labeling, base_sig, k)
     else:
         space = _Space(labeling, r, target)
-        stream = _compositions(r, [len(fiber) for fiber in labeling.fibers])
+        stream = compositions(r, [len(fiber) for fiber in labeling.fibers])
     want, _ = label_filtered(group, stream, target)
     with mock.patch.object(solver, "WALK_CELL_LIMIT", limit):
         heads = list(space.cheapest_first(weights))

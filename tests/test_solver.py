@@ -14,7 +14,6 @@ from gcmb.solver import (
     Labeling,
     Signature,
     base_with_signature,
-    enumerate_signatures,
     find_optimum_base,
     parse_labeling,
     _weight,
@@ -26,7 +25,7 @@ from gcmb.solver import (
 )
 
 from conftest import random_small_matroid
-from oracles import base_label
+from oracles import base_label, compositions
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)
@@ -88,32 +87,6 @@ class TestSignatures:
                 assert signature_of(lab, base).label() == base_label(lab, base)
 
 
-class TestEnumerateSignatures:
-    def test_stars_and_bars_small(self):
-        got = list(enumerate_signatures(Z2, 3))
-        assert len(got) == 4
-        assert [s.counts for s in got] == [(0, 3), (1, 2), (2, 1), (3, 0)]
-
-    def test_counts_without_caps(self):
-        for r, spec in [(3, Z2), (4, Z3), (5, GroupSpec.of(4))]:
-            count = sum(1 for _ in enumerate_signatures(spec, r))
-            assert count == math.comb(r + spec.order - 1, spec.order - 1)
-
-    def test_target_filter_partitions(self):
-        caps = [2, 3, 1, 2]
-        total = sum(1 for _ in enumerate_signatures(Z4, 4, caps))
-        by_target = sum(
-            sum(1 for _ in enumerate_signatures(Z4, 4, caps, g))
-            for g in range(Z4.order)
-        )
-        assert total == by_target
-
-    def test_caps_respected(self):
-        for sig in enumerate_signatures(Z3, 4, [1, 2, 4]):
-            assert all(c <= cap for c, cap in zip(sig.counts, [1, 2, 4]))
-            assert sig.total == 4
-
-
 class TestBaseWithSignature:
     def test_own_signature_feasible(self, k4):
         rng = random.Random(5)
@@ -137,11 +110,10 @@ class TestBaseWithSignature:
                 for _ in range(6):
                     lab = random_labeling(rng, group, m.n)
                     reachable = {signature_of(lab, b).counts for b in m.bases()}
-                    for sig in enumerate_signatures(
-                        group, m.full_rank, [lab.indices.count(g) for g in range(group.order)]
-                    ):
-                        got = base_with_signature(m, lab, sig)
-                        assert (got is not None) == (sig.counts in reachable)
+                    caps = [lab.indices.count(g) for g in range(group.order)]
+                    for counts in compositions(m.full_rank, caps):
+                        got = base_with_signature(m, lab, Signature(group, counts))
+                        assert (got is not None) == (counts in reachable)
 
     def test_weighted_matches_brute(self, k4):
         rng = random.Random(11)
@@ -224,8 +196,6 @@ class TestSolveEnum:
             solve_enum(k4, lab, target)
         with pytest.raises(UsageError, match=message):
             solve_proximity(k4, lab, target, 3)
-        with pytest.raises(UsageError, match=message):
-            list(enumerate_signatures(Z4, 3, target=target))
 
     def test_signature_budget(self, k4):
         rng = random.Random(23)
