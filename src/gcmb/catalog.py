@@ -25,6 +25,7 @@ from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
     Matroid,
+    find_blocks,
     make_explicit,
     make_graphic,
     make_uniform,
@@ -151,7 +152,7 @@ def format_entry(entry: CatalogEntry) -> str:
 def filter_blocks(entries: Iterable[CatalogEntry]) -> Iterator[CatalogEntry]:
     """Keep entries whose ground set splits into two disjoint bases."""
     for entry in entries:
-        if entry.n == 2 * entry.r > 0 and entry.matroid().base_blocks()[1].any():
+        if find_blocks(entry.matroid()) is not None:
             yield entry
 
 

@@ -36,9 +36,8 @@ from .intersection import Weight
 from .matroids import (
     BaseSet,
     Matroid,
+    MinorMatroid,
     check_subsets,
-    contract,
-    delete,
     find_blocks,
     is_strongly_base_orderable,
 )
@@ -333,22 +332,16 @@ def reduce_witness(w: Witness) -> Witness:
     outside = sorted(set(range(w.matroid.n)) - union)
     if not shared and not outside:
         return w
-    inner = contract(w.matroid, shared)
-    inner_positions = {orig: i for i, orig in enumerate(inner.parent_map)}
-    minor = delete(inner, [inner_positions[e] for e in outside])
-    final_map = tuple(inner.parent_map[e] for e in minor.parent_map)
-    positions = {orig: i for i, orig in enumerate(final_map)}
-    new_labels = Labeling(w.labeling.group, tuple(w.labeling.indices[e] for e in final_map))
-    new_weights = (
-        tuple(w.weights[e] for e in final_map) if w.weights is not None else None
-    )
+    minor = MinorMatroid(w.matroid, outside, shared)
+    new_labels = Labeling(w.labeling.group, tuple(w.labeling.indices[e] for e in minor.parent_map))
+    new_weights = tuple(w.weights[e] for e in minor.parent_map) if w.weights is not None else None
     target = arithmetic(w.labeling.group).sub(w.target, w.labeling.label_index(shared))
     return Witness(
         matroid=minor,
         labeling=new_labels,
         target=target,
-        base_a=tuple(sorted(positions[e] for e in set(w.base_a) - set(shared))),
-        base_b=tuple(sorted(positions[e] for e in set(w.base_b) - set(shared))),
+        base_a=tuple(sorted(minor.child_map[e] for e in set(w.base_a) - set(shared))),
+        base_b=tuple(sorted(minor.child_map[e] for e in set(w.base_b) - set(shared))),
         distance=w.distance,
         k=w.k,
         weights=new_weights,
@@ -811,6 +804,8 @@ def _report_fields(text: str) -> dict[str, str]:
         key, sep, value = token.partition("=")
         if not sep:
             raise ValueError(f"token {quote(token)} is not key=value")
+        if key in fields:
+            raise ValueError(f"key {quote(key)} appears twice")
         fields[key] = value
     return fields
 

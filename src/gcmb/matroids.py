@@ -116,12 +116,6 @@ class Matroid:
             self._full_rank = self.rank(range(self.n))
         return self._full_rank
 
-    def _enumeration_rank(self) -> int:
-        """The full rank r, once C(n, r) <= ENUMERATION_LIMIT is checked."""
-        r = self.full_rank
-        check_subsets(self.n, r, ENUMERATION_LIMIT, "ENUMERATION_LIMIT")
-        return r
-
     def bases(self) -> list[BaseSet]:
         """The rows of `base_rows`, under its guard, as sorted tuples."""
         return list(map(tuple, self.base_rows().tolist()))
@@ -137,7 +131,9 @@ class Matroid:
         lab or `bases` report prints that count).  Subclasses override
         `_base_rows`, never this method.
         """
-        return self._base_rows(self._enumeration_rank())
+        r = self.full_rank
+        check_subsets(self.n, r, ENUMERATION_LIMIT, "ENUMERATION_LIMIT")
+        return self._base_rows(r)
 
     def _base_rows(self, r: int) -> np.ndarray:
         combos = itertools.combinations(range(self.n), r)
@@ -170,7 +166,7 @@ class Matroid:
         For each y in `outside`: None when current + y is independent, else
         the x in `current` with current - x + y independent, which is
         C(current, y) - y.  This body asks the oracle about every single
-        swap; graphic, linear, partition and deletion matroids override it
+        swap; graphic, linear, partition and minor matroids override it
         and answer from structure without oracle calls.
         """
         out: dict[int, Optional[frozenset[int]]] = {}
@@ -684,30 +680,44 @@ class PartitionMatroid(Matroid):
 # -- minors ------------------------------------------------------------------
 
 
-class DeleteMatroid(Matroid):
+class MinorMatroid(Matroid):
+    """The minor of `parent` that deletes `removed` and contracts the
+    independent set `contracted`; the other elements keep their order.  A
+    subset answers as its lift, its parent elements plus the contracted ones:
+    rank less |contracted|, circuits less the contracted elements."""
+
     kind = "minor"
 
-    def __init__(self, parent: Matroid, removed: Iterable[int]):
-        removed_set = frozenset(removed)
+    def __init__(self, parent: Matroid, removed: Iterable[int] = (), contracted: Iterable[int] = ()):
+        removed_set, contracted_set = frozenset(removed), frozenset(contracted)
         for e in removed_set:
             if not 0 <= e < parent.n:
                 raise UsageError(f"cannot delete {e}: outside parent ground set")
-        kept = tuple(e for e in range(parent.n) if e not in removed_set)
+        if contracted_set and not parent.is_independent(contracted_set):
+            raise UsageError("contraction set must be independent")
+        if both := removed_set & contracted_set:
+            raise UsageError(f"cannot both delete and contract {min(both)}")
+        kept = tuple(sorted(set(range(parent.n)) - removed_set - contracted_set))
         super().__init__(len(kept))
-        self.parent = parent
+        self.parent, self.contracted = parent, contracted_set
         self.parent_map = kept  # new index -> parent index
         self.child_map = {e: i for i, e in enumerate(kept)}  # parent index -> new index
 
+    def _lift(self, subset: Iterable[int]) -> frozenset[int]:
+        return self.contracted.union(self.parent_map[e] for e in subset)
+
     def _indep(self, subset: frozenset[int]) -> bool:
-        return self.parent.is_independent(self.parent_map[e] for e in subset)
+        return self.parent.is_independent(self._lift(subset))
 
     def _rank(self, subset: frozenset[int]) -> int:
-        return self.parent.rank(self.parent_map[e] for e in subset)
+        return self.parent.rank(self._lift(subset)) - len(self.contracted)
 
     def cursor(self) -> Cursor:
         inner = self.parent.cursor()
         if inner.asks_oracle:
             return Cursor(self)
+        for e in self.contracted:
+            inner.add(e)
         inner.data = [inner.data[e] for e in self.parent_map]  # the parent's, re-indexed
         return inner
 
@@ -719,37 +729,20 @@ class DeleteMatroid(Matroid):
         self, current: frozenset[int], outside: Iterable[int]
     ) -> dict[int, Optional[frozenset[int]]]:
         to_parent, to_child = self.parent_map, self.child_map
-        found = self.parent.circuits(
-            frozenset(to_parent[e] for e in current), [to_parent[y] for y in outside]
-        )
+        found = self.parent.circuits(self._lift(current), [to_parent[y] for y in outside])
         return {
-            to_child[y]: None if c is None else frozenset(to_child[x] for x in c)
+            to_child[y]: None if c is None else frozenset(to_child[x] for x in c - self.contracted)
             for y, c in found.items()
         }
 
 
-class ContractMatroid(Matroid):
-    kind = "minor"
-
-    def __init__(self, parent: Matroid, contracted: Iterable[int]):
-        contracted_set = frozenset(contracted)
-        if contracted_set and not parent.is_independent(contracted_set):
-            raise UsageError("contraction set must be independent")
-        kept = tuple(e for e in range(parent.n) if e not in contracted_set)
-        super().__init__(len(kept))
-        self.parent = parent
-        self.contracted = contracted_set
-        self.parent_map = kept
-
-    def _indep(self, subset: frozenset[int]) -> bool:
-        mapped = {self.parent_map[e] for e in subset}
-        return self.parent.is_independent(mapped | self.contracted)
+def contract(parent: Matroid, contracted: Iterable[int]) -> MinorMatroid:
+    return MinorMatroid(parent, contracted=contracted)
 
 
 #: The public constructors are the classes.
 make_uniform, make_graphic, make_linear = UniformMatroid, GraphicMatroid, LinearMatroid
-make_explicit, make_partition = ExplicitMatroid, PartitionMatroid
-delete, contract = DeleteMatroid, ContractMatroid
+make_explicit, make_partition, delete = ExplicitMatroid, PartitionMatroid, MinorMatroid
 
 
 # -- exchange machinery ------------------------------------------------------
@@ -943,6 +936,12 @@ def is_k_replaceable(m: Matroid, base_a: Iterable[int], base_b: Iterable[int], k
 # -- matroid files -----------------------------------------------------------
 
 
+#: The lines each kind of matroid file takes, by first word; "" is a matrix row.
+_KIND_LINES = {"uniform": ("n", "r"), "graphic": ("vertices", "edge"),
+               "linear": ("field", "rows", ""), "explicit": ("n", "base")}
+_FIELDS = ("n", "r", "vertices", "field", "rows")
+
+
 def parse_matroid(text: str, trust: bool = False) -> Matroid:
     """Parse the line-oriented matroid format (see README for the grammar)."""
     lines = list(content_lines(text))
@@ -953,6 +952,8 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
     if len(parts) != 2 or parts[0] != "matroid":
         raise ParseError(f"expected 'matroid <kind>', got {quote(header)}", header_no)
     kind = parts[1]
+    if kind not in _KIND_LINES:
+        raise ParseError(f"unknown matroid kind {quote(kind)}", header_no)
     fields: dict[str, str] = {}
     edges: list[tuple[str, str]] = []
     rows: list[list[int]] = []
@@ -960,6 +961,8 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
     for lineno, line in lines[1:]:
         tokens = line.split()
         key = tokens[0]
+        if (key if key in ("edge", "base", *_FIELDS) else "") not in _KIND_LINES[kind]:
+            raise ParseError(f"matroid {kind} takes no line {quote(line)}", lineno)
         if key == "edge":
             if len(tokens) != 3:
                 raise ParseError("edge lines need two endpoints", lineno)
@@ -969,9 +972,11 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
                 base_rows.append([int(t) for t in tokens[1:]])
             except ValueError:
                 raise ParseError("base lines need integer indices", lineno) from None
-        elif key in ("n", "r", "vertices", "field", "rows"):
+        elif key in _FIELDS:
             if len(tokens) != 2:
                 raise ParseError(f"'{key}' needs a single value", lineno)
+            if key in fields:
+                raise ParseError(f"'{key}' is given twice", lineno)
             fields[key] = tokens[1]
         else:
             try:
@@ -1011,9 +1016,7 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
         if len(rows) != expected:
             raise ParseError(f"expected {quote(str(expected))} matrix rows, got {len(rows)}")
         return make_linear(rows, p)
-    if kind == "explicit":
-        return make_explicit(intfield("n"), base_rows, trust=trust)
-    raise ParseError(f"unknown matroid kind {quote(kind)}", header_no)
+    return make_explicit(intfield("n"), base_rows, trust=trust)
 
 
 def load_matroid(path, trust: bool = False) -> Matroid:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Literal, Optional, Sequence
 
 from .errors import (
     InternalError,
@@ -28,10 +28,8 @@ from .errors import (
     read_text,
 )
 from .groups import GroupSpec, arithmetic, closeness_class, davenport
-from .intersection import max_common_independent, min_weight_common_base
+from .intersection import Weight, max_common_independent, min_weight_common_base
 from .matroids import INTEGER_DIGITS_LIMIT, BaseSet, Matroid, delete, make_partition
-
-Weight = Union[int, Fraction]
 
 #: Most cells the signature search's label reach holds.  A cell is one
 #: (fiber, units left) pair times one 64-label word of the labels it
@@ -463,33 +461,30 @@ def _coefficient(packed: int, index: int, bits: int) -> int:
 
 def _search(
     m: Matroid,
-    labeling: Labeling,
-    target: int,
     weights: Optional[Sequence[Weight]],
     space: _Space,
     certified: bool,
-    counter: Literal["signatures", "candidates"],
     calls_before: int,
 ) -> SolveResult:
     """Intersections over the candidate signatures with the target label,
     popped from `space.cheapest_first`.
 
-    Feasibility pops them in stream order and keeps the first hit; `counter`,
-    the stats field named for the solve's stream, gets the hit's rank plus
-    one, or the stream size when nothing hits.  Optimization bounds each
-    candidate c from below by lb(c), the sum over g of the c_g smallest
-    weights in E(g): no base with signature c weighs less.  It pops the
-    candidates in nondecreasing lb, intersects each, and stops once the
-    head's bound exceeds the best weight found.  So it intersects exactly the
-    candidates with lb(c) <= the optimum, whatever the order among equal
-    bounds, and returns the least (weight, stream rank), the first strict
-    minimum of the stream; a rank is counted only to break a weight tie.
-    There `counter` gets the stream size.  Both count ranks and sizes
-    without walking the stream.  Oracle calls are counted from
-    `calls_before`.
+    Feasibility pops them in stream order and keeps the first hit; the stats
+    field named for the space's stream, `signatures` for enum and
+    `candidates` for proximity, gets the hit's rank plus one, or the stream
+    size when nothing hits.  Optimization bounds each candidate c from
+    below by lb(c), the sum over g of the c_g smallest weights in E(g): no
+    base with signature c weighs less.  It pops the candidates in
+    nondecreasing lb, intersects each, and stops once the head's bound
+    exceeds the best weight found.  So it intersects exactly the candidates
+    with lb(c) <= the optimum, whatever the order among equal bounds, and
+    returns the least (weight, stream rank), the first strict minimum of the
+    stream; a rank is counted only to break a weight tie.  There that field
+    gets the stream size.  Both count ranks and sizes without walking the
+    stream.  Oracle calls are counted from `calls_before`.
     """
     m.full_rank  # part of every solve's oracle calls, also when nothing is intersected
-    group = labeling.group
+    labeling, target = space.labeling, space.target
     tried = 0
     best: Optional[tuple[BaseSet, Optional[Weight]]] = None
     best_counts: tuple[int, ...] = ()
@@ -500,7 +495,7 @@ def _search(
         if counts is None:  # a partial composition
             continue
         tried += 1
-        sig = _target_signature(group, counts, target)
+        sig = _target_signature(labeling.group, counts, target)
         found = base_with_signature(m, labeling, sig, weights)
         if found is None or (best is not None and found[1] > best[1]):
             continue
@@ -518,6 +513,7 @@ def _search(
             break
     hit = weights is None and best is not None
     walked = space.rank(best_counts) + 1 if hit else space.size()
+    counter = "signatures" if space.base is None else "candidates"
     stats = SolveStats(
         intersections=tried, oracle_calls=m.oracle_calls - calls_before, **{counter: walked}
     )
@@ -536,7 +532,7 @@ def solve_enum(
     _check_instance(m, labeling, target)
     calls_before = m.oracle_calls
     space = _Space(labeling, m.full_rank, target)
-    return _search(m, labeling, target, weights, space, True, "signatures", calls_before)
+    return _search(m, weights, space, True, calls_before)
 
 
 def proximity_certified(
@@ -602,7 +598,7 @@ def solve_proximity(
     base_sig = signature_of(labeling, start).counts
     r = sum(base_sig)
     space = _Space(labeling, r, target, base_sig, min(k, r, labeling.n - r))
-    return _search(m, labeling, target, weights, space, certified, "candidates", calls_before)
+    return _search(m, weights, space, certified, calls_before)
 
 
 # -- labeling and weight files ----------------------------------------------

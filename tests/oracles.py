@@ -206,6 +206,19 @@ def dual(m: Matroid) -> Matroid:
     return DualMatroid(m)
 
 
+def minor_rank(
+    m: Matroid, removed: Iterable[int], contracted: Iterable[int], subset: Iterable[int]
+) -> int:
+    """The rank of `subset` in m with `contracted` contracted and then
+    `removed` deleted, the minor's elements numbered in order: the most
+    elements of its lift that lie in a base of m beside all of `contracted`."""
+    contracted = set(contracted)
+    gone = contracted.union(removed)
+    kept = [e for e in range(m.n) if e not in gone]
+    lifted = {kept[e] for e in subset}
+    return max(len(lifted & set(b)) for b in m.bases() if contracted <= set(b))
+
+
 def linear_independent(m: LinearMatroid, subset: Iterable[int]) -> bool:
     """Forward elimination over GF(p), column by column, stopping at the
     first column without a pivot: the plain test the row reduction replaces."""

@@ -2,8 +2,8 @@
 oracle loops they replace.
 
 `Matroid.circuits` asks the independence oracle about every swap; the
-graphic, linear, partition and deletion overrides answer from structure, and
-linear matroids, partition matroids and deletions answer `rank` without the
+graphic, linear, partition and minor overrides answer from structure, and
+linear matroids, partition matroids and minors answer `rank` without the
 greedy oracle loop.  Their cursors (`Matroid.cursor`) answer the greedy
 queries of rank, `find_optimum_base` and the intersection prefix from a
 union-find, a running elimination or the capacities left.
@@ -24,12 +24,13 @@ from gcmb.errors import InternalError, UsageError
 from gcmb.groups import GroupSpec
 from gcmb.intersection import _common_prefix, max_common_independent, min_weight_common_base
 from gcmb.matroids import (
-    DeleteMatroid,
     GraphicMatroid,
     LinearMatroid,
     Matroid,
+    MinorMatroid,
     PartitionMatroid,
     _ForestCursor,
+    contract,
     delete,
     make_explicit,
     make_graphic,
@@ -47,8 +48,8 @@ from oracles import (
     optimum_base_loop,
 )
 
-OVERRIDES = (GraphicMatroid, LinearMatroid, PartitionMatroid, DeleteMatroid)
-RANK_OVERRIDES = (LinearMatroid, PartitionMatroid, DeleteMatroid)
+OVERRIDES = (GraphicMatroid, LinearMatroid, PartitionMatroid, MinorMatroid)
+RANK_OVERRIDES = (LinearMatroid, PartitionMatroid, MinorMatroid)
 
 
 @st.composite
@@ -111,16 +112,29 @@ def explicits(draw):
 
 @st.composite
 def minors(draw, parents=None):
+    """A deletion, a contraction of an independent set, a contraction
+    followed by a deletion, or one minor that does both; at least one element
+    is left."""
     if parents is None:
         parents = st.one_of(multigraphs(), partitions(), linears())
     parent = draw(parents)
-    removed = draw(st.sets(st.integers(0, parent.n - 1), max_size=parent.n - 1))
-    return delete(parent, removed)
+    contracted = sorted(draw(independent_sets(parent)))[: parent.n - 1]
+    how = draw(st.sampled_from(["delete", "contract", "contract-delete", "one minor"]))
+    if how == "delete" or not contracted:
+        return delete(parent, draw(st.sets(st.integers(0, parent.n - 1), max_size=parent.n - 1)))
+    if how == "one minor":
+        kept = [e for e in range(parent.n) if e not in contracted]
+        removed = draw(st.sets(st.sampled_from(kept), max_size=len(kept) - 1))
+        return MinorMatroid(parent, removed, contracted)
+    minor = contract(parent, contracted)
+    if how == "contract":
+        return minor
+    return delete(minor, draw(st.sets(st.integers(0, minor.n - 1), max_size=minor.n - 1)))
 
 
 def every_kind():
     """Each matroid kind with a cursor of its own or the default one, and
-    deletions of each."""
+    minors of each."""
     kinds = st.one_of(multigraphs(), linears(), partitions(), uniforms(), explicits())
     return st.one_of(kinds, minors(kinds))
 
@@ -295,9 +309,9 @@ def test_wrong_circuit_is_caught_on_both_intersection_paths(monkeypatch):
 
 def counted(m, run):
     """What `run()` returns, with the oracle calls it added on m and on each
-    parent up m's deletion chain."""
+    parent up m's minor chain."""
     chain = [m]
-    while isinstance(chain[-1], DeleteMatroid):
+    while isinstance(chain[-1], MinorMatroid):
         chain.append(chain[-1].parent)
     before = [x.oracle_calls for x in chain]
     value = run()
@@ -338,12 +352,14 @@ def test_greedy_passes_match_the_oracle_loop(data):
 
 
 def test_greedy_queries_make_no_independence_test(monkeypatch):
-    """On graphic and linear matroids and their deletions, rank,
+    """On graphic and linear matroids and their minors, rank,
     `find_optimum_base` and the intersection prefix come from the cursors:
     they still work with every `_indep` refusing to answer."""
     graph = make_graphic([*itertools.combinations(range(5), 2), (0, 1), (2, 3)])
     linear = make_linear([[1, 0, 1, 2, 2, 0, 1], [0, 1, 1, 1, 0, 2, 2]], 3)
-    cases = [graph, linear, delete(graph, [0, 4, 7]), delete(linear, [1])]
+    cases = [graph, linear, delete(graph, [0, 4, 7]), delete(linear, [1]),
+             contract(graph, [1, 5]), delete(contract(linear, [0]), [2]),
+             MinorMatroid(graph, [2, 8], [0])]
 
     def answers(m):
         part = make_partition([range(0, m.n, 2), range(1, m.n, 2)], [2, 1])
@@ -355,7 +371,7 @@ def test_greedy_queries_make_no_independence_test(monkeypatch):
     def refuse(self, subset):
         raise AssertionError("a greedy query asked the independence oracle")
 
-    for cls in (GraphicMatroid, LinearMatroid, DeleteMatroid, PartitionMatroid):
+    for cls in (GraphicMatroid, LinearMatroid, MinorMatroid, PartitionMatroid):
         monkeypatch.setattr(cls, "_indep", refuse)
     assert [answers(m) for m in cases] == expected
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcmb.groups import GroupSpec
-from gcmb.errors import CapacityError, UsageError
+from gcmb.errors import CapacityError, ParseError, UsageError
 from gcmb.lab import (
     check_k_close,
     check_strongly_k_close,
@@ -31,6 +31,8 @@ from gcmb.matroids import (
     is_k_replaceable,
     is_strongly_base_orderable,
     make_explicit,
+    make_graphic,
+    make_linear,
     make_uniform,
 )
 from gcmb.solver import Labeling
@@ -39,6 +41,7 @@ from conftest import k4_edges, random_small_matroid
 from oracles import (
     base_label,
     labeling_to_index,
+    minor_rank,
     oracles_equal,
     schrijver_seymour_reference,
     verify_witness,
@@ -209,6 +212,35 @@ class TestReduceWitness:
             assert reduced.matroid.is_base(reduced.base_b)
             assert not set(reduced.base_a) & set(reduced.base_b)
             assert verify_witness(reduced)
+            found += 1
+
+
+    @pytest.mark.parametrize("kind", ["graphic", "linear", "explicit"])
+    def test_reduced_matroid_is_the_contraction_then_deletion(self, kind):
+        """On witnesses whose bases share elements and miss others, every
+        subset of the reduced ground set is independent, and has the rank,
+        that the original matroid with the shared elements contracted and the
+        others deleted gives, counted from the original's bases."""
+        rng = random.Random(26)
+        matroid = {
+            "graphic": make_graphic(list(itertools.combinations(range(5), 2))),
+            "linear": make_linear([[1, 0, 0, 1, 1, 0, 1, 2], [0, 1, 0, 1, 2, 1, 0, 1],
+                                   [0, 0, 1, 0, 1, 1, 1, 1]], 3),
+            "explicit": make_explicit(8, [b + (6, 7) for b in make_uniform(6, 2).bases()]),
+        }[kind]
+        found = 0
+        while found < 4:
+            witness = check_k_close(matroid, random_labeling(rng, Z3, matroid.n), 0)
+            shared = set(witness.base_a) & set(witness.base_b) if witness else set()
+            if not shared or len(set(witness.base_a) | set(witness.base_b)) == matroid.n:
+                continue
+            outside = set(range(matroid.n)) - set(witness.base_a) - set(witness.base_b)
+            reduced = reduce_witness(witness).matroid
+            for size in range(reduced.n + 1):
+                for subset in itertools.combinations(range(reduced.n), size):
+                    expected = minor_rank(matroid, outside, shared, subset)
+                    assert reduced.is_independent(subset) == (expected == size)
+                    assert reduced.rank(subset) == expected
             found += 1
 
 
@@ -393,6 +425,22 @@ class TestIsolationScan:
         ]
         assert all("verdict=isolating" in s for s in shards)
         assert merge_scan_reports(shards) == full
+
+    @pytest.mark.parametrize(
+        "old, new, line",
+        [
+            ("seed=0", "seed=0 seed=7", 1),
+            ("labels=1;1;0;0", "labels=1;1;0;0 range=0..81 checked=81", 2),
+        ],
+        ids=["header", "matroid-line"],
+    )
+    def test_merge_refuses_a_repeated_key(self, old, new, line):
+        """A key given twice is refused, not read as its last value."""
+        pool = [("u24", make_uniform(4, 2))]
+        shard = render_scan_report(isolation_scan(pool, Z3, "strong_block", index_range=(0, 40)))
+        assert old in shard
+        with pytest.raises(ParseError, match=rf"^line {line}: .* key '\w+' appears twice"):
+            merge_scan_reports([shard.replace(old, new)])
 
     def test_repeated_id_rejected(self, k4):
         pool = [("x", k4), ("x", make_uniform(4, 2))]

@@ -153,6 +153,10 @@ class TestMinors:
         with pytest.raises(UsageError):
             contract(k4, [0, 1, 3])  # a triangle is dependent
 
+    def test_an_element_both_deleted_and_contracted_is_refused(self, k4):
+        with pytest.raises(UsageError, match="cannot both delete and contract 1"):
+            delete(k4, [1, 2], [0, 1])
+
     def test_rank_formula(self, k4):
         for f_size in range(3):
             for f in itertools.combinations(range(6), f_size):
@@ -514,6 +518,38 @@ class TestParsing:
         text = "# comment\nmatroid explicit\nn 4\nbase 0 1\nbase 0 2\nbase 0 3\nbase 1 2\nbase 1 3\nbase 2 3\n"
         m = parse_matroid(text)
         assert oracles_equal(m, make_uniform(4, 2))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("matroid uniform\nn 4\nr 2\nedge a b\n", 4),
+            ("matroid uniform\nn 4\nr 2\n1 0 1 1\n", 4),
+            ("matroid graphic\nvertices 3\nbase 0\nedge a b\n", 3),
+            ("matroid graphic\nn 7\nvertices 3\nedge a b\n", 2),
+            ("matroid linear\nfield 3\nrows 1\nvertices 9\n1 1\n", 4),
+            ("matroid linear\nfield 3\nrows 1\n1 1\nedge x y\n", 5),
+            ("matroid explicit\nn 2\nfield 3\nbase 0 1\n", 3),
+            ("matroid explicit\nn 2\nbase 0 1\nr 2\n", 4),
+        ],
+        ids=["uniform-edge", "uniform-row", "graphic-base", "graphic-n",
+             "linear-vertices", "linear-edge", "explicit-field", "explicit-r"],
+    )
+    def test_a_kind_takes_only_its_own_lines(self, text, line):
+        with pytest.raises(ParseError, match=rf"^line {line}: matroid \w+ takes no line '"):
+            parse_matroid(text)
+
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            ("matroid uniform\nn 4\nn 5\nr 2\n", 3, "n"),
+            ("matroid graphic\nvertices 3\nedge a b\nvertices 3\n", 4, "vertices"),
+            ("matroid linear\nfield 3\nrows 1\nfield 5\n1 1\n", 4, "field"),
+        ],
+        ids=["uniform", "graphic", "linear"],
+    )
+    def test_a_field_is_given_once(self, text, line, key):
+        with pytest.raises(ParseError, match=rf"^line {line}: '{key}' is given twice$"):
+            parse_matroid(text)
 
     def test_errors_carry_line_numbers(self):
         with pytest.raises(ParseError, match="line 1"):
