@@ -92,14 +92,10 @@ def _entries(
 _ELEMENT_TOKENS = {str(e): e for e in range(256)}
 
 
-def _catalog_fields(rest: str) -> tuple[int, int, np.ndarray | list[BaseSet]]:
-    """(n, r, bases) of `<n> <r> <bases>`.
-
-    A line whose bases are integers of one size that fit in int64 is read in
-    one pass, into the sorted rows of an array.  Any other line goes chunk by
-    chunk, which names its first bad or repeating base, or gives tuples that
-    `ExplicitMatroid` refuses.
-    """
+def _catalog_fields(rest: str) -> tuple[int, int, np.ndarray | list[tuple[int, ...]]]:
+    """(n, r, bases) of `<n> <r> <bases>`.  Bases of one size whose elements
+    fit in int64 are read in one pass, into the rows of an array; other bases
+    as tuples, the first one that is not a list of integers refused."""
     parts = rest.split(None, 2)
     if len(parts) != 3:
         raise ParseError("expected '<id> <n> <r> <bases>'")
@@ -114,22 +110,15 @@ def _catalog_fields(rest: str) -> tuple[int, int, np.ndarray | list[BaseSet]]:
         try:
             if None in values:
                 values = list(map(int, tokens))
-            rows = np.array(values, dtype=np.int64).reshape(len(chunks), -1)
+            return n, r, np.array(values, dtype=np.int64).reshape(len(chunks), -1)
         except (ValueError, OverflowError):
             pass
-        else:
-            rows.sort(axis=1)
-            if not (rows[:, 1:] == rows[:, :-1]).any():
-                return n, r, rows
     bases = []
     for chunk in chunks:
         try:
-            base = tuple(map(int, chunk.split(",")))
+            bases.append(tuple(map(int, chunk.split(","))))
         except ValueError:
             raise ParseError(f"bad base {quote(chunk.strip())}") from None
-        if len(set(base)) != len(base):
-            raise ParseError(f"base {quote(chunk.strip())} repeats an element")
-        bases.append(base)
     return n, r, bases
 
 

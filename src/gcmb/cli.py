@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import catalog as catalog_mod
 from . import lab as lab_mod
-from .errors import CapacityError, GcmbError, UsageError, quote, read_text
+from .errors import CapacityError, GcmbError, UsageError, magnitude, quote, read_text
 from .groups import GroupSpec
 from .matroids import Matroid, load_matroid
 from .solver import (
@@ -212,7 +212,7 @@ def cmd_check_ss(args) -> int:
         if args.random < 1:
             raise UsageError(f"--random must be at least 1, got {args.random}")
         if args.random > RANDOM_LABELINGS_LIMIT:
-            raise CapacityError(f"--random {args.random} exceeds the limit N <= "
+            raise CapacityError(f"--random {magnitude(args.random)} exceeds the limit N <= "
                                 f"{RANDOM_LABELINGS_LIMIT} (RANDOM_LABELINGS_LIMIT)")
         rng = random.Random(args.seed)
         labelings = (
@@ -281,6 +281,8 @@ class _Parser(argparse.ArgumentParser):
     exit 1, not 2, the negative result.  Subparsers are of the same class."""
 
     def error(self, message: str):
+        if len(message) > 300:  # argparse quotes a bad token whole, however long
+            message = f"{message[:300]}... ({len(message)} characters)"
         raise UsageError(f"{self.prog}: {message}")
 
 

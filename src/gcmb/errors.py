@@ -55,6 +55,11 @@ def quote(token: str) -> str:
     return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
 
 
+def magnitude(value: int) -> str:
+    """str(value), or its size in bits past 10^30, which str() may refuse to print."""
+    return str(value) if abs(value) < 10**30 else f"of {value.bit_length()} bits"
+
+
 def element_list(elements: Sequence[int]) -> str:
     """'[a, b, ...]' naming at most the first _SHOWN_ELEMENTS elements."""
     more = ", ..." if len(elements) > _SHOWN_ELEMENTS else ""

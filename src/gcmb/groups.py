@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
-from .errors import CapacityError, UsageError, quote
+from .errors import CapacityError, UsageError, magnitude, quote
 
 _SPEC_TOKEN = re.compile(r"^[zZ](\d+)$")
 
@@ -28,7 +28,7 @@ def _check_order(factors: Sequence[int]) -> None:
     order = math.prod(factors)
     if order > GROUP_TABLE_LIMIT:
         raise CapacityError(
-            f"group order {order} exceeds the limit |G| <= {GROUP_TABLE_LIMIT} "
+            f"group order {magnitude(order)} exceeds the limit |G| <= {GROUP_TABLE_LIMIT} "
             f"(GROUP_TABLE_LIMIT)"
         )
 

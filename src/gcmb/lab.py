@@ -30,7 +30,7 @@ from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParseError, UsageError, quote
+from .errors import CapacityError, ParseError, UsageError, magnitude, quote
 from .groups import GroupSpec, arithmetic, cosets, davenport, stabilizer
 from .intersection import Weight
 from .matroids import (
@@ -697,7 +697,8 @@ def isolation_scan(
         start, stop = index_range if index_range is not None else (0, total)
         if not 0 <= start <= stop <= total:
             raise UsageError(
-                f"scan range {start}..{stop} outside [0, {total}) for {matroid_id}"
+                f"scan range {magnitude(start)}..{magnitude(stop)} outside [0, {total}) "
+                f"for {matroid_id}"
             )
         if stop - start > SCAN_RANGE_LIMIT:
             raise CapacityError(
@@ -939,10 +940,6 @@ class SuiteReport:
     checks_run: int
     violations: tuple[Witness, ...]
     expected_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     @property
     def fatal(self) -> bool:

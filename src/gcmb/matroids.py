@@ -20,7 +20,7 @@ from typing import Collection, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, InternalError, ParseError, UsageError
-from .errors import content_lines, element_list, quote, read_text
+from .errors import content_lines, element_list, magnitude, quote, read_text
 
 BaseSet = tuple[int, ...]
 
@@ -436,9 +436,8 @@ class LinearMatroid(Matroid):
 
     def __init__(self, rows: Sequence[Sequence[int]], p: int):
         if p > FIELD_ORDER_LIMIT:
-            value = p if p < 10**30 else f"of {p.bit_length()} bits"
             raise CapacityError(
-                f"field order {value} exceeds the limit p <= {FIELD_ORDER_LIMIT} "
+                f"field order {magnitude(p)} exceeds the limit p <= {FIELD_ORDER_LIMIT} "
                 f"(FIELD_ORDER_LIMIT)"
             )
         if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
@@ -572,37 +571,29 @@ def _complements_found(n: int, masks: np.ndarray) -> np.ndarray:
 def _explicit_bases(
     n: int, bases: Iterable[Iterable[int]] | np.ndarray
 ) -> tuple[tuple[BaseSet, ...], np.ndarray]:
-    """The distinct bases, each read as a set: as sorted tuples in
-    lexicographic order, and as the rows of a read-only (count x r) int64
-    array in the same order.
+    """The distinct bases of a base list, any iterable of integer sequences
+    or a 2-D integer array: as sorted tuples in lexicographic order, and as
+    the rows of a read-only (count x r) int64 array in the same order.
 
-    A 2-D integer array is read row by row.  A list with no base, with bases
-    of two sizes or with an element outside 0..n-1 is refused with the first
-    fault that a walk over the sorted bases meets; then one whose union
-    misses an element (a loop).
+    A list with no base, with a fault that `_first_fault` names, or whose
+    union misses an element (a loop) is refused.
     """
-    grid = np.sort(bases.astype(np.int64), axis=1) if isinstance(bases, np.ndarray) else None
-    rows = None
-    if grid is not None and not (grid[:, 1:] == grid[:, :-1]).any():
-        # rows that are sets already: sorted and deduplicated as an array
-        if grid.shape[1]:
-            grid = grid[np.lexsort(grid.T[::-1])]
-        distinct = np.ones(len(grid), dtype=bool)
-        distinct[1:] = (grid[1:] != grid[:-1]).any(axis=1)
-        rows = grid[distinct]
-        base_list = tuple(map(tuple, rows.tolist()))
-    else:
-        sets = bases if grid is None else grid.tolist()
-        base_list = tuple(sorted({tuple(sorted(set(b))) for b in sets}))
-        if len({len(b) for b in base_list}) == 1:
-            try:
-                rows = np.array(base_list, dtype=np.int64)
-            except OverflowError:  # an element past int64 lies outside the ground set
-                pass
-    if not base_list:
+    if not isinstance(bases, np.ndarray):
+        bases = [tuple(b) for b in bases]
+    if not len(bases):
         raise UsageError("explicit matroid needs a nonempty base list")
-    if rows is None or (rows.size and (rows.min() < 0 or rows.max() >= n)):
-        raise UsageError(_first_shape_fault(n, base_list))
+    try:
+        rows = np.sort(np.array(bases, dtype=np.int64), axis=1)
+    except (ValueError, OverflowError):  # bases of two sizes, or an element past int64
+        raise UsageError(_first_fault(n, bases)) from None
+    # a negative element read as uint64 lies past n; a repeat stops a sorted row rising
+    if not ((rows.view(np.uint64) < n).all() and (rows[:, 1:] > rows[:, :-1]).all()):
+        raise UsageError(_first_fault(n, bases))
+    if rows.shape[1]:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    repeated = (rows[1:] == rows[:-1]).all(axis=1)  # a base listed twice
+    if repeated.any():
+        rows = rows[np.append(True, ~repeated)]
     missing = np.flatnonzero(np.bincount(rows.ravel(), minlength=n) == 0)
     if missing.size:
         raise UsageError(
@@ -610,20 +601,24 @@ def _explicit_bases(
             f"matroids here are loopless"
         )
     rows.flags.writeable = False
-    return base_list, rows
+    return tuple(map(tuple, rows.tolist())), rows
 
 
-def _first_shape_fault(n: int, base_list: Sequence[BaseSet]) -> str:
-    """The first of the sorted bases of another size than the first or with
-    an element outside 0..n-1, as its message."""
-    r = len(base_list[0])
-    for b in base_list:
+def _first_fault(n: int, bases: Sequence[Sequence[int]] | np.ndarray) -> str:
+    """The first fault of the first faulty base, walking the distinct sorted
+    bases in order, as its message: a size other than the first base's, then
+    an element outside 0..n-1, then a repeated element."""
+    walk = sorted({tuple(sorted(b)) for b in bases})
+    r = len(walk[0])
+    for b in walk:
         if len(b) != r:
             return f"bases must share one size; saw sizes {r} and {len(b)}"
         for e in b:
             if not 0 <= e < n:
                 return f"base element {quote(str(e))} outside ground set 0..{n - 1}"
-    raise InternalError("no misshapen base in a list found misshapen")
+        if len(set(b)) != r:
+            return f"base {quote(','.join(map(str, b)))} repeats an element"
+    raise InternalError("no faulty base in a list found faulty")
 
 
 class PartitionMatroid(Matroid):
@@ -634,11 +629,17 @@ class PartitionMatroid(Matroid):
     kind = "partition"
 
     def __init__(self, classes: Sequence[Iterable[int]], capacities: Sequence[int]):
-        class_sets = [frozenset(c) for c in classes]
+        class_lists = [tuple(c) for c in classes]
+        class_sets = [frozenset(c) for c in class_lists]
         if len(class_sets) != len(capacities):
             raise UsageError("one capacity per class is required")
         total = set()
-        for c in class_sets:
+        for listed, c in zip(class_lists, class_sets):
+            if len(c) != len(listed):
+                twice = next(e for i, e in enumerate(listed) if e in listed[:i])
+                raise UsageError(
+                    f"partition class {element_list(listed)} repeats element {twice}"
+                )
             if total & c:
                 raise UsageError("partition classes must be disjoint")
             total |= c

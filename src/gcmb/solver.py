@@ -73,20 +73,9 @@ class Labeling:
     def from_indices(cls, group: GroupSpec, indices: Iterable[int]) -> "Labeling":
         return cls(group, tuple(indices))
 
-    @classmethod
-    def constant(cls, group: GroupSpec, n: int, value: int = 0) -> "Labeling":
-        return cls(group, (value,) * n)
-
     def label_index(self, subset: Iterable[int]) -> int:
         """The canonical index of the label sum over `subset`."""
         return arithmetic(self.group).total(self.indices[e] for e in subset)
-
-    def translate(self, shift: int) -> "Labeling":
-        """Every label moved by the element with index `shift`."""
-        if not 0 <= shift < self.group.order:
-            raise UsageError(f"element index {shift} out of range for {self.group}")
-        ar = arithmetic(self.group)
-        return Labeling(self.group, tuple(ar.add(i, shift) for i in self.indices))
 
 
 @dataclass(frozen=True)

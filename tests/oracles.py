@@ -78,6 +78,19 @@ def base_label(labeling: Labeling, subset: Iterable[int]) -> int:
     return residue_sum(labeling.group.invariant_factors, (labeling.indices[e] for e in subset))
 
 
+def constant_labeling(group: GroupSpec, n: int, value: int = 0) -> Labeling:
+    """Every one of n elements labeled with the element of index `value`."""
+    return Labeling(group, (value,) * n)
+
+
+def translate(labeling: Labeling, shift: int) -> Labeling:
+    """Every label moved by the element with index `shift`."""
+    if not 0 <= shift < labeling.group.order:
+        raise UsageError(f"element index {shift} out of range for {labeling.group}")
+    ar = arithmetic(labeling.group)
+    return Labeling(labeling.group, tuple(ar.add(i, shift) for i in labeling.indices))
+
+
 def labeling_to_index(labeling: Labeling) -> int:
     """The scan index of a labeling, the inverse of `lab.labeling_from_index`:
     the label of element i is digit i of the index in base |G|."""
@@ -309,8 +322,6 @@ def catalog_fields_reference(rest: str) -> tuple[int, int, list[tuple[int, ...]]
             base = tuple(map(int, chunk.split(",")))
         except ValueError:
             raise ParseError(f"bad base {quote(chunk.strip())}") from None
-        if len(set(base)) != len(base):
-            raise ParseError(f"base {quote(chunk.strip())} repeats an element")
         bases.append(base)
     return n, r, bases
 
@@ -328,7 +339,7 @@ class ExplicitReference(Matroid):
                 f"explicit base lists with n > {EXPLICIT_VALIDATE_MAX} are only "
                 f"accepted with trust enabled (exchange validation is quadratic)"
             )
-        base_sets = sorted({tuple(sorted(set(b))) for b in bases})
+        base_sets = sorted({tuple(sorted(b)) for b in bases})
         if not base_sets:
             raise UsageError("explicit matroid needs a nonempty base list")
         r = len(base_sets[0])
@@ -338,6 +349,8 @@ class ExplicitReference(Matroid):
             for e in b:
                 if not 0 <= e < n:
                     raise UsageError(f"base element {quote(str(e))} outside ground set 0..{n - 1}")
+            if len(set(b)) != r:
+                raise UsageError(f"base {quote(','.join(map(str, b)))} repeats an element")
         missing = sorted(set(range(n)).difference(*base_sets))
         if missing:
             raise UsageError(

@@ -195,7 +195,7 @@ def test_criterion_07_sbo_strong_closeness():
                 m, group, trials=100, seed=zlib.crc32(f"sbo/{name}/{group}".encode())
             )
             assert report.k == expected_k
-            assert report.ok and not report.fatal, (name, group)
+            assert not report.violations and not report.fatal, (name, group)
     _passed(7, "strong (D(G)-1)-closeness suite on SBO matroids")
 
 

@@ -6,16 +6,17 @@ import inspect
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import Verbosity, given, settings
 from hypothesis import strategies as st
 
 from gcmb.catalog import CatalogEntry, parse_catalog, parse_indicator_file
 from gcmb.cli import main
-from gcmb.errors import GcmbError, ParseError, content_lines
+from gcmb.errors import GcmbError, ParseError, UsageError, content_lines
 from gcmb.groups import GroupSpec
 from gcmb.lab import parse_scan_report
-from gcmb.matroids import parse_matroid
+from gcmb.matroids import make_explicit, parse_matroid
 from gcmb.solver import parse_labeling, parse_weights
 
 MESSAGE_LIMIT = 1000
@@ -110,6 +111,23 @@ class TestReproductions:
         assert message.startswith(start) and "(4000 characters)" in message
         assert len(message) <= 400
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--builtin", "u24", "--group", "x".join(["Z9999"] * 2100)],
+        ["check-ss", "--builtin", "k4", "--random", "9" * 4000],
+        ["check-ss", "--builtin", "k4", "--random", "9" * 5000],
+        ["scan", "--builtin", "u24", "--group", "Z3", "--range", "0.." + "9" * 4000],
+    ])
+    def test_huge_values_are_shortened(self, capsys, argv):
+        code, out, err, _ = run(capsys, *argv)
+        assert (code, out) == (1, "") and len(one_line(err, "error: ")) <= 400
+
+    def test_a_huge_group_order_is_shortened(self):
+        with pytest.raises(GcmbError) as info:
+            GroupSpec.of(*[9999] * 2100)
+        message = str(info.value)
+        assert message.startswith("group order of 27904 bits exceeds the limit |G| <= 4096")
+        assert "\n" not in message and len(message) <= 400
+
     @pytest.mark.parametrize("trust", [False, True])
     def test_explicit_matroid_with_loops(self, capsys, tmp_path, trust):
         mat = tmp_path / "m.mat"
@@ -125,6 +143,35 @@ class TestReproductions:
             )
         else:
             assert "only accepted with trust enabled" in err
+
+
+class TestRepeatedElements:
+    """Six size-3 bases that each repeat an element, whose sets are the bases
+    of U_{2,4}, are refused from every source with the same reason."""
+
+    BASES = [(0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 2, 2), (1, 3, 3), (2, 3, 3)]
+    REASON = "base '0,1,1' repeats an element"
+
+    def test_matroid_file(self, capsys, tmp_path):
+        mat = tmp_path / "m.mat"
+        mat.write_text("matroid explicit\nn 4\n" + "".join(
+            f"base {' '.join(map(str, b))}\n" for b in reversed(self.BASES)))
+        code, out, err, _ = run(capsys, "bases", "--matroid", str(mat))
+        assert (code, out, err) == (1, "", f"error: {self.REASON}\n")
+
+    @pytest.mark.parametrize("shape", [list, np.array])
+    def test_library(self, shape):
+        bases = [b[::-1] for b in self.BASES]
+        with pytest.raises(UsageError, match=f"^{self.REASON}$"):
+            make_explicit(4, shape(bases))
+
+    def test_catalog_line(self, capsys, tmp_path):
+        cat = tmp_path / "rep.cat"
+        cat.write_text("rep 4 2 " + ";".join(",".join(map(str, b[::-1])) for b in self.BASES) + "\n")
+        code, out, err, _ = run(capsys, "catalog", "filter-blocks", str(cat))
+        assert (code, out, err) == (1, "", f"error: line 1: entry 'rep': {self.REASON}\n")
+        code, out, err, _ = run(capsys, "catalog", "filter-blocks", "--lenient", str(cat))
+        assert (code, out, err) == (0, "", f"skipped line 1: entry 'rep': {self.REASON}\n")
 
 
 class TestLenient:

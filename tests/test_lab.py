@@ -40,6 +40,7 @@ from gcmb.solver import Labeling
 from conftest import k4_edges, random_small_matroid
 from oracles import (
     base_label,
+    constant_labeling,
     labeling_to_index,
     minor_rank,
     oracles_equal,
@@ -62,7 +63,7 @@ def tight_instance(m):
 
 class TestLabelImage:
     def test_constant_identity(self, k4):
-        img = label_image(k4, Labeling.constant(Z3, 6))
+        img = label_image(k4, constant_labeling(Z3, 6))
         assert img.image == 1  # the identity, index 0, alone
         assert img.size == 1
         assert img.multiplicity == {0: 16}
@@ -112,7 +113,7 @@ class TestCheckKClose:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_negative_k_is_refused(self, k4, weighted):
-        lab = Labeling.constant(Z3, 6)
+        lab = constant_labeling(Z3, 6)
         with pytest.raises(UsageError, match="closeness bound k must be nonnegative, got -1"):
             if weighted:
                 check_strongly_k_close(k4, lab, [0] * 6, -1)
@@ -247,7 +248,7 @@ class TestReduceWitness:
 class TestIsolationPredicates:
     def test_constant_labeling_not_isolating(self):
         u = make_uniform(4, 2)
-        assert is_block_isolating(u, Labeling.constant(Z2, 4)) is None
+        assert is_block_isolating(u, constant_labeling(Z2, 4)) is None
 
     def test_u24_all_z2_labelings(self):
         u = make_uniform(4, 2)
@@ -264,7 +265,7 @@ class TestIsolationPredicates:
 
     def test_non_block_candidate_rejected(self):
         with pytest.raises(UsageError):
-            is_block_isolating(make_uniform(3, 2), Labeling.constant(Z2, 3))
+            is_block_isolating(make_uniform(3, 2), constant_labeling(Z2, 3))
 
     def test_tight_labeling_isolates(self):
         matroid, lab = tight_instance(4)
@@ -461,7 +462,7 @@ class TestIsolationScan:
 
 class TestImageBound:
     def test_constant_identity_degenerate(self, k4):
-        report = check_schrijver_seymour(k4, Labeling.constant(Z3, 6))
+        report = check_schrijver_seymour(k4, constant_labeling(Z3, 6))
         assert report.image_size == 1
         assert report.stabilizer == 1  # only the identity fixes {0} in Z3
         assert report.rank_sum == k4.full_rank
@@ -543,11 +544,11 @@ def test_schrijver_seymour_matches_residue_reference(group, seed, data):
 class TestSboSuite:
     def test_uniform_z4(self):
         report = sbo_strong_closeness_suite(make_uniform(6, 3), Z4, trials=20, seed=1)
-        assert report.ok and report.k == 3 and not report.fatal
+        assert not report.violations and report.k == 3 and not report.fatal
 
     def test_u36_klein(self):
         report = sbo_strong_closeness_suite(make_uniform(6, 3), Z2xZ2, trials=20, seed=2)
-        assert report.ok and report.k == 2
+        assert not report.violations and report.k == 2
 
     def test_tight_family_sharp_below_davenport(self):
         for m_val in (3, 4):
@@ -556,7 +557,7 @@ class TestSboSuite:
             report = sbo_strong_closeness_suite(
                 matroid, group, trials=5, seed=3, k=m_val - 2, include=[lab]
             )
-            assert not report.ok
+            assert report.violations
             assert not report.expected_ok  # below the proven bound: not a bug
             assert not report.fatal
             assert all(verify_witness(w) for w in report.violations)
@@ -570,7 +571,7 @@ class TestGuards:
     def test_label_image_guard(self):
         big = make_uniform(30, 15)
         with pytest.raises(CapacityError):
-            label_image(big, Labeling.constant(Z2, 30))
+            label_image(big, constant_labeling(Z2, 30))
 
     def test_scan_range_guard(self):
         u = make_uniform(4, 2)
@@ -582,7 +583,7 @@ class TestGuards:
 U7_6, U12_5 = make_uniform(7, 6), make_uniform(12, 5)
 HALF = PartitionMatroid([range(100_000)], [50_000])
 GUARD_CASES = {
-    "lab": (lambda: label_image(make_uniform(28, 7), Labeling.constant(Z2, 28)),
+    "lab": (lambda: label_image(make_uniform(28, 7), constant_labeling(Z2, 28)),
             "C(28,7) = 1184040 exceeds the limit C(n,r) <= 1000000 (LAB_ENUM_LIMIT)"),
     "enumeration": (lambda: make_uniform(40, 20).base_rows(), "C(40,20) = 137846528820 exceeds "
                     "the limit C(n,r) <= 10000000 (ENUMERATION_LIMIT)"),

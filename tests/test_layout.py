@@ -2,13 +2,15 @@
 name it imports, so code that leaves a module takes its imports with it.
 And the package ships no code that only the tests call: every module-level
 definition is used in `src/gcmb`, named in `gcmb.__all__`, or used by the
-scripts or demos.
+scripts or demos, and so is every method and property of a class, but
+dunders and overrides of a base class from outside the package.
 
 Names are read with `ast`: a use is any load of the name, also inside a
-quoted annotation.
+quoted annotation, and a use of a class member is an attribute of its name.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,9 @@ import gcmb
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gcmb"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+#: The code that ships or runs the package: its modules, the scripts and the demos.
+USERS = [*(SRC / module for module in MODULES), *ROOT.glob("scripts/*.py"),
+         *ROOT.glob("demos/*.py")]
 
 
 def parse(path: Path) -> ast.Module:
@@ -104,9 +109,7 @@ def referenced_names(tree: ast.AST) -> set[str]:
 
 
 def test_the_package_ships_no_test_only_code():
-    users = [SRC / module for module in MODULES]
-    users += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "demos").glob("*.py")]
-    used = set(gcmb.__all__).union(*(referenced_names(parse(path)) for path in users))
+    used = set(gcmb.__all__).union(*(referenced_names(parse(path)) for path in USERS))
     unused = sorted(
         f"{module}: {name} (line {line})"
         for module in MODULES
@@ -124,3 +127,52 @@ def test_the_check_sees_a_definition_nothing_uses():
     assert sorted(defined_names(tree)) == ["A", "B", "C", "LIMIT", "f", "h"]
     assert sorted(set(defined_names(tree)) - referenced_names(tree)) == ["B", "C", "f", "h"]
     assert "g" in referenced_names(tree)
+
+
+def class_members(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, name, line) of each method or property that a module-level
+    class defines, dunders left out."""
+    return [
+        (node.name, item.name, item.lineno)
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+
+
+def overrides_a_foreign_base(cls: type, name: str) -> bool:
+    """Whether a base class from outside the package defines `name`."""
+    return any(name in vars(base) for base in cls.__mro__[1:]
+               if not base.__module__.startswith("gcmb"))
+
+
+def attribute_names(tree: ast.AST) -> set[str]:
+    """The names a tree reads or writes as an attribute, the way a member is reached."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_the_package_ships_no_test_only_class_members():
+    used = set().union(*(attribute_names(parse(path)) for path in USERS))
+    unused = []
+    for module in MODULES:
+        namespace = importlib.import_module(f"gcmb.{module.removesuffix('.py')}")
+        for cls, name, line in class_members(parse(SRC / module)):
+            if name not in used and not overrides_a_foreign_base(getattr(namespace, cls), name):
+                unused.append(f"{module}: {cls}.{name} (line {line})")
+    assert not unused, f"class members only the tests can use: {', '.join(unused)}"
+
+
+def test_the_check_sees_a_class_member_nothing_uses():
+    tree = ast.parse(
+        "class C:\n    kind = 'c'\n    def __init__(self): self.f()\n"
+        "    def f(self): pass\n    @property\n    def p(self): return 1\n"
+        "    @classmethod\n    def make(cls): return cls()\n"
+    )
+    members = class_members(tree)
+    assert [(cls, name) for cls, name, _ in members] == [("C", "f"), ("C", "p"), ("C", "make")]
+    assert sorted({name for _, name, _ in members} - attribute_names(tree)) == ["make", "p"]
+    from gcmb.cli import _Parser
+    from gcmb.solver import Labeling
+    assert overrides_a_foreign_base(_Parser, "error")
+    assert not overrides_a_foreign_base(Labeling, "label_index")

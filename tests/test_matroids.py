@@ -69,6 +69,14 @@ class TestFamilies:
         with pytest.raises(UsageError):
             make_explicit(3, [(0, 1)])  # element 2 in no base
 
+    @pytest.mark.parametrize("classes, message", [
+        ([[0, 0, 1], [2]], r"partition class \[0, 0, 1\] repeats element 0"),
+        ([[0, 1], [2, 3, 2]], r"partition class \[2, 3, 2\] repeats element 2"),
+    ])
+    def test_partition_class_repeating_an_element_rejected(self, classes, message):
+        with pytest.raises(UsageError, match=f"^{message}$"):
+            make_partition(classes, [2, 1])
+
     def test_explicit_exchange_rejected(self):
         with pytest.raises(UsageError, match="exchange"):
             make_explicit(4, [(0, 1), (2, 3)])

@@ -60,7 +60,7 @@ def test_only_the_text_edges_take_or_return_group_elements():
 
 def test_the_walk_sees_fields_methods_and_returns():
     names = {name for name, _ in public_members()}
-    assert {"SolveResult", "Witness", "LabelImage", "Signature.label", "Labeling.translate",
-            "Labeling.constant", "solve_enum", "stabilizer", "GroupSpec.parse_index"} <= names
+    assert {"SolveResult", "Witness", "LabelImage", "Signature.label", "Labeling.label_index",
+            "Labeling.from_indices", "solve_enum", "stabilizer", "GroupSpec.parse_index"} <= names
     assert mentions_element(typing.Optional[typing.Dict[int, GroupElement]])
     assert not mentions_element(typing.Optional[int])

@@ -25,7 +25,7 @@ from gcmb.solver import (
 )
 
 from conftest import random_small_matroid
-from oracles import base_label, compositions
+from oracles import base_label, compositions, constant_labeling
 
 Z2 = GroupSpec.of(2)
 Z3 = GroupSpec.of(3)
@@ -51,7 +51,7 @@ def brute_solutions(m, labeling, target):
 
 class TestLabelSum:
     def test_empty(self):
-        lab = Labeling.constant(Z4, 5, 3)
+        lab = constant_labeling(Z4, 5, 3)
         assert lab.indices == (3,) * 5
         assert lab.label_index([]) == 0
 
@@ -70,7 +70,7 @@ class TestLabelSum:
 
 class TestSignatures:
     def test_identity_concentration(self):
-        lab = Labeling.constant(Z4, 6)
+        lab = constant_labeling(Z4, 6)
         sig = signature_of(lab, (0, 1, 2))
         assert sig.counts == (3, 0, 0, 0)
         assert sig.label() == 0
@@ -184,13 +184,13 @@ class TestSolveEnum:
 
     def test_infeasible_detected(self):
         u = make_uniform(4, 2)
-        lab = Labeling.constant(Z4, 4)  # every base sums to 0
+        lab = constant_labeling(Z4, 4)  # every base sums to 0
         result = solve_enum(u, lab, 1)
         assert not result.feasible
 
     @pytest.mark.parametrize("target", [-1, 4])
     def test_target_index_out_of_range(self, k4, target):
-        lab = Labeling.constant(Z4, 6)
+        lab = constant_labeling(Z4, 6)
         message = f"target index {target} out of range for Z4"
         with pytest.raises(UsageError, match=message):
             solve_enum(k4, lab, target)
@@ -238,13 +238,13 @@ class TestProximityCertification:
         assert proximity_certified(Z2xZ2, 2, True)[0]  # D - 1 = 2 suffices
 
     def test_refusal(self, k4):
-        lab = Labeling.constant(GroupSpec.of(12), k4.n)
+        lab = constant_labeling(GroupSpec.of(12), k4.n)
         with pytest.raises(CertificationError):
             solve_proximity(k4, lab, 0, 11)
 
     def test_heuristic_marks_uncertified(self, k4):
         group = GroupSpec.of(12)
-        lab = Labeling.constant(group, k4.n)
+        lab = constant_labeling(group, k4.n)
         result = solve_proximity(
             k4, lab, 0, 2, mode="heuristic"
         )
