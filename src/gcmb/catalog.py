@@ -243,8 +243,7 @@ def bundled_path(name: str):
 
 
 def load_bundled_catalog(name: str) -> list[CatalogEntry]:
-    text = bundled_path(name).read_text(encoding="utf-8")
-    return list(parse_catalog(text))
+    return list(load_catalog(bundled_path(name)))
 
 
 # -- builtin instances ---------------------------------------------------------

@@ -210,7 +210,7 @@ def cmd_check_ss(args) -> int:
     labelings: Iterable[tuple[str, Labeling]]
     if args.random is not None:
         if args.random < 1:
-            raise UsageError(f"--random must be at least 1, got {args.random}")
+            raise UsageError(f"--random must be at least 1, got {magnitude(args.random)}")
         if args.random > RANDOM_LABELINGS_LIMIT:
             raise CapacityError(f"--random {magnitude(args.random)} exceeds the limit N <= "
                                 f"{RANDOM_LABELINGS_LIMIT} (RANDOM_LABELINGS_LIMIT)")
@@ -364,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             elif getattr(args, "merge", None):  # a merge takes its shards' seed, scans nothing
                 raise UsageError(f"pass either --merge or --{name}, not both")
         if args.jobs < 1:
-            raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+            raise UsageError(f"--jobs must be at least 1, got {magnitude(args.jobs)}")
         return args.func(args)
     except (GcmbError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

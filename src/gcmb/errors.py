@@ -32,8 +32,15 @@ class InternalError(GcmbError):
 
 
 def read_text(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """A UTF-8 file's text less a leading byte-order mark, as utf-8-sig reads
+    it; a byte that is not UTF-8 ends in a ParseError naming its offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        bad = f"byte {data[exc.start]:#04x} at offset {exc.start}"
+        raise ParseError(f"{quote(str(path))} is not UTF-8 text: {bad}") from None
 
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
@@ -56,8 +63,10 @@ def quote(token: str) -> str:
 
 
 def magnitude(value: int) -> str:
-    """str(value), or its size in bits past 10^30, which str() may refuse to print."""
-    return str(value) if abs(value) < 10**30 else f"of {value.bit_length()} bits"
+    """str(value) below 10^30; from there on, where str() may refuse to print
+    it, its size: 'of N bits', or 'a negative value of N bits'."""
+    sign = "a negative value " if value < 0 else ""
+    return str(value) if abs(value) < 10**30 else f"{sign}of {value.bit_length()} bits"
 
 
 def element_list(elements: Sequence[int]) -> str:

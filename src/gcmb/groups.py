@@ -137,10 +137,6 @@ class GroupSpec:
             n *= m
         return n
 
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
-
     def __str__(self) -> str:
         if not self.invariant_factors:
             return "Z1"

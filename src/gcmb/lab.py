@@ -52,13 +52,16 @@ _COUNT_WEIGHT = 8  # cost of a sparse count cell in shifted-sum cells (measured)
 _LABEL_CELLS = 1 << 18  # base labels the scan kernel holds at once
 
 
-def _lab_guard(m: Matroid) -> None:
+def _base_labels(m: Matroid, labeling: Labeling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The base rows of m under LAB_ENUM_LIMIT, their incidence matrix (see
+    `_incidence`) and the label index of every base."""
+    if labeling.n != m.n:
+        raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
     check_subsets(m.n, m.full_rank, LAB_ENUM_LIMIT, "LAB_ENUM_LIMIT")
-
-
-def _guarded_rows(m: Matroid) -> np.ndarray:
-    _lab_guard(m)
-    return m.base_rows()
+    rows = m.base_rows()
+    incidence = _incidence(m.n, rows)
+    digits = np.array(labeling.indices, dtype=np.intp)[:, None]
+    return rows, incidence, _label_sums(labeling.group.invariant_factors, incidence, digits)[:, 0]
 
 
 def random_labeling(rng: random.Random, group: GroupSpec, n: int) -> Labeling:
@@ -86,12 +89,7 @@ class LabelImage:
 
 
 def label_image(m: Matroid, labeling: Labeling) -> LabelImage:
-    if labeling.n != m.n:
-        raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
-    group = labeling.group
-    digits = np.array(labeling.indices, dtype=np.intp)[:, None]
-    labels = _label_sums(group.invariant_factors, _incidence(m.n, _guarded_rows(m)), digits)
-    multiplicity = Counter(labels[:, 0].tolist())
+    multiplicity = Counter(_base_labels(m, labeling)[2].tolist())
     return LabelImage(sum(1 << g for g in multiplicity), dict(multiplicity))
 
 
@@ -206,17 +204,11 @@ def _closeness_witness(
     witness.  B is read from the same row.
     """
     if k < 0:
-        raise UsageError(f"closeness bound k must be nonnegative, got {k}")
-    if labeling.n != m.n:
-        raise UsageError(f"labeling covers {labeling.n} elements, matroid has {m.n}")
+        raise UsageError(f"closeness bound k must be nonnegative, got {magnitude(k)}")
     if weights is not None and len(weights) != m.n:
         raise UsageError(f"need {m.n} weights, got {len(weights)}")
-    group = labeling.group
-    digits = np.array(labeling.indices, dtype=np.intp)[:, None]
-    rows = _guarded_rows(m)
+    rows, incidence, labels = _base_labels(m, labeling)
     rank = rows.shape[1]
-    incidence = _incidence(m.n, rows)
-    labels = _label_sums(group.invariant_factors, incidence, digits)[:, 0]
     totals = _base_totals(rows, weights)
     # Bases grouped by label in ascending base order; a class's targets are
     # its cheapest bases, so the least target of a class comes first.
@@ -358,7 +350,7 @@ def _isolation_pools(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
             f"isolation predicates need a block-matroid candidate (n = 2r); "
             f"got n={m.n}, r={m.full_rank}"
         )
-    _lab_guard(m)
+    check_subsets(m.n, m.full_rank, LAB_ENUM_LIMIT, "LAB_ENUM_LIMIT")
     return m.base_blocks()
 
 

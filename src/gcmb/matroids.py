@@ -1,8 +1,8 @@
 """Independence-oracle matroids: concrete families, minors, exchange machinery.
 
 Elements are integers 0..n-1.  Bases are sorted tuples of element indices.
-Graphic and linear constructors keep a name map for I/O only; all algorithms
-work on indices.
+A graphic matroid keeps its vertex names (`vertex_names`) but reads only
+their count; all algorithms work on indices.
 
 Greedy queries (rank, optimum base, intersection prefix, exchange completion)
 run on independence cursors (`Matroid.cursor`).  A greedy pass counts one
@@ -46,14 +46,14 @@ GROUND_SIZE_LIMIT = 10**5
 
 class Matroid:
     """Base class: subclasses implement `_indep` on frozensets of indices, the
-    counted oracle, and may override the hooks `_rank`, `cursor`, `circuits`,
-    `_base_rows` and `_block_flags`, never the public methods that call them."""
+    counted oracle, and may override the hooks `_rank`, `cursor`, `circuits`
+    and `_base_rows`, never the public methods that call them."""
 
     kind = "abstract"
 
     def __init__(self, n: int):
         if n < 0:
-            raise UsageError(f"ground size must be nonnegative, got {n}")
+            raise UsageError(f"ground size must be nonnegative, got {magnitude(n)}")
         if n > GROUND_SIZE_LIMIT:
             size = f"n = {n}" if n < 10**30 else f"n of {n.bit_length()} bits"
             raise CapacityError(
@@ -143,16 +143,20 @@ class Matroid:
     def base_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows of `base_rows`, under its guard, and for each row whether
         it is a block: a base whose complement is also a base (none unless
-        n = 2r).  The flags come from `_block_flags`; subclasses override
-        it, never this method."""
-        rows = self.base_rows()
-        return rows, self._block_flags(rows)
+        n = 2r).  A block candidate builds this table on the first call and
+        keeps it."""
+        if self.n != 2 * self.full_rank:
+            rows = self.base_rows()
+            return rows, np.zeros(len(rows), dtype=bool)
+        return self._block_table
 
-    def _block_flags(self, rows: np.ndarray) -> np.ndarray:
-        if self.n != 2 * rows.shape[1]:
-            return np.zeros(len(rows), dtype=bool)
+    @functools.cached_property
+    def _block_table(self) -> tuple[np.ndarray, np.ndarray]:
+        rows = self.base_rows()
         # the guard keeps n = 2r below 27, so the masks fit in int64
-        return _complements_found(self.n, (np.int64(1) << rows).sum(axis=1))
+        flags = _complements_found(self.n, (np.int64(1) << rows).sum(axis=1))
+        rows.flags.writeable = flags.flags.writeable = False  # every caller shares them
+        return rows, flags
 
     def is_base(self, subset: Iterable[int]) -> bool:
         fs = frozenset(subset)
@@ -345,7 +349,7 @@ class GraphicMatroid(Matroid):
             pairs.append((index[u], index[v]))
         if vertices is not None and len(names) > vertices:
             raise UsageError(
-                f"edge list names {len(names)} vertices but only {vertices} declared"
+                f"edge list names {len(names)} vertices but only {magnitude(vertices)} declared"
             )
         self.vertex_names = tuple(names)
         self.edge_pairs = tuple(pairs)
@@ -441,7 +445,7 @@ class LinearMatroid(Matroid):
                 f"(FIELD_ORDER_LIMIT)"
             )
         if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-            raise UsageError(f"field order must be prime, got {p}")
+            raise UsageError(f"field order must be prime, got {magnitude(p)}")
         if not rows:
             raise UsageError("linear matroid needs at least one matrix row")
         width = len(rows[0])
@@ -479,9 +483,9 @@ class ExplicitMatroid(Matroid):
     """Matroid given by the full list of its bases.
 
     The bases are kept once, as the rows of a read-only int64 array in
-    lexicographic order, and as sorted tuples in the same order
-    (`base_list`).  Their bitmasks, their block flags and the frozensets the
-    oracle reads are each built on first use.
+    lexicographic order, which `base_rows` and the block table hand out
+    uncopied, and as sorted tuples in the same order (`base_list`).  The
+    frozensets the oracle reads are built on first use.
     """
 
     kind = "explicit_bases"
@@ -499,18 +503,6 @@ class ExplicitMatroid(Matroid):
             self._validate_exchange()
 
     @functools.cached_property
-    def _masks(self) -> np.ndarray:
-        """Each base as an int64 bitmask, read where n < 63: by the exchange
-        check (n <= 12) and by the block flags (n = 2r under the guard)."""
-        return (np.int64(1) << self._rows).sum(axis=1)
-
-    @functools.cached_property
-    def _blocks(self) -> np.ndarray:
-        if self.n != 2 * self.r:
-            return np.zeros(len(self._rows), dtype=bool)
-        return _complements_found(self.n, self._masks)
-
-    @functools.cached_property
     def _base_lookup(self) -> frozenset[frozenset[int]]:
         return frozenset(map(frozenset, self.base_list))
 
@@ -524,7 +516,8 @@ class ExplicitMatroid(Matroid):
         loop over A, then B, then the set A - B.
         """
         bits = 1 << np.arange(self.n, dtype=np.int64)
-        elements, masks = self._rows, self._masks  # bases x r, also for r = 0
+        elements = self._rows  # bases x r, also for r = 0
+        masks = (np.int64(1) << elements).sum(axis=1)
         is_base = np.zeros(1 << self.n, dtype=bool)
         is_base[masks] = True
         rest = masks[:, None] ^ bits[elements]  # A - a, bases x positions of a
@@ -550,9 +543,6 @@ class ExplicitMatroid(Matroid):
 
     def _base_rows(self, r: int) -> np.ndarray:
         return self._rows
-
-    def _block_flags(self, rows: np.ndarray) -> np.ndarray:
-        return self._blocks
 
     def _indep(self, subset: frozenset[int]) -> bool:
         bases = self._base_lookup

@@ -24,6 +24,7 @@ from .errors import (
     UsageError,
     content_lines,
     element_list,
+    magnitude,
     quote,
     read_text,
 )
@@ -249,17 +250,25 @@ class _Space:
         # From x^p y^p to x^(p+1) y^(p+1) are 2 top + 2 coefficients.
         return sum(_coefficient(table, p * (2 * top + 2), self.bits) for p in range(top + 1))
 
+    def stream_key(self, counts: tuple[int, ...]) -> tuple:
+        """A candidate's sort key in the stream: the counts on the non-empty
+        fibers for enum, lexicographic as the candidates share one sum; for
+        proximity (move size, plus, minus), plus and minus on those fibers."""
+        values = tuple(counts[g] for g in self.coords)
+        if self.base is None:
+            return values
+        base = [self.base[g] for g in self.coords]
+        plus = tuple(max(c - b, 0) for c, b in zip(values, base))
+        return sum(plus), plus, tuple(max(b - c, 0) for c, b in zip(values, base))
+
     def rank(self, counts: tuple[int, ...]) -> int:
-        """The position of a candidate in the stream: lexicographic for enum;
-        by move size, then plus, then minus, for proximity."""
-        values = [counts[g] for g in self.coords]
+        """The position of a candidate in the stream, the number of
+        candidates with a smaller `stream_key`, counted without walking them."""
         bits = self.bits
         if self.base is None:
-            return _lex_rank(values, self._sizes, bits)
+            return _lex_rank(self.stream_key(counts), self._sizes, bits)
+        move, plus, minus = self.stream_key(counts)
         base = [self.base[g] for g in self.coords]
-        plus = [max(c - b, 0) for c, b in zip(values, base)]
-        minus = [max(b - c, 0) for c, b in zip(values, base)]
-        move = sum(plus)
         if move == 0:  # the base itself, first in the stream
             return 0
         width = 2 * move + 1  # coefficients per power of x in a pair table
@@ -467,48 +476,37 @@ def _search(
     nondecreasing lb, intersects each, and stops once the head's bound
     exceeds the best weight found.  So it intersects exactly the candidates
     with lb(c) <= the optimum, whatever the order among equal bounds, and
-    returns the least (weight, stream rank), the first strict minimum of the
-    stream; a rank is counted only to break a weight tie.  There that field
-    gets the stream size.  Both count ranks and sizes without walking the
-    stream.  Oracle calls are counted from `calls_before`.
+    returns the least (weight, `stream_key`): the first strict minimum of
+    the stream, found with no rank counted.  There that field gets the
+    stream size.  Ranks and sizes are counted without walking the stream.
+    Oracle calls are counted from `calls_before`.
     """
     m.full_rank  # part of every solve's oracle calls, also when nothing is intersected
     labeling, target = space.labeling, space.target
     tried = 0
-    best: Optional[tuple[BaseSet, Optional[Weight]]] = None
-    best_counts: tuple[int, ...] = ()
-    best_rank: Optional[int] = None  # counted once a tie needs it
+    best: Optional[tuple] = None  # (weight, stream key, base, counts) of the least hit
     for lb, counts in space.cheapest_first(weights):
-        if best is not None and lb > best[1]:
+        if best is not None and lb > best[0]:
             break
         if counts is None:  # a partial composition
             continue
         tried += 1
         sig = _target_signature(labeling.group, counts, target)
         found = base_with_signature(m, labeling, sig, weights)
-        if found is None or (best is not None and found[1] > best[1]):
+        if found is None:
             continue
-        if best is not None and found[1] == best[1]:
-            if best_rank is None:
-                best_rank = space.rank(best_counts)
-            rank = space.rank(counts)
-            if rank > best_rank:
-                continue
-            best_rank = rank
-        else:
-            best_rank = None
-        best, best_counts = found, counts
+        hit = (found[1], space.stream_key(counts), found[0], counts)
+        best = hit if best is None else min(best, hit)
         if weights is None:
             break
-    hit = weights is None and best is not None
-    walked = space.rank(best_counts) + 1 if hit else space.size()
+    walked = space.rank(best[3]) + 1 if weights is None and best else space.size()
     counter = "signatures" if space.base is None else "candidates"
     stats = SolveStats(
         intersections=tried, oracle_calls=m.oracle_calls - calls_before, **{counter: walked}
     )
     if best is None:
         return SolveResult("infeasible", None, None, certified, target, stats)
-    return SolveResult("feasible", best[0], best[1], certified, target, stats)
+    return SolveResult("feasible", best[2], best[0], certified, target, stats)
 
 
 def solve_enum(
@@ -573,7 +571,7 @@ def solve_proximity(
     heuristic mode runs anyway and marks the result uncertified.
     """
     if k < 0:
-        raise UsageError(f"move bound k must be nonnegative, got {k}")
+        raise UsageError(f"move bound k must be nonnegative, got {magnitude(k)}")
     _check_instance(m, labeling, target)
     group = labeling.group
     certified, reason = proximity_certified(group, k, weights is not None)

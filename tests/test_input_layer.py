@@ -21,6 +21,8 @@ from gcmb.solver import parse_labeling, parse_weights
 
 MESSAGE_LIMIT = 1000
 U24 = "0,1;0,2;0,3;1,2;1,3;2,3"
+#: A negative value that int() still parses, 13288 bits long.
+NEGATIVE = "-" + "9" * 4000
 
 
 def run(capsys, *argv):
@@ -116,10 +118,28 @@ class TestReproductions:
         ["check-ss", "--builtin", "k4", "--random", "9" * 4000],
         ["check-ss", "--builtin", "k4", "--random", "9" * 5000],
         ["scan", "--builtin", "u24", "--group", "Z3", "--range", "0.." + "9" * 4000],
+        ["check-ss", "--builtin", "k4", "--random", NEGATIVE],
+        ["--jobs", NEGATIVE, "check-ss", "--builtin", "k4"],
+        ["solve", "--builtin", "k4", "--target", "1", "--mode", "proximity", "--k", NEGATIVE],
+        ["verify", "--builtin", "k4", "--k", NEGATIVE],
     ])
     def test_huge_values_are_shortened(self, capsys, argv):
         code, out, err, _ = run(capsys, *argv)
         assert (code, out) == (1, "") and len(one_line(err, "error: ")) <= 400
+
+    @pytest.mark.parametrize("argv, text", [
+        (["bases", "--matroid"], f"matroid explicit\nn {NEGATIVE}\nbase 0\n"),
+        (["bases", "--matroid"], f"matroid uniform\nn {NEGATIVE}\nr 1\n"),
+        (["bases", "--matroid"], f"matroid graphic\nvertices {NEGATIVE}\n"),
+        (["bases", "--matroid"], f"matroid linear\nfield {NEGATIVE}\nrows 1\n1\n"),
+        (["catalog", "filter-blocks"], f"x {NEGATIVE} 1 0\n"),
+    ], ids=["explicit", "uniform", "graphic", "linear", "catalog"])
+    def test_huge_values_in_files_are_shortened(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        code, out, err, _ = run(capsys, *argv, str(path))
+        assert (code, out) == (1, "") and len(one_line(err, "error: ")) <= 400
+        assert "a negative value of 13288 bits" in err
 
     def test_a_huge_group_order_is_shortened(self):
         with pytest.raises(GcmbError) as info:
@@ -227,6 +247,37 @@ class TestLenient:
     def test_bare_indicator_ids_count_data_lines(self):
         text = "n 2\nr 1\nfirst 11\n11\n# comment\n11\n"
         assert [e.id for e in parse_indicator_file(text)] == ["first", "m0002", "m0003"]
+
+
+#: A valid file for each reader, with the command that reads it.
+READERS = {
+    "matroid": (["bases", "--matroid"], "matroid uniform\nn 4\nr 2\n"),
+    "labeling": (["solve", "--builtin", "k4", "--target", "1", "--labels"],
+                 "".join(f"{e} {e % 3}\n" for e in range(6))),
+    "weights": (["solve", "--builtin", "k4", "--target", "1", "--weights"],
+                "".join(f"{e} {e * e}\n" for e in range(6))),
+    "catalog": (["catalog", "filter-blocks"], f"u24 4 2 {U24}\n"),
+    "indicator": (["catalog", "import"], "n 4\nr 2\nu24 111111\n"),
+    "scan shard": (["scan", "--merge"], "# gcmb scan group=Z3 predicate=block reduction=none "
+                   "seed=0\nmatroid=u24 range=0..9 checked=9 verdict=none example=- labels=-\n"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_takes_utf8_only(capsys, tmp_path, reader):
+    """A byte-order mark is dropped, and a byte that is not UTF-8 ends in one
+    error line that names its offset."""
+    argv, text = READERS[reader]
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    plain = run(capsys, *argv, str(path))[:3]
+    assert plain[0] == 0 and plain[2] == ""
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run(capsys, *argv, str(path))[:3] == plain
+    path.write_bytes(b"\xff" + text.encode())
+    code, out, err, _ = run(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert one_line(err, "error: ") == f"error: {str(path)!r} is not UTF-8 text: byte 0xff at offset 0\n"
 
 
 def test_entry_matroid_takes_no_trust():

@@ -3,7 +3,9 @@ name it imports, so code that leaves a module takes its imports with it.
 And the package ships no code that only the tests call: every module-level
 definition is used in `src/gcmb`, named in `gcmb.__all__`, or used by the
 scripts or demos, and so is every method and property of a class, but
-dunders and overrides of a base class from outside the package.
+dunders and overrides of a base class from outside the package.  A
+property, or a cached one, is used only where it is read: as an attribute
+that is not called.
 
 Names are read with `ast`: a use is any load of the name, also inside a
 quoted annotation, and a use of a class member is an attribute of its name.
@@ -176,3 +178,46 @@ def test_the_check_sees_a_class_member_nothing_uses():
     from gcmb.solver import Labeling
     assert overrides_a_foreign_base(_Parser, "error")
     assert not overrides_a_foreign_base(Labeling, "label_index")
+
+
+def class_properties(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """(class, name, line) of each `property` or `cached_property` that a
+    module-level class defines, under either decorator's plain or dotted name."""
+    return [
+        (node.name, item.name, item.lineno)
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(getattr(d, "id", getattr(d, "attr", None)) in ("property", "cached_property")
+                for d in item.decorator_list)
+    ]
+
+
+def read_attributes(tree: ast.AST) -> set[str]:
+    """The names a tree reaches as an attribute that it does not call."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in called}
+
+
+def test_every_property_is_read():
+    """Calls of a method that shares a property's name do not read the property."""
+    read = set().union(*(read_attributes(parse(path)) for path in USERS))
+    unread = [f"{module}: {cls}.{name} (line {line})"
+              for module in MODULES
+              for cls, name, line in class_properties(parse(SRC / module))
+              if name not in read]
+    assert not unread, f"properties nothing reads: {', '.join(unread)}"
+
+
+def test_the_check_sees_a_property_only_called_by_name():
+    tree = ast.parse(
+        "import functools\nclass C:\n    @property\n    def p(self): return 1\n"
+        "    @functools.cached_property\n    def q(self): return 2\n"
+        "    @cached_property\n    def s(self): return self.q\n"
+        "    def m(self): return 3\n"
+        "def f(c, d): return c.p(), d.s, c.m()\n"
+    )
+    assert [(cls, name) for cls, name, _ in class_properties(tree)] == [
+        ("C", "p"), ("C", "q"), ("C", "s")]
+    assert read_attributes(tree) == {"cached_property", "q", "s"}

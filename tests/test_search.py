@@ -353,6 +353,7 @@ def test_enum_sizes_and_ranks_are_stream_positions(case):
     stream = list(compositions(total, caps))
     assert space.size() == len(stream)
     assert [space.rank(c) for c in stream] == list(range(len(stream)))
+    assert sorted(stream, key=space.stream_key) == stream
 
 
 @settings(max_examples=200, deadline=None)
@@ -371,6 +372,7 @@ def test_move_sizes_and_ranks_are_stream_positions(case, past):
     stream = list(balanced_moves(labeling, base_sig, k))
     assert space.size() == len(stream)
     assert [space.rank(c) for c in stream] == list(range(len(stream)))
+    assert sorted(stream, key=space.stream_key) == stream
 
 
 def lower_bound(labeling, weights, counts):
