@@ -343,27 +343,27 @@ def reduce_witness(w: Witness) -> Witness:
 # -- isolation predicates ------------------------------------------------------
 
 
-def _isolation_pools(m: Matroid) -> tuple[np.ndarray, np.ndarray]:
-    """The base rows of m, in base order, and which of them are blocks."""
+def _isolation_pools(m: Matroid) -> tuple[np.ndarray, np.ndarray, int]:
+    """`m.block_table` of a block candidate, under LAB_ENUM_LIMIT."""
     if m.n != 2 * m.full_rank or m.n == 0:
         raise UsageError(
             f"isolation predicates need a block-matroid candidate (n = 2r); "
             f"got n={m.n}, r={m.full_rank}"
         )
     check_subsets(m.n, m.full_rank, LAB_ENUM_LIMIT, "LAB_ENUM_LIMIT")
-    return m.base_blocks()
+    return m.block_table
 
 
 def is_block_isolating(m: Matroid, labeling: Labeling) -> Optional[BaseSet]:
     """A block that is the unique base (among all bases) with its label, if any."""
-    rows, blocks = _isolation_pools(m)
-    return _isolated_block(labeling, rows, rows[blocks])
+    rows, _, blocks = _isolation_pools(m)
+    return _isolated_block(labeling, rows, rows[:blocks])
 
 
 def is_strong_block_isolating(m: Matroid, labeling: Labeling) -> Optional[BaseSet]:
     """A block that is the unique block with its label, if any."""
-    rows, blocks = _isolation_pools(m)
-    return _isolated_block(labeling, rows[blocks], rows[blocks])
+    rows, _, blocks = _isolation_pools(m)
+    return _isolated_block(labeling, rows[:blocks], rows[:blocks])
 
 
 def _isolated_block(
@@ -500,8 +500,7 @@ class _ScanBases(NamedTuple):
     classes: list[int]  # classes[L]: the distinct masks >> L
 
 
-def _scan_bases(n: int, bases: np.ndarray) -> _ScanBases:
-    masks = (np.int64(1) << bases).sum(axis=1)
+def _scan_bases(n: int, bases: np.ndarray, masks: np.ndarray) -> _ScanBases:
     shifted = np.sort(masks[:, None] >> np.arange(n + 1), axis=0)
     classes = 1 + (shifted[1:] != shifted[:-1]).sum(axis=0)
     return _ScanBases(masks, _incidence(n, bases), classes.tolist())
@@ -684,27 +683,27 @@ def isolation_scan(
         if matroid_id in seen:
             raise UsageError(f"matroid id {quote(matroid_id)} appears twice in the scan")
         seen.add(matroid_id)
-        rows, blocks = _isolation_pools(m)
+        rows, masks, block_count = _isolation_pools(m)
         total = order**m.n
         start, stop = index_range if index_range is not None else (0, total)
         if not 0 <= start <= stop <= total:
-            raise UsageError(
-                f"scan range {magnitude(start)}..{magnitude(stop)} outside [0, {total}) "
-                f"for {matroid_id}"
-            )
+            shown = f"{start}..{stop}"
+            for end, value in (("start", start), ("end", stop)):
+                if abs(value) >= 10**30:  # str() may refuse it: name its size alone
+                    sign = "negative " if value < 0 else ""
+                    shown = f"{sign}{end} of {value.bit_length()} bits"
+                    break
+            raise UsageError(f"scan range {shown} outside [0, {total}) for {matroid_id}")
         if stop - start > SCAN_RANGE_LIMIT:
             raise CapacityError(
                 f"range of {stop - start} labelings exceeds the limit "
                 f"b - a <= {SCAN_RANGE_LIMIT} (SCAN_RANGE_LIMIT); shard the scan with "
                 f"index ranges a..b"
             )
-        # blocks first: the kernel takes a block count
-        picked = np.flatnonzero(blocks)
-        block_count = len(picked)
-        if predicate == "block":
-            picked = np.concatenate([picked, np.flatnonzero(~blocks)])
-        bases = rows[picked]
-        inputs = _scan_bases(m.n, bases)
+        # the table's rows come blocks first, as the kernel takes a block count
+        kept = len(rows) if predicate == "block" else block_count
+        bases = rows[:kept]
+        inputs = _scan_bases(m.n, bases, masks[:kept])
         if m.n not in tables:
             tables[m.n] = _ShardTables(order, m.n, step)
         # Shards tile [start, stop); inner cuts sit on multiples of the step.

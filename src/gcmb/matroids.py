@@ -140,23 +140,20 @@ class Matroid:
         bases = [combo for combo in combos if self.is_independent(combo)]
         return np.array(bases, dtype=np.intp).reshape(len(bases), r)
 
-    def base_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of `base_rows`, under its guard, and for each row whether
-        it is a block: a base whose complement is also a base (none unless
-        n = 2r).  A block candidate builds this table on the first call and
-        keeps it."""
-        if self.n != 2 * self.full_rank:
-            rows = self.base_rows()
-            return rows, np.zeros(len(rows), dtype=bool)
-        return self._block_table
-
     @functools.cached_property
-    def _block_table(self) -> tuple[np.ndarray, np.ndarray]:
+    def block_table(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The rows of `base_rows`, under its guard, blocks first (bases whose
+        complement is a base), each part lexicographic; the int64 bitmask of
+        each row; and the number of blocks.  Only a block candidate asks for
+        it (n = 2r > 0), so the guard keeps n below 27.  Built once; both
+        arrays are read-only, as every caller shares them."""
         rows = self.base_rows()
-        # the guard keeps n = 2r below 27, so the masks fit in int64
-        flags = _complements_found(self.n, (np.int64(1) << rows).sum(axis=1))
-        rows.flags.writeable = flags.flags.writeable = False  # every caller shares them
-        return rows, flags
+        masks = (np.int64(1) << rows).sum(axis=1)
+        flags = _complements_found(self.n, masks)
+        order = np.argsort(~flags, kind="stable")
+        rows, masks = rows[order], masks[order]
+        rows.flags.writeable = masks.flags.writeable = False
+        return rows, masks, int(flags.sum())
 
     def is_base(self, subset: Iterable[int]) -> bool:
         fs = frozenset(subset)
@@ -483,9 +480,9 @@ class ExplicitMatroid(Matroid):
     """Matroid given by the full list of its bases.
 
     The bases are kept once, as the rows of a read-only int64 array in
-    lexicographic order, which `base_rows` and the block table hand out
-    uncopied, and as sorted tuples in the same order (`base_list`).  The
-    frozensets the oracle reads are built on first use.
+    lexicographic order, which `base_rows` hands out uncopied (the block
+    table reorders a copy), and as sorted tuples in the same order
+    (`base_list`).  The frozensets the oracle reads are built on first use.
     """
 
     kind = "explicit_bases"
@@ -750,16 +747,15 @@ def find_blocks(m: Matroid) -> Optional[tuple[BaseSet, BaseSet]]:
     """The lexicographically least base whose complement is also a base,
     with that complement; None if the matroid has no such pair.
 
-    Enumerates the bases, so it shares the `Matroid.bases` guard
-    C(n, r) <= ENUMERATION_LIMIT.
+    It is the first row of `Matroid.block_table`, so a block candidate
+    enumerates its bases under the guard C(n, r) <= ENUMERATION_LIMIT.
     """
-    r = m.full_rank
-    if m.n != 2 * r or m.n == 0:
+    if m.n != 2 * m.full_rank or m.n == 0:
         return None
-    rows, flags = m.base_blocks()
-    if not flags.any():
+    rows, _, blocks = m.block_table
+    if not blocks:
         return None
-    first = tuple(rows[flags.argmax()].tolist())
+    first = tuple(rows[0].tolist())
     return first, tuple(e for e in range(m.n) if e not in first)
 
 

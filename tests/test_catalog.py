@@ -298,8 +298,9 @@ def ingested(parse, shape, text, lenient):
 
 
 def package_shape(entry):
-    rows, blocks = entry.matroid().base_blocks()
-    return entry.id, entry.n, entry.r, entry.bases, [tuple(b) for b in rows[blocks].tolist()]
+    m = entry.matroid()
+    blocks = m.block_table[0][: m.block_table[2]].tolist() if entry.n == 2 * entry.r > 0 else []
+    return entry.id, entry.n, entry.r, entry.bases, [tuple(b) for b in blocks]
 
 
 def reference_shape(entry):

@@ -122,6 +122,8 @@ class TestReproductions:
         ["--jobs", NEGATIVE, "check-ss", "--builtin", "k4"],
         ["solve", "--builtin", "k4", "--target", "1", "--mode", "proximity", "--k", NEGATIVE],
         ["verify", "--builtin", "k4", "--k", NEGATIVE],
+        ["scan", "--builtin", "k4", "--group", "Z4", "--range=" + NEGATIVE + "..3"],
+        ["scan", "--builtin", "k4", "--group", "Z4", "--range=0.." + "9" * 4000],
     ])
     def test_huge_values_are_shortened(self, capsys, argv):
         code, out, err, _ = run(capsys, *argv)

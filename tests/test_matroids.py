@@ -289,6 +289,11 @@ class TestFindExchange:
     def test_t_zero(self, k4):
         assert find_exchange(k4, (0, 1, 2), (0, 1), (3, 4), 0) == ((), ())
 
+    def test_no_exchange(self, k4):
+        # the star less spoke 0-1 plus rim edge 2-3 closes the triangle 0-2-3
+        assert find_exchange(k4, (0, 1, 2), (0,), (5,), 1) is None
+        assert find_exchange(k4, (0, 1, 2), (0,), (4,), 1) == ((0,), (4,))
+
     def test_uniform(self):
         u = make_uniform(6, 3)
         got = find_exchange(u, (0, 1, 2), (0, 1), (3, 4), 2)

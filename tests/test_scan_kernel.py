@@ -190,7 +190,7 @@ def test_split_follows_the_cost_estimate():
     """Over a large group the kernel keeps a chunk inside one high block and
     folds; over a small group the estimate prefers shifted class histograms
     across blocks, since 70 bases outweigh 4 values times a few classes."""
-    classes = lab_mod._scan_bases(8, U48.base_rows()).classes
+    classes = lab_mod._scan_bases(8, *U48.block_table[:2]).classes
     for order, folds in [(64, True), (4, False)]:
         start = 3 * order**5 + 12
         end = start + (1 << 15) - 1

@@ -103,6 +103,16 @@ class TestBaseWithSignature:
         got = base_with_signature(u, lab, Signature(Z2, (2, 0)))
         assert got == ((0, 1), None)
 
+    def test_a_signature_off_the_rank_or_past_a_fiber_has_no_base(self, k4):
+        lab = Labeling.from_indices(Z3, [0, 1, 2, 0, 1, 2])
+        assert base_with_signature(k4, lab, Signature(Z3, (1, 1, 0))) is None  # total 2, r = 3
+        assert base_with_signature(k4, lab, Signature(Z3, (3, 0, 0))) is None  # fiber 0 holds 2
+        # the solver's answers on this instance
+        answers = [(r.status, r.base) for r in (solve_enum(k4, lab, t) for t in range(3))]
+        assert answers == [("feasible", (0, 1, 2)), ("feasible", (1, 2, 4)),
+                           ("feasible", (2, 4, 5))]
+        assert all(base_label(lab, base) == t for t, (_, base) in enumerate(answers))
+
     def test_agreement_with_brute_force(self, k4, whirl3):
         rng = random.Random(7)
         for m in (k4, whirl3, make_uniform(6, 3)):

@@ -1,5 +1,6 @@
-"""The names that `bench/tracer.py` patches still exist in the package, and
-no subclass hides a patched method.
+"""The names that `bench/tracer.py` patches still exist in the package, no
+subclass hides a patched method, and the scan kernel takes the arguments
+that the tracer reads by position where it reads them.
 
 The tracer wraps module attributes and class methods by name and counts
 per-layer work through them; a rename, a changed lookup or an override in
@@ -13,11 +14,15 @@ import itertools
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gcmb
+import gcmb.lab as lab_mod
 import gcmb.solver as solver_mod
+from gcmb.catalog import BUILTINS
 from gcmb.groups import GroupSpec
+from gcmb.lab import isolation_scan
 from gcmb.matroids import make_graphic
 from gcmb.solver import Labeling, solve_enum, solve_proximity
 
@@ -107,3 +112,31 @@ def test_search_calls_base_with_signature_by_its_module_name(monkeypatch, mode, 
         result = solve_proximity(m, labeling, target, 2, weights, "heuristic")
     assert result.feasible
     assert len(calls) == result.stats.intersections >= 1
+
+
+@pytest.mark.parametrize("predicate", ["block", "strong_block"])
+def test_the_scan_kernel_takes_the_bases_and_offsets_where_the_tracer_reads_them(
+    monkeypatch, predicate
+):
+    """The tracer reads `lab._scan_chunk`'s args[3] (the scanned base rows) and
+    args[5] (one offset per labeling counted) by position; a swapped argument
+    would garble its `lab.scan.*` counts without an error."""
+    calls = []
+    inner = lab_mod._scan_chunk
+
+    def recording(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(lab_mod, "_scan_chunk", recording)
+    monkeypatch.setattr(lab_mod, "_SCAN_CHUNK", 7)
+    m = BUILTINS["k4"]().matroid
+    rows, masks, blocks = m.block_table
+    scanned = len(rows) if predicate == "block" else blocks  # 16 bases, 12 of them blocks
+    # labeling 81 is the first isolating one, so every kernel call below counts in full
+    line, = isolation_scan([("k4", m)], GroupSpec.of(4), predicate, index_range=(0, 81)).lines
+    assert line.isolating_index is None and len(calls) == 12
+    for args in calls:
+        assert args[3].shape == (scanned, m.full_rank)
+        assert np.shares_memory(args[6].masks, masks)  # the block table's, not a copy
+    assert sum(args[5].size for args in calls) == line.checked == 81
