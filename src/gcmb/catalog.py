@@ -29,6 +29,7 @@ from .matroids import (
     make_explicit,
     make_graphic,
     make_uniform,
+    read_int,
 )
 from .solver import Labeling
 
@@ -100,7 +101,7 @@ def _catalog_fields(rest: str) -> tuple[int, int, np.ndarray | list[tuple[int, .
     if len(parts) != 3:
         raise ParseError("expected '<id> <n> <r> <bases>'")
     try:
-        n, r = int(parts[0]), int(parts[1])
+        n, r = read_int(parts[0], "'n'"), read_int(parts[1], "'r'")
     except ValueError:
         raise ParseError("bad n/r") from None
     chunks = list(filter(str.strip, parts[2].split(";")))

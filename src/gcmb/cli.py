@@ -19,7 +19,7 @@ from . import catalog as catalog_mod
 from . import lab as lab_mod
 from .errors import CapacityError, GcmbError, UsageError, magnitude, quote, read_text
 from .groups import GroupSpec
-from .matroids import Matroid, load_matroid
+from .matroids import Matroid, load_matroid, read_int
 from .solver import (
     Labeling,
     load_labeling,
@@ -156,7 +156,7 @@ def _parse_range(text: Optional[str]) -> Optional[tuple[int, int]]:
         return None
     try:
         lo, hi = text.split("..")
-        start, stop = int(lo), int(hi)
+        start, stop = read_int(lo, "scan range start"), read_int(hi, "scan range end")
     except ValueError:
         raise UsageError(f"bad range {quote(text)}; expected 'a..b'") from None
     if stop < start:

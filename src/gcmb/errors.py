@@ -62,11 +62,11 @@ def quote(token: str) -> str:
     return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
 
 
-def magnitude(value: int) -> str:
+def magnitude(value: int, noun: str = "") -> str:
     """str(value) below 10^30; from there on, where str() may refuse to print
-    it, its size: 'of N bits', or 'a negative value of N bits'."""
-    sign = "a negative value " if value < 0 else ""
-    return str(value) if abs(value) < 10**30 else f"{sign}of {value.bit_length()} bits"
+    it, its size: 'of N bits' after the `noun`, or 'a negative value of N bits'."""
+    lead = "a negative value " if value < 0 else f"{noun} " if noun else ""
+    return str(value) if abs(value) < 10**30 else f"{lead}of {value.bit_length()} bits"
 
 
 def element_list(elements: Sequence[int]) -> str:

@@ -12,7 +12,9 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Optional, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, UsageError, magnitude, quote
 
@@ -132,10 +134,7 @@ class GroupSpec:
 
     @property
     def order(self) -> int:
-        n = 1
-        for m in self.invariant_factors:
-            n *= m
-        return n
+        return math.prod(self.invariant_factors)
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -144,28 +143,15 @@ class GroupSpec:
 
     # -- elements: canonical indices, read from and written as text -----------
 
-    def _index(self, residues: Iterable[int]) -> int:
-        idx = 0
-        for r, m in zip(residues, self.invariant_factors):
-            idx = idx * m + r
-        return idx
-
     def element_at(self, index: int) -> "GroupElement":
         """The element with canonical index `index`, for printing."""
         if not 0 <= index < self.order:
-            raise UsageError(f"element index {index} out of range for {self}")
-        residues = []
-        for m in reversed(self.invariant_factors):
-            index, r = divmod(index, m)
-            residues.append(r)
-        return GroupElement(self, tuple(reversed(residues)))
+            raise UsageError(f"element index {magnitude(index)} out of range for {self}")
+        return GroupElement(self, tuple(col[index] for col, _, _ in arithmetic(self)._parts))
 
     def parse_index(self, text: str) -> int:
         """The canonical index of the element written as "1,3" (comma-joined
         residues) or as a bare integer for rank-1 groups."""
-        return self._index(self._parse_residues(text))
-
-    def _parse_residues(self, text: str) -> tuple[int, ...]:
         parts = [p.strip() for p in text.strip().split(",")]
         try:
             values = [int(p) for p in parts]
@@ -174,23 +160,23 @@ class GroupSpec:
         if not self.invariant_factors:
             if values not in ([0], []):
                 raise UsageError(f"bad element {quote(text)} for the trivial group")
-            return ()
+            return 0
         if len(values) != len(self.invariant_factors):
             raise UsageError(
                 f"element {quote(text)} has {len(values)} residues, {self} needs "
                 f"{len(self.invariant_factors)}"
             )
-        return tuple(v % m for v, m in zip(values, self.invariant_factors))
+        return sum(v % m * p for v, (_, m, p) in zip(values, arithmetic(self)._parts))
 
 
 class IndexArithmetic:
-    """The group law on canonical element indices.
-
-    Index x carries the residue (x // place) % m in each invariant factor m,
-    the first factor most significant.  Sums are taken factor by factor, so
-    no |G| x |G| table is built; the trivial group has no factor, and every
-    sum is 0.  Sets of elements are bitmasks over indices.  Get one through
-    `arithmetic(spec)`, which keeps one instance per group.
+    """The group law on canonical element indices, and the one code that
+    splits an index into residues: index x carries the residue (x // place) % m
+    in each invariant factor m, the first factor most significant.  Sums are
+    taken factor by factor, so no |G| x |G| table is built; the trivial group
+    has no factor, and every sum is 0.  Sets of elements are bitmasks over
+    indices, and label sums over numpy arrays are arrays of indices.  Get one
+    through `arithmetic(spec)`, which keeps one instance per group.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -254,6 +240,37 @@ class IndexArithmetic:
                 mask = (mask & low) << d * p | (mask & ~low) >> (m - d) * p
         return mask
 
+    def label_sums(
+        self, incidence: np.ndarray, digits: np.ndarray, shift: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The label index of every incidence row (rows) under every labeling
+        (columns), summed over the elements that are the incidence's columns.
+
+        `digits` holds the labelings' element indices, one row per element;
+        `shift`, one label index per row, is added to each row's sum.  Per
+        invariant factor m, sums are the integer product incidence @ residues
+        mod m; residue dtypes fit the largest row sum, so products cannot wrap.
+        """
+        terms = int(incidence.sum(axis=1).max(initial=0)) + (shift is not None)
+        labels = np.zeros((incidence.shape[0], digits.shape[1]), dtype=digits.dtype)
+        for _, m, p in self._parts:
+            dtype = np.min_scalar_type(max(terms, 1) * m)
+            residues = (digits // p % m).astype(dtype)
+            sums = np.einsum("be,ec->bc", incidence.astype(dtype), residues)
+            if shift is not None:
+                sums += (shift // p % m).astype(dtype)[:, None]
+            labels += (sums % m).astype(labels.dtype) * p
+        return labels
+
+    def differences(self, subtrahends: np.ndarray) -> np.ndarray:
+        """The index of v - h for every index h in `subtrahends` and every group
+        value v, which indexes a new last axis of length |G|."""
+        values = np.arange(self.order, dtype=np.int64)
+        rows = np.zeros((*subtrahends.shape, self.order), dtype=np.int64)
+        for _, m, p in self._parts:
+            rows += (values // p % m - subtrahends[..., None] // p % m) % m * p
+        return rows
+
 
 @lru_cache(maxsize=None)
 def arithmetic(spec: GroupSpec) -> IndexArithmetic:
@@ -274,7 +291,7 @@ class GroupElement:
             )
         for r, m in zip(self.residues, self.spec.invariant_factors):
             if not 0 <= r < m:
-                raise UsageError(f"residue {r} not reduced modulo {m}")
+                raise UsageError(f"residue {magnitude(r)} not reduced modulo {m}")
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if self.spec != other.spec:

@@ -31,7 +31,7 @@ from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityError, ParseError, UsageError, magnitude, quote
-from .groups import GroupSpec, arithmetic, cosets, davenport, stabilizer
+from .groups import GroupSpec, IndexArithmetic, arithmetic, cosets, davenport, stabilizer
 from .intersection import Weight
 from .matroids import (
     BaseSet,
@@ -40,6 +40,7 @@ from .matroids import (
     check_subsets,
     find_blocks,
     is_strongly_base_orderable,
+    read_int,
 )
 from .solver import Labeling
 
@@ -61,7 +62,7 @@ def _base_labels(m: Matroid, labeling: Labeling) -> tuple[np.ndarray, np.ndarray
     rows = m.base_rows()
     incidence = _incidence(m.n, rows)
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
-    return rows, incidence, _label_sums(labeling.group.invariant_factors, incidence, digits)[:, 0]
+    return rows, incidence, arithmetic(labeling.group).label_sums(incidence, digits)[:, 0]
 
 
 def random_labeling(rng: random.Random, group: GroupSpec, n: int) -> Labeling:
@@ -98,37 +99,6 @@ def _incidence(n: int, bases: Sequence[BaseSet] | np.ndarray) -> np.ndarray:
     incidence = np.zeros((len(bases), n), dtype=np.uint8)
     np.put_along_axis(incidence, np.asarray(bases, dtype=np.intp), 1, axis=1)
     return incidence
-
-
-def _label_sums(
-    factors: Sequence[int],
-    incidence: np.ndarray,
-    digits: np.ndarray,
-    shift: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The label index of every incidence row (rows) under every labeling
-    (columns), summed over the elements that are the incidence's columns.
-
-    `digits` holds the labelings' element indices, one row per element;
-    `shift`, one label index per row, is added to each row's sum.  For each
-    invariant factor m, label sums are the integer product incidence @
-    residues mod m, folded into the canonical element index (first factor
-    most significant).  Residue dtypes are sized from the largest row sum, so
-    the products cannot wrap.
-    """
-    order = math.prod(factors)
-    terms = int(incidence.sum(axis=1).max(initial=0)) + (shift is not None)
-    labels = np.zeros((incidence.shape[0], digits.shape[1]), dtype=digits.dtype)
-    place = order
-    for m in factors:
-        place //= m
-        dtype = np.min_scalar_type(max(terms, 1) * m)
-        residues = (digits // place % m).astype(dtype)
-        sums = np.einsum("be,ec->bc", incidence.astype(dtype), residues)
-        if shift is not None:
-            sums += (shift // place % m).astype(dtype)[:, None]
-        labels += (sums % m).astype(labels.dtype) * place
-    return labels
 
 
 # -- closeness checks and witnesses ------------------------------------------
@@ -412,8 +382,18 @@ class ScanReport:
 
 
 def labeling_from_index(group: GroupSpec, n: int, index: int) -> Labeling:
-    q = group.order
-    return Labeling.from_indices(group, [(index // q**i) % q for i in range(n)])
+    return Labeling.from_indices(group, _digits(index, group.order, n))
+
+
+def _digits(index, q: int, count: int) -> list:
+    """The first `count` digits of a labeling index, element 0's first: ints
+    of a Python int, arrays of an int64 array of indices."""
+    return [index // q**i % q for i in range(count)]
+
+
+def _scanned(start: int, stop: int, step: int) -> range:
+    """The indices a scan of start..stop checks: the multiples of the step."""
+    return range(-(-start // step) * step, stop, step)
 
 
 def _low_ranges(start: int, end: int, place: int) -> tuple[int, int, list[tuple[int, int]]]:
@@ -465,9 +445,7 @@ class _ShardTables:
             order, place = self.order, self.order**low
             first, last, ranges = _low_ranges(start, end, place)
             lows = np.concatenate([np.arange(a, b, self.step, dtype=np.int64) for a, b in ranges])
-            digits = np.array(
-                [lows // order**i % order for i in range(low)], dtype=np.min_scalar_type(order)
-            )
+            digits = np.array(_digits(lows, order, low), dtype=np.min_scalar_type(order))
             blocks = range(first, last + 1)
             high = np.array(
                 [[y // order**j % order for y in blocks] for j in range(self.n - low)],
@@ -526,21 +504,8 @@ def _split(
     return min(costs)[1]
 
 
-def _differences(factors: Sequence[int], subtrahends: np.ndarray) -> np.ndarray:
-    """The index of v - h for every index h in `subtrahends` and every group
-    value v, which indexes a new last axis of length |G|."""
-    order = math.prod(factors)
-    values = np.arange(order, dtype=np.int64)
-    rows = np.zeros((*subtrahends.shape, order), dtype=np.int64)
-    place = order
-    for m in factors:
-        place //= m
-        rows += (values // place % m - subtrahends[..., None] // place % m) % m * place
-    return rows
-
-
 def _scan_chunk(
-    factors: Sequence[int],
+    ar: IndexArithmetic,
     start: int,
     n: int,
     bases: np.ndarray,
@@ -581,14 +546,14 @@ def _scan_chunk(
     place, first, last, lows, digits, high, head, tail = shard.tables(start, end, low)
     incidence = inputs.incidence
     if first == last:
-        class_count, shift = 1, _label_sums(factors, incidence[:, low:], high)[:, 0]
+        class_count, shift = 1, ar.label_sums(incidence[:, low:], high)[:, 0]
     else:
         _, members, classes = np.unique(
             inputs.masks >> low, return_index=True, return_inverse=True
         )
         # rows[c, y, v]: the value of class c's histogram that its high sum
         # in block first + y moves onto v
-        rows = _differences(factors, _label_sums(factors, incidence[members, low:], high))
+        rows = ar.differences(ar.label_sums(incidence[members, low:], high))
         class_count, shift = len(members), None
         which = np.arange(class_count)[:, None, None]
     cells = class_count * order
@@ -598,7 +563,7 @@ def _scan_chunk(
     best: Optional[tuple[int, int]] = None  # (block - first, position in lows)
     for batch in range(0, lows.size, most):
         part = digits[:, batch : batch + most]
-        batch_labels = _label_sums(factors, incidence[:, :low], part, shift)
+        batch_labels = ar.label_sums(incidence[:, :low], part, shift)
         if shift is None:  # across blocks, keys are offset by class * |G|
             batch_labels = batch_labels + classes[:, None] * order
         for lo in range(0, batch_labels.shape[1], width):
@@ -635,19 +600,16 @@ def _scan_chunk(
 
 
 def _scan_task(args) -> ScanLine:
-    (matroid_id, factors, n, bases, block_count, start, stop, step, chunk, inputs, shard) = args
-    lo = -(-start // step) * step  # the first scanned index: a multiple of the step
-    checked = len(range(lo, stop, step))
-    while lo < stop:
-        hi = min(stop, lo + chunk * step)
-        offsets = np.arange(0, hi - lo, step, dtype=np.int64)
-        hit = _scan_chunk(factors, lo, n, bases, block_count, offsets, inputs, shard)
+    (matroid_id, ar, bases, block_count, start, stop, chunk, inputs, shard) = args
+    scanned = _scanned(start, stop, shard.step)
+    for lo in scanned[::chunk]:
+        hi = min(stop, lo + chunk * shard.step)
+        offsets = np.arange(0, hi - lo, shard.step, dtype=np.int64)
+        hit = _scan_chunk(ar, lo, shard.n, bases, block_count, offsets, inputs, shard)
         if hit is not None:  # chunks ascend, so the first hit is the least
-            order = math.prod(factors)
-            labels = tuple(hit // order**i % order for i in range(n))
-            return ScanLine(matroid_id, start, stop, checked, hit, labels)
-        lo = hi
-    return ScanLine(matroid_id, start, stop, checked)
+            labels = tuple(_digits(hit, ar.order, shard.n))
+            return ScanLine(matroid_id, start, stop, len(scanned), hit, labels)
+    return ScanLine(matroid_id, start, stop, len(scanned))
 
 
 def isolation_scan(
@@ -672,8 +634,7 @@ def isolation_scan(
         raise UsageError(f"unknown predicate {predicate!r}")
     if reduction not in ("none", "translation"):
         raise UsageError(f"unknown reduction {reduction!r}")
-    order = group.order
-    factors = group.invariant_factors
+    order, ar = group.order, arithmetic(group)
     step = order if reduction == "translation" else 1
     workers = max(1, min(jobs, os.cpu_count() or 1))
     tasks = []
@@ -707,14 +668,13 @@ def isolation_scan(
         if m.n not in tables:
             tables[m.n] = _ShardTables(order, m.n, step)
         # Shards tile [start, stop); inner cuts sit on multiples of the step.
-        lo = -(-start // step) * step
-        span = max(0, stop - lo)
-        parts = max(1, min(workers, -(-span // step)))
-        width = max(step, -(-span // (parts * step)) * step)
-        edges = [start, *range(lo + width, stop, width), stop]
+        scanned = _scanned(start, stop, step)
+        parts = max(1, min(workers, len(scanned)))
+        width = max(step, -(-len(scanned) // parts) * step)
+        edges = [start, *range(scanned.start + width, stop, width), stop]
         for a, b in zip(edges, edges[1:]):
-            tasks.append((matroid_id, factors, m.n, bases, block_count, a, b, step, _SCAN_CHUNK,
-                          inputs, tables[m.n]))
+            tasks.append((matroid_id, ar, bases, block_count, a, b, _SCAN_CHUNK, inputs,
+                          tables[m.n]))
 
     workers = min(workers, len(tasks))
     if workers > 1:
@@ -807,7 +767,7 @@ def _with_example(
 ) -> ScanLine:
     """`line` with its example, which must be a scanned index (a multiple of
     `step`) in the line's range and whose labels must be its reduced digits."""
-    example, shown = int(fields["example"]), quote(fields["example"])
+    example, shown = read_int(fields["example"], "'example'"), quote(fields["example"])
     labels = []
     for text in fields["labels"].split(";"):
         g = group.parse_index(text)
@@ -821,7 +781,7 @@ def _with_example(
         raise ValueError(f"example {shown} is not a multiple of the scan step {step}")
     if example >= q ** len(labels):
         raise ValueError(f"example {shown} is not below {q}^{len(labels)}")
-    if labels != [example // q**i % q for i in range(len(labels))]:
+    if labels != _digits(example, q, len(labels)):
         raise ValueError(f"labels are not the digits of example {shown}")
     return replace(line, isolating_index=example, isolating_labels=tuple(labels))
 
@@ -841,7 +801,7 @@ def parse_scan_report(text: str) -> ScanReport:
         if fields["reduction"] not in ("none", "translation"):
             raise ValueError(f"unknown reduction {quote(fields['reduction'])}")
         predicate = PREDICATE_FROM_NAME[fields["predicate"]]
-        reduction, seed = fields["reduction"], int(fields["seed"])
+        reduction, seed = fields["reduction"], read_int(fields["seed"], "'seed'")
         step = group.order if reduction == "translation" else 1
         rows = []
         for lineno, ln in lines[1:]:
@@ -851,7 +811,8 @@ def parse_scan_report(text: str) -> ScanReport:
             start, sep, stop = fields["range"].partition("..")
             if not sep:
                 raise ValueError(f"range {quote(fields['range'])} is not a..b")
-            line = ScanLine(fields["matroid"], int(start), int(stop), int(fields["checked"]))
+            ends = [read_int(end, "'range'") for end in (start, stop)]
+            line = ScanLine(fields["matroid"], *ends, read_int(fields["checked"], "'checked'"))
             if not 0 <= line.start <= line.stop:
                 raise ValueError(f"range {quote(fields['range'])} is not 0 <= start <= stop")
             scanned = -(-line.stop // step) - -(-line.start // step)  # multiples of step
@@ -865,7 +826,7 @@ def parse_scan_report(text: str) -> ScanReport:
             rows.append(line)
     except KeyError as exc:
         raise ParseError(f"scan report line {quote(ln)} has no {exc.args[0]}= field", lineno) from None
-    except (ValueError, UsageError) as exc:
+    except (ValueError, UsageError, CapacityError) as exc:
         raise ParseError(f"bad scan report line {quote(ln)}: {exc}", lineno) from None
     return ScanReport(group, predicate, reduction, seed, tuple(rows))
 

@@ -37,11 +37,24 @@ SBO_MAX_BASES = 120
 #: Largest field order of a linear matroid; primality is checked by trial
 #: division up to its square root, which takes milliseconds at this size.
 FIELD_ORDER_LIMIT = 2**31
-#: Longest integer a matroid file may give; int() refuses longer strings.
+#: Longest integer that outside text may give; int() refuses longer strings.
 INTEGER_DIGITS_LIMIT = 4300
 #: Largest ground size of any matroid, checked when it is built; the full
 #: rank alone asks the oracle once per element.
 GROUND_SIZE_LIMIT = 10**5
+
+
+def read_int(text: str, what: str, limit: str = "") -> int:
+    """int(text) of an integer field of outside text, `what` naming it; a
+    ValueError when it is not an integer.  One of more than
+    INTEGER_DIGITS_LIMIT digits is refused first, against `limit` if given."""
+    sign = text[: len(text) - len(text.lstrip("+-"))]
+    digits = text[len(sign) :].lstrip("0")
+    if digits.isdecimal() and len(digits) > INTEGER_DIGITS_LIMIT:
+        limit = limit or f"of {INTEGER_DIGITS_LIMIT} digits (INTEGER_DIGITS_LIMIT)"
+        raise CapacityError(f"{what} of {len(digits)} digits exceeds the limit {limit}")
+    # Leading zeros count toward int()'s digit limit, so they go first.
+    return int(sign + digits) if digits.isdecimal() else int(text)
 
 
 class Matroid:
@@ -308,9 +321,9 @@ class UniformMatroid(Matroid):
     def __init__(self, n: int, r: int):
         super().__init__(n)
         if not 0 <= r <= n:
-            raise UsageError(
-                f"uniform matroid needs 0 <= r <= n, got r={quote(str(r))}, n={quote(str(n))}"
-            )
+            # str() refuses past INTEGER_DIGITS_LIMIT digits
+            shown = quote(str(r)) if abs(r) < 10**INTEGER_DIGITS_LIMIT else magnitude(r, "a value")
+            raise UsageError(f"uniform matroid needs 0 <= r <= n, got r={shown}, n={quote(str(n))}")
         if r == 0 and n > 0:
             raise UsageError("rank-0 uniform matroid on a nonempty ground set has loops")
         self.r = r
@@ -637,7 +650,7 @@ class PartitionMatroid(Matroid):
         for c, cap in zip(class_sets, capacities):
             if not 0 <= cap <= len(c):
                 raise UsageError(
-                    f"capacity {cap} outside [0, {len(c)}] for class of size {len(c)}"
+                    f"capacity {magnitude(cap)} outside [0, {len(c)}] for class of size {len(c)}"
                 )
         self.classes = tuple(class_sets)
         self.capacities = tuple(int(c) for c in capacities)
@@ -680,7 +693,8 @@ class MinorMatroid(Matroid):
         removed_set, contracted_set = frozenset(removed), frozenset(contracted)
         for e in removed_set:
             if not 0 <= e < parent.n:
-                raise UsageError(f"cannot delete {e}: outside parent ground set")
+                shown = magnitude(e, "an element")
+                raise UsageError(f"cannot delete {shown}: outside parent ground set")
         if contracted_set and not parent.is_independent(contracted_set):
             raise UsageError("contraction set must be independent")
         if both := removed_set & contracted_set:
@@ -828,7 +842,7 @@ def find_exchange(
     if not m.is_independent(b1_set):
         raise UsageError("B1 must be independent")
     if t < 0:
-        raise UsageError(f"exchange size must be nonnegative, got {t}")
+        raise UsageError(f"exchange size must be nonnegative, got {magnitude(t)}")
     if t > len(a1_set) or t > len(b1_set):
         return None
     keep = a_set - a1_set
@@ -974,22 +988,11 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
     def intfield(name: str) -> int:
         if name not in fields:
             raise ParseError(f"matroid {kind} requires a '{name}' line")
-        value = fields[name]
-        sign = value[: len(value) - len(value.lstrip("+-"))]
-        digits = value[len(sign) :].lstrip("0")
-        if digits.isdecimal() and len(digits) > INTEGER_DIGITS_LIMIT:
-            if name == "field":
-                raise CapacityError(
-                    f"field order of {len(digits)} digits exceeds the limit "
-                    f"p <= {FIELD_ORDER_LIMIT} (FIELD_ORDER_LIMIT)"
-                )
-            raise CapacityError(
-                f"'{name}' of {len(digits)} digits exceeds the limit of "
-                f"{INTEGER_DIGITS_LIMIT} digits (INTEGER_DIGITS_LIMIT)"
-            )
         try:
-            # Leading zeros count toward int()'s digit limit, so they go first.
-            return int(sign + digits) if digits.isdecimal() else int(value)
+            if name == "field":
+                return read_int(fields[name], "field order",
+                                f"p <= {FIELD_ORDER_LIMIT} (FIELD_ORDER_LIMIT)")
+            return read_int(fields[name], quote(name))
         except ValueError:
             raise ParseError(f"'{name}' must be an integer") from None
 

@@ -55,7 +55,7 @@ class Labeling:
     def __post_init__(self) -> None:
         for i in self.indices:
             if not 0 <= i < self.group.order:
-                raise UsageError(f"element index {i} out of range for {self.group}")
+                raise UsageError(f"element index {magnitude(i)} out of range for {self.group}")
 
     @property
     def n(self) -> int:
@@ -191,7 +191,7 @@ def find_optimum_base(m: Matroid, weights: Sequence[Weight]) -> BaseSet:
 
 def _check_target(group: GroupSpec, target: int) -> None:
     if not 0 <= target < group.order:
-        raise UsageError(f"target index {target} out of range for {group}")
+        raise UsageError(f"target index {magnitude(target)} out of range for {group}")
 
 
 def _check_instance(m: Matroid, labeling: Labeling, target: int) -> None:

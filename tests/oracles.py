@@ -897,7 +897,7 @@ def closeness_witness_einsum(
     digits = np.array(labeling.indices, dtype=np.intp)[:, None]
     bases = m.bases()
     incidence = lab_mod._incidence(m.n, bases)
-    labels = lab_mod._label_sums(group.invariant_factors, incidence, digits)[:, 0]
+    labels = arithmetic(group).label_sums(incidence, digits)[:, 0]
     totals = [0 if weights is None else sum(weights[e] for e in b) for b in bases]
     cheapest: dict[int, Weight] = {}
     for g, t in zip(labels.tolist(), totals):

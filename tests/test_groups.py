@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -435,6 +436,41 @@ def test_index_arithmetic_matches_group_elements(spec, data):
     chosen = set(data.draw(st.lists(index, max_size=8)))
     shifted = {residue_sum(factors, (x, a)) for x in chosen}
     assert ar.shift_mask(mask(chosen), a) == mask(shifted)
+
+
+#: Groups for the array law: Z1 up to Z1024, whose residue sums of 12 terms pass 255.
+ARRAY_GROUPS = [GroupSpec(()), *map(GroupSpec.of, range(2, 9)), Z2xZ2, Z2xZ4, GroupSpec.of(3, 3),
+                GroupSpec.of(2, 2, 2), GroupSpec.of(1024)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from(ARRAY_GROUPS), data=st.data())
+def test_array_label_sums_match_the_scalar_law(spec, data):
+    """label_sums, with and without a shift, equals `total` row by row and
+    labeling by labeling, and differences equals `sub`, on 0/1 incidence of up
+    to 12 columns, digits of uint8 or int64 and no rows at all."""
+    ar = arithmetic(spec)
+    dtype = data.draw(st.sampled_from([np.uint8, np.int64] if spec.order <= 256 else [np.int64]))
+    rows, cols, labelings = data.draw(st.tuples(*map(st.integers, (0, 0, 1), (5, 12, 3))))
+    index = element_strategy(spec)
+    incidence = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows * cols,
+                                            max_size=rows * cols)), dtype=np.uint8)
+    incidence = incidence.reshape(rows, cols)
+    digits = np.array(data.draw(st.lists(index, min_size=cols * labelings,
+                                         max_size=cols * labelings)), dtype=dtype)
+    digits = digits.reshape(cols, labelings)
+    shift = np.array(data.draw(st.lists(index, min_size=rows, max_size=rows)), dtype=np.int64)
+    sums, shifted = ar.label_sums(incidence, digits), ar.label_sums(incidence, digits, shift)
+    assert sums.shape == shifted.shape == (rows, labelings) and sums.dtype == dtype
+    for b in range(rows):
+        for c in range(labelings):
+            terms = digits[incidence[b] == 1, c].tolist()
+            assert sums[b, c] == ar.total(terms)
+            assert shifted[b, c] == ar.total([*terms, int(shift[b])])
+    differences = ar.differences(shift)
+    assert differences.shape == (rows, spec.order)
+    for b, h in enumerate(shift.tolist()):
+        assert differences[b].tolist() == [ar.sub(v, h) for v in range(spec.order)]
 
 
 def test_arithmetic_is_kept_per_group():

@@ -221,3 +221,26 @@ def test_the_check_sees_a_property_only_called_by_name():
     assert [(cls, name) for cls, name, _ in class_properties(tree)] == [
         ("C", "p"), ("C", "q"), ("C", "s")]
     assert read_attributes(tree) == {"cached_property", "q", "s"}
+
+
+def attribute_reads(tree: ast.AST, name: str) -> list[int]:
+    """The lines where a tree reaches the attribute `name`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == name)
+
+
+def test_only_groups_reads_the_invariant_factors():
+    """`groups.IndexArithmetic` is the one code that splits an element index
+    into residues, so no other module reads the factors it splits them by."""
+    readers = [f"{module} (line {line})" for module in MODULES if module != "groups.py"
+               for line in attribute_reads(parse(SRC / module), "invariant_factors")]
+    assert not readers, f"invariant_factors read outside groups.py: {', '.join(readers)}"
+
+
+def test_the_check_sees_a_read_of_the_invariant_factors():
+    tree = ast.parse(
+        "def f(group, factors):\n    return group.order, factors\n"
+        "def g(group):\n    return math.prod(group.invariant_factors)\n"
+    )
+    assert attribute_reads(tree, "invariant_factors") == [4]
+    assert attribute_reads(tree, "order") == [2]

@@ -6,7 +6,7 @@ import pytest
 
 from gcmb.catalog import parse_indicator_file
 from gcmb.cli import main
-from gcmb.errors import ParseError, UsageError
+from gcmb.errors import ParseError, UsageError, quote
 from gcmb.groups import GroupElement, GroupSpec
 from gcmb.intersection import min_weight_common_base
 from gcmb.lab import (
@@ -32,14 +32,22 @@ LABELS = Labeling.from_indices(Z3, [0, 1, 2, 0, 1, 2])
 SHORT = Labeling.from_indices(Z3, [0] * 5)
 STAR, RIM = (0, 1, 2), (3, 4, 5)  # the spokes of k4 are a base, its rim a triangle
 NINES = "9" * 4000  # a value of 13288 bits
+HUGE = "9" * 5000  # past the 4300 digits that int() reads and str() writes
+BIG = 10**5000  # a value of 16610 bits
+HUGE_RANGE = f"matroid=x range=0..{HUGE} checked=9 verdict=none example=- labels=-"
 
 
 def shard(group: str, reduction: str = "none") -> str:
     return f"# gcmb scan group={group} predicate=block reduction={reduction} seed=0\n"
 
 
-#: Files a CLI case names as {m}, {z3} or {z4}.
-FILES = {"m": "matroid uniform\nn 4\nr 2\n", "z3": shard("Z3"), "z4": shard("Z4")}
+#: Files a CLI case names by their keys, as {m} or {z3}.
+FILES = {"m": "matroid uniform\nn 4\nr 2\n", "z3": shard("Z3"), "z4": shard("Z4"),
+         "z5000": shard("Z5000"),
+         "huge_range": shard("Z3") + HUGE_RANGE + "\n",
+         "huge_seed": shard("Z3").replace("seed=0", f"seed={HUGE}"),
+         "huge_n": f"x {HUGE} 2 0,1;0,2\n"}
+DIGITS_PAST = "of 5000 digits exceeds the limit of 4300 digits (INTEGER_DIGITS_LIMIT)"
 K4_Z4 = ["scan", "--builtin", "k4", "--group", "Z4"]
 
 
@@ -67,6 +75,20 @@ K4_Z4 = ["scan", "--builtin", "k4", "--group", "Z4"]
                  "scan range end of 13288 bits outside [0, 4096) for k4", id="huge-end"),
     pytest.param([*K4_Z4, "--range", "5..5000"], "scan range 5..5000 outside [0, 4096) for k4",
                  id="range-past-the-end"),
+    pytest.param([*K4_Z4, "--range", "0.." + HUGE], f"scan range end {DIGITS_PAST}",
+                 id="range-end-digits"),
+    pytest.param(["scan", "--merge", "{huge_range}"],
+                 f"line 2: bad scan report line {quote(HUGE_RANGE)}: 'range' {DIGITS_PAST}",
+                 id="shard-range-digits"),
+    pytest.param(["scan", "--merge", "{huge_seed}"],
+                 f"line 1: bad scan report line {quote(FILES['huge_seed'].strip())}: "
+                 f"'seed' {DIGITS_PAST}", id="shard-seed-digits"),
+    pytest.param(["scan", "--merge", "{z5000}"],
+                 f"line 1: bad scan report line {quote(shard('Z5000').strip())}: "
+                 "group order 5000 exceeds the limit |G| <= 4096 (GROUP_TABLE_LIMIT)",
+                 id="shard-group-order"),
+    pytest.param(["scan", "--catalog", "{huge_n}", "--group", "Z3"],
+                 f"line 1: entry 'x': 'n' {DIGITS_PAST}", id="catalog-n-digits"),
 ])
 def test_cli_refusal(capsys, tmp_path, argv, message):
     paths = {name: tmp_path / name for name in FILES}
@@ -150,6 +172,28 @@ def test_cli_refusal(capsys, tmp_path, argv, message):
                  "exchange size must be nonnegative, got -1", id="exchange-size"),
     pytest.param(lambda k4: is_k_replaceable(k4, STAR, RIM, 1), UsageError,
                  "both arguments must be bases", id="replaceable-bases"),
+    # library calls with a value past the 4300 digits that str() writes
+    pytest.param(lambda k4: Labeling.from_indices(Z3, [BIG]), UsageError,
+                 "element index of 16610 bits out of range for Z3", id="labeling-index-huge"),
+    pytest.param(lambda k4: Z3.element_at(BIG), UsageError,
+                 "element index of 16610 bits out of range for Z3", id="element-at-huge"),
+    pytest.param(lambda k4: solve_enum(k4, LABELS, BIG), UsageError,
+                 "target index of 16610 bits out of range for Z3", id="target-huge"),
+    pytest.param(lambda k4: delete(make_uniform(2, 1), [BIG]), UsageError,
+                 "cannot delete an element of 16610 bits: outside parent ground set",
+                 id="delete-huge"),
+    pytest.param(lambda k4: make_uniform(3, BIG), UsageError,
+                 "uniform matroid needs 0 <= r <= n, got r=a value of 16610 bits, n='3'",
+                 id="uniform-rank-huge"),
+    pytest.param(lambda k4: find_exchange(make_uniform(2, 1), (0,), (0,), (1,), -BIG),
+                 UsageError,
+                 "exchange size must be nonnegative, got a negative value of 16610 bits",
+                 id="exchange-size-huge"),
+    pytest.param(lambda k4: make_partition([[0, 1]], [BIG]), UsageError,
+                 "capacity of 16610 bits outside [0, 2] for class of size 2",
+                 id="partition-capacity-huge"),
+    pytest.param(lambda k4: GroupElement(Z3, (BIG,)), UsageError,
+                 "residue of 16610 bits not reduced modulo 3", id="element-residue-huge"),
 ])
 def test_refusal(k4, call, error, message):
     with pytest.raises(error) as info:
