@@ -1,61 +1,30 @@
-"""Group-constrained matroid base solvers and a brute-force verification lab."""
+"""Group-constrained matroid base solvers and a brute-force verification lab.
 
-from .errors import CapacityError, GcmbError, InternalError, ParseError, UsageError
-from .groups import (
-    GroupElement,
-    GroupSpec,
-    closeness_class,
-    cosets,
-    davenport,
-    stabilizer,
-)
-from .matroids import (
-    Matroid,
-    brualdi_bijection,
-    contract,
-    delete,
-    find_blocks,
-    find_exchange,
-    is_k_replaceable,
-    is_strongly_base_orderable,
-    load_matroid,
-    make_explicit,
-    make_graphic,
-    make_linear,
-    make_partition,
-    make_uniform,
-)
-from .intersection import max_common_independent, min_weight_common_base
-from .solver import (
-    Labeling,
-    Signature,
-    SolveResult,
-    base_with_signature,
-    find_optimum_base,
-    signature_of,
-    solve_enum,
-    solve_proximity,
-)
-from .lab import (
-    LabelImage,
-    Witness,
-    check_k_close,
-    check_schrijver_seymour,
-    check_strongly_k_close,
-    is_block_isolating,
-    is_strong_block_isolating,
-    isolation_scan,
-    label_image,
-    reduce_witness,
-    sbo_strong_closeness_suite,
-)
-from .catalog import (
-    CatalogEntry,
-    builtin_instances,
-    filter_blocks,
-    load_catalog,
-    tight_example,
-)
+Each public name is imported from its module on first access (PEP 562), so
+`import gcmb`, and a CLI command, load only the modules they use.
+"""
+
+import importlib
+
+#: The module that defines each name of `__all__`.
+_HOMES = {
+    "errors": ("CapacityError", "GcmbError", "InternalError", "ParseError", "UsageError"),
+    "groups": ("GroupElement", "GroupSpec", "closeness_class", "cosets", "davenport",
+               "stabilizer"),
+    "matroids": ("Matroid", "brualdi_bijection", "contract", "delete", "find_blocks",
+                 "find_exchange", "is_k_replaceable", "is_strongly_base_orderable",
+                 "load_matroid", "make_explicit", "make_graphic", "make_linear",
+                 "make_partition", "make_uniform"),
+    "intersection": ("max_common_independent", "min_weight_common_base"),
+    "solver": ("Labeling", "Signature", "SolveResult", "base_with_signature",
+               "find_optimum_base", "signature_of", "solve_enum", "solve_proximity"),
+    "lab": ("LabelImage", "Witness", "check_k_close", "check_schrijver_seymour",
+            "check_strongly_k_close", "is_block_isolating", "is_strong_block_isolating",
+            "isolation_scan", "label_image", "reduce_witness", "sbo_strong_closeness_suite"),
+    "catalog": ("CatalogEntry", "builtin_instances", "filter_blocks", "load_catalog",
+                "tight_example"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "CapacityError",
@@ -110,3 +79,19 @@ __all__ = [
     "stabilizer",
     "tight_example",
 ]
+
+
+def __getattr__(name: str):
+    """A public name, or a module that defines some, imported on first access."""
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _HOMES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,10 +13,8 @@ import argparse
 import functools
 import random
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import catalog as catalog_mod
-from . import lab as lab_mod
 from .errors import CapacityError, GcmbError, UsageError, magnitude, quote, read_text
 from .groups import GroupSpec
 from .matroids import Matroid, load_matroid, read_int
@@ -28,6 +26,9 @@ from .solver import (
     solve_proximity,
 )
 
+if TYPE_CHECKING:  # the commands that run the lab or the catalog import them
+    from . import catalog
+
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
@@ -35,6 +36,9 @@ EXIT_SS_VIOLATION = 3
 
 #: Most labelings `check-ss --random` checks in one run.
 RANDOM_LABELINGS_LIMIT = 100_000
+#: The `--predicate` names, in the order of `lab.PREDICATE_NAMES`: the parser
+#: lists them without importing the lab.
+PREDICATE_CHOICES = ["block", "strong-block"]
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -44,11 +48,13 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _builtin(name: str) -> catalog_mod.BuiltinInstance:
-    if name not in catalog_mod.BUILTINS:
-        known = ", ".join(sorted(catalog_mod.BUILTINS))
+def _builtin(name: str) -> catalog.BuiltinInstance:
+    from . import catalog
+
+    if name not in catalog.BUILTINS:
+        known = ", ".join(sorted(catalog.BUILTINS))
         raise UsageError(f"unknown builtin {quote(name)}; known: {known}")
-    return catalog_mod.BUILTINS[name]()
+    return catalog.BUILTINS[name]()
 
 
 def _load_instance(args) -> tuple[str, Matroid, Optional[GroupSpec], Optional[Labeling]]:
@@ -125,6 +131,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import lab
+
     name, matroid, group, labeling = _load_instance(args)
     labeling = _require_labeling(labeling)
     if args.k is None:
@@ -136,16 +144,16 @@ def cmd_verify(args) -> int:
     )
     if strong:
         weights = load_weights(args.weights, matroid.n)
-        witness = lab_mod.check_strongly_k_close(matroid, labeling, weights, args.k)
+        witness = lab.check_strongly_k_close(matroid, labeling, weights, args.k)
     else:
-        witness = lab_mod.check_k_close(matroid, labeling, args.k)
+        witness = lab.check_k_close(matroid, labeling, args.k)
     lines = [header]
     if witness is None:
         lines.append("verdict=ok")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     lines.append(f"verdict=witness {witness.describe()}")
-    reduced = lab_mod.reduce_witness(witness)
+    reduced = lab.reduce_witness(witness)
     lines.append(f"reduced n={reduced.matroid.n} {reduced.describe()}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_NEGATIVE
@@ -165,14 +173,16 @@ def _parse_range(text: Optional[str]) -> Optional[tuple[int, int]]:
 
 
 def cmd_scan(args) -> int:
+    from . import catalog, lab
+
     if args.merge:
         for name in ("catalog", "builtin", "group", "predicate", "reduction", "range", "lenient"):
             if getattr(args, name):
                 raise UsageError(f"pass either --merge or --{name}, not both")
-        merged = lab_mod.merge_scan_reports([read_text(path) for path in args.merge])
+        merged = lab.merge_scan_reports([read_text(path) for path in args.merge])
         _emit(merged, args.out)
         return EXIT_NEGATIVE if "verdict=isolating" in merged else EXIT_OK
-    predicate = lab_mod.PREDICATE_FROM_NAME[args.predicate or "strong-block"]
+    predicate = lab.PREDICATE_FROM_NAME[args.predicate or "strong-block"]
     if not args.group:
         raise UsageError("--group is required for scan")
     group = GroupSpec.parse(args.group)
@@ -180,15 +190,15 @@ def cmd_scan(args) -> int:
     if args.catalog and args.builtin:
         raise UsageError("pass either --catalog or --builtin, not both")
     if args.catalog:
-        entries = _catalog_entries(catalog_mod.load_catalog, args.catalog, args.lenient)
-        pool = [(e.id, e.matroid()) for e in catalog_mod.filter_blocks(entries)]
+        entries = _catalog_entries(catalog.load_catalog, args.catalog, args.lenient)
+        pool = [(e.id, e.matroid()) for e in catalog.filter_blocks(entries)]
         if not pool:
             raise UsageError("no block matroids in the catalog")
     elif args.builtin:
         pool = [(args.builtin, _builtin(args.builtin).matroid)]
     else:
         raise UsageError("scan needs --catalog PATH or --builtin NAME")
-    report = lab_mod.isolation_scan(
+    report = lab.isolation_scan(
         pool,
         group,
         predicate,
@@ -197,12 +207,14 @@ def cmd_scan(args) -> int:
         jobs=args.jobs,
         seed=args.seed,
     )
-    text = lab_mod.render_scan_report(report)
+    text = lab.render_scan_report(report)
     _emit(text, args.out)
     return EXIT_NEGATIVE if report.isolating_count else EXIT_OK
 
 
 def cmd_check_ss(args) -> int:
+    from . import lab
+
     if args.random is not None and args.labels:
         raise UsageError("pass either --labels or --random, not both")
     name, matroid, group, labeling = _load_instance(args)
@@ -216,14 +228,14 @@ def cmd_check_ss(args) -> int:
                                 f"{RANDOM_LABELINGS_LIMIT} (RANDOM_LABELINGS_LIMIT)")
         rng = random.Random(args.seed)
         labelings = (
-            (f"random-{i}", lab_mod.random_labeling(rng, group, matroid.n))
+            (f"random-{i}", lab.random_labeling(rng, group, matroid.n))
             for i in range(args.random)
         )
     else:
         labelings = [("given", _require_labeling(labeling))]
     checked = violations = 0
-    for source, lab in labelings:
-        report = lab_mod.check_schrijver_seymour(matroid, lab)
+    for source, labels in labelings:
+        report = lab.check_schrijver_seymour(matroid, labels)
         holds = "yes" if report.holds else "no"
         lines.append(
             f"labeling={source} image={report.image_size} "
@@ -238,7 +250,7 @@ def cmd_check_ss(args) -> int:
     return EXIT_SS_VIOLATION if violations else EXIT_OK
 
 
-def _catalog_entries(read, path, lenient: bool) -> list[catalog_mod.CatalogEntry]:
+def _catalog_entries(read, path, lenient: bool) -> list[catalog.CatalogEntry]:
     """The entries `read` takes from a file; `lenient` skips and reports bad lines."""
     problems: list[tuple[int, str]] = []
     entries = list(read(path, lenient=lenient, problems=problems))
@@ -248,12 +260,14 @@ def _catalog_entries(read, path, lenient: bool) -> list[catalog_mod.CatalogEntry
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
+
     if args.catalog_command == "import":
-        entries = _catalog_entries(catalog_mod.import_indicator_file, args.input, args.lenient)
+        entries = _catalog_entries(catalog.import_indicator_file, args.input, args.lenient)
     else:  # filter-blocks
-        entries = _catalog_entries(catalog_mod.load_catalog, args.input, args.lenient)
-        entries = list(catalog_mod.filter_blocks(entries))
-    _emit("".join(catalog_mod.format_entry(e) + "\n" for e in entries), args.out)
+        entries = _catalog_entries(catalog.load_catalog, args.input, args.lenient)
+        entries = list(catalog.filter_blocks(entries))
+    _emit("".join(catalog.format_entry(e) + "\n" for e in entries), args.out)
     return EXIT_OK
 
 
@@ -319,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--builtin", help="builtin matroid to scan")
     p_scan.add_argument("--group", help="group spec string")
     p_scan.add_argument(
-        "--predicate", choices=list(lab_mod.PREDICATE_FROM_NAME),
+        "--predicate", choices=PREDICATE_CHOICES,
         help="default strong-block",
     )
     p_scan.add_argument("--reduction", choices=["none", "translation"], help="default none")
@@ -366,8 +380,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.jobs < 1:
             raise UsageError(f"--jobs must be at least 1, got {magnitude(args.jobs)}")
         return args.func(args)
-    except (GcmbError, OSError) as exc:
+    except GcmbError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ERROR
+    except OSError as exc:
+        message = str(exc)
+        if isinstance(exc.filename, str) and exc.filename2 is None:  # quote a long path short
+            message = f"[Errno {exc.errno}] {exc.strerror}: {quote(exc.filename)}"
+        sys.stderr.write(f"error: {message}\n")
         return EXIT_ERROR
 
 

@@ -24,7 +24,6 @@ import math
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
@@ -678,6 +677,8 @@ def isolation_scan(
 
     workers = min(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # one job starts no pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = list(pool.map(_scan_task, tasks))
     else:

@@ -943,6 +943,19 @@ _KIND_LINES = {"uniform": ("n", "r"), "graphic": ("vertices", "edge"),
 _FIELDS = ("n", "r", "vertices", "field", "rows")
 
 
+def _refuse_long_integers(tokens: Sequence[str], what: str, lineno: int) -> None:
+    """A ParseError on line `lineno` if the first token that int() refuses has
+    more than INTEGER_DIGITS_LIMIT digits.  Called only once int() refused a
+    token of the line, so a file that int() reads pays nothing for it."""
+    for token in tokens:
+        try:
+            read_int(token, what)
+        except CapacityError as exc:
+            raise ParseError(str(exc), lineno) from None
+        except ValueError:
+            return
+
+
 def parse_matroid(text: str, trust: bool = False) -> Matroid:
     """Parse the line-oriented matroid format (see README for the grammar)."""
     lines = list(content_lines(text))
@@ -972,6 +985,7 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
             try:
                 base_rows.append([int(t) for t in tokens[1:]])
             except ValueError:
+                _refuse_long_integers(tokens[1:], "base index", lineno)
                 raise ParseError("base lines need integer indices", lineno) from None
         elif key in _FIELDS:
             if len(tokens) != 2:
@@ -983,6 +997,7 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
             try:
                 rows.append([int(t) for t in tokens])
             except ValueError:
+                _refuse_long_integers(tokens, "matrix entry", lineno)
                 raise ParseError(f"unrecognized line {quote(line)}", lineno) from None
 
     def intfield(name: str) -> int:

@@ -593,8 +593,10 @@ def solve_proximity(
 
 def _indexed_values(text: str, n: int, what: str, convert: Callable[[str], object]) -> list:
     """The values of lines `<element-index> <value>` for elements 0..n-1, in
-    index order, each made by `convert`; every element appears exactly once."""
+    index order, each made by `convert`; every element appears exactly once.
+    Each distinct value token is converted once, at its first line."""
     seen: dict[int, object] = {}
+    converted: dict[str, object] = {}
     for lineno, line in content_lines(text):
         parts = line.split(None, 1)
         if len(parts) != 2:
@@ -607,10 +609,12 @@ def _indexed_values(text: str, n: int, what: str, convert: Callable[[str], objec
             raise ParseError(f"element index {quote(parts[0])} outside 0..{n - 1}", lineno)
         if index in seen:
             raise ParseError(f"element {index} appears twice", lineno)
-        try:
-            seen[index] = convert(parts[1])
-        except (ParseError, UsageError) as exc:
-            raise ParseError(str(exc), lineno) from None
+        if parts[1] not in converted:
+            try:
+                converted[parts[1]] = convert(parts[1])
+            except (ParseError, UsageError) as exc:
+                raise ParseError(str(exc), lineno) from None
+        seen[index] = converted[parts[1]]
     missing = [e for e in range(n) if e not in seen]
     if missing:
         raise ParseError(f"elements without {what} ({len(missing)} of {n}): {element_list(missing)}")

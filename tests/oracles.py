@@ -928,3 +928,31 @@ def closeness_witness_einsum(
         return None
     return Witness(m, labeling, int(labels[b]), bases[a], bases[b], d, k, weights=weights)
 
+
+
+# -- input files -----------------------------------------------------------------
+
+
+def indexed_values_reference(text: str, n: int, what: str, convert) -> list:
+    """`solver._indexed_values` that converts the value token of every line anew."""
+    seen: dict[int, object] = {}
+    for lineno, line in content_lines(text):
+        parts = line.split(None, 1)
+        if len(parts) != 2:
+            raise ParseError("expected '<element-index> <value>'", lineno)
+        try:
+            index = int(parts[0])
+        except ValueError:
+            raise ParseError(f"bad element index {quote(parts[0])}", lineno) from None
+        if not 0 <= index < n:
+            raise ParseError(f"element index {quote(parts[0])} outside 0..{n - 1}", lineno)
+        if index in seen:
+            raise ParseError(f"element {index} appears twice", lineno)
+        try:
+            seen[index] = convert(parts[1])
+        except (ParseError, UsageError) as exc:
+            raise ParseError(str(exc), lineno) from None
+    missing = [e for e in range(n) if e not in seen]
+    if missing:
+        raise ParseError(f"elements without {what} ({len(missing)} of {n}): {element_list(missing)}")
+    return [seen[e] for e in range(n)]

@@ -485,6 +485,24 @@ class TestCheckSs:
         assert out_a == out_a2
 
 
+    def test_a_violated_bound_exits_3(self, capsys, monkeypatch):
+        """The command looks the check up on `gcmb.lab` when it runs, where a
+        tracer or this test replaces it."""
+        from gcmb.lab import ImageBoundReport
+
+        report = ImageBoundReport(image_size=1, stabilizer=0b1, num_cosets=3, rank_sum=2,
+                                  bound=2, holds=False)
+        checked = []
+        monkeypatch.setattr("gcmb.lab.check_schrijver_seymour",
+                            lambda m, labeling: checked.append((m.n, labeling.group)) or report)
+        code, out, err = run(capsys, "check-ss", "--builtin", "k4", "--random", "2")
+        line = "image=1 stabilizer=1 cosets=3 rank-sum=2 bound=2 holds=no"
+        assert (code, err) == (3, "")
+        assert out == ("# gcmb check-ss matroid=k4 group=Z3 seed=0\n"
+                       f"labeling=random-0 {line}\nlabeling=random-1 {line}\n"
+                       "summary checked=2 violations=2\n")
+        assert [(n, str(group)) for n, group in checked] == [(6, "Z3"), (6, "Z3")]
+
     def test_labels_and_random_are_refused_together(self, capsys, tmp_path):
         """Random labelings replace the given one, which would go unchecked."""
         labels = tmp_path / "k4.lab"

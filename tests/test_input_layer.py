@@ -17,7 +17,9 @@ from gcmb.errors import GcmbError, ParseError, UsageError, content_lines
 from gcmb.groups import GroupSpec
 from gcmb.lab import parse_scan_report
 from gcmb.matroids import make_explicit, parse_matroid
-from gcmb.solver import parse_labeling, parse_weights
+from gcmb.solver import Labeling, _weight, parse_labeling, parse_weights
+
+from oracles import indexed_values_reference
 
 MESSAGE_LIMIT = 1000
 U24 = "0,1;0,2;0,3;1,2;1,3;2,3"
@@ -406,3 +408,36 @@ def test_parser_survives_extreme_tokens(name):
         parses_or_fails_short(parse, text)
 
     check()
+
+
+# -- each distinct value token is converted once ---------------------------------
+
+
+def outcome(read):
+    """What a reader gives: its value, or its error's class and message."""
+    try:
+        return read()
+    except GcmbError as exc:
+        return type(exc), str(exc)
+
+
+#: Lines of element indices 0..4 (one past n = 4) and value tokens few enough to repeat,
+#: bad ones among them: a group element outside Z4, a zero denominator, a word.
+VALUE_LINES = st.lists(
+    st.builds("{} {}".format, st.sampled_from(["0", "1", "2", "3", "4", "x"]),
+              st.sampled_from(["0", "1", "3", "1,0", "4", "-3", "7/2", "1/0", "2.5", "x",
+                               "7" * 5000])),
+    max_size=8,
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUE_LINES, st.sampled_from(["Z4", "Z2xZ2"]))
+def test_value_readers_equal_the_reference_that_converts_every_line(text, group_text):
+    group = GroupSpec.parse(group_text)
+    expected = outcome(lambda: Labeling(
+        group, tuple(indexed_values_reference(text, 4, "labels", group.parse_index))))
+    assert outcome(lambda: parse_labeling(text, group, 4)) == expected
+    expected = outcome(lambda: tuple(indexed_values_reference(text, 4, "weights", _weight)))
+    got = outcome(lambda: parse_weights(text, 4))
+    assert got == expected and list(map(type, got)) == list(map(type, expected))

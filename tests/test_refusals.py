@@ -2,6 +2,9 @@
 one `error:` line, and a file, constructor or library call raises its own
 error class with its own message."""
 
+import errno
+import os
+
 import pytest
 
 from gcmb.catalog import parse_indicator_file
@@ -48,6 +51,7 @@ FILES = {"m": "matroid uniform\nn 4\nr 2\n", "z3": shard("Z3"), "z4": shard("Z4"
          "huge_seed": shard("Z3").replace("seed=0", f"seed={HUGE}"),
          "huge_n": f"x {HUGE} 2 0,1;0,2\n"}
 DIGITS_PAST = "of 5000 digits exceeds the limit of 4300 digits (INTEGER_DIGITS_LIMIT)"
+LONG_PATH = "x" * 5000  # one path component past any file system's name limit
 K4_Z4 = ["scan", "--builtin", "k4", "--group", "Z4"]
 
 
@@ -89,6 +93,12 @@ K4_Z4 = ["scan", "--builtin", "k4", "--group", "Z4"]
                  id="shard-group-order"),
     pytest.param(["scan", "--catalog", "{huge_n}", "--group", "Z3"],
                  f"line 1: entry 'x': 'n' {DIGITS_PAST}", id="catalog-n-digits"),
+    pytest.param(["bases", "--matroid", LONG_PATH],
+                 f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
+                 f"{quote(LONG_PATH)}", id="long-path"),
+    pytest.param(["bases", "--matroid", "no-such.mat"],
+                 f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'no-such.mat'",
+                 id="missing-path"),
 ])
 def test_cli_refusal(capsys, tmp_path, argv, message):
     paths = {name: tmp_path / name for name in FILES}
@@ -102,6 +112,10 @@ def test_cli_refusal(capsys, tmp_path, argv, message):
     # files
     pytest.param(lambda k4: parse_matroid("matroid explicit\nn 2\nbase 0 x\n"), ParseError,
                  "line 3: base lines need integer indices", id="base-line-token"),
+    pytest.param(lambda k4: parse_matroid(f"matroid explicit\nn 2\nbase 0 {HUGE}\n"), ParseError,
+                 f"line 3: base index {DIGITS_PAST}", id="base-line-digits"),
+    pytest.param(lambda k4: parse_matroid(f"matroid linear\nfield 3\nrows 1\n1 {HUGE} 0\n"),
+                 ParseError, f"line 4: matrix entry {DIGITS_PAST}", id="matrix-entry-digits"),
     pytest.param(lambda k4: parse_matroid("matroid linear\nfield 3\nrows 2\n1 1\n"), ParseError,
                  "expected '2' matrix rows, got 1", id="linear-rows-missing"),
     pytest.param(lambda k4: list(parse_indicator_file("n x\nr 2\n")), ParseError,

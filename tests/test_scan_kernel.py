@@ -2,6 +2,7 @@
 of a labeling index into low digits and a high block, at both ends of the
 labeling index space, and the bound on scan worker processes."""
 
+import concurrent.futures
 import warnings
 from unittest.mock import patch
 
@@ -285,7 +286,7 @@ def test_scan_workers_are_clamped(monkeypatch, k4, jobs, cpus, index_range, work
         isolation_scan([("mk4", k4)], Z3, "strong_block", index_range=index_range)
     )
     RecordingExecutor.created = []
-    monkeypatch.setattr(lab_mod, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lab_mod.os, "cpu_count", lambda: cpus)
     report = isolation_scan(
         [("mk4", k4)], Z3, "strong_block", index_range=index_range, jobs=jobs
