@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .matroids import (
     ExplicitMatroid,
     GraphicMatroid,
     Matroid,
+    explicit_matroids,
     find_blocks,
     make_explicit,
     make_graphic,
@@ -58,45 +59,104 @@ class CatalogEntry:
 #: Lines a lenient parse skipped, as (line number, "entry 'id': reason").
 Problems = Optional[list[tuple[int, str]]]
 
+#: Cells one batch of catalog lines may fill (see `_entries`).
+_BATCH_CELLS = 1 << 18
+
 
 def _entries(
     lines: Iterable[tuple[int, str]],
-    fields: Callable[[str], tuple[int, int, np.ndarray | Sequence[BaseSet]]],
+    fields: Callable[[str], tuple[int, int, _Tokens | Sequence[BaseSet]]],
     lenient: bool,
     problems: Problems,
 ) -> Iterator[CatalogEntry]:
     """Validated entries of both catalog formats from `<id> <rest>` lines.
 
-    `fields` turns the rest into (n, r, bases).  A bad line (a syntax error,
-    a failing exchange axiom, a wrong rank or a size over a limit) raises a
-    ParseError naming the line, or when lenient is skipped and appended to
-    `problems`.
+    `fields` turns the rest into (n, r, bases).  The lines go in batches of
+    consecutive lines, each taking lines until it holds _BATCH_CELLS cells:
+    a line counts its characters and the array cells of its base list (see
+    `_cells`).  A batch reads its element tokens in one pass (`_read_tokens`)
+    and validates its base lists in one `explicit_matroids` call.  Entries
+    are yielded in line order.  A bad line (a syntax error, a failing
+    exchange axiom, a wrong rank or a size over a limit) raises a ParseError
+    naming the line, or when lenient is skipped and appended to `problems`,
+    once every entry before it has been yielded; so is an error that
+    reading `lines` raises.
     """
-    for lineno, line in lines:
-        entry_id, *rest = line.split(None, 1)
-        try:
-            n, r, bases = fields("".join(rest))
-            matroid = make_explicit(n, bases)
-            if matroid.full_rank != r:
-                raise UsageError("rank mismatch")
-        except (ParseError, UsageError, CapacityError) as exc:
-            reason = f"entry {quote(entry_id)}: {exc}"
-            if not lenient:
-                raise ParseError(reason, lineno) from None
-            if problems is not None:
-                problems.append((lineno, reason))
-            continue
-        yield CatalogEntry(entry_id, n, r, matroid.base_list, matroid)
+    lines, done = iter(lines), False
+    while not done:
+        batch: list[list] = []  # [line number, id, (n, r, bases) or the fault]
+        cells, stop = 0, None
+        while cells < _BATCH_CELLS:
+            try:
+                lineno, line = next(lines)
+            except StopIteration:
+                done = True
+                break
+            except ParseError as exc:  # a fault of the file, not of one line
+                stop = exc
+                break
+            entry_id, *rest = line.split(None, 1)
+            cells += len(line)
+            try:
+                parsed = fields("".join(rest))
+                cells += _cells(*parsed)
+            except (ParseError, UsageError, CapacityError) as exc:
+                parsed = str(exc)
+            batch.append([lineno, entry_id, parsed])
+        yield from _batch_entries(batch, lenient, problems)
+        if stop is not None:
+            raise stop
+
+
+def _batch_entries(batch: list[list], lenient: bool, problems: Problems) -> Iterator[CatalogEntry]:
+    """The entries of one batch of `_entries`, each bad line raised or skipped in its turn."""
+    _read_tokens(batch)
+    parsed = [item[2] for item in batch if isinstance(item[2], tuple)]
+    built = iter(explicit_matroids([(n, bases) for n, _, bases in parsed]))
+    for lineno, entry_id, fields in batch:
+        fault = fields
+        if isinstance(fields, tuple):
+            n, r, _ = fields
+            matroid = fault = next(built)
+            if isinstance(matroid, ExplicitMatroid):
+                if matroid.full_rank == r:
+                    yield CatalogEntry(entry_id, n, r, matroid.base_list, matroid)
+                    continue
+                fault = "rank mismatch"
+        reason = f"entry {quote(entry_id)}: {fault}"
+        if not lenient:
+            raise ParseError(reason, lineno)
+        if problems is not None:
+            problems.append((lineno, reason))
+
+
+class _Tokens(NamedTuple):
+    """The base chunks of a catalog line, all of `width` elements, which its
+    batch reads as int64 rows (see `_read_tokens`)."""
+
+    chunks: list[str]
+    width: int
+
+
+def _cells(n: int, r: int, bases: _Tokens | Sequence[BaseSet]) -> int:
+    """The array cells of a line's base list in `explicit_matroids`: n per
+    element token for the swap lookups, and 2^n for its base table.  A line
+    with n outside 0..EXPLICIT_VALIDATE_MAX gets neither."""
+    if isinstance(bases, _Tokens):
+        tokens = len(bases.chunks) * bases.width
+    else:
+        tokens = sum(map(len, bases))
+    return tokens * n + (1 << n) if 0 <= n <= EXPLICIT_VALIDATE_MAX else tokens
 
 
 #: int() of the plain element tokens, which a lookup reads faster.
 _ELEMENT_TOKENS = {str(e): e for e in range(256)}
 
 
-def _catalog_fields(rest: str) -> tuple[int, int, np.ndarray | list[tuple[int, ...]]]:
-    """(n, r, bases) of `<n> <r> <bases>`.  Bases of one size whose elements
-    fit in int64 are read in one pass, into the rows of an array; other bases
-    as tuples, the first one that is not a list of integers refused."""
+def _catalog_fields(rest: str) -> tuple[int, int, _Tokens | list[BaseSet]]:
+    """(n, r, bases) of `<n> <r> <bases>`.  Bases of one size are left as
+    `_Tokens` for their batch to read; others are read as tuples, the first
+    one that is not a list of integers refused."""
     parts = rest.split(None, 2)
     if len(parts) != 3:
         raise ParseError("expected '<id> <n> <r> <bases>'")
@@ -105,22 +165,43 @@ def _catalog_fields(rest: str) -> tuple[int, int, np.ndarray | list[tuple[int, .
     except ValueError:
         raise ParseError("bad n/r") from None
     chunks = list(filter(str.strip, parts[2].split(";")))
-    if len({chunk.count(",") for chunk in chunks}) == 1:
-        tokens = ",".join(chunks).split(",")
-        values = list(map(_ELEMENT_TOKENS.get, tokens))
-        try:
-            if None in values:
-                values = list(map(int, tokens))
-            return n, r, np.array(values, dtype=np.int64).reshape(len(chunks), -1)
-        except (ValueError, OverflowError):
-            pass
+    widths = {chunk.count(",") for chunk in chunks}
+    if len(widths) == 1:
+        return n, r, _Tokens(chunks, widths.pop() + 1)
+    return n, r, _base_tuples(chunks)
+
+
+def _base_tuples(chunks: Sequence[str]) -> list[BaseSet]:
     bases = []
     for chunk in chunks:
         try:
             bases.append(tuple(map(int, chunk.split(","))))
         except ValueError:
             raise ParseError(f"bad base {quote(chunk.strip())}") from None
-    return n, r, bases
+    return bases
+
+
+def _read_tokens(batch: list[list]) -> None:
+    """Replace the `_Tokens` of a batch's lines with (count x width) int64
+    arrays, read in one pass while every token is a small element.  Else
+    each line is read as tuples (see `_base_tuples`), or is refused."""
+    pending = [item for item in batch if isinstance(item[2], tuple)
+               and isinstance(item[2][2], _Tokens)]
+    tokens = ",".join(",".join(item[2][2].chunks) for item in pending).split(",")
+    values = list(map(_ELEMENT_TOKENS.get, tokens))
+    if None not in values:
+        flat, at = np.array(values, dtype=np.int64), 0
+        for item in pending:
+            n, r, (chunks, width) = item[2]
+            item[2] = n, r, flat[at : at + len(chunks) * width].reshape(len(chunks), width)
+            at += len(chunks) * width
+        return
+    for item in pending:
+        n, r, (chunks, _) = item[2]
+        try:
+            item[2] = n, r, _base_tuples(chunks)
+        except ParseError as exc:
+            item[2] = str(exc)
 
 
 def parse_catalog(
@@ -131,6 +212,10 @@ def parse_catalog(
 
 
 def load_catalog(path, lenient: bool = False, problems: Problems = None) -> Iterator[CatalogEntry]:
+    """The entries of a catalog file, one per good line, in line order.  Its
+    lines are read and validated in batches (see `_entries`), so the first
+    entry of a batch costs the whole batch and the rest come at once; a bad
+    line raises, or is skipped when lenient, after the entries before it."""
     yield from parse_catalog(read_text(path), lenient=lenient, problems=problems)
 
 

@@ -492,13 +492,17 @@ def _split(
 
     Sparse counts cost _COUNT_WEIGHT per (base, low labeling).  When the
     labelings span more than one high block, the shifted sums add one per
-    (high block, low labeling, class, group value).  Ties go to the least L.
+    (high block, low labeling, class, group value); inside one high block,
+    the fold's dense count adds two per (low labeling, group value), one for
+    each of its bincounts.  Ties go to the least L.
     """
     costs = []
     for low, first, last, count in spans:
         cost = _COUNT_WEIGHT * bases * count
         if last > first:
             cost += (last - first + 1) * count * classes[low] * order
+        else:
+            cost += 2 * order * count
         costs.append((cost, low))
     return min(costs)[1]
 

@@ -59,8 +59,8 @@ def read_int(text: str, what: str, limit: str = "") -> int:
 
 class Matroid:
     """Base class: subclasses implement `_indep` on frozensets of indices, the
-    counted oracle, and may override the hooks `_rank`, `cursor`, `circuits`
-    and `_base_rows`, never the public methods that call them."""
+    counted oracle, and may override the hooks `_rank`, `cursor`, `circuits`,
+    `_base_rows` and `_block_table`, never the public methods that call them."""
 
     kind = "abstract"
 
@@ -158,8 +158,12 @@ class Matroid:
         """The rows of `base_rows`, under its guard, blocks first (bases whose
         complement is a base), each part lexicographic; the int64 bitmask of
         each row; and the number of blocks.  Only a block candidate asks for
-        it (n = 2r > 0), so the guard keeps n below 27.  Built once; both
-        arrays are read-only, as every caller shares them."""
+        it (n = 2r > 0), so the guard keeps n below 27.  Built once, by
+        `_block_table`; both arrays are read-only, as every caller shares
+        them."""
+        return self._block_table()
+
+    def _block_table(self) -> tuple[np.ndarray, np.ndarray, int]:
         rows = self.base_rows()
         masks = (np.int64(1) << rows).sum(axis=1)
         flags = _complements_found(self.n, masks)
@@ -493,63 +497,32 @@ class ExplicitMatroid(Matroid):
     """Matroid given by the full list of its bases.
 
     The bases are kept once, as the rows of a read-only int64 array in
-    lexicographic order, which `base_rows` hands out uncopied (the block
-    table reorders a copy), and as sorted tuples in the same order
-    (`base_list`).  The frozensets the oracle reads are built on first use.
+    lexicographic order, which `base_rows` hands out uncopied, and as sorted
+    tuples in the same order (`base_list`).  The list is validated as a
+    batch of one (see `explicit_matroids`).  A block candidate of at most
+    EXPLICIT_VALIDATE_MAX elements reads its block flags from the base table
+    of that batch.  The frozensets the oracle reads are built on first use.
     """
 
     kind = "explicit_bases"
+    #: The block tables of the matroid's batch and its place there, for a
+    #: block candidate of at most EXPLICIT_VALIDATE_MAX elements.
+    _blocks: Optional[tuple[_BlockTables, int]] = None
 
     def __init__(self, n: int, bases: Iterable[Iterable[int]] | np.ndarray, trust: bool = False):
-        super().__init__(n)
-        if n > EXPLICIT_VALIDATE_MAX and not trust:
-            raise UsageError(
-                f"explicit base lists with n > {EXPLICIT_VALIDATE_MAX} are only "
-                f"accepted with trust enabled (exchange validation is quadratic)"
-            )
-        self.base_list, self._rows = _explicit_bases(n, bases)
-        self.r = self._full_rank = self._rows.shape[1]
-        if not trust:
-            self._validate_exchange()
+        (fault,) = _adopt_base_lists([(self, n, bases)], trust)
+        if fault is not None:
+            raise fault
+
+    def _block_table(self) -> tuple[np.ndarray, np.ndarray, int]:
+        if self._blocks is None:
+            return super()._block_table()
+        batch, k = self._blocks
+        return batch.tables[k]
 
     @functools.cached_property
     def _base_lookup(self) -> frozenset[frozenset[int]]:
         return frozenset(map(frozenset, self.base_list))
-
-    def _validate_exchange(self) -> None:
-        """For bases A, B and a in A - B, some b in B - A makes A - a + b a base.
-
-        Bases are bitmasks, looked up in a table of all 2^n subsets.
-        need[A, a] holds a and every b outside A with A - a + b a base, so
-        (A, B, a) fails exactly when B misses all of need[A, a].  The
-        reported violation is the first (A, B, a) in the order of the plain
-        loop over A, then B, then the set A - B.
-        """
-        bits = 1 << np.arange(self.n, dtype=np.int64)
-        elements = self._rows  # bases x r, also for r = 0
-        masks = (np.int64(1) << elements).sum(axis=1)
-        is_base = np.zeros(1 << self.n, dtype=bool)
-        is_base[masks] = True
-        rest = masks[:, None] ^ bits[elements]  # A - a, bases x positions of a
-        outside = (masks[:, None] & bits) == 0  # bases x elements
-        swaps = is_base[rest[:, :, None] | bits] & outside[:, None, :]
-        need = ((swaps * bits).sum(axis=2) | bits[elements]).astype(
-            np.min_scalar_type((1 << self.n) - 1)
-        )
-        other = masks.astype(need.dtype)
-        missed = ((need[:, :, None] & other[None, None, :]) == 0).any(axis=1)
-        if not missed.any():
-            return
-        i, j = (int(x) for x in np.argwhere(missed)[0])
-        a_set, b_set = frozenset(self.base_list[i]), frozenset(self.base_list[j])
-        a = next(
-            a for a in a_set - b_set
-            if not need[i, self.base_list[i].index(a)] & other[j]
-        )
-        raise UsageError(
-            f"base exchange axiom fails: no swap for element {a} of "
-            f"{tuple(sorted(a_set))} toward {tuple(sorted(b_set))}"
-        )
 
     def _base_rows(self, r: int) -> np.ndarray:
         return self._rows
@@ -568,40 +541,201 @@ def _complements_found(n: int, masks: np.ndarray) -> np.ndarray:
     return known[np.searchsorted(known, complements).clip(max=len(known) - 1)] == complements
 
 
-def _explicit_bases(
-    n: int, bases: Iterable[Iterable[int]] | np.ndarray
-) -> tuple[tuple[BaseSet, ...], np.ndarray]:
-    """The distinct bases of a base list, any iterable of integer sequences
-    or a 2-D integer array: as sorted tuples in lexicographic order, and as
-    the rows of a read-only (count x r) int64 array in the same order.
+def explicit_matroids(
+    lists: Sequence[tuple[int, Iterable[Iterable[int]] | np.ndarray]],
+) -> list[ExplicitMatroid | UsageError | CapacityError]:
+    """The validated ExplicitMatroid of each (n, bases) pair, or the error
+    that refuses its list, with one numpy pass per (n, r) shape of the batch
+    (see `_adopt_base_lists`).  `ExplicitMatroid(n, bases)` is a batch of one."""
+    built = [ExplicitMatroid.__new__(ExplicitMatroid) for _ in lists]
+    faults = _adopt_base_lists([(m, n, bases) for m, (n, bases) in zip(built, lists)], False)
+    return [m if fault is None else fault for m, fault in zip(built, faults)]
 
-    A list with no base, with a fault that `_first_fault` names, or whose
-    union misses an element (a loop) is refused.
+
+def _adopt_base_lists(
+    items: Sequence[tuple[ExplicitMatroid, int, Iterable[Iterable[int]] | np.ndarray]],
+    trust: bool,
+) -> list[Optional[UsageError | CapacityError]]:
+    """Validate the base list of each (matroid, n, bases) and fill in the
+    matroids whose lists pass; the error of each other one.
+
+    A list is refused for the first of: the ground size (`Matroid.__init__`),
+    n > EXPLICIT_VALIDATE_MAX unless trusted, no base, a fault that
+    `_first_fault` names, an element in no base (a loop), and unless
+    trusted the exchange axiom (`_exchange_faults`).  The distinct bases are
+    kept in lexicographic order.
     """
-    if not isinstance(bases, np.ndarray):
-        bases = [tuple(b) for b in bases]
-    if not len(bases):
-        raise UsageError("explicit matroid needs a nonempty base list")
-    try:
-        rows = np.sort(np.array(bases, dtype=np.int64), axis=1)
-    except (ValueError, OverflowError):  # bases of two sizes, or an element past int64
-        raise UsageError(_first_fault(n, bases)) from None
+    faults: list[Optional[UsageError | CapacityError]] = [None] * len(items)
+    shapes: dict[tuple[int, int], list[tuple[int, ExplicitMatroid, np.ndarray]]] = {}
+    for at, (m, n, bases) in enumerate(items):
+        try:
+            Matroid.__init__(m, n)
+            if n > EXPLICIT_VALIDATE_MAX and not trust:
+                raise UsageError(
+                    f"explicit base lists with n > {EXPLICIT_VALIDATE_MAX} are only "
+                    f"accepted with trust enabled (exchange validation is quadratic)"
+                )
+            if not isinstance(bases, np.ndarray):
+                bases = [tuple(b) for b in bases]
+            if not len(bases):
+                raise UsageError("explicit matroid needs a nonempty base list")
+            try:
+                rows = np.asarray(bases, dtype=np.int64)
+            except (ValueError, OverflowError):  # bases of two sizes, or an element past int64
+                raise UsageError(_first_fault(n, bases)) from None
+        except (UsageError, CapacityError) as exc:
+            faults[at] = exc
+            continue
+        shapes.setdefault((n, rows.shape[1]), []).append((at, m, rows))
+    for (n, r), members in shapes.items():
+        reasons = _adopt_shape(n, r, [(m, rows) for _, m, rows in members], trust)
+        for k, reason in reasons.items():
+            faults[members[k][0]] = UsageError(reason)
+    return faults
+
+
+def _adopt_shape(
+    n: int, r: int, members: list[tuple[ExplicitMatroid, np.ndarray]], trust: bool
+) -> dict[int, str]:
+    """`_adopt_base_lists` for the (matroid, rows) of one shape: the fault of
+    each list refused, by position.
+
+    The rows are stacked and sorted by (list, row), and each matroid that
+    passes takes slices of them.  Lists of at most EXPLICIT_VALIDATE_MAX
+    elements get one table of their bases, indexed by list * 2^n + bitmask,
+    which the exchange check reads.  So do the block tables of block
+    candidates (n = 2r), built for the whole shape on first use.
+    """
+    sizes = [len(rows) for _, rows in members]
+    rows = np.concatenate([rows for _, rows in members])
+    rows.sort(axis=1)
+    entry = np.arange(len(members)).repeat(sizes)
+    reasons: dict[int, str] = {}
     # a negative element read as uint64 lies past n; a repeat stops a sorted row rising
-    if not ((rows.view(np.uint64) < n).all() and (rows[:, 1:] > rows[:, :-1]).all()):
-        raise UsageError(_first_fault(n, bases))
-    if rows.shape[1]:
-        rows = rows[np.lexsort(rows.T[::-1])]
+    if (rows.size and rows.view(np.uint64).max() >= n) or (rows[:, 1:] <= rows[:, :-1]).any():
+        bad = (rows.view(np.uint64) >= n).any(axis=1) | (rows[:, 1:] <= rows[:, :-1]).any(axis=1)
+        for k in np.unique(entry[bad]).tolist():
+            reasons[k] = _first_fault(n, rows[entry == k])
+        keep = ~np.isin(entry, list(reasons))
+        rows, entry = rows[keep], entry[keep]
+    rows = rows[np.lexsort((*rows.T[::-1], entry))]  # entry is the first key, so stays sorted
     repeated = (rows[1:] == rows[:-1]).all(axis=1)  # a base listed twice
     if repeated.any():
-        rows = rows[np.append(True, ~repeated)]
-    missing = np.flatnonzero(np.bincount(rows.ravel(), minlength=n) == 0)
-    if missing.size:
-        raise UsageError(
-            f"elements {element_list(missing.tolist())} appear in no base (loops); "
-            f"matroids here are loopless"
-        )
+        keep = np.append(True, ~(repeated & (entry[1:] == entry[:-1])))
+        rows, entry = rows[keep], entry[keep]
     rows.flags.writeable = False
-    return tuple(map(tuple, rows.tolist())), rows
+    seen = np.zeros((len(members), n), dtype=bool)
+    seen[entry[:, None], rows] = True
+    if not seen.all():
+        for k in np.flatnonzero(~seen.all(axis=1)).tolist():
+            reasons.setdefault(k, (
+                f"elements {element_list(np.flatnonzero(~seen[k]).tolist())} appear in no "
+                f"base (loops); matroids here are loopless"
+            ))
+    if len(rows) < sum(sizes):  # refused or repeated bases are gone
+        sizes = np.bincount(entry, minlength=len(members)).tolist()
+    bounds = [0, *itertools.accumulate(sizes)]
+    blocks = None
+    if n <= EXPLICIT_VALIDATE_MAX:
+        bits = 1 << np.arange(n, dtype=np.int64)
+        row_bits = bits[rows]
+        masks = row_bits.sum(axis=1)
+        slots = entry << n | masks
+        table = np.zeros(len(members) << n, dtype=bool)
+        table[slots] = True
+        if not trust:
+            exchange = _exchange_faults(n, bits, rows, row_bits, masks, slots, table, bounds)
+            for k, reason in exchange.items():
+                reasons.setdefault(k, reason)
+        if n == 2 * r > 0:
+            blocks = _BlockTables(n, rows, masks, entry, slots, table, bounds)
+    lists = rows.tolist()
+    for k, (m, _) in enumerate(members):
+        if k in reasons:
+            continue
+        start, stop = bounds[k], bounds[k + 1]
+        m.base_list = tuple(map(tuple, lists[start:stop]))
+        m._rows = rows[start:stop]
+        m.r = m._full_rank = r
+        if blocks is not None:
+            m._blocks = blocks, k
+    return reasons
+
+
+class _BlockTables:
+    """The block tables (see `Matroid.block_table`) of the lists of one
+    `_adopt_shape` call, built together when the first of them is asked for.
+    A row is a block when the base table holds its complement."""
+
+    def __init__(self, n: int, rows: np.ndarray, masks: np.ndarray, entry: np.ndarray,
+                 slots: np.ndarray, table: np.ndarray, bounds: list[int]):
+        self._batch = n, rows, masks, entry, slots, table, bounds
+
+    @functools.cached_property
+    def tables(self) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        n, rows, masks, entry, slots, table, bounds = self._batch
+        flags = table[slots ^ ((1 << n) - 1)]
+        order = np.lexsort((~flags, entry))
+        rows, masks = rows[order], masks[order]
+        rows.flags.writeable = masks.flags.writeable = False
+        blocks = np.bincount(entry[flags], minlength=len(bounds) - 1).tolist()
+        return [(rows[a:b], masks[a:b], c) for a, b, c in zip(bounds, bounds[1:], blocks)]
+
+
+@functools.cache
+def _subset_matrix(h: int) -> np.ndarray:
+    """Z[S, B] = 1 when B is a subset of S, over the subsets of 0..h-1."""
+    subsets = np.arange(1 << h)
+    return ((subsets[:, None] & subsets) == subsets).astype(np.float32)
+
+
+def _exchange_faults(
+    n: int,
+    bits: np.ndarray,
+    rows: np.ndarray,
+    row_bits: np.ndarray,
+    masks: np.ndarray,
+    slots: np.ndarray,
+    table: np.ndarray,
+    bounds: list[int],
+) -> dict[int, str]:
+    """The exchange fault of each list that has one, by position.
+
+    For bases A, B of one list and a in A - B, some b in B - A must make
+    A - a + b a base.  need[A, a] holds a and every b outside A with
+    A - a + b a base, so (A, B, a) fails exactly when B misses all of
+    need[A, a]: when a base lies inside the complement of need[A, a].  The
+    table lookup of A - a + b over every b gives need[A, a]: b = a gives A,
+    and any other b in A a set of r - 1 elements.  `inside` counts, per
+    list and subset of 0..n-1, the bases inside it, as Z @ table @ Z' over
+    its high and low bits.  The reported violation is the first (A, B, a)
+    in the order of the plain loop over A, then B, then the set A - B.
+    """
+    need = table[(slots[:, None] ^ row_bits)[:, :, None] | bits] @ bits
+    high, low = n - n // 2, n // 2
+    stacked = table.reshape(-1, 1 << high, 1 << low).astype(np.float32)
+    inside = (_subset_matrix(high) @ stacked @ _subset_matrix(low).T).ravel()
+    missed = inside[(slots | ((1 << n) - 1))[:, None] ^ need]
+    reasons: dict[int, str] = {}
+    if not missed.any():
+        return reasons
+    for i in np.flatnonzero(missed.any(axis=1)).tolist():
+        k = int(slots[i] >> n)
+        if k in reasons:
+            continue
+        start, stop = bounds[k], bounds[k + 1]
+        disjoint = ((need[i][:, None] & masks[start:stop]) == 0).any(axis=0)
+        j = start + int(np.flatnonzero(disjoint)[0])
+        a_base, b_base = rows[i].tolist(), rows[j].tolist()
+        a = next(
+            a for a in frozenset(a_base) - frozenset(b_base)
+            if not need[i, a_base.index(a)] & masks[j]
+        )
+        reasons[k] = (
+            f"base exchange axiom fails: no swap for element {a} of "
+            f"{tuple(a_base)} toward {tuple(b_base)}"
+        )
+    return reasons
 
 
 def _first_fault(n: int, bases: Sequence[Sequence[int]] | np.ndarray) -> str:
@@ -866,9 +1000,6 @@ class SboReport:
     violating_pair: Optional[tuple[BaseSet, BaseSet]]
     bijections: dict[tuple[BaseSet, BaseSet], ExchangeBijection]
 
-    def __bool__(self) -> bool:
-        return self.is_sbo
-
 
 def _sbo_guard(m: Matroid) -> None:
     """The guards of the bijection searches, on the rank and on C(n, r)."""
@@ -941,6 +1072,8 @@ def is_k_replaceable(m: Matroid, base_a: Iterable[int], base_b: Iterable[int], k
 _KIND_LINES = {"uniform": ("n", "r"), "graphic": ("vertices", "edge"),
                "linear": ("field", "rows", ""), "explicit": ("n", "base")}
 _FIELDS = ("n", "r", "vertices", "field", "rows")
+#: The first words that name a line; a line led by any other is a matrix row.
+_KEYS = frozenset(("edge", "base", *_FIELDS))
 
 
 def _refuse_long_integers(tokens: Sequence[str], what: str, lineno: int) -> None:
@@ -972,10 +1105,11 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
     edges: list[tuple[str, str]] = []
     rows: list[list[int]] = []
     base_rows: list[list[int]] = []
+    allowed = _KIND_LINES[kind]
     for lineno, line in lines[1:]:
         tokens = line.split()
         key = tokens[0]
-        if (key if key in ("edge", "base", *_FIELDS) else "") not in _KIND_LINES[kind]:
+        if (key if key in _KEYS else "") not in allowed:
             raise ParseError(f"matroid {kind} takes no line {quote(line)}", lineno)
         if key == "edge":
             if len(tokens) != 3:
@@ -983,7 +1117,7 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
             edges.append((tokens[1], tokens[2]))
         elif key == "base":
             try:
-                base_rows.append([int(t) for t in tokens[1:]])
+                base_rows.append(list(map(int, tokens[1:])))
             except ValueError:
                 _refuse_long_integers(tokens[1:], "base index", lineno)
                 raise ParseError("base lines need integer indices", lineno) from None
@@ -995,7 +1129,7 @@ def parse_matroid(text: str, trust: bool = False) -> Matroid:
             fields[key] = tokens[1]
         else:
             try:
-                rows.append([int(t) for t in tokens])
+                rows.append(list(map(int, tokens)))
             except ValueError:
                 _refuse_long_integers(tokens, "matrix entry", lineno)
                 raise ParseError(f"unrecognized line {quote(line)}", lineno) from None

@@ -281,8 +281,9 @@ def exchange_surplus(m: Matroid, a1: Iterable[int], b1: Iterable[int]) -> int:
 
 
 def validate_exchange_loop(m) -> None:
-    """`ExplicitMatroid._validate_exchange` with need[A, a] built element by
-    element over Python sets instead of from a table of all 2^n subsets."""
+    """The exchange check of `matroids._exchange_faults` with need[A, a]
+    built element by element over Python sets instead of from a table of all
+    2^n subsets, and every pair of bases compared."""
     masks = [sum(1 << e for e in b) for b in m.base_list]
     known = set(masks)
     need = np.zeros((len(masks), m.r), dtype=np.min_scalar_type((1 << m.n) - 1))

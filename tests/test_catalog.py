@@ -1,9 +1,12 @@
+import functools
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcmb import catalog as catalog_mod
 from gcmb import matroids as matroids_mod
 from gcmb.catalog import (
     BUILTINS,
@@ -25,7 +28,7 @@ from gcmb.catalog import (
 from gcmb.cli import main
 from gcmb.errors import ParseError, UsageError
 from gcmb.lab import label_image
-from gcmb.matroids import find_blocks, make_uniform
+from gcmb.matroids import Matroid, find_blocks, make_explicit, make_uniform
 
 from oracles import (
     ExplicitReference,
@@ -214,11 +217,12 @@ class TestBuiltins:
 
 # -- ingestion against the base-by-base reference --------------------------------
 
-BUNDLED_FAMILIES = [
-    (e.n, e.bases)
-    for name in ("rank3_size6.cat", "rank4_size8_blocks.cat")
-    for e in load_bundled_catalog(name)
-]
+#: Base lists of three shapes, by ground size, so that a batch mixes shapes.
+FAMILIES = {
+    4: [tuple(make_uniform(4, 2).bases()), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))],
+    6: [e.bases for e in load_bundled_catalog("rank3_size6.cat")],
+    8: [e.bases for e in load_bundled_catalog("rank4_size8_blocks.cat")],
+}
 
 
 @st.composite
@@ -226,7 +230,8 @@ def catalog_lines(draw, entry_id):
     """One catalog line: a matroid's bases or a near miss, under mutations
     that each break one rule of the format or of the base list."""
     if draw(st.booleans()):
-        n, family = draw(st.sampled_from(BUNDLED_FAMILIES))
+        n = draw(st.sampled_from(sorted(FAMILIES)))
+        family = draw(st.sampled_from(FAMILIES[n]))
     else:
         n = draw(st.integers(1, 7))
         r = draw(st.integers(1, n))
@@ -282,7 +287,7 @@ def catalog_lines(draw, entry_id):
 
 @st.composite
 def catalog_texts(draw):
-    count = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 12))
     lines = [draw(catalog_lines(f"e{i}")) for i in range(count)]
     return "".join(f"{line}\n" for line in lines)
 
@@ -308,20 +313,42 @@ def reference_shape(entry):
     return entry_id, n, r, m.base_list, block_bases_reference(n, m.base_list)
 
 
+#: Batch sizes in array cells: one line a batch, a few lines, and the default.
+DEFAULT_CELLS = catalog_mod._BATCH_CELLS
+BATCH_CELLS = [1, 600, 4000, DEFAULT_CELLS]
+U24 = "4 2 0,1;0,2;0,3;1,2;1,3;2,3"
+
+
 @settings(max_examples=300, deadline=None)
-@given(catalog_texts())
-@example("e 4 2 0,9;0,1,2\n")  # a size fault before a range fault in sorted order
-@example("e 4 2 0,1;0,1,99;0,2\n")  # both faults in one base: the size is named
-@example("e 4 2 0,1;-1,2\n")
-@example("e 4 2 0,1;0,99999999999999999999999\n")
-@example("e 4 2 0,0;x,1\n")  # a repeat before a bad token
-@example("e 13 2 0,x\n")  # a bad token before the ground size limit
-@example("e 4 2 ;;\n")
-@example("e 6 3 0,1,2;3,4,5;0,1,3\ne 4 2 0,1;0,2;0,3;1,2;1,3;2,3\n")
-def test_ingestion_matches_the_reference(text):
-    for lenient in (False, True):
-        got = ingested(parse_catalog, package_shape, text, lenient)
-        assert got == ingested(parse_catalog_reference, reference_shape, text, lenient)
+@given(catalog_texts(), st.sampled_from(BATCH_CELLS))
+@example("e 4 2 0,9;0,1,2\n", DEFAULT_CELLS)  # a size fault before a range fault in sorted order
+@example("e 4 2 0,1;0,1,99;0,2\n", DEFAULT_CELLS)  # both faults in one base: the size is named
+@example("e 4 2 0,1;-1,2\n", DEFAULT_CELLS)
+@example("e 4 2 0,1;0,99999999999999999999999\n", DEFAULT_CELLS)
+@example("e 4 2 0,0;x,1\n", DEFAULT_CELLS)  # a repeat before a bad token
+@example("e 13 2 0,x\n", DEFAULT_CELLS)  # a bad token before the ground size limit
+@example("e 4 2 ;;\n", DEFAULT_CELLS)
+@example(f"e 6 3 0,1,2;3,4,5;0,1,3\ne {U24}\n", DEFAULT_CELLS)
+@example(f"a 4 2 0,1;2,3\nb {U24}\n", DEFAULT_CELLS)  # a bad list, then one of its shape
+@example(f"a {U24}\nb 4 2 2,3\n", DEFAULT_CELLS)  # a's last base is b's only one
+def test_ingestion_matches_the_reference(text, cells):
+    with mock.patch.object(catalog_mod, "_BATCH_CELLS", cells):
+        for lenient in (False, True):
+            got = ingested(parse_catalog, package_shape, text, lenient)
+            assert got == ingested(parse_catalog_reference, reference_shape, text, lenient)
+
+
+@pytest.mark.parametrize("cells", BATCH_CELLS)
+def test_a_strict_parse_yields_the_entries_before_the_first_bad_line(cells, monkeypatch):
+    monkeypatch.setattr(catalog_mod, "_BATCH_CELLS", cells)
+    entries = parse_catalog(f"a {U24}\nb {U24}\nbad 4 2 0,1;2,3\nc {U24}\n")
+    assert [next(entries).id, next(entries).id] == ["a", "b"]
+    with pytest.raises(ParseError, match="^line 3: entry 'bad': base exchange axiom fails"):
+        next(entries)
+    imported = parse_indicator_file("n 4\nr 2\na 111111\nb 111111\nn 4\nc 111111\n")
+    assert [next(imported).id, next(imported).id] == ["a", "b"]
+    with pytest.raises(ParseError, match="^line 5: 'n 4' is not in an n/r header pair"):
+        next(imported)
 
 
 def test_every_line_of_the_bundled_catalogs_matches_the_reference():
@@ -340,18 +367,51 @@ def test_a_catalog_entry_answers_the_oracle_as_the_reference():
         assert oracles_equal(m, reference)
 
 
+def test_batch_block_tables_equal_the_tables_built_by_sorting_complements():
+    """A catalog entry reads its block flags from its batch's base table; the
+    table equals the one `Matroid._block_table` builds by sorting the
+    complements.  A trusted list past EXPLICIT_VALIDATE_MAX has no base
+    table and takes that sorting path."""
+    for name in ("rank3_size6.cat", "rank4_size8_blocks.cat"):
+        for e in load_bundled_catalog(name):
+            m = e.matroid()
+            if m.n == 2 * m.r:
+                rows, masks, blocks = m.block_table
+                sorted_rows, sorted_masks, sorted_blocks = Matroid._block_table(m)
+                assert (rows.tolist(), masks.tolist(), blocks) == (
+                    sorted_rows.tolist(), sorted_masks.tolist(), sorted_blocks)
+    bases = [b for b in itertools.combinations(range(14), 7) if 0 in b or {1, 2} <= set(b)]
+    m = make_explicit(14, bases, trust=True)
+    rows, _, blocks = m.block_table
+    assert [tuple(r) for r in rows[:blocks].tolist()] == block_bases_reference(14, m.base_list)
+    assert 0 < blocks < len(rows) == len(bases)
+
+
 def test_a_catalog_scan_finds_the_blocks_of_each_entry_once(monkeypatch, capsys):
-    calls = []
+    """The block flags of a catalog come from its batches' base tables: one
+    block table per entry, built once for the filter and the scan, and no
+    per-entry search for complements."""
+    built, searched = [], []
+
+    class CountingTables(matroids_mod._BlockTables):
+        @functools.cached_property
+        def tables(self):
+            tables = super().tables
+            built.append(len(tables))
+            return tables
+
     inner = matroids_mod._complements_found
 
     def counting(n, masks):
-        calls.append(masks)
+        searched.append(masks)
         return inner(n, masks)
 
+    monkeypatch.setattr(matroids_mod, "_BlockTables", CountingTables)
     monkeypatch.setattr(matroids_mod, "_complements_found", counting)
     path = bundled_path("rank4_size8_blocks.cat")
     assert main(["scan", "--catalog", str(path), "--group", "Z4", "--predicate", "block",
                  "--range", "0..64"]) == 0
     entries = load_bundled_catalog("rank4_size8_blocks.cat")
     assert len(capsys.readouterr().out.splitlines()) == len(entries) + 2
-    assert len(calls) == len(entries)
+    assert sum(built) == len(entries)
+    assert searched == []

@@ -1,12 +1,13 @@
 """Base-exchange validation of explicit base lists against the plain triple
 loop and the element-by-element loop, independence against "is a subset of
-some base", and validation done once per parsed catalog entry."""
+some base", and validation done once per parsed catalog entry, in its batch."""
 
 import itertools
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gcmb import matroids as matroids_mod
 from gcmb.catalog import CatalogEntry, parse_catalog, parse_indicator_file
 from gcmb.errors import UsageError
 from gcmb.matroids import EXPLICIT_VALIDATE_MAX, ExplicitMatroid
@@ -56,7 +57,9 @@ def test_validator_matches_plain_loop(family):
         m = ExplicitMatroid(n, bases, trust=True)  # structural checks only
     except UsageError:
         assume(False)
-    assert outcome(m._validate_exchange) == outcome(lambda: plain_validate(tuple(map(frozenset, m.base_list))))
+    assert outcome(lambda: ExplicitMatroid(n, bases)) == outcome(
+        lambda: plain_validate(tuple(map(frozenset, m.base_list)))
+    )
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
             expected = any(set(subset) <= set(b) for b in bases)
@@ -89,7 +92,7 @@ def test_table_validator_matches_element_loop(family):
         m = ExplicitMatroid(n, bases, trust=True)  # structural checks only
     except UsageError:
         assume(False)
-    assert outcome(m._validate_exchange) == outcome(lambda: validate_exchange_loop(m))
+    assert outcome(lambda: ExplicitMatroid(n, bases)) == outcome(lambda: validate_exchange_loop(m))
 
 
 def test_empty_ground_set_validates():
@@ -100,13 +103,13 @@ def test_empty_ground_set_validates():
 
 def test_parsed_entry_is_not_validated_again(monkeypatch):
     calls = []
-    original = ExplicitMatroid._validate_exchange
+    original = matroids_mod._adopt_base_lists
 
-    def counting(self):
-        calls.append(self.n)
-        original(self)
+    def counting(items, trust):
+        calls.extend(n for _, n, _ in items)
+        return original(items, trust)
 
-    monkeypatch.setattr(ExplicitMatroid, "_validate_exchange", counting)
+    monkeypatch.setattr(matroids_mod, "_adopt_base_lists", counting)
     (entry,) = parse_catalog("u24 4 2 0,1;0,2;0,3;1,2;1,3;2,3\n")
     (imported,) = parse_indicator_file("n 4\nr 2\nu24 111111\n")
     assert len(calls) == 2

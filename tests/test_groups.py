@@ -72,6 +72,7 @@ class TestParsing:
     def test_trivial(self):
         assert GroupSpec.parse("Z1").order == 1
         assert str(GroupSpec.parse("Z1")) == "Z1"
+        assert str(GroupSpec.parse("Z1").element_at(0)) == "0"
 
     def test_bad_specs(self):
         for text in ["", "Q8", "Z", "Zx4", "4"]:

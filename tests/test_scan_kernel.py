@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gcmb import cli
 from gcmb import lab as lab_mod
+from gcmb.catalog import load_bundled_catalog
 from gcmb.errors import CapacityError
 from gcmb.groups import GroupSpec
 from gcmb.lab import (
@@ -190,7 +191,10 @@ def test_a_shard_stops_at_its_first_hit(monkeypatch, k4):
 def test_split_follows_the_cost_estimate():
     """Over a large group the kernel keeps a chunk inside one high block and
     folds; over a small group the estimate prefers shifted class histograms
-    across blocks, since 70 bases outweigh 4 values times a few classes."""
+    across blocks, since 70 bases outweigh 4 values times a few classes.
+    Over Z16 the fold's dense count, two bincounts of 16 values per
+    labeling, outweighs the sparse count of 16 blocks: every chunk of a
+    strong-block scan of such a catalog entry over 5 * 2^20..6 * 2^20 splits."""
     classes = lab_mod._scan_bases(8, *U48.block_table[:2]).classes
     for order, folds in [(64, True), (4, False)]:
         start = 3 * order**5 + 12
@@ -198,6 +202,15 @@ def test_split_follows_the_cost_estimate():
         spans = lab_mod._ShardTables(order, 8, 1).spans(start, end)
         place = order ** lab_mod._split(order, spans, len(U48.bases()), classes)
         assert (start // place == end // place) == folds
+    m = next(e.matroid() for e in load_bundled_catalog("rank4_size8_blocks.cat")
+             if e.matroid().block_table[2] == 16)
+    rows, masks, blocks = m.block_table
+    classes = lab_mod._scan_bases(8, rows[:blocks], masks[:blocks]).classes
+    tables = lab_mod._ShardTables(16, 8, 1)
+    for start in range(5 << 20, 6 << 20, lab_mod._SCAN_CHUNK):
+        end = start + lab_mod._SCAN_CHUNK - 1
+        place = 16 ** lab_mod._split(16, tables.spans(start, end), blocks, classes)
+        assert start // place < end // place
 
 
 U612 = make_uniform(12, 6)
