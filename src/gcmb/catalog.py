@@ -238,16 +238,12 @@ def subset_colex_rank(subset: Sequence[int]) -> int:
     return sum(math.comb(a, i + 1) for i, a in enumerate(sorted(subset)))
 
 
-def subset_colex_unrank(position: int, r: int) -> BaseSet:
-    out = []
-    rest = position
-    for i in range(r, 0, -1):
-        a = i - 1
-        while math.comb(a + 1, i) <= rest:
-            a += 1
-        out.append(a)
-        rest -= math.comb(a, i)
-    return tuple(sorted(out))
+@functools.lru_cache(maxsize=None)
+def _colex_subsets(n: int, r: int) -> tuple[BaseSet, ...]:
+    """The r-subsets of 0..n-1 in colex order: position p holds the subset
+    whose `subset_colex_rank` is p.  Imports ask only for n <=
+    EXPLICIT_VALIDATE_MAX, so the cache holds at most 91 listings."""
+    return tuple(sorted(itertools.combinations(range(n), r), key=lambda s: s[::-1]))
 
 
 def entry_to_indicator(entry: CatalogEntry) -> str:
@@ -312,7 +308,7 @@ def parse_indicator_file(
         expected = math.comb(n, r)
         if len(indicator) != expected or set(indicator) - {"0", "1"}:
             raise ParseError(f"indicator must be {expected} chars of 0/1")
-        return n, r, [subset_colex_unrank(pos, r) for pos, c in enumerate(indicator) if c == "1"]
+        return n, r, list(itertools.compress(_colex_subsets(n, r), map("1".__eq__, indicator)))
 
     return _entries(data_lines(), fields, lenient, problems)
 

@@ -16,10 +16,17 @@ splits an index into its L low digits, below q^L <= 2^62 and held in int64,
 and a high block, index // q^L, which stays a Python int.  The kernel counts
 bases per group value; groups.GROUP_TABLE_LIMIT bounds the order of every
 group, so the counts stay small.
+
+A scan takes its block candidates of one ground size as stacks of up to
+_STACK_ROWS base rows, each entry's rows blocks first, one entry after
+another.  Per chunk of labelings the kernel picks one split, finds the high
+classes and their label sums, and sums the low-part labels once for the
+whole stack; each entry then counts its own slice of those labels.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -50,6 +57,7 @@ _SCAN_CHUNK = 1 << 15  # labelings per scan kernel call
 _LOW_PLACE_LIMIT = 1 << 62  # the scan kernel's low parts, below q^L, stay in int64
 _COUNT_WEIGHT = 8  # cost of a sparse count cell in shifted-sum cells (measured)
 _LABEL_CELLS = 1 << 18  # base labels the scan kernel holds at once
+_STACK_ROWS = _LABEL_CELLS >> 8  # rows per scan stack: a label batch covers 2^8 low parts
 
 
 def _base_labels(m: Matroid, labeling: Labeling) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -414,11 +422,11 @@ def _low_ranges(start: int, end: int, place: int) -> tuple[int, int, list[tuple[
 
 class _ShardTables:
     """The scan kernel's tables that depend on the labelings a chunk scans,
-    not on the entry: for each candidate number L of low digits, the chunk's
-    high blocks and low parts, and for an L that a split picks, the digits of
-    the low parts and of the high blocks.  One instance serves every entry of
-    one ground size in an `isolation_scan` call, and builds each table the
-    first time an entry asks for it."""
+    not on the entries: for each candidate number L of low digits, the
+    chunk's high blocks and low parts, and for an L that a split picks, the
+    digits of the low parts and of the high blocks.  One instance serves
+    every stack of one ground size in an `isolation_scan` call, and builds
+    each table the first time a stack asks for it."""
 
     def __init__(self, order: int, n: int, step: int):
         self.order, self.n, self.step = order, n, step
@@ -469,32 +477,61 @@ class _ChunkTables(NamedTuple):
     tail: int  # the position in lows past the end of the last block
 
 
-class _ScanBases(NamedTuple):
-    """What the kernel reads of an entry's bases, built once per entry."""
+class _Stack(NamedTuple):
+    """Block candidates of one ground size that the kernel scans as one: the
+    scanned rows of each entry, blocks first, one entry after another."""
 
-    masks: np.ndarray  # int64 bitmask per base
+    ids: tuple[str, ...]
+    blocks: tuple[int, ...]  # each entry's block count: its first rows
+    bounds: list[int]  # entry i holds rows bounds[i]:bounds[i + 1]
+    rows: np.ndarray  # the scanned base rows
+    masks: np.ndarray  # int64 bitmask per row
+    owner: np.ndarray  # int64 stack position of each row's entry
     incidence: np.ndarray  # see `_incidence`
-    classes: list[int]  # classes[L]: the distinct masks >> L
+    classes: list[int]  # classes[L]: the distinct class keys owner << n | masks >> L
 
 
-def _scan_bases(n: int, bases: np.ndarray, masks: np.ndarray) -> _ScanBases:
-    shifted = np.sort(masks[:, None] >> np.arange(n + 1), axis=0)
-    classes = 1 + (shifted[1:] != shifted[:-1]).sum(axis=0)
-    return _ScanBases(masks, _incidence(n, bases), classes.tolist())
+def _stack(n: int, entries: Sequence[tuple[str, np.ndarray, np.ndarray, int]]) -> _Stack:
+    """The stack of (id, rows, masks, block count) entries of ground size n."""
+    ids, rows, masks, blocks = zip(*entries)
+    sizes = [len(part) for part in rows]
+    owner = np.repeat(np.arange(len(ids), dtype=np.int64), sizes)
+    masks = np.concatenate(masks)
+    keys = np.sort(owner << n | masks >> np.arange(n + 1)[:, None], axis=1)
+    classes = 1 + (keys[:, 1:] != keys[:, :-1]).sum(axis=1)
+    rows = np.concatenate(rows)
+    bounds = [0, *itertools.accumulate(sizes)]
+    return _Stack(ids, blocks, bounds, rows, masks, owner, _incidence(n, rows), classes.tolist())
+
+
+def _stack_runs(entries: list) -> list[list]:
+    """The entries in runs of at most _STACK_ROWS rows, in order; an entry
+    larger than that is a run of its own."""
+    runs: list[list] = []
+    for entry in entries:
+        if not runs or sum(len(rows) for _, rows, _, _ in runs[-1]) + len(entry[1]) > _STACK_ROWS:
+            runs.append([])
+        runs[-1].append(entry)
+    return runs
 
 
 def _split(
-    order: int, spans: Sequence[tuple[int, int, int, int]], bases: int, classes: Sequence[int]
+    order: int,
+    spans: Sequence[tuple[int, int, int, int]],
+    bases: int,
+    classes: Sequence[int],
+    entries: int,
 ) -> int:
     """The number of low digits L with the least estimated work for a chunk
     with the candidate `spans` (see `_ShardTables.spans`), over `bases`
-    bases of which classes[L] differ in their high elements.
+    bases of `entries` entries, whose classes[L] classes differ in their
+    entry or their high elements: the sum of the entries' own estimates.
 
     Sparse counts cost _COUNT_WEIGHT per (base, low labeling).  When the
     labelings span more than one high block, the shifted sums add one per
     (high block, low labeling, class, group value); inside one high block,
-    the fold's dense count adds two per (low labeling, group value), one for
-    each of its bincounts.  Ties go to the least L.
+    each entry's dense count adds two per (low labeling, group value), one
+    for each of its bincounts.  Ties go to the least L.
     """
     costs = []
     for low, first, last, count in spans:
@@ -502,7 +539,7 @@ def _split(
         if last > first:
             cost += (last - first + 1) * count * classes[low] * order
         else:
-            cost += 2 * order * count
+            cost += 2 * order * count * entries
         costs.append((cost, low))
     return min(costs)[1]
 
@@ -510,109 +547,128 @@ def _split(
 def _scan_chunk(
     ar: IndexArithmetic,
     start: int,
-    n: int,
-    bases: np.ndarray,
-    block_count: int,
-    offsets: np.ndarray,
-    inputs: _ScanBases,
     shard: _ShardTables,
-) -> Optional[int]:
-    """The least isolating index among the labelings start + offsets, if any.
+    rows: np.ndarray,
+    stack: _Stack,
+    offsets: np.ndarray,
+) -> list[Optional[int]]:
+    """The least isolating index among the labelings start + offsets, if
+    any, for each entry of the stack.
 
-    The first `block_count` rows of `bases` are the blocks, and `inputs`
-    holds what the kernel reads of them.  A labeling is isolating when some
-    group value is the label of exactly one base and that base is a block.
-    `offsets` step evenly from 0 by the shard's step, and `start` is a
-    multiple of it.
+    `rows` are the stack's scanned rows.  A labeling is isolating for an
+    entry when some group value is the label of exactly one of its bases and
+    that base is a block.  `offsets` step evenly from 0 by the shard's step,
+    and `start` is a multiple of it.
 
     Meet in the middle: an index is a low part (the digits of elements
     0..L-1, below q^L, in int64) and a high block (index // q^L, a Python
-    int), with L from `_split`.  A base's label is its low-part sum plus the
-    high sum of B & High, which depends only on the class B & High.  Per
-    class, a bincount histograms the low-part labels over the chunk's low
-    parts, non-blocks counting twice; each high block then sums the class
-    histograms, each shifted by its class's high sum, and a value hits when
-    its total is 1.  Inside a single high block each base's high sum folds
-    into its labels, there is one class, and the count is the plain sparse
-    one.
+    int), with one L from `_split` for the whole stack.  A base's label is
+    its low-part sum plus the high sum of B & High, which depends only on
+    the class (entry, B & High).  Per class, a bincount histograms the
+    low-part labels over the chunk's low parts, non-blocks counting twice;
+    each high block then sums the entry's class histograms, each shifted by
+    its class's high sum, and a value hits when its total is 1.  Inside a
+    single high block each base's high sum folds into its labels, each entry
+    has one class, and the count is the plain sparse one.
 
-    The low parts go in ascending order.  Their labels are summed in batches
-    of about _LABEL_CELLS (bases times low parts) and counted in slices of
-    `width` low parts.  The scan stops after a batch once the least hit lies
-    in the first high block: every later low part is larger.
+    The stack's classes, their high sums and its low-part labels are each
+    found once for all entries; the counts are each entry's own, over its
+    slice of the labels.  The low parts go in ascending order.  Their labels
+    are summed in batches of about _LABEL_CELLS (rows times low parts) and
+    each entry counts them in slices of its `width` low parts.  An entry
+    stops counting after a batch once its least hit lies in the first high
+    block, as every later low part is larger; the scan stops when every
+    entry has.
     """
-    if block_count == 0:
-        return None
-    order = shard.order
+    order, entries = shard.order, len(stack.ids)
     end = start + int(offsets[-1])
-    low = _split(order, shard.spans(start, end), len(bases), inputs.classes)
+    low = _split(order, shard.spans(start, end), len(rows), stack.classes, entries)
     place, first, last, lows, digits, high, head, tail = shard.tables(start, end, low)
-    incidence = inputs.incidence
+    incidence, bounds = stack.incidence, stack.bounds
     if first == last:
-        class_count, shift = 1, ar.label_sums(incidence[:, low:], high)[:, 0]
+        shift, starts = ar.label_sums(incidence[:, low:], high)[:, 0], range(entries + 1)
     else:
         _, members, classes = np.unique(
-            inputs.masks >> low, return_index=True, return_inverse=True
+            stack.owner << shard.n | stack.masks >> low, return_index=True, return_inverse=True
         )
-        # rows[c, y, v]: the value of class c's histogram that its high sum
+        # shifts[c, y, v]: the value of class c's histogram that its high sum
         # in block first + y moves onto v
-        rows = ar.differences(ar.label_sums(incidence[members, low:], high))
-        class_count, shift = len(members), None
-        which = np.arange(class_count)[:, None, None]
-    cells = class_count * order
-    width = max(1, _COUNT_CELLS // max(cells, len(bases)))
-    most = width * max(1, _LABEL_CELLS // (width * len(bases)))
-    count_type = np.min_scalar_type(2 * len(bases))
-    best: Optional[tuple[int, int]] = None  # (block - first, position in lows)
+        shifts = ar.differences(ar.label_sums(incidence[members, low:], high))
+        starts = np.searchsorted(stack.owner[members], np.arange(entries + 1))
+        # across blocks, keys are offset by the class's place in its entry * |G|
+        keyed = (classes - starts[stack.owner]) * order
+        shift, starts = None, starts.tolist()
+    most = max(1, _LABEL_CELLS // len(rows))
+    best: list[Optional[tuple[int, int]]] = [None] * entries  # (block - first, position)
+    live = list(range(entries))
     for batch in range(0, lows.size, most):
-        part = digits[:, batch : batch + most]
-        batch_labels = ar.label_sums(incidence[:, :low], part, shift)
-        if shift is None:  # across blocks, keys are offset by class * |G|
-            batch_labels = batch_labels + classes[:, None] * order
-        for lo in range(0, batch_labels.shape[1], width):
-            labels = batch_labels[:, lo : lo + width]
-            w = labels.shape[1]
-            if shift is None:
-                keys = labels * w + np.arange(w)  # by class, value, position
-                counts = np.bincount(keys[:block_count].ravel(), minlength=cells * w)
-                if block_count < len(bases):
-                    counts += 2 * np.bincount(keys[block_count:].ravel(), minlength=cells * w)
-                hist = counts.astype(count_type).reshape(class_count, order, w)
-                once = hist[which, rows].sum(axis=0, dtype=count_type) == 1
-            else:
-                keys = labels + np.arange(0, w * order, order)  # by position, then value
-                once = np.bincount(keys[:block_count].ravel(), minlength=order * w) == 1
-                if block_count < len(bases):
-                    once &= np.bincount(keys[block_count:].ravel(), minlength=order * w) == 0
-            if not once.any():
-                continue
-            if shift is not None:
-                once = once.reshape(w, order).T[None]
-            # once is blocks x values x positions: take the least valid (block, position)
-            found = np.flatnonzero(once)
-            y, at = found // (order * w), batch + lo + found % w
-            valid = ((y > 0) | (at >= head)) & ((y < last - first) | (at < tail))
-            if valid.any():
-                hit = min(zip(y[valid].tolist(), at[valid].tolist()))
-                best = min(best or hit, hit)
-        if best is not None and best[0] == 0:
+        batch_labels = ar.label_sums(incidence[:, :low], digits[:, batch : batch + most], shift)
+        if shift is None:
+            batch_labels = batch_labels + keyed[:, None]
+        for e in live:
+            blocks, size = stack.blocks[e], bounds[e + 1] - bounds[e]
+            class_count = starts[e + 1] - starts[e]
+            width = max(1, _COUNT_CELLS // max(class_count * order, size))
+            count_type = np.min_scalar_type(2 * size)
+            entry_labels = batch_labels[bounds[e] : bounds[e + 1]]
+            for lo in range(0, entry_labels.shape[1], width):
+                labels = entry_labels[:, lo : lo + width]
+                w = labels.shape[1]
+                if shift is None:
+                    cells = class_count * order * w
+                    keys = labels * w + np.arange(w)  # by class, value, position
+                    counts = np.bincount(keys[:blocks].ravel(), minlength=cells)
+                    if blocks < size:
+                        counts += 2 * np.bincount(keys[blocks:].ravel(), minlength=cells)
+                    hist = counts.astype(count_type).reshape(class_count, order, w)
+                    which = np.arange(class_count)[:, None, None], shifts[starts[e] : starts[e + 1]]
+                    once = hist[which].sum(axis=0, dtype=count_type) == 1
+                else:
+                    keys = labels + np.arange(0, w * order, order)  # by position, then value
+                    once = np.bincount(keys[:blocks].ravel(), minlength=order * w) == 1
+                    if blocks < size:
+                        once &= np.bincount(keys[blocks:].ravel(), minlength=order * w) == 0
+                if not once.any():
+                    continue
+                if shift is not None:
+                    once = once.reshape(w, order).T[None]
+                # once is blocks x values x positions: take the least valid (block, position)
+                found = np.flatnonzero(once)
+                y, at = found // (order * w), batch + lo + found % w
+                valid = ((y > 0) | (at >= head)) & ((y < last - first) | (at < tail))
+                if valid.any():
+                    hit = min(zip(y[valid].tolist(), at[valid].tolist()))
+                    best[e] = min(best[e] or hit, hit)
+        live = [e for e in live if best[e] is None or best[e][0] > 0]
+        if not live:
             break
-    if best is None:
-        return None
-    return (first + best[0]) * place + int(lows[best[1]])
+    return [None if b is None else (first + b[0]) * place + int(lows[b[1]]) for b in best]
 
 
-def _scan_task(args) -> ScanLine:
-    (matroid_id, ar, bases, block_count, start, stop, chunk, inputs, shard) = args
+def _scan_task(args) -> list[ScanLine]:
+    """One line per entry for the shard start..stop, the entries scanned as
+    one stack, built here.  An entry leaves the stack at its first hit, the
+    least one, as the chunks ascend."""
+    ar, entries, start, stop, chunk, shard = args
     scanned = _scanned(start, stop, shard.step)
+    hits: dict[str, int] = {}
+    stack = _stack(shard.n, entries)
     for lo in scanned[::chunk]:
         hi = min(stop, lo + chunk * shard.step)
         offsets = np.arange(0, hi - lo, shard.step, dtype=np.int64)
-        hit = _scan_chunk(ar, lo, shard.n, bases, block_count, offsets, inputs, shard)
-        if hit is not None:  # chunks ascend, so the first hit is the least
-            labels = tuple(_digits(hit, ar.order, shard.n))
-            return ScanLine(matroid_id, start, stop, len(scanned), hit, labels)
-    return ScanLine(matroid_id, start, stop, len(scanned))
+        found = _scan_chunk(ar, lo, shard, stack.rows, stack, offsets)
+        if any(hit is not None for hit in found):
+            hits.update((name, hit) for name, hit in zip(stack.ids, found) if hit is not None)
+            live = [entry for entry in entries if entry[0] not in hits]
+            if not live:
+                break
+            stack = _stack(shard.n, live)
+    lines = []
+    for matroid_id, *_ in entries:
+        hit = hits.get(matroid_id)
+        labels = None if hit is None else tuple(_digits(hit, ar.order, shard.n))
+        lines.append(ScanLine(matroid_id, start, stop, len(scanned), hit, labels))
+    return lines
 
 
 def isolation_scan(
@@ -631,7 +687,8 @@ def isolation_scan(
     predicates are invariant under translation.  `index_range` restricts the
     scan to labeling indices [a, b) for sharding; results merge with
     `merge_scan_reports`.  Report lines are keyed by matroid id, so ids must
-    be distinct.
+    be distinct.  The entries with blocks of one ground size are scanned in
+    stacks (see `_stack_runs`), each cut into the same shards.
     """
     if predicate not in ("block", "strong_block"):
         raise UsageError(f"unknown predicate {predicate!r}")
@@ -640,13 +697,13 @@ def isolation_scan(
     order, ar = group.order, arithmetic(group)
     step = order if reduction == "translation" else 1
     workers = max(1, min(jobs, os.cpu_count() or 1))
-    tasks = []
-    seen: set[str] = set()
-    tables: dict[int, _ShardTables] = {}  # by ground size
+    seen: dict[str, int] = {}  # id -> input position
+    sizes: dict[int, list] = {}  # the entries with blocks, by ground size
+    lines = []  # of the entries without blocks, which never hit
     for matroid_id, m in matroids:
         if matroid_id in seen:
             raise UsageError(f"matroid id {quote(matroid_id)} appears twice in the scan")
-        seen.add(matroid_id)
+        seen[matroid_id] = len(seen)
         rows, masks, block_count = _isolation_pools(m)
         total = order**m.n
         start, stop = index_range if index_range is not None else (0, total)
@@ -664,20 +721,24 @@ def isolation_scan(
                 f"b - a <= {SCAN_RANGE_LIMIT} (SCAN_RANGE_LIMIT); shard the scan with "
                 f"index ranges a..b"
             )
+        if block_count == 0:
+            lines.append(ScanLine(matroid_id, start, stop, len(_scanned(start, stop, step))))
+            continue
         # the table's rows come blocks first, as the kernel takes a block count
         kept = len(rows) if predicate == "block" else block_count
-        bases = rows[:kept]
-        inputs = _scan_bases(m.n, bases, masks[:kept])
-        if m.n not in tables:
-            tables[m.n] = _ShardTables(order, m.n, step)
+        sizes.setdefault(m.n, []).append((matroid_id, rows[:kept], masks[:kept], block_count))
+
+    tasks = []
+    for n, entries in sizes.items():
+        shard = _ShardTables(order, n, step)  # one per ground size, shared by its stacks
         # Shards tile [start, stop); inner cuts sit on multiples of the step.
+        start, stop = index_range if index_range is not None else (0, order**n)
         scanned = _scanned(start, stop, step)
         parts = max(1, min(workers, len(scanned)))
         width = max(step, -(-len(scanned) // parts) * step)
         edges = [start, *range(scanned.start + width, stop, width), stop]
-        for a, b in zip(edges, edges[1:]):
-            tasks.append((matroid_id, ar, bases, block_count, a, b, _SCAN_CHUNK, inputs,
-                          tables[m.n]))
+        for run in _stack_runs(entries):
+            tasks.extend((ar, run, a, b, _SCAN_CHUNK, shard) for a, b in zip(edges, edges[1:]))
 
     workers = min(workers, len(tasks))
     if workers > 1:
@@ -687,7 +748,9 @@ def isolation_scan(
             shards = list(pool.map(_scan_task, tasks))
     else:
         shards = [_scan_task(t) for t in tasks]
-    return ScanReport(group, predicate, reduction, seed, merge_scan_lines(shards))
+    lines.extend(line for shard_lines in shards for line in shard_lines)
+    lines.sort(key=lambda line: seen[line.matroid_id])  # stable: shards keep their order
+    return ScanReport(group, predicate, reduction, seed, merge_scan_lines(lines))
 
 
 def merge_scan_lines(shards: Iterable[ScanLine]) -> tuple[ScanLine, ...]:

@@ -308,6 +308,20 @@ def validate_exchange_loop(m) -> None:
 # -- catalog ingestion -----------------------------------------------------------
 
 
+def subset_colex_unrank(position: int, r: int) -> tuple[int, ...]:
+    """The r-subset at colex position `position`, found element by element
+    from the largest: the largest a with C(a, i) <= what is left."""
+    out = []
+    rest = position
+    for i in range(r, 0, -1):
+        a = i - 1
+        while math.comb(a + 1, i) <= rest:
+            a += 1
+        out.append(a)
+        rest -= math.comb(a, i)
+    return tuple(sorted(out))
+
+
 def catalog_fields_reference(rest: str) -> tuple[int, int, list[tuple[int, ...]]]:
     """(n, r, bases) of `<n> <r> <bases>`, one chunk at a time, as tuples."""
     parts = rest.split(None, 2)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from unittest import mock
 
 import pytest
@@ -22,7 +23,6 @@ from gcmb.catalog import (
     parse_catalog,
     parse_indicator_file,
     subset_colex_rank,
-    subset_colex_unrank,
     tight_example,
 )
 from gcmb.cli import main
@@ -36,6 +36,7 @@ from oracles import (
     bundled_matroids,
     oracles_equal,
     parse_catalog_reference,
+    subset_colex_unrank,
     verify_axioms,
 )
 
@@ -139,6 +140,15 @@ class TestColexEncoding:
             ):
                 assert subset_colex_rank(subset) == pos
                 assert subset_colex_unrank(pos, r) == subset
+
+    def test_colex_listing_is_the_unranking(self):
+        """An import reads each base from one colex listing per (n, r), as
+        `subset_colex_unrank` of its position, for every n an import takes."""
+        for n in range(matroids_mod.EXPLICIT_VALIDATE_MAX + 1):
+            for r in range(n + 1):
+                listing = catalog_mod._colex_subsets(n, r)
+                assert listing == tuple(subset_colex_unrank(p, r) for p in range(len(listing)))
+                assert len(listing) == math.comb(n, r)
 
     def test_indicator_roundtrip(self):
         u = make_uniform(6, 3)

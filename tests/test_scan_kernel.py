@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gcmb import cli
 from gcmb import lab as lab_mod
-from gcmb.catalog import load_bundled_catalog
+from gcmb.catalog import bundled_path, load_bundled_catalog
 from gcmb.errors import CapacityError
 from gcmb.groups import GroupSpec
 from gcmb.lab import (
@@ -90,6 +90,67 @@ def test_kernel_matches_per_labeling_predicates(data):
     assert_lines_match(report, pool, group, predicate, reduction, start, start + width)
 
 
+STACK_GROUPS = [GroupSpec.of(*f) for f in [(2,), (3,), (4,), (5,), (6,), (16,), (2, 2), (2, 4)]]
+# the bundled catalogs' block candidates, with and without blocks, under ids
+# of their own beside the builtins
+CATALOG_CANDIDATES = [
+    (f"{name[:5]}:{e.id}", e.matroid())
+    for name in ("rank3_size6.cat", "rank4_size8_blocks.cat")
+    for e in load_bundled_catalog(name)
+    if e.n == 2 * e.r
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stacked_scans_match_per_labeling_predicates(data):
+    """Pools of catalog entries and builtins of several ground sizes, some
+    without blocks, scanned in stacks cut small, in small chunks, count
+    slices and label batches.  Starts near 0 reach the first hits of many
+    entries (21 to 273 over Z4-Z6 and Z2xZ4 at n = 6), so entries hit in
+    the first chunk, in a later one, or never."""
+    candidates = CATALOG_CANDIDATES + BLOCK_CANDIDATES
+    if data.draw(st.booleans()):  # one ground size, where more entries hit in one shard
+        candidates = [(name, m) for name, m in candidates if m.n == 6]
+    pool = data.draw(
+        st.lists(st.sampled_from(candidates), min_size=2, max_size=8, unique_by=lambda c: c[0])
+    )
+    group = data.draw(st.sampled_from(STACK_GROUPS))
+    predicate = data.draw(st.sampled_from(["block", "strong_block"]))
+    reduction = data.draw(st.sampled_from(["none", "translation"]))
+    total = group.order ** min(m.n for _, m in pool)
+    width = data.draw(st.integers(0, min(total, 200)))
+    start = data.draw(st.one_of(
+        st.just(0), st.integers(0, min(total - width, 1400)), st.integers(0, total - width)
+    ))
+    with (
+        patch.object(lab_mod, "_SCAN_CHUNK", data.draw(st.sampled_from([1, 3, 7, 1 << 15]))),
+        patch.object(lab_mod, "_COUNT_CELLS", data.draw(st.sampled_from([1, 100, 1 << 16]))),
+        patch.object(lab_mod, "_LABEL_CELLS", data.draw(st.sampled_from([1, 7, 300, 1 << 18]))),
+        patch.object(lab_mod, "_STACK_ROWS", data.draw(st.sampled_from([1, 40, 100, 1 << 10]))),
+    ):
+        report = isolation_scan(pool, group, predicate, reduction, (start, start + width))
+    assert_lines_match(report, pool, group, predicate, reduction, start, start + width)
+
+
+def test_a_catalog_scan_makes_one_kernel_call_per_chunk(monkeypatch, capsys):
+    """The 24 entries of the rank-4 catalog, 802 rows, form one stack: a
+    range of one chunk is one kernel call, not one per entry."""
+    calls = []
+    kernel = lab_mod._scan_chunk
+
+    def recording(*args):
+        calls.append(args[4].ids)
+        return kernel(*args)
+
+    monkeypatch.setattr(lab_mod, "_scan_chunk", recording)
+    path = str(bundled_path("rank4_size8_blocks.cat"))
+    code, out, err = run(capsys, "scan", "--catalog", path, "--group", "Z4", "--predicate",
+                         "block", "--range", "0..4096")
+    assert code == 0 and err == "" and out.endswith("summary matroids=24 checked=98304 isolating=0\n")
+    assert [len(ids) for ids in calls] == [24]
+
+
 SPLIT_GROUPS = [GroupSpec.of(*f) for f in [(2,), (3,), (4,), (5,), (6,), (2, 2), (2, 4), (3, 3), (2, 2, 2)]]
 U48 = make_uniform(8, 4)
 Z256 = GroupSpec.of(256)
@@ -145,8 +206,8 @@ def check_split(
 
 def test_entries_of_one_size_share_the_shard_tables(monkeypatch):
     """One table object per ground size, and per chunk one set of tables for
-    each split that some entry picks: the four entries of n = 6 with blocks
-    all pick one split here, and its tables are built once."""
+    each split that some stack picks: the four entries of n = 6 with blocks
+    form one stack here, and its tables are built once."""
     made = []
 
     class Recording(lab_mod._ShardTables):
@@ -172,20 +233,29 @@ def test_least_hit_of_a_block_may_come_from_a_later_slice(k4):
 
 
 def test_a_shard_stops_at_its_first_hit(monkeypatch, k4):
-    """No kernel call follows the chunk that hits, and `checked` still counts
-    the whole range."""
-    hits = []
+    """Over Z4 in chunks of 7, w3 hits in chunk 3 (labeling 21) and k4 in
+    chunk 11 (labeling 81).  Both are scanned as one stack until w3 hits;
+    w3 is then left out of the later chunks while k4 is still counted, no
+    call follows k4's hit, and `checked` still counts the whole range.  k4
+    is first in the smaller stack and second in the pool: its hit is still
+    its own."""
+    calls = []
     kernel = lab_mod._scan_chunk
 
-    def counting(*args):
-        hits.append(kernel(*args))
-        return hits[-1]
+    def recording(*args):
+        calls.append((args[4].ids, kernel(*args)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(lab_mod, "_scan_chunk", counting)
+    monkeypatch.setattr(lab_mod, "_scan_chunk", recording)
     monkeypatch.setattr(lab_mod, "_SCAN_CHUNK", 7)
-    line = isolation_scan([("k4", k4)], GroupSpec.of(4), "block").lines[0]
-    assert (line.checked, line.isolating_index) == (4096, 81)
-    assert hits[-1] == 81 and hits[:-1] == [None] * (len(hits) - 1)
+    pool = [("w3", dict(BLOCK_CANDIDATES)["w3"]), ("k4", k4)]
+    lines = isolation_scan(pool, GroupSpec.of(4), "block").lines
+    assert [(line.checked, line.isolating_index) for line in lines] == [(4096, 21), (4096, 81)]
+    both, alone = ("w3", "k4"), ("k4",)
+    assert calls == (
+        [(both, [None, None])] * 3 + [(both, [21, None])]
+        + [(alone, [None])] * 7 + [(alone, [81])]
+    )
 
 
 def test_split_follows_the_cost_estimate():
@@ -195,22 +265,31 @@ def test_split_follows_the_cost_estimate():
     Over Z16 the fold's dense count, two bincounts of 16 values per
     labeling, outweighs the sparse count of 16 blocks: every chunk of a
     strong-block scan of such a catalog entry over 5 * 2^20..6 * 2^20 splits."""
-    classes = lab_mod._scan_bases(8, *U48.block_table[:2]).classes
+    classes = lab_mod._stack(8, [("u48", *U48.block_table)]).classes
     for order, folds in [(64, True), (4, False)]:
         start = 3 * order**5 + 12
         end = start + (1 << 15) - 1
         spans = lab_mod._ShardTables(order, 8, 1).spans(start, end)
-        place = order ** lab_mod._split(order, spans, len(U48.bases()), classes)
+        place = order ** lab_mod._split(order, spans, len(U48.bases()), classes, 1)
         assert (start // place == end // place) == folds
     m = next(e.matroid() for e in load_bundled_catalog("rank4_size8_blocks.cat")
              if e.matroid().block_table[2] == 16)
     rows, masks, blocks = m.block_table
-    classes = lab_mod._scan_bases(8, rows[:blocks], masks[:blocks]).classes
+    classes = lab_mod._stack(8, [("m", rows[:blocks], masks[:blocks], blocks)]).classes
     tables = lab_mod._ShardTables(16, 8, 1)
     for start in range(5 << 20, 6 << 20, lab_mod._SCAN_CHUNK):
         end = start + lab_mod._SCAN_CHUNK - 1
-        place = 16 ** lab_mod._split(16, tables.spans(start, end), blocks, classes)
+        place = 16 ** lab_mod._split(16, tables.spans(start, end), blocks, classes, 1)
         assert start // place < end // place
+
+
+def test_a_stack_prices_the_sum_of_its_entries():
+    """A stack's classes are the sums of its entries' own at every L, so
+    `_split` prices a stack as the sum of its entries' estimates."""
+    entries = [(e.id, *e.matroid().block_table)
+               for e in load_bundled_catalog("rank4_size8_blocks.cat")[:5]]
+    alone = [lab_mod._stack(8, [entry]).classes for entry in entries]
+    assert lab_mod._stack(8, entries).classes == [sum(c) for c in zip(*alone)]
 
 
 U612 = make_uniform(12, 6)

@@ -118,9 +118,10 @@ def test_search_calls_base_with_signature_by_its_module_name(monkeypatch, mode, 
 def test_the_scan_kernel_takes_the_bases_and_offsets_where_the_tracer_reads_them(
     monkeypatch, predicate
 ):
-    """The tracer reads `lab._scan_chunk`'s args[3] (the scanned base rows) and
-    args[5] (one offset per labeling counted) by position; a swapped argument
-    would garble its `lab.scan.*` counts without an error."""
+    """The tracer reads `lab._scan_chunk`'s args[3] (one row per scanned base
+    of the stack) and args[5] (one offset per labeling counted) by position;
+    a swapped argument would garble its `lab.scan.*` counts without an
+    error."""
     calls = []
     inner = lab_mod._scan_chunk
 
@@ -130,13 +131,15 @@ def test_the_scan_kernel_takes_the_bases_and_offsets_where_the_tracer_reads_them
 
     monkeypatch.setattr(lab_mod, "_scan_chunk", recording)
     monkeypatch.setattr(lab_mod, "_SCAN_CHUNK", 7)
-    m = BUILTINS["k4"]().matroid
-    rows, masks, blocks = m.block_table
-    scanned = len(rows) if predicate == "block" else blocks  # 16 bases, 12 of them blocks
-    # labeling 81 is the first isolating one, so every kernel call below counts in full
-    line, = isolation_scan([("k4", m)], GroupSpec.of(4), predicate, index_range=(0, 81)).lines
-    assert line.isolating_index is None and len(calls) == 12
+    pool = [(name, BUILTINS[name]().matroid) for name in ("k4", "w3")]
+    scanned = []  # k4: 16 bases, 12 of them blocks; w3: 17 bases, 14 of them blocks
+    for _, m in pool:
+        rows, _, blocks = m.block_table
+        scanned.append(rows if predicate == "block" else rows[:blocks])
+    # labeling 21 is the first isolating one, so every kernel call below counts in full
+    report = isolation_scan(pool, GroupSpec.of(4), predicate, index_range=(0, 21))
+    assert all(line.isolating_index is None for line in report.lines) and len(calls) == 3
     for args in calls:
-        assert args[3].shape == (scanned, m.full_rank)
-        assert np.shares_memory(args[6].masks, masks)  # the block table's, not a copy
-    assert sum(args[5].size for args in calls) == line.checked == 81
+        assert np.array_equal(args[3], np.concatenate(scanned))
+    for line in report.lines:
+        assert sum(args[5].size for args in calls) == line.checked == 21
