@@ -295,7 +295,10 @@ class _Parser(argparse.ArgumentParser):
     exit 1, not 2, the negative result.  Subparsers are of the same class."""
 
     def error(self, message: str):
-        if len(message) > 300:  # argparse quotes a bad token whole, however long
+        # argparse names a bad token whole and raw: show a line break or other
+        # unprintable character by its escape, and cut a long message
+        message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+        if len(message) > 300:
             message = f"{message[:300]}... ({len(message)} characters)"
         raise UsageError(f"{self.prog}: {message}")
 

@@ -19,9 +19,9 @@ group, so the counts stay small.
 
 A scan takes its block candidates of one ground size as stacks of up to
 _STACK_ROWS base rows, each entry's rows blocks first, one entry after
-another.  Per chunk of labelings the kernel picks one split, finds the high
-classes and their label sums, and sums the low-part labels once for the
-whole stack; each entry then counts its own slice of those labels.
+another.  Per chunk the kernel picks one split and one count for the whole
+stack: a float32 matrix product (exact: every count is an integer below 2^24)
+or, where |G|^2 prices it out, a sparse count, one high block at a time.
 """
 
 from __future__ import annotations
@@ -55,7 +55,10 @@ SCAN_RANGE_LIMIT = 1 << 26
 _COUNT_CELLS = 1 << 16  # scan bincount keys per count slice
 _SCAN_CHUNK = 1 << 15  # labelings per scan kernel call
 _LOW_PLACE_LIMIT = 1 << 62  # the scan kernel's low parts, below q^L, stay in int64
-_COUNT_WEIGHT = 8  # cost of a sparse count cell in shifted-sum cells (measured)
+_COUNT_WEIGHT = 128  # sparse count cost per (row, labeling), in product multiply-adds (measured)
+_BLOCK_WEIGHT = 1 << 18  # sparse count cost per (entry, high block) (measured)
+_PASS_WEIGHT = 16  # cost of one pass over a bincount or one-hot cell (measured)
+_PRODUCT_CELLS = 1 << 22  # float32 cells the product's tables hold at most
 _LABEL_CELLS = 1 << 18  # base labels the scan kernel holds at once
 _STACK_ROWS = _LABEL_CELLS >> 8  # rows per scan stack: a label batch covers 2^8 low parts
 
@@ -421,12 +424,10 @@ def _low_ranges(start: int, end: int, place: int) -> tuple[int, int, list[tuple[
 
 
 class _ShardTables:
-    """The scan kernel's tables that depend on the labelings a chunk scans,
-    not on the entries: for each candidate number L of low digits, the
-    chunk's high blocks and low parts, and for an L that a split picks, the
-    digits of the low parts and of the high blocks.  One instance serves
-    every stack of one ground size in an `isolation_scan` call, and builds
-    each table the first time a stack asks for it."""
+    """The scan kernel's tables of a chunk's labelings, for every stack of
+    one ground size in an `isolation_scan` call, each built when first asked
+    for: per number L of low digits, the high blocks and low parts, and for
+    an L that a split picks, the digits of the low parts and high blocks."""
 
     def __init__(self, order: int, n: int, step: int):
         self.order, self.n, self.step = order, n, step
@@ -453,15 +454,13 @@ class _ShardTables:
             first, last, ranges = _low_ranges(start, end, place)
             lows = np.concatenate([np.arange(a, b, self.step, dtype=np.int64) for a, b in ranges])
             digits = np.array(_digits(lows, order, low), dtype=np.min_scalar_type(order))
-            blocks = range(first, last + 1)
-            high = np.array(
-                [[y // order**j % order for y in blocks] for j in range(self.n - low)],
-                dtype=np.int64,
-            ).reshape(self.n - low, len(blocks))
+            wide = order ** (self.n - low) > 1 << 63  # block numbers stay Python ints
+            blocks = np.arange(first, last + 1, dtype=object if wide else np.int64)
+            high = np.array(_digits(blocks, order, self.n - low), dtype=np.int64)
             head = int(np.searchsorted(lows, start % place))  # the first block starts here
             tail = int(np.searchsorted(lows, end % place, side="right"))  # the last ends here
             self._tables[start, end, low] = _ChunkTables(
-                place, first, last, lows, digits, high, head, tail
+                place, first, last, lows, digits, high.reshape(-1, blocks.size), head, tail
             )
         return self._tables[start, end, low]
 
@@ -478,8 +477,7 @@ class _ChunkTables(NamedTuple):
 
 
 class _Stack(NamedTuple):
-    """Block candidates of one ground size that the kernel scans as one: the
-    scanned rows of each entry, blocks first, one entry after another."""
+    """Block candidates of one ground size scanned as one: each entry's rows, blocks first."""
 
     ids: tuple[str, ...]
     blocks: tuple[int, ...]  # each entry's block count: its first rows
@@ -487,21 +485,17 @@ class _Stack(NamedTuple):
     rows: np.ndarray  # the scanned base rows
     masks: np.ndarray  # int64 bitmask per row
     owner: np.ndarray  # int64 stack position of each row's entry
-    incidence: np.ndarray  # see `_incidence`
-    classes: list[int]  # classes[L]: the distinct class keys owner << n | masks >> L
+    weights: np.ndarray  # 1 for a block, 2 for any other row
 
 
-def _stack(n: int, entries: Sequence[tuple[str, np.ndarray, np.ndarray, int]]) -> _Stack:
-    """The stack of (id, rows, masks, block count) entries of ground size n."""
+def _stack(entries: Sequence[tuple[str, np.ndarray, np.ndarray, int]]) -> _Stack:
+    """The stack of (id, rows, masks, block count) entries of one ground size."""
     ids, rows, masks, blocks = zip(*entries)
     sizes = [len(part) for part in rows]
     owner = np.repeat(np.arange(len(ids), dtype=np.int64), sizes)
-    masks = np.concatenate(masks)
-    keys = np.sort(owner << n | masks >> np.arange(n + 1)[:, None], axis=1)
-    classes = 1 + (keys[:, 1:] != keys[:, :-1]).sum(axis=1)
-    rows = np.concatenate(rows)
+    weights = np.concatenate([np.repeat([1.0, 2.0], [b, s - b]) for b, s in zip(blocks, sizes)])
     bounds = [0, *itertools.accumulate(sizes)]
-    return _Stack(ids, blocks, bounds, rows, masks, owner, _incidence(n, rows), classes.tolist())
+    return _Stack(ids, blocks, bounds, np.concatenate(rows), np.concatenate(masks), owner, weights)
 
 
 def _stack_runs(entries: list) -> list[list]:
@@ -515,134 +509,140 @@ def _stack_runs(entries: list) -> list[list]:
     return runs
 
 
-def _split(
-    order: int,
-    spans: Sequence[tuple[int, int, int, int]],
-    bases: int,
-    classes: Sequence[int],
-    entries: int,
-) -> int:
-    """The number of low digits L with the least estimated work for a chunk
-    with the candidate `spans` (see `_ShardTables.spans`), over `bases`
-    bases of `entries` entries, whose classes[L] classes differ in their
-    entry or their high elements: the sum of the entries' own estimates.
-
-    Sparse counts cost _COUNT_WEIGHT per (base, low labeling).  When the
-    labelings span more than one high block, the shifted sums add one per
-    (high block, low labeling, class, group value); inside one high block,
-    each entry's dense count adds two per (low labeling, group value), one
-    for each of its bincounts.  Ties go to the least L.
-    """
+def _split(shard: _ShardTables, start: int, end: int, rows: int, entries: int) -> tuple[int, bool]:
+    """L, and whether to count by the product, with the least estimated work
+    in product multiply-adds for the chunk start..end over `rows` rows of
+    `entries` entries (ties: least L, then sparse).  The sparse count costs
+    _COUNT_WEIGHT per (row, labeling), a pass per (entry, labeling, value)
+    and _BLOCK_WEIGHT per (entry, block); the product (`_product_hits`, with
+    D <= 2^L and H <= 2^(n-L)), a pass per (high class, block, digit or value)."""
+    order, n = shard.order, shard.n
+    labelings = (end - start) // shard.step + 1
     costs = []
-    for low, first, last, count in spans:
-        cost = _COUNT_WEIGHT * bases * count
-        if last > first:
-            cost += (last - first + 1) * count * classes[low] * order
-        else:
-            cost += 2 * order * count * entries
-        costs.append((cost, low))
-    return min(costs)[1]
+    for low, first, last, count in shard.spans(start, end):
+        blocks = last - first + 1
+        sparse = (_COUNT_WEIGHT * rows + _PASS_WEIGHT * order * entries) * labelings
+        costs.append((sparse + _BLOCK_WEIGHT * entries * blocks, low, False))
+        classes, highs = min(1 << low - (shard.step > 1), rows), min(1 << n - low, rows)
+        cells = entries * blocks * classes * order  # A
+        if order * (classes * order * count + highs * blocks) + cells <= _PRODUCT_CELLS:
+            product = cells * (order * count + highs)
+            product += _PASS_WEIGHT * highs * blocks * (n - low + order)
+            costs.append((product, low, True))
+    return min(costs)[1:]
 
 
-def _scan_chunk(
-    ar: IndexArithmetic,
-    start: int,
-    shard: _ShardTables,
-    rows: np.ndarray,
-    stack: _Stack,
-    offsets: np.ndarray,
-) -> list[Optional[int]]:
-    """The least isolating index among the labelings start + offsets, if
-    any, for each entry of the stack.
-
-    `rows` are the stack's scanned rows.  A labeling is isolating for an
-    entry when some group value is the label of exactly one of its bases and
-    that base is a block.  `offsets` step evenly from 0 by the shard's step,
-    and `start` is a multiple of it.
+def _scan_chunk(ar: IndexArithmetic, start: int, shard: _ShardTables, rows: np.ndarray,
+                stack: _Stack, offsets: np.ndarray) -> list[Optional[int]]:
+    """The least isolating index among the labelings start + offsets (which
+    step evenly from 0 by the shard's step; start is a multiple of it), if
+    any, for each entry of the stack, whose scanned rows are `rows`: where,
+    counting each block once and any other base twice, some value counts 1.
 
     Meet in the middle: an index is a low part (the digits of elements
     0..L-1, below q^L, in int64) and a high block (index // q^L, a Python
-    int), with one L from `_split` for the whole stack.  A base's label is
-    its low-part sum plus the high sum of B & High, which depends only on
-    the class (entry, B & High).  Per class, a bincount histograms the
-    low-part labels over the chunk's low parts, non-blocks counting twice;
-    each high block then sums the entry's class histograms, each shifted by
-    its class's high sum, and a value hits when its total is 1.  Inside a
-    single high block each base's high sum folds into its labels, each entry
-    has one class, and the count is the plain sparse one.
-
-    The stack's classes, their high sums and its low-part labels are each
-    found once for all entries; the counts are each entry's own, over its
-    slice of the labels.  The low parts go in ascending order.  Their labels
-    are summed in batches of about _LABEL_CELLS (rows times low parts) and
-    each entry counts them in slices of its `width` low parts.  An entry
-    stops counting after a batch once its least hit lies in the first high
-    block, as every later low part is larger; the scan stops when every
-    entry has.
-    """
-    order, entries = shard.order, len(stack.ids)
+    int), with one L and one count from `_split` for the whole stack.  A
+    base's label is its low elements' label sum under the low part plus its
+    high sum, which depends on the block and its high class (its elements
+    from L on).  Both counts take the blocks in ascending order, and an
+    entry stops at its first hit, the least."""
     end = start + int(offsets[-1])
-    low = _split(order, shard.spans(start, end), len(rows), stack.classes, entries)
-    place, first, last, lows, digits, high, head, tail = shard.tables(start, end, low)
-    incidence, bounds = stack.incidence, stack.bounds
-    if first == last:
-        shift, starts = ar.label_sums(incidence[:, low:], high)[:, 0], range(entries + 1)
-    else:
-        _, members, classes = np.unique(
-            stack.owner << shard.n | stack.masks >> low, return_index=True, return_inverse=True
-        )
-        # shifts[c, y, v]: the value of class c's histogram that its high sum
-        # in block first + y moves onto v
-        shifts = ar.differences(ar.label_sums(incidence[members, low:], high))
-        starts = np.searchsorted(stack.owner[members], np.arange(entries + 1))
-        # across blocks, keys are offset by the class's place in its entry * |G|
-        keyed = (classes - starts[stack.owner]) * order
-        shift, starts = None, starts.tolist()
-    most = max(1, _LABEL_CELLS // len(rows))
-    best: list[Optional[tuple[int, int]]] = [None] * entries  # (block - first, position)
-    live = list(range(entries))
-    for batch in range(0, lows.size, most):
-        batch_labels = ar.label_sums(incidence[:, :low], digits[:, batch : batch + most], shift)
-        if shift is None:
-            batch_labels = batch_labels + keyed[:, None]
-        for e in live:
-            blocks, size = stack.blocks[e], bounds[e + 1] - bounds[e]
-            class_count = starts[e + 1] - starts[e]
-            width = max(1, _COUNT_CELLS // max(class_count * order, size))
-            count_type = np.min_scalar_type(2 * size)
-            entry_labels = batch_labels[bounds[e] : bounds[e + 1]]
-            for lo in range(0, entry_labels.shape[1], width):
-                labels = entry_labels[:, lo : lo + width]
-                w = labels.shape[1]
-                if shift is None:
-                    cells = class_count * order * w
-                    keys = labels * w + np.arange(w)  # by class, value, position
-                    counts = np.bincount(keys[:blocks].ravel(), minlength=cells)
-                    if blocks < size:
-                        counts += 2 * np.bincount(keys[blocks:].ravel(), minlength=cells)
-                    hist = counts.astype(count_type).reshape(class_count, order, w)
-                    which = np.arange(class_count)[:, None, None], shifts[starts[e] : starts[e + 1]]
-                    once = hist[which].sum(axis=0, dtype=count_type) == 1
-                else:
-                    keys = labels + np.arange(0, w * order, order)  # by position, then value
-                    once = np.bincount(keys[:blocks].ravel(), minlength=order * w) == 1
-                    if blocks < size:
-                        once &= np.bincount(keys[blocks:].ravel(), minlength=order * w) == 0
-                if not once.any():
-                    continue
-                if shift is not None:
-                    once = once.reshape(w, order).T[None]
-                # once is blocks x values x positions: take the least valid (block, position)
-                found = np.flatnonzero(once)
-                y, at = found // (order * w), batch + lo + found % w
-                valid = ((y > 0) | (at >= head)) & ((y < last - first) | (at < tail))
-                if valid.any():
-                    hit = min(zip(y[valid].tolist(), at[valid].tolist()))
-                    best[e] = min(best[e] or hit, hit)
-        live = [e for e in live if best[e] is None or best[e][0] > 0]
-        if not live:
-            break
+    low, product = _split(shard, start, end, len(rows), len(stack.ids))
+    tables = shard.tables(start, end, low)
+    high_masks, high_class = np.unique(stack.masks >> low, return_inverse=True)
+    high_incidence = (high_masks[:, None] >> np.arange(shard.n - low) & 1).astype(np.uint8)
+    sums = ar.label_sums(high_incidence, tables.high)  # high classes x blocks
+    best = (_product_hits if product else _sparse_hits)(ar, stack, tables, sums, high_class)
+    first, place, lows = tables.first, tables.place, tables.lows
     return [None if b is None else (first + b[0]) * place + int(lows[b[1]]) for b in best]
+
+
+def _product_hits(ar: IndexArithmetic, stack: _Stack, tables: _ChunkTables, sums: np.ndarray,
+                  high_class: np.ndarray) -> list[Optional[tuple[int, int]]]:
+    """Per entry, its least hit as (block - first, position in lows), by a
+    float32 product per batch of about _LABEL_CELLS counts, ascending over
+    the blocks.  With d(B) base B's low class (its elements below L whose
+    digit is not always 0: element 0's is under the translation reduction)
+    and low_d(u) its label sum under low part u, entry e counts
+
+        count[(e, y), (v, u)] = sum over (d, b) of A[(e, y), (d, b)] * [low_d(u) + b = v]
+
+    where A, the product of e's bases by (d, high class) and a one-hot table
+    of the high sums, counts e's bases of class d and high sum b at block y.
+    A count is an integer at most twice an entry's rows, below 2 *
+    LAB_ENUM_LIMIT < 2^24: exact in float32 whatever order BLAS sums in."""
+    order, entries, (highs, blocks) = ar.order, len(stack.ids), sums.shape
+    lows, digits = tables.lows, tables.digits
+    varying = sum(1 << int(i) for i in np.flatnonzero(digits.any(axis=1)))
+    low_masks, low_class = np.unique(stack.masks & varying, return_inverse=True)
+    keys = (stack.owner * low_masks.size + low_class) * highs + high_class  # by (e, d), then h
+    by_high = np.bincount(keys, stack.weights, entries * low_masks.size * highs).astype(np.float32)
+    high_hot = np.zeros((highs, order * blocks), dtype=np.float32)  # [h, (b, y)]
+    high_hot[np.arange(highs)[:, None], sums * blocks + np.arange(blocks)] = 1
+    by_sum = (by_high.reshape(-1, highs) @ high_hot).reshape(entries, -1, blocks)  # A[e, (d, b), y]
+    low_incidence = (low_masks[:, None] >> np.arange(len(digits)) & 1).astype(np.uint8)
+    subtrahends = ar.differences(ar.label_sums(low_incidence, digits))  # [d, u, v] = v - low_d(u)
+    low_hot = np.zeros((low_masks.size * order, order * lows.size), dtype=np.float32)
+    d, u, v = np.ogrid[: low_masks.size, : lows.size, :order]  # low_hot[(d, b), (v, u)]
+    low_hot[d * order + subtrahends, v * lows.size + u] = 1
+    best: list[Optional[tuple[int, int]]] = [None] * entries
+    live = np.arange(entries)  # the entries of by_sum
+    step = max(1, _LABEL_CELLS // (entries * order * lows.size))
+    for y0 in range(0, blocks, step):
+        batch = by_sum[:, :, y0 : y0 + step].transpose(0, 2, 1)  # [e, y, (d, b)]
+        counts = (batch @ low_hot).reshape(*batch.shape[:2], order, -1)
+        once = counts[:, :, 0] == 1
+        for value in range(1, order):
+            once |= counts[:, :, value] == 1
+        once[:, 0, : tables.head if y0 == 0 else 0] = False
+        once[:, -1, tables.tail if y0 + step >= blocks else lows.size :] = False
+        flat = once.reshape(live.size, -1)
+        hit = flat.any(axis=1)
+        for e, at in zip(live[hit].tolist(), flat.argmax(axis=1)[hit].tolist()):
+            best[e] = (y0 + at // lows.size, at % lows.size)
+        if hit.any():
+            live, by_sum = live[~hit], by_sum[~hit]
+            if not live.size:
+                break
+    return best
+
+
+def _sparse_hits(ar: IndexArithmetic, stack: _Stack, tables: _ChunkTables, sums: np.ndarray,
+                 high_class: np.ndarray) -> list[Optional[tuple[int, int]]]:
+    """Per entry, its least hit as (block - first, position in lows), by
+    sparse counts, one block at a time: its high sums fold into the labels,
+    summed in batches of about _LABEL_CELLS (rows x low parts), which each
+    entry counts in slices of `width` low parts, one bincount for blocks and
+    one for other bases; a value hits when they count 1 and 0."""
+    order, entries, blocks = ar.order, len(stack.ids), sums.shape[1]
+    low_incidence = (stack.masks[:, None] >> np.arange(len(tables.digits)) & 1).astype(np.uint8)
+    most = max(1, _LABEL_CELLS // len(low_incidence))
+    best: list[Optional[tuple[int, int]]] = [None] * entries
+    live = list(range(entries))
+    for y in range(blocks):
+        begin = tables.head if y == 0 else 0
+        stop = tables.tail if y == blocks - 1 else tables.lows.size
+        for batch in range(begin, stop, most):
+            digits = tables.digits[:, batch : min(stop, batch + most)]
+            batch_labels = ar.label_sums(low_incidence, digits, sums[high_class, y])
+            for e in live:
+                entry_labels = batch_labels[stack.bounds[e] : stack.bounds[e + 1]]
+                kept, size = stack.blocks[e], len(entry_labels)
+                width = max(1, _COUNT_CELLS // max(order, size))
+                for lo in range(0, entry_labels.shape[1], width):
+                    labels = entry_labels[:, lo : lo + width]
+                    w = labels.shape[1]
+                    keys = labels + np.arange(0, w * order, order)  # by position, then value
+                    once = np.bincount(keys[:kept].ravel(), minlength=order * w) == 1
+                    if kept < size:
+                        once &= np.bincount(keys[kept:].ravel(), minlength=order * w) == 0
+                    if once.any():
+                        best[e] = (y, batch + lo + int(np.flatnonzero(once)[0]) // order)
+                        break
+            live = [e for e in live if best[e] is None]
+            if not live:
+                return best
+    return best
 
 
 def _scan_task(args) -> list[ScanLine]:
@@ -652,7 +652,7 @@ def _scan_task(args) -> list[ScanLine]:
     ar, entries, start, stop, chunk, shard = args
     scanned = _scanned(start, stop, shard.step)
     hits: dict[str, int] = {}
-    stack = _stack(shard.n, entries)
+    stack = _stack(entries)
     for lo in scanned[::chunk]:
         hi = min(stop, lo + chunk * shard.step)
         offsets = np.arange(0, hi - lo, shard.step, dtype=np.int64)
@@ -662,7 +662,7 @@ def _scan_task(args) -> list[ScanLine]:
             live = [entry for entry in entries if entry[0] not in hits]
             if not live:
                 break
-            stack = _stack(shard.n, live)
+            stack = _stack(live)
     lines = []
     for matroid_id, *_ in entries:
         hit = hits.get(matroid_id)

@@ -96,6 +96,7 @@ K4_Z4 = ["scan", "--builtin", "k4", "--group", "Z4"]
     pytest.param(["bases", "--matroid", LONG_PATH],
                  f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
                  f"{quote(LONG_PATH)}", id="long-path"),
+    pytest.param([*K4_Z4, "\r"], "gcmb: unrecognized arguments: \\r", id="unprintable-token"),
     pytest.param(["bases", "--matroid", "no-such.mat"],
                  f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'no-such.mat'",
                  id="missing-path"),

@@ -6,6 +6,7 @@ import concurrent.futures
 import warnings
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,30 +65,74 @@ def assert_lines_match(report, pool, group, predicate, reduction, start, stop):
             assert labeling_from_index(group, m.n, first).indices == line.isolating_labels
 
 
-@settings(max_examples=100, deadline=None)
+def recording_counts():
+    """A patch that records (count, spans more than one high block) for each
+    call of the kernel's two counts, and the list it records into."""
+    seen = []
+
+    def spy(count):
+        def recording(ar, stack, tables, *sums):
+            seen.append((count.__name__, tables.last > tables.first))
+            return count(ar, stack, tables, *sums)
+
+        return recording
+
+    counts = {name: spy(getattr(lab_mod, name)) for name in ("_product_hits", "_sparse_hits")}
+    return seen, patch.multiple(lab_mod, **counts)
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_per_labeling_predicates(data):
+    """Each draw steers the cost weights onto one of three counts, at every
+    order drawn: the product, with the sparse count priced out and a range
+    whose one-hot table fits; the fold, with the product priced out; or the
+    sparse count one high block at a time, with the product priced out, no
+    weight on blocks (so L = 1) and a range across a multiple of |G|."""
     pool = pools(data)
     group = data.draw(st.sampled_from(KERNEL_GROUPS))
+    order = group.order
     predicate = data.draw(st.sampled_from(["block", "strong_block"]))
     reduction = data.draw(st.sampled_from(["none", "translation"]))
-    total = group.order ** min(m.n for _, m in pool)
-    width = data.draw(st.integers(0, min(total, 48)))
-    # index 0 labels every element with the identity: never isolating when
-    # there are two blocks, so a hit from 0 on lies past the first labeling
-    start = data.draw(st.one_of(st.just(0), st.integers(0, total - width)))
-    chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
+    step = order if reduction == "translation" else 1
+    total = order ** min(m.n for _, m in pool)
+    path = data.draw(st.sampled_from(["product", "fold", "spans"]))
+    weights = {
+        "product": {"_COUNT_WEIGHT": 10**12},
+        "fold": {"_PRODUCT_CELLS": 0},
+        "spans": {"_PRODUCT_CELLS": 0, "_BLOCK_WEIGHT": 0},
+    }[path]
+    if path == "spans":
+        boundary = order * data.draw(st.integers(1, total // order - 1))
+        below = step * data.draw(st.integers(1, 4)) + data.draw(st.integers(0, step - 1))
+        start = max(0, boundary - below)
+        width = min(total, boundary + step * data.draw(st.integers(1, 4))) - start
+    else:
+        # at L = 1 the product's one-hot table, 2 |G|^2 x width cells, fills
+        # at most half of its cap
+        most = min(total, 48, lab_mod._PRODUCT_CELLS // (4 * order**2))
+        width = data.draw(st.integers(path == "product", most))
+        # index 0 labels every element with the identity: never isolating when
+        # there are two blocks, so a hit from 0 on lies past the first labeling
+        start = data.draw(st.one_of(st.just(0), st.integers(0, total - width)))
+    # a chunk across the boundary holds its whole range
+    chunk = 1 << 15 if path == "spans" else data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
     # counts go a few labelings, down to one, at a time below the default, and
-    # label batches hold a few count slices or a single one
+    # label and product batches hold a few count slices or blocks, or a single one
     cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
     batch = data.draw(st.sampled_from([1, 7, lab_mod._LABEL_CELLS]))
+    seen, spies = recording_counts()
     with (
-        patch.object(lab_mod, "_COUNT_CELLS", cells),
-        patch.object(lab_mod, "_LABEL_CELLS", batch),
-        patch.object(lab_mod, "_SCAN_CHUNK", chunk),
+        patch.multiple(lab_mod, _COUNT_CELLS=cells, _LABEL_CELLS=batch, _SCAN_CHUNK=chunk),
+        patch.multiple(lab_mod, **weights),
+        spies,
     ):
         report = isolation_scan(pool, group, predicate, reduction, (start, start + width))
     assert_lines_match(report, pool, group, predicate, reduction, start, start + width)
+    if lab_mod._scanned(start, start + width, step) and any(m.block_table[2] for _, m in pool):
+        count = "_product_hits" if path == "product" else "_sparse_hits"
+        assert {name for name, _ in seen} == {count}
+        assert any(spanned for _, spanned in seen) or path != "spans"
 
 
 STACK_GROUPS = [GroupSpec.of(*f) for f in [(2,), (3,), (4,), (5,), (6,), (16,), (2, 2), (2, 4)]]
@@ -164,11 +209,12 @@ def max_low(order, n):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_every_split_matches_per_labeling_predicates(data):
-    """Forces each number L of low digits, from 1 to its maximum, on a range
-    that crosses at least one high-block boundary (q^L divides it) with
-    partial blocks at both ends, over a pool of entries.  U_{4,8} over Z256
-    has 2^64 labelings, more than q^L <= 2^62 can split into int64 low parts:
-    there the high block numbers and most indices lie past 2^63."""
+    """Forces each number L of low digits, from 1 to its maximum, and either
+    count, on a range that crosses at least one high-block boundary (q^L
+    divides it) with partial blocks at both ends, over a pool of entries.
+    U_{4,8} over Z256 has 2^64 labelings, more than q^L <= 2^62 can split
+    into int64 low parts: there the high block numbers and most indices lie
+    past 2^63."""
     if data.draw(st.booleans()):
         pool = pools(data)
         group = data.draw(st.sampled_from(SPLIT_GROUPS))
@@ -188,14 +234,16 @@ def test_every_split_matches_per_labeling_predicates(data):
     chunk = data.draw(st.sampled_from([1, 3, 7, 1 << 15]))
     cells = data.draw(st.sampled_from([1, 100, lab_mod._COUNT_CELLS]))
     batch = data.draw(st.sampled_from([1, 7, lab_mod._LABEL_CELLS]))
-    check_split(pool, group, predicate, reduction, low, start, width, chunk, cells, batch)
+    # the product only where its one-hot table, under 2^L |G|^2 x width cells, stays small
+    product = 2**low * group.order**2 * width <= lab_mod._PRODUCT_CELLS and data.draw(st.booleans())
+    check_split(pool, group, predicate, reduction, low, start, width, chunk, cells, batch, product)
 
 
 def check_split(
-    pool, group, predicate, reduction, low, start, width, chunk, cells, batch=lab_mod._LABEL_CELLS
+    pool, group, predicate, reduction, low, start, width, chunk, cells, batch, product
 ):
     with (
-        patch.object(lab_mod, "_split", lambda *args: low),
+        patch.object(lab_mod, "_split", lambda *args: (low, product)),
         patch.object(lab_mod, "_COUNT_CELLS", cells),
         patch.object(lab_mod, "_LABEL_CELLS", batch),
         patch.object(lab_mod, "_SCAN_CHUNK", chunk),
@@ -226,10 +274,14 @@ def test_entries_of_one_size_share_the_shard_tables(monkeypatch):
 
 
 def test_least_hit_of_a_block_may_come_from_a_later_slice(k4):
-    """Slices ascend over the low parts and count every high block at once:
-    the slice of low part 1 finds a hit in the second block (46381), and the
-    later slice of low part 2 a lesser one in the first block (46376)."""
-    check_split([("k4", k4)], GroupSpec.of(6), "block", "none", 1, 46375, 33, 1 << 15, 100)
+    """At L = 1 over Z6, 46375..46407 spans six high blocks.  The least hit,
+    46376, lies in the first block at low part 2, and a hit in the second
+    block, 46381, at the lesser low part 1: both counts take blocks before
+    low parts, the product within a batch of blocks and the sparse count
+    one block at a time."""
+    for product in (False, True):
+        check_split([("k4", k4)], GroupSpec.of(6), "block", "none", 1, 46375, 33, 1 << 15, 100,
+                    lab_mod._LABEL_CELLS, product)
 
 
 def test_a_shard_stops_at_its_first_hit(monkeypatch, k4):
@@ -259,37 +311,41 @@ def test_a_shard_stops_at_its_first_hit(monkeypatch, k4):
 
 
 def test_split_follows_the_cost_estimate():
-    """Over a large group the kernel keeps a chunk inside one high block and
-    folds; over a small group the estimate prefers shifted class histograms
-    across blocks, since 70 bases outweigh 4 values times a few classes.
-    Over Z16 the fold's dense count, two bincounts of 16 values per
-    labeling, outweighs the sparse count of 16 blocks: every chunk of a
-    strong-block scan of such a catalog entry over 5 * 2^20..6 * 2^20 splits."""
-    classes = lab_mod._stack(8, [("u48", *U48.block_table)]).classes
-    for order, folds in [(64, True), (4, False)]:
-        start = 3 * order**5 + 12
-        end = start + (1 << 15) - 1
-        spans = lab_mod._ShardTables(order, 8, 1).spans(start, end)
-        place = order ** lab_mod._split(order, spans, len(U48.bases()), classes, 1)
-        assert (start // place == end // place) == folds
-    m = next(e.matroid() for e in load_bundled_catalog("rank4_size8_blocks.cat")
-             if e.matroid().block_table[2] == 16)
-    rows, masks, blocks = m.block_table
-    classes = lab_mod._stack(8, [("m", rows[:blocks], masks[:blocks], blocks)]).classes
-    tables = lab_mod._ShardTables(16, 8, 1)
-    for start in range(5 << 20, 6 << 20, lab_mod._SCAN_CHUNK):
-        end = start + lab_mod._SCAN_CHUNK - 1
-        place = 16 ** lab_mod._split(16, tables.spans(start, end), blocks, classes, 1)
-        assert start // place < end // place
+    """The product costs |G|^2 per (low class, labeling), so over Z256 and
+    Z1024 a chunk of U_{4,8} inside one high block folds into the sparse
+    count, and one across the edge of the largest L's block, which spans two
+    blocks at every L, counts sparsely one block at a time.  Over Z4 the
+    product wins at a middle L: on U_{5,10}'s blocks in one chunk, and on
+    the rank-4 catalog's strong-block translation scan of 0..2^16, where the
+    sparse fold measured about 20 times slower than the product."""
+    rows = len(U48.block_table[0])
+    for order, top in [(256, 7), (1024, 6)]:  # top: the largest L, q^L <= 2^62
+        shard = lab_mod._ShardTables(order, 8, 1)
+        for start, spanned in [(3 * order**5 + 12, 0), (5 * order**top - 100, 1)]:
+            end = start + lab_mod._SCAN_CHUNK - 1
+            low, product = lab_mod._split(shard, start, end, rows, 1)
+            assert not product and end // order**low - start // order**low == spanned
+    u510 = make_uniform(10, 5).block_table[2]
+    assert lab_mod._split(lab_mod._ShardTables(4, 10, 1), 0, (1 << 15) - 1, u510, 1) == (4, True)
+    blocks = sum(e.matroid().block_table[2] for e in load_bundled_catalog("rank4_size8_blocks.cat"))
+    low, product = lab_mod._split(lab_mod._ShardTables(4, 8, 4), 0, 65532, blocks, 24)
+    assert product and 2 < low < 6
 
 
-def test_a_stack_prices_the_sum_of_its_entries():
-    """A stack's classes are the sums of its entries' own at every L, so
-    `_split` prices a stack as the sum of its entries' estimates."""
+def test_a_stack_counts_blocks_once_and_other_bases_twice():
+    """Each entry's rows come blocks first, and the counts weigh them 1 and
+    the other bases 2, so that a value counts 1 only for a lone block."""
     entries = [(e.id, *e.matroid().block_table)
                for e in load_bundled_catalog("rank4_size8_blocks.cat")[:5]]
-    alone = [lab_mod._stack(8, [entry]).classes for entry in entries]
-    assert lab_mod._stack(8, entries).classes == [sum(c) for c in zip(*alone)]
+    stack = lab_mod._stack(entries)
+    for (_, rows, _, blocks), a, b in zip(entries, stack.bounds, stack.bounds[1:]):
+        assert stack.weights[a:b].tolist() == [1.0] * blocks + [2.0] * (len(rows) - blocks)
+
+
+def test_float32_counts_are_exact_under_the_enumeration_guard():
+    """A count of the product is at most twice an entry's bases, which
+    LAB_ENUM_LIMIT bounds: every such integer is exact in float32."""
+    assert 2 * lab_mod.LAB_ENUM_LIMIT < 2 ** (np.finfo(np.float32).nmant + 1)
 
 
 U612 = make_uniform(12, 6)
